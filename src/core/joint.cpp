@@ -15,6 +15,7 @@
 #include "surgery/partition.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
+#include "util/thread_pool.hpp"
 
 namespace scalpel {
 namespace {
@@ -421,43 +422,52 @@ Decision JointOptimizer::optimize(const ProblemInstance& instance,
   for (std::size_t iter = 0; iter < opts_.max_iterations; ++iter) {
     // ---- Surgery step. Damped: a device adopts the new plan only if it
     // beats its current plan under the current grants — prevents the
-    // surgery/allocation alternation from flip-flopping.
+    // surgery/allocation alternation from flip-flopping. Devices are
+    // independent here (each reads the round's grants and writes only its
+    // own plan and evaluation count), so they run across the shared pool
+    // and the result does not depend on the pool size.
     if (opts_.enable_surgery) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto id = static_cast<DeviceId>(i);
-        const auto outcome =
-            best_surgery(instance, id, server_of[i], share[i], bandwidth[i],
-                         device_cuts[i], device_costs[i], opts_);
-        surgery_evals += outcome.evaluations;
-        if (!outcome.feasible) continue;
-        if (iter == 0) {
-          plans[i] = outcome.plan;
-          continue;
+      std::vector<std::size_t> evals(n, 0);
+      auto improve = [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          const auto id = static_cast<DeviceId>(i);
+          const auto outcome =
+              best_surgery(instance, id, server_of[i], share[i], bandwidth[i],
+                           device_cuts[i], device_costs[i], opts_);
+          evals[i] = outcome.evaluations;
+          if (!outcome.feasible) continue;
+          if (iter == 0) {
+            plans[i] = outcome.plan;
+            continue;
+          }
+          DeviceDecision current;
+          current.plan = plans[i];
+          if (!current.plan.device_only) {
+            current.server = server_of[i];
+            current.compute_share = std::clamp(share[i], 1e-9, 1.0);
+            // Same negotiable-bandwidth rule the proposals were scored
+            // under, so incumbent and challenger are compared on equal
+            // terms.
+            const auto& dev = topo.device(id);
+            double cut_bytes = static_cast<double>(
+                instance.bundle_for(id)
+                    .graph.node(current.plan.partition_after)
+                    .out_shape.bytes());
+            if (current.plan.quantize_upload) cut_bytes = cut_bytes / 4 + 4;
+            const double stability_bw = 1.25 * dev.arrival_rate * cut_bytes;
+            current.bandwidth = std::min(
+                std::max(std::max(bandwidth[i], 1.0), stability_bw),
+                topo.cell(dev.cell).bandwidth);
+          }
+          const auto current_pred = evaluate_device(instance, id, current);
+          if (!current_pred.stable ||
+              outcome.cost < current_pred.expected_latency) {
+            plans[i] = outcome.plan;
+          }
         }
-        DeviceDecision current;
-        current.plan = plans[i];
-        if (!current.plan.device_only) {
-          current.server = server_of[i];
-          current.compute_share = std::clamp(share[i], 1e-9, 1.0);
-          // Same negotiable-bandwidth rule the proposals were scored under,
-          // so incumbent and challenger are compared on equal terms.
-          const auto& dev = topo.device(id);
-          double cut_bytes = static_cast<double>(
-              instance.bundle_for(id)
-                  .graph.node(current.plan.partition_after)
-                  .out_shape.bytes());
-          if (current.plan.quantize_upload) cut_bytes = cut_bytes / 4 + 4;
-          const double stability_bw = 1.25 * dev.arrival_rate * cut_bytes;
-          current.bandwidth = std::min(
-              std::max(std::max(bandwidth[i], 1.0), stability_bw),
-              topo.cell(dev.cell).bandwidth);
-        }
-        const auto current_pred = evaluate_device(instance, id, current);
-        if (!current_pred.stable ||
-            outcome.cost < current_pred.expected_latency) {
-          plans[i] = outcome.plan;
-        }
-      }
+      };
+      ThreadPool::shared().parallel_for(0, n, improve);
+      for (const std::size_t e : evals) surgery_evals += e;
     }
     for (std::size_t i = 0; i < n; ++i) offloads[i] = !plans[i].device_only;
 

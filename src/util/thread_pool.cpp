@@ -2,14 +2,36 @@
 
 #include <algorithm>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include "util/assert.hpp"
 
 namespace scalpel {
+namespace {
+
+// The pool whose worker_loop runs on this thread (nullptr elsewhere).
+thread_local const ThreadPool* tl_worker_of = nullptr;
+
+// CPUs this thread may run on. hardware_concurrency counts every CPU of the
+// machine, even under `taskset` or a container cpuset.
+std::size_t usable_cpus() {
+#ifdef __linux__
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const int count = CPU_COUNT(&set);
+    if (count > 0) return static_cast<std::size_t>(count);
+  }
+#endif
+  return std::thread::hardware_concurrency();
+}
+
+}  // namespace
 
 ThreadPool::ThreadPool(std::size_t n) {
-  if (n == 0) {
-    n = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
+  if (n == 0) n = std::max<std::size_t>(1, usable_cpus());
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -42,8 +64,10 @@ void ThreadPool::parallel_for(
     const std::function<void(std::size_t, std::size_t)>& fn) {
   if (begin >= end) return;
   const std::size_t n = end - begin;
-  const std::size_t chunks = std::min(n, workers_.size() + 1);
-  if (chunks <= 1) {
+  const std::size_t chunks = std::min(n, workers_.size());
+  // On one of this pool's workers, queued chunks could wait behind the
+  // very task that blocks on them.
+  if (chunks <= 1 || tl_worker_of == this) {
     fn(begin, end);
     return;
   }
@@ -81,6 +105,7 @@ ThreadPool& ThreadPool::shared() {
 }
 
 void ThreadPool::worker_loop() {
+  tl_worker_of = this;
   for (;;) {
     std::packaged_task<void()> task;
     {

@@ -11,13 +11,17 @@
 
 namespace scalpel {
 
-/// Fixed-size thread pool used by the NN kernels and the parameter-sweep
-/// benches. Tasks are type-erased closures; `parallel_for` provides the
-/// common blocked-index pattern with static chunking (deterministic work
-/// assignment, which keeps kernel timings stable run-to-run).
+/// Fixed-size thread pool used by the NN kernels, the replication fan-out,
+/// the sharded engine and the joint optimizer's surgery step. Tasks are
+/// type-erased closures; `parallel_for` provides the common blocked-index
+/// pattern with static chunking (deterministic work assignment, which keeps
+/// kernel timings stable run-to-run).
 class ThreadPool {
  public:
-  /// n == 0 means hardware_concurrency (at least 1).
+  /// n == 0 means one worker per CPU the constructing thread may run on
+  /// (its sched_getaffinity mask; hardware_concurrency where that is
+  /// unavailable), and at least 1. A pool built under `taskset -c 0` has
+  /// size() == 1, so its parallel_for runs inline.
   explicit ThreadPool(std::size_t n = 0);
   ~ThreadPool();
 
@@ -29,13 +33,18 @@ class ThreadPool {
   /// Enqueue a task; the returned future rethrows any task exception.
   std::future<void> submit(std::function<void()> task);
 
-  /// Run fn(i) for i in [begin, end), split into contiguous chunks across the
-  /// pool (the calling thread works too). Blocks until all chunks finish.
-  /// Exceptions from any chunk propagate to the caller.
+  /// Calls fn(lo, hi) over contiguous chunks covering [begin, end): at most
+  /// size() chunks, the first on the calling thread and the rest on workers,
+  /// so a pool sized to the CPU count never runs more threads than CPUs.
+  /// Blocks until all chunks finish; every chunk is drained before the first
+  /// exception is rethrown. Re-entrant: a call issued from one of this
+  /// pool's own workers runs fn(begin, end) inline instead of queueing
+  /// behind itself.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t, std::size_t)>& fn);
 
-  /// Process-wide shared pool (lazily constructed, hardware-sized).
+  /// Process-wide shared pool (lazily constructed with the default size,
+  /// taken from the affinity of the thread that first asks for it).
   static ThreadPool& shared();
 
  private:

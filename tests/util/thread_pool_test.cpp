@@ -5,6 +5,12 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
+
+#ifdef __linux__
+#include <pthread.h>
+#include <sched.h>
+#endif
 
 namespace scalpel {
 namespace {
@@ -12,6 +18,41 @@ namespace {
 TEST(ThreadPool, SizeDefaultsToHardware) {
   ThreadPool pool;
   EXPECT_GE(pool.size(), 1u);
+}
+
+#ifdef __linux__
+TEST(ThreadPool, DefaultSizeFollowsThreadAffinity) {
+  cpu_set_t allowed;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &allowed)) ++cpu;
+  std::size_t size = 0;
+  int pin_error = -1;
+  std::thread pinned([&] {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    pin_error = pthread_setaffinity_np(pthread_self(), sizeof(one), &one);
+    const ThreadPool pool;
+    size = pool.size();
+  });
+  pinned.join();
+  ASSERT_EQ(pin_error, 0);
+  EXPECT_EQ(size, 1u);
+}
+#endif
+
+TEST(ThreadPool, OneWorkerPoolRunsParallelForInline) {
+  ThreadPool pool(1);
+  const auto caller = std::this_thread::get_id();
+  std::size_t calls = 0;
+  pool.parallel_for(0, 100, [&](std::size_t lo, std::size_t hi) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_EQ(lo, 0u);
+    EXPECT_EQ(hi, 100u);
+    ++calls;
+  });
+  EXPECT_EQ(calls, 1u);
 }
 
 TEST(ThreadPool, SubmitRunsTask) {
@@ -71,6 +112,68 @@ TEST(ThreadPool, ParallelForPropagatesExceptions) {
       pool.parallel_for(0, 100,
                         [&](std::size_t lo, std::size_t) {
                           if (lo == 0) throw std::runtime_error("chunk fail");
+                        }),
+      std::runtime_error);
+}
+
+TEST(ThreadPool, ParallelForDrainsEveryChunkBeforeRethrowing) {
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(100);
+  EXPECT_THROW(pool.parallel_for(0, hits.size(),
+                                 [&](std::size_t lo, std::size_t hi) {
+                                   if (lo == 0) {
+                                     throw std::runtime_error("first chunk");
+                                   }
+                                   for (std::size_t i = lo; i < hi; ++i) {
+                                     ++hits[i];
+                                   }
+                                 }),
+               std::runtime_error);
+  // Four chunks of 25: every chunk but the throwing one finished before the
+  // exception reached the caller.
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    ASSERT_EQ(hits[i], i < 25 ? 0 : 1) << i;
+  }
+}
+
+TEST(ThreadPool, NestedParallelForOnSharedPoolCompletes) {
+  // One task per worker, each issuing its own parallel_for: with every
+  // worker blocked inside a task, chunks queued behind them would never run.
+  ThreadPool& pool = ThreadPool::shared();
+  const std::size_t outer = pool.size();
+  const std::size_t inner = 64;
+  std::vector<std::int64_t> sums(outer, 0);
+  std::vector<std::future<void>> tasks;
+  for (std::size_t o = 0; o < outer; ++o) {
+    tasks.push_back(pool.submit([&, o] {
+      std::vector<std::int64_t> part(inner, 0);
+      pool.parallel_for(0, inner, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          part[i] = static_cast<std::int64_t>(o * inner + i);
+        }
+      });
+      sums[o] = std::accumulate(part.begin(), part.end(), std::int64_t{0});
+    }));
+  }
+  for (auto& t : tasks) t.get();
+  const auto k = static_cast<std::int64_t>(inner);
+  for (std::size_t o = 0; o < outer; ++o) {
+    EXPECT_EQ(sums[o], static_cast<std::int64_t>(o) * k * k + k * (k - 1) / 2)
+        << o;
+  }
+}
+
+TEST(ThreadPool, NestedParallelForPropagatesExceptions) {
+  ThreadPool& pool = ThreadPool::shared();
+  EXPECT_THROW(
+      pool.parallel_for(0, 8,
+                        [&](std::size_t, std::size_t) {
+                          pool.parallel_for(
+                              0, 8, [](std::size_t lo, std::size_t) {
+                                if (lo == 0) {
+                                  throw std::runtime_error("inner");
+                                }
+                              });
                         }),
       std::runtime_error);
 }
