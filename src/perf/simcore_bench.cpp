@@ -11,6 +11,7 @@
 #include "sim/shard.hpp"
 #include "sim/simulator.hpp"
 #include "util/assert.hpp"
+#include "util/thread_pool.hpp"
 
 namespace scalpel::perf {
 namespace {
@@ -121,6 +122,14 @@ Json run_simcore_bench(const SimcoreBenchConfig& config) {
       time_best_of(config.solver_reps, /*warmup_reps=*/1, [&] {
         decision = JointOptimizer(jopts).optimize(instance);
       });
+  // The same solve on one thread: issued from a worker of the shared pool,
+  // the surgery step's parallel_for runs inline. The ratio of the two is the
+  // solver's parallel speedup at pool_threads.
+  ThreadPool& pool = ThreadPool::shared();
+  const Timing one_thread_t =
+      time_best_of(config.solver_reps, /*warmup_reps=*/0, [&] {
+        pool.submit([&] { JointOptimizer(jopts).optimize(instance); }).get();
+      });
 
   // --- DES section: repeated identical runs; a fixed seed makes every rep
   // bit-identical, so min-of-reps measures the same work each time.
@@ -228,6 +237,9 @@ Json run_simcore_bench(const SimcoreBenchConfig& config) {
   jsolver.set("reps", Json::number(static_cast<double>(config.solver_reps)));
   jsolver.set("best_seconds", Json::number(solver_t.best_seconds));
   jsolver.set("us_per_solve", Json::number(solver_t.best_seconds * 1e6));
+  jsolver.set("pool_threads", Json::number(static_cast<double>(pool.size())));
+  jsolver.set("one_thread_us_per_solve",
+              Json::number(one_thread_t.best_seconds * 1e6));
 
   Json jresults = Json::object();
   jresults.set("des", std::move(jdes));
