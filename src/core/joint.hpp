@@ -69,6 +69,11 @@ struct JointReport {
 /// square-root rule, re-assigns servers by best-response dynamics over a
 /// Kleinrock-shared queueing model, and re-derives compute shares. Rounds
 /// repeat until the objective stalls.
+///
+/// Threading: each round's per-device surgery step runs across
+/// ThreadPool::shared(). The Decision and the JointReport counters are
+/// bit-identical for any pool size, and optimize() may be called from
+/// several threads, or from another pool's workers, at once.
 class JointOptimizer {
  public:
   explicit JointOptimizer(JointOptions opts = {});

@@ -56,7 +56,7 @@ class ScenarioRunner {
  public:
   struct Options {
     std::size_t replications = 8;
-    /// Worker threads for the fan-out; 0 means one per hardware core.
+    /// Worker threads for the fan-out; 0 means one per usable CPU.
     std::size_t threads = 0;
     /// Template for every replication; `sim.seed` is the *base* seed each
     /// replication substreams from, not the seed any replication runs with.

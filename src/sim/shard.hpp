@@ -43,7 +43,7 @@ struct ShardOptions {
   /// zero-RTT merging (see ShardPlan). 1 degenerates to a single serial
   /// event loop with barrier-split bookkeeping.
   std::size_t shards = 2;
-  /// Worker threads the epochs fan out on; 0 = one per hardware core,
+  /// Worker threads the epochs fan out on; 0 = one per usable CPU,
   /// 1 = run shards sequentially on the calling thread (still the same
   /// results — the determinism bar is bit-identity across both knobs).
   std::size_t threads = 1;
