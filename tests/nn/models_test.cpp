@@ -20,6 +20,11 @@ struct Reference {
   double tol_frac;
 };
 
+// Print a reference as its model name. gtest's default byte dump includes
+// the `name` pointer, so the discovered test names would change with the
+// load address on every run.
+void PrintTo(const Reference& ref, std::ostream* os) { *os << ref.name; }
+
 class ZooReferenceTest : public ::testing::TestWithParam<Reference> {};
 
 TEST_P(ZooReferenceTest, FlopsMatchPublished) {
