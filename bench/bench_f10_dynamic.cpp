@@ -37,14 +37,16 @@ int main() {
     copts.joint = bench::joint_opts();
     OnlineController controller(topo, copts);
     if (adaptive) {
-      sim.set_controller([&](double, const std::vector<double>& bw,
-                             const std::vector<bool>& alive)
-                             -> std::optional<Decision> {
-        if (controller.observe(bw, alive)) {
+      sim.set_controller([&](const Observation& o) {
+        Observation links;  // liveness and bandwidth only: no load signals
+        links.cell_bandwidth = o.cell_bandwidth;
+        links.server_alive = o.server_alive;
+        ControlAction a;
+        if (controller.observe(links)) {
           ++reopts;
-          return controller.decision();
+          a.decision = controller.decision();
         }
-        return std::nullopt;
+        return a;
       });
     }
     auto m = sim.run();

@@ -47,11 +47,13 @@ Row run_scheme_under_faults(const ProblemInstance& instance,
   copts.joint = bench::joint_opts();
   OnlineController controller(topo, copts);
   if (online) {
-    sim.set_controller([&](double, const std::vector<double>& bw,
-                           const std::vector<bool>& alive)
-                           -> std::optional<Decision> {
-      if (controller.observe(bw, alive)) return controller.decision();
-      return std::nullopt;
+    sim.set_controller([&](const Observation& o) {
+      Observation links;  // liveness and bandwidth only: no load signals
+      links.cell_bandwidth = o.cell_bandwidth;
+      links.server_alive = o.server_alive;
+      ControlAction a;
+      if (controller.observe(links)) a.decision = controller.decision();
+      return a;
     });
   }
   return Row{scheme, sim.run(), online ? controller.failovers() : 0};

@@ -90,12 +90,9 @@ Row run_scheme(const ProblemInstance& instance, const Decision& d,
     // the static baselines is the ladder + last-resort gate.
     OnlineController ctl(deployed_topo, controller_opts());
     Simulator sim(instance, ctl.decision(), opts);
-    sim.set_controller([&](double, const std::vector<double>& bw,
-                           const std::vector<bool>& alive,
-                           const std::vector<double>& offered,
-                           const std::vector<double>& depth) {
+    sim.set_controller([&](const Observation& o) {
       ControlAction a;
-      if (ctl.observe(bw, alive, offered, depth)) {
+      if (ctl.observe(o)) {
         a.decision = ctl.decision();
         a.admit_fraction = ctl.admit_fraction();
       }
@@ -220,14 +217,11 @@ int main() {
   OnlineController ctl(topo, controller_opts());
   Simulator sim(instance, ctl.decision(), opts);
   std::vector<std::pair<double, std::size_t>> rung_trace;
-  sim.set_controller([&](double now, const std::vector<double>& bw,
-                         const std::vector<bool>& alive,
-                         const std::vector<double>& offered,
-                         const std::vector<double>& depth) {
+  sim.set_controller([&](const Observation& o) {
     ControlAction a;
-    const bool changed = ctl.observe(bw, alive, offered, depth);
+    const bool changed = ctl.observe(o);
     if (rung_trace.empty() || rung_trace.back().second != ctl.current_rung()) {
-      rung_trace.emplace_back(now, ctl.current_rung());
+      rung_trace.emplace_back(o.time, ctl.current_rung());
     }
     if (changed) {
       a.decision = ctl.decision();

@@ -9,7 +9,7 @@
 // DES under data-plane server churn while the coordinator itself crashes on
 // an exponential MTBF/MTTR process, and compares deadline satisfaction
 // against a frozen centralized plan that never reacts. The harshest point
-// re-runs on the cell-sharded engine and must match the single loop
+// re-runs on the engine at 4 shards and must match the one-shard run
 // bit-for-bit — the whole plane lives behind the ObservingController seam.
 
 #include <cstdio>
@@ -241,7 +241,7 @@ int main() {
                         sm.failed == harshest.m.failed &&
                         sm.deadline_satisfaction ==
                             harshest.m.deadline_satisfaction,
-                    "F19: sharded engine diverged from the single loop");
+                    "F19: sharded engine diverged from the one-shard run");
     SCALPEL_REQUIRE(plane.local_solves() == harshest.local_solves &&
                         plane.coordinator_losses() ==
                             harshest.coordinator_losses &&

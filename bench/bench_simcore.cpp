@@ -5,7 +5,6 @@
 //   bench_simcore --json FILE             also write it to FILE
 //   bench_simcore --check BASELINE        gate against a committed baseline
 //   bench_simcore --tolerance 0.15        gate tolerance (default +15%)
-//   bench_simcore --queue binary_heap     time the reference heap queue
 //   bench_simcore --scale 0.25            shrink the horizon (quick look;
 //                                         NOT comparable to the baseline)
 //   bench_simcore --shards 8              shard count for the sharded
@@ -99,16 +98,6 @@ int main(int argc, char** argv) {
           parse_size_or_die(arg, next(), 1, 1u << 20));
     } else if (arg == "--scale") {
       scale = parse_double_or_die(arg, next(), 1e-9, 1e6);
-    } else if (arg == "--queue") {
-      const std::string q = next();
-      if (q == "calendar") {
-        config.event_queue = scalpel::EventQueueImpl::kCalendar;
-      } else if (q == "binary_heap") {
-        config.event_queue = scalpel::EventQueueImpl::kBinaryHeap;
-      } else {
-        std::fprintf(stderr, "bench_simcore: unknown queue %s\n", q.c_str());
-        return 2;
-      }
     } else if (arg == "--shards") {
       config.shards = static_cast<std::size_t>(
           parse_size_or_die(arg, next(), 0, 4096));

@@ -90,10 +90,13 @@ obs_smoke() {
 }
 
 # One-seed slice of the shard×thread determinism matrix: every scenario
-# shape and both plan unit tests, seed index 0 only. Fast enough for every
-# push; the full four-seed matrix (label "shard") runs in full/tsan.
+# shape, both plan unit tests and the sharded trace drop accounting, seed
+# index 0 only. Fast enough for every push; the full four-seed matrix
+# (label "shard") runs in full/tsan. The golden suite (label "fast") pins
+# every output at shards {1,2,4} x threads {1,4} in every tier.
 shard_slice() {
   "$BUILD_DIR/tests/test_shard" --gtest_filter='Seeds/ShardEquivalenceTest.*/0:ShardEquivalence.*:ShardPlan.*'
+  "$BUILD_DIR/tests/test_sim" --gtest_filter='Trace.ShardedRingOverflowReportsDrops'
 }
 
 # Distributed-control slice: every src/ctrl unit/replay test, the
@@ -104,6 +107,8 @@ chaos_slice() {
   "$BUILD_DIR/tests/test_ctrl"
   "$BUILD_DIR/tests/test_shard" \
     --gtest_filter='ShardEquivalence.DistributedControlPlaneBitIdentical:ShardFuzz.DistributedPlaneIsShardCountInvariant'
+  ctest --test-dir "$BUILD_DIR" --output-on-failure \
+    -R 'SimGoldenTest.*/(DistributedControlPlane|ObservabilityPipeline)$'
   local cli="$BUILD_DIR/examples/scalpel_cli"
   local dir
   dir="$(mktemp -d)"

@@ -59,14 +59,16 @@ int main() {
     OnlineController controller(topo, copts);
     std::vector<double> reopts;
     if (adaptive) {
-      sim.set_controller([&](double now, const std::vector<double>& bw,
-                             const std::vector<bool>& alive)
-                             -> std::optional<Decision> {
-        if (controller.observe(bw, alive)) {
-          reopts.push_back(now);
-          return controller.decision();
+      sim.set_controller([&](const Observation& o) {
+        Observation links;  // liveness and bandwidth only: no load signals
+        links.cell_bandwidth = o.cell_bandwidth;
+        links.server_alive = o.server_alive;
+        ControlAction a;
+        if (controller.observe(links)) {
+          reopts.push_back(o.time);
+          a.decision = controller.decision();
         }
-        return std::nullopt;
+        return a;
       });
     }
     runs.push_back(Run{adaptive ? "adaptive" : "static", sim.run(),

@@ -458,13 +458,9 @@ int cmd_trace(const std::map<std::string, std::string>& flags) {
 
   Simulator sim(instance, decision, opts);
   if (with_controller) {
-    sim.set_controller([&](double now, const std::vector<double>& bw,
-                           const std::vector<bool>& alive,
-                           const std::vector<double>& offered,
-                           const std::vector<double>& depth) {
-      ctl.audit_log().advance_time(now);
+    sim.set_controller([&](const Observation& o) {
       ControlAction a;
-      if (ctl.observe(bw, alive, offered, depth)) {
+      if (ctl.observe(o)) {  // o.time advances the audit clock
         a.decision = ctl.decision();
         a.admit_fraction = ctl.admit_fraction();
       }

@@ -4,20 +4,13 @@
 
 namespace scalpel {
 
-/// Everything the online controller learns in one observation window,
-/// replacing the former observe() overload ladder (bandwidth-only /
-/// +liveness / +load) with a single struct that can grow fields without
-/// spawning a fourth overload. Empty optional sections keep the old
-/// overloads' semantics:
+/// Everything the online controller learns in one observation window.
+/// Optional sections may stay empty:
 ///   - offered_rate/queue_depth empty: no overload signal this window (the
 ///     degradation ladder and admission gate stay untouched);
 ///   - bw_fresh/bw_age/alive_fresh empty: perfect telemetry (every reading
 ///     fresh, age zero) — what a pass-through channel produces.
 struct Observation {
-  // Non-aggregate on purpose: a braced list of doubles must keep resolving
-  // to the vector<double> back-compat shim, never aggregate-init `time`.
-  Observation() = default;
-
   /// Simulation time of the observation; forwarded to the audit clock, so a
   /// caller that fills it need not call audit_log().advance_time() itself.
   double time = 0.0;

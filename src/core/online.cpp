@@ -296,34 +296,6 @@ const Decision& OnlineController::decision() {
   return decision_;
 }
 
-bool OnlineController::observe(const std::vector<double>& cell_bandwidth) {
-  return observe(cell_bandwidth,
-                 std::vector<bool>(instance_.topology().servers().size(),
-                                   true));
-}
-
-bool OnlineController::observe(const std::vector<double>& cell_bandwidth,
-                               const std::vector<bool>& server_alive) {
-  Observation o;
-  o.time = audit_.time();
-  o.cell_bandwidth = cell_bandwidth;
-  o.server_alive = server_alive;
-  return observe(o);
-}
-
-bool OnlineController::observe(const std::vector<double>& cell_bandwidth,
-                               const std::vector<bool>& server_alive,
-                               const std::vector<double>& offered_rate,
-                               const std::vector<double>& queue_depth) {
-  Observation o;
-  o.time = audit_.time();
-  o.cell_bandwidth = cell_bandwidth;
-  o.server_alive = server_alive;
-  o.offered_rate = offered_rate;
-  o.queue_depth = queue_depth;
-  return observe(o);
-}
-
 bool OnlineController::observe(const Observation& raw) {
   const auto& topo = instance_.topology();
   const std::size_t num_devices = topo.devices().size();

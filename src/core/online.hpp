@@ -128,32 +128,15 @@ class OnlineController {
   /// triggers a re-solve, guarded by the solver watchdog — on budget
   /// overrun, a throw, or a plan validate_plan() refuses, the fallback
   /// chain (last-good plan -> reduced-topology remap -> device-only)
-  /// guarantees tasks stay routable. With offered_rate/queue_depth present,
-  /// sustained overload additionally walks the degradation ladder and the
-  /// bottom-rung admission gate (see the shim docs below). Returns true
-  /// when the active decision or gate changed.
+  /// guarantees tasks stay routable. Liveness changes always re-solve; dead
+  /// servers receive no assignment; all-dead falls back to device-only
+  /// execution. With offered_rate/queue_depth present, sustained overload
+  /// walks down a precomputed degradation ladder of surgery plans (lower
+  /// thresholds, earlier exits, quantized uploads) before resorting to
+  /// admission-gate load shedding at the bottom rung; it walks back up —
+  /// gate first, then rungs — with hysteresis once load subsides. Returns
+  /// true when the active decision or gate changed.
   bool observe(const Observation& o);
-
-  /// Shim: bandwidth-only observation (every server assumed alive).
-  bool observe(const std::vector<double>& cell_bandwidth);
-
-  /// Shim: bandwidths plus per-server liveness (indexed by server id).
-  /// Liveness changes always re-solve; dead servers receive no assignment;
-  /// all-dead falls back to device-only execution.
-  bool observe(const std::vector<double>& cell_bandwidth,
-               const std::vector<bool>& server_alive);
-
-  /// Shim: overload-aware observation — additionally ingests per-device
-  /// offered load (tasks/s since the last observation) and queue depth. On
-  /// sustained overload the controller walks down a precomputed degradation
-  /// ladder of surgery plans (lower thresholds, earlier exits, quantized
-  /// uploads) before resorting to admission-gate load shedding at the
-  /// bottom rung; it walks back up — gate first, then rungs — with
-  /// hysteresis once load subsides.
-  bool observe(const std::vector<double>& cell_bandwidth,
-               const std::vector<bool>& server_alive,
-               const std::vector<double>& offered_rate,
-               const std::vector<double>& queue_depth);
 
   std::size_t reoptimizations() const { return reoptimizations_; }
   /// Liveness-triggered re-optimizations (subset of reoptimizations()).

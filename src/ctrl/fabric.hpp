@@ -37,7 +37,7 @@ struct ControlFabricOptions {
 /// from the construction seed, and every send consumes exactly two draws
 /// (drop coin, jitter) whether or not the impairments are enabled — so the
 /// in-flight set is a pure function of (options, seed, send sequence) and
-/// the sharded engine replays it bit-identically to the single loop.
+/// the engine replays it bit-identically at any shard count.
 class ControlFabric {
  public:
   ControlFabric(ControlFabricOptions opts, std::size_t num_endpoints,

@@ -35,11 +35,10 @@ struct DistributedPlaneOptions {
 
 /// The distributed control plane: per-cell controllers and a global
 /// coordinator exchanging typed messages over a deterministic faulty
-/// fabric, packaged behind the engines' ObservingController seam. Both
-/// engines invoke the callback identically at control ticks, so the whole
-/// plane — message delays, drops, crashes, epochs — is bit-identical
-/// between the single loop and any shard x thread configuration by
-/// construction.
+/// fabric, packaged behind the engine's ObservingController seam. The
+/// engine invokes the callback in its serial phase at control ticks, so the
+/// whole plane — message delays, drops, crashes, epochs — is bit-identical
+/// across shard x thread configurations by construction.
 ///
 /// Per tick: endpoint liveness transitions (crash wipes volatile state and
 /// the victim's in-flight messages; restart replays the endpoint's own

@@ -84,7 +84,13 @@ Json ctrl_spans_to_chrome_events(const std::vector<CtrlSpan>& spans) {
 
 Json merged_trace_to_chrome_json(const TaskTracer& tasks,
                                  const CtrlTracer& spans) {
-  const Json task_doc = trace_to_chrome_json(tasks.snapshot());
+  return merged_trace_to_chrome_json(tasks.snapshot(), tasks.dropped(), spans);
+}
+
+Json merged_trace_to_chrome_json(const std::vector<TraceEvent>& tasks,
+                                 std::uint64_t dropped_tasks,
+                                 const CtrlTracer& spans) {
+  const Json task_doc = trace_to_chrome_json(tasks, dropped_tasks);
   const Json& task_events = task_doc.at("traceEvents");
   Json doc = Json::object();
   doc.set("displayTimeUnit", Json::string("ms"));
@@ -96,8 +102,7 @@ Json merged_trace_to_chrome_json(const TaskTracer& tasks,
   for (std::size_t i = 0; i < ctrl.size(); ++i) {
     arr.push_back(ctrl.at(i));
   }
-  doc.set("droppedEvents",
-          Json::number(static_cast<double>(tasks.dropped())));
+  doc.set("droppedEvents", Json::number(static_cast<double>(dropped_tasks)));
   doc.set("droppedSpans",
           Json::number(static_cast<double>(spans.dropped())));
   return doc;

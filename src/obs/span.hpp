@@ -116,6 +116,11 @@ Json ctrl_spans_to_chrome_events(const std::vector<CtrlSpan>& spans);
 /// carry the two rings' overwrite counts so truncation is detectable.
 Json merged_trace_to_chrome_json(const TaskTracer& tasks,
                                  const CtrlTracer& spans);
+/// Same document from an already-merged task stream (e.g.
+/// ShardedSimulator::trace_events()) and its ring drop count.
+Json merged_trace_to_chrome_json(const std::vector<TraceEvent>& tasks,
+                                 std::uint64_t dropped_tasks,
+                                 const CtrlTracer& spans);
 
 /// Flat tabular view (time_s, corr, epoch, price, from, to, msg, event) for
 /// CSV export.

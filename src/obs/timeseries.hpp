@@ -10,8 +10,8 @@ class Json;
 class Table;
 
 /// Engine-side signals captured at every sample instant. POD and declared
-/// here (not in src/sim) so obs stays a leaf library: both engines fill one
-/// of these from their own state and hand it over. Counters are cumulative
+/// here (not in src/sim) so obs stays a leaf library: the engine fills one
+/// of these from its own state and hands it over. Counters are cumulative
 /// since run start; gauges are instantaneous. All values are exact integers
 /// (stored as doubles), so summation order cannot perturb them — the basis
 /// for bit-identical series across shard x thread configurations.
@@ -32,10 +32,9 @@ struct EngineSample {
 /// sources (per-cell slices and prices, controller rung, epochs minted, dead
 /// letters, ...). Row-major storage in one ring preallocated at the first
 /// sample, so steady-state sampling never allocates; once full the oldest
-/// rows are overwritten (dropped() reports how many). The engines drive the
-/// cadence — the single loop from a scheduled event, the sharded engine at
-/// epoch barriers on the same exact time grid — so a recorder fed by either
-/// engine holds bit-identical rows.
+/// rows are overwritten (dropped() reports how many). The engine drives the
+/// cadence from epoch barriers on an exact time grid, so a recorder holds
+/// bit-identical rows for any shard and thread count.
 class TimeSeriesRecorder {
  public:
   /// `capacity` is the maximum retained rows (ring, oldest evicted).

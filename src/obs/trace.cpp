@@ -96,7 +96,8 @@ std::vector<TraceEvent> TaskTracer::snapshot() const {
   return out;
 }
 
-Json trace_to_chrome_json(const std::vector<TraceEvent>& events) {
+Json trace_to_chrome_json(const std::vector<TraceEvent>& events,
+                          std::uint64_t dropped) {
   Json doc = Json::object();
   doc.set("displayTimeUnit", Json::string("ms"));
   Json& arr = doc.set("traceEvents", Json::array());
@@ -134,14 +135,12 @@ Json trace_to_chrome_json(const std::vector<TraceEvent>& events) {
     e.set("args", std::move(args));
     arr.push_back(std::move(e));
   }
+  doc.set("droppedEvents", Json::number(static_cast<double>(dropped)));
   return doc;
 }
 
 Json trace_to_chrome_json(const TaskTracer& tracer) {
-  Json doc = trace_to_chrome_json(tracer.snapshot());
-  doc.set("droppedEvents",
-          Json::number(static_cast<double>(tracer.dropped())));
-  return doc;
+  return trace_to_chrome_json(tracer.snapshot(), tracer.dropped());
 }
 
 Table trace_to_table(const std::vector<TraceEvent>& events) {

@@ -109,8 +109,11 @@ class TaskTracer {
 /// Chrome trace-event JSON (the `chrome://tracing` / Perfetto format):
 /// device compute, upload, and server compute phases become B/E duration
 /// pairs on pid=device / tid=task tracks; everything else is an instant
-/// event. Timestamps are microseconds of sim time.
-Json trace_to_chrome_json(const std::vector<TraceEvent>& events);
+/// event. Timestamps are microseconds of sim time. `droppedEvents` carries
+/// how many events the recording rings overwrote, so a truncated trace is
+/// detectable (ShardedSimulator::trace_dropped() for a merged trace).
+Json trace_to_chrome_json(const std::vector<TraceEvent>& events,
+                          std::uint64_t dropped);
 Json trace_to_chrome_json(const TaskTracer& tracer);
 
 /// Flat tabular view (time_s, task, device, server, event, arg) for CSV
@@ -126,8 +129,8 @@ std::vector<std::size_t> trace_event_counts(
     const std::vector<TraceEvent>& events);
 
 /// Canonical order for comparing traces of equivalent runs that recorded
-/// events in different orders (e.g. the single-loop simulator vs. the
-/// sharded one, whose per-shard rings interleave differently): stable sort
+/// events in different orders (e.g. the same run at different shard
+/// counts, whose per-shard rings interleave differently): stable sort
 /// by (time, task, type, arg, device, server). Two runs are trace-equivalent
 /// iff their reconciled streams compare equal element-wise.
 std::vector<TraceEvent> reconcile_trace(std::vector<TraceEvent> events);

@@ -48,8 +48,6 @@ void validate_simcore_report(const Json& report) {
   finite_positive(work, "horizon_seconds");
   SCALPEL_REQUIRE(work.contains("sim_seed") && work.contains("cluster_seed"),
                   "workload is missing its seeds");
-  SCALPEL_REQUIRE(work.contains("event_queue"),
-                  "workload is missing the event-queue choice");
   SCALPEL_REQUIRE(work.contains("shards") &&
                       work.at("shards").as_number() >= 0.0,
                   "workload is missing the shard count");
@@ -89,7 +87,7 @@ void validate_simcore_report(const Json& report) {
     SCALPEL_REQUIRE(sharded.contains("bit_identical") &&
                         sharded.at("bit_identical").as_bool(),
                     "a sharded timing is only publishable when the run was "
-                    "bit-identical to the single loop");
+                    "bit-identical to the one-shard run");
   }
 
   // Metro sweep: optional informational scaling data (never gated), but

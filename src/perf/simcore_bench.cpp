@@ -30,12 +30,11 @@ Simulator::Options sim_options(const SimcoreBenchConfig& c) {
   o.horizon = c.horizon;
   o.warmup = c.warmup;
   o.seed = c.sim_seed;
-  o.event_queue = c.event_queue;
   return o;
 }
 
 /// The non-negotiable bar for publishing a sharded timing: the sharded run
-/// reproduced the single-loop run exactly, counters and accumulated floats
+/// reproduced the one-shard run exactly, counters and accumulated floats
 /// alike. Bitwise comparison on doubles is deliberate.
 bool metrics_bit_identical(const SimMetrics& a, const SimMetrics& b) {
   return a.events_processed == b.events_processed && a.arrived == b.arrived &&
@@ -73,7 +72,6 @@ Json metro_point(const SimcoreBenchConfig& config, std::size_t devices) {
   opts.horizon = config.sweep_horizon;
   opts.warmup = 0.0;
   opts.seed = config.sim_seed;
-  opts.event_queue = config.event_queue;
   ShardOptions sopts;
   sopts.shards = config.shards;
 
@@ -168,7 +166,7 @@ Json run_simcore_bench(const SimcoreBenchConfig& config) {
   }
 
   // --- Sharded section: the same pinned workload through the cell-sharded
-  // engine. Bit-identity with the single-loop run is REQUIREd before the
+  // engine. Bit-identity with the one-shard run is REQUIREd before the
   // timing is published — a fast-but-wrong shard path must never make the
   // scoreboard.
   SimMetrics sharded_metrics;
@@ -181,7 +179,7 @@ Json run_simcore_bench(const SimcoreBenchConfig& config) {
       sharded_metrics = sim.run();
     });
     SCALPEL_REQUIRE(metrics_bit_identical(metrics, sharded_metrics),
-                    "sharded bench run diverged from the single-loop run; "
+                    "sharded bench run diverged from the one-shard run; "
                     "refusing to publish its timing");
   }
 
@@ -212,10 +210,6 @@ Json run_simcore_bench(const SimcoreBenchConfig& config) {
   jwork.set("cluster_seed",
             Json::number(static_cast<double>(config.cluster_seed)));
   jwork.set("sim_seed", Json::number(static_cast<double>(config.sim_seed)));
-  jwork.set("event_queue",
-            Json::string(config.event_queue == EventQueueImpl::kCalendar
-                             ? "calendar"
-                             : "binary_heap"));
   jwork.set("shards", Json::number(static_cast<double>(config.shards)));
   jwork.set("injected_slowdown", Json::number(config.inject_slowdown));
   report.set("workload", std::move(jwork));

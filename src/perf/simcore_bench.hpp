@@ -3,7 +3,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "sim/event_queue.hpp"
 #include "util/json.hpp"
 
 namespace scalpel::perf {
@@ -25,10 +24,9 @@ struct SimcoreBenchConfig {
   std::uint64_t sim_seed = 12345;
   std::size_t des_reps = 6;    // timed DES reps (min taken)
   std::size_t solver_reps = 3; // timed solver reps (min taken)
-  EventQueueImpl event_queue = EventQueueImpl::kCalendar;
   /// Shard count for the sharded-engine section (ShardedSimulator on the
   /// same pinned workload). Part of the tracked baseline: the section is
-  /// REQUIREd bit-identical to the single-loop run before its timing is
+  /// REQUIREd bit-identical to the one-shard run before its timing is
   /// published, so the scoreboard can never quietly track a divergent
   /// engine. 0 drops the section (and the gate's sharded comparison).
   std::size_t shards = 4;

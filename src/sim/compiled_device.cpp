@@ -29,14 +29,14 @@ void append_profile(std::string& key, const ComputeProfile& p) {
   }
 }
 
-/// Serializes every value PlanModel construction reads. Two equal keys imply
-/// bitwise-identical compiled models, so sharing one instance is exact.
-std::string cache_key(const ModelBundle& bundle, const SurgeryPlan& plan,
-                      const ComputeProfile& device,
-                      const ComputeProfile& server, const LinkSpec& link,
-                      const DifficultyModel& difficulty) {
-  std::string key;
-  key.reserve(160);
+/// Serializes every value PlanModel construction reads into `key`. Two
+/// equal keys imply bitwise-identical compiled models, so sharing one
+/// instance is exact.
+void cache_key(const ModelBundle& bundle, const SurgeryPlan& plan,
+               const ComputeProfile& device, const ComputeProfile& server,
+               const LinkSpec& link, const DifficultyModel& difficulty,
+               std::string& key) {
+  key.clear();
   // The bundle (graph + candidates + accuracy model) is shared per model
   // name and outlives every PlanModel, so its address is its identity.
   append_u64(key, reinterpret_cast<std::uintptr_t>(&bundle));
@@ -54,7 +54,6 @@ std::string cache_key(const ModelBundle& bundle, const SurgeryPlan& plan,
   append_f64(key, link.rtt);
   append_f64(key, difficulty.a());
   append_f64(key, difficulty.b());
-  return key;
 }
 
 }  // namespace
@@ -63,14 +62,14 @@ std::shared_ptr<const PlanModel> PlanModelCache::get_or_compile(
     const ModelBundle& bundle, const SurgeryPlan& plan,
     const ComputeProfile& device, const ComputeProfile& server,
     const LinkSpec& link, const DifficultyModel& difficulty) {
-  const std::string key =
-      cache_key(bundle, plan, device, server, link, difficulty);
-  auto it = cache_.find(key);
+  // The key is built in a reused buffer, so a hit allocates nothing.
+  cache_key(bundle, plan, device, server, link, difficulty, key_);
+  auto it = cache_.find(key_);
   if (it != cache_.end()) return it->second;
   auto model = std::make_shared<const PlanModel>(
       bundle.graph, bundle.candidates, plan, bundle.accuracy, device, server,
       link, difficulty);
-  cache_.emplace(std::move(key), model);
+  cache_.emplace(key_, model);
   return model;
 }
 

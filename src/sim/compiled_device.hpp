@@ -13,24 +13,10 @@
 
 namespace scalpel {
 
-/// FIFO serialization chain of one (device, server) stream: a device's
-/// offloaded tasks targeting one server occupy at most one fluid slot on that
-/// server, so a burst cannot multiply its granted weight by queueing several
-/// jobs. Chains are per-(device, server) — not per-device — so streams to
-/// different servers (possible after an online replan moves the device) never
-/// serialize against each other; each chain's state lives entirely with the
-/// server that owns it, which is what lets the sharded simulator place it in
-/// the server's shard.
-struct ServerChain {
-  ServerId server = -1;
-  IndexDeque queue;
-  bool serving = false;
-  TaskIndex serving_task = kNoTask;
-};
-
-/// Per-device compiled state shared by the single-loop Simulator and the
-/// cell-sharded ShardedSimulator: the PlanModel the tasks sample from plus
-/// the decision's resource grants and the device-side queue/stage state.
+/// Per-device compiled state of the event engine: the PlanModel the tasks
+/// sample from plus the decision's resource grants and the device-side
+/// queue/stage state. Server-side (device, server) chains live with the
+/// server's shard instead (see shard.cpp).
 struct CompiledDevice {
   std::shared_ptr<const PlanModel> plan;
   /// Device-only variant of `plan` (same exit policy) used when a fault
@@ -51,42 +37,13 @@ struct CompiledDevice {
   IndexDeque upload_queue;
   bool uploading = false;
   TaskIndex uploading_task = kNoTask;  // the job occupying the fluid slot
-  /// Per-(device, server) serialization chains, created on first use. A
-  /// device targets one server at a time, so this stays tiny (it only grows
-  /// when an online replan retargets the device mid-run).
-  std::vector<ServerChain> chains;
   /// Per-device arrival counter; task id = (device << 32) | arrival_seq, a
   /// scheme that is invariant to how devices are partitioned into shards.
   std::uint32_t arrival_seq = 0;
-
-  ServerChain& chain_for(ServerId s) {
-    for (auto& ch : chains) {
-      if (ch.server == s) return ch;
-    }
-    chains.push_back(ServerChain{});
-    chains.back().server = s;
-    return chains.back();
-  }
-
-  ServerChain* find_chain(ServerId s) {
-    for (auto& ch : chains) {
-      if (ch.server == s) return &ch;
-    }
-    return nullptr;
-  }
-
-  /// Tasks waiting in or occupying any server chain (queue-depth signal).
-  std::size_t server_stage_depth() const {
-    std::size_t n = 0;
-    for (const auto& ch : chains) {
-      n += ch.queue.size() + (ch.serving_task != kNoTask ? 1 : 0);
-    }
-    return n;
-  }
 };
 
-/// Task id scheme shared by both simulators: high word = device, low word =
-/// per-device arrival sequence. Shard-partition invariant by construction.
+/// Task id scheme: high word = device, low word = per-device arrival
+/// sequence. Shard-partition invariant by construction.
 inline std::uint64_t make_task_id(DeviceId dev, std::uint32_t seq) {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(dev)) << 32) |
          seq;
@@ -110,10 +67,10 @@ class PlanModelCache {
 
  private:
   std::unordered_map<std::string, std::shared_ptr<const PlanModel>> cache_;
+  std::string key_;  // scratch buffer of get_or_compile
 };
 
-/// Compiles `dd` into `cd` exactly as the single-loop simulator always has
-/// (plan + device-only fallback, grants, rtt). With a non-null `cache` the
+/// Compiles `dd` into `cd`: plan + device-only fallback, grants, rtt. With a non-null `cache` the
 /// PlanModels are shared across identical devices.
 void compile_device_decision(const ProblemInstance& instance, DeviceId dev,
                              const DeviceDecision& dd, CompiledDevice& cd,

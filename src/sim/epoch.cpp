@@ -42,9 +42,8 @@ std::vector<EpochBarrier> build_epoch_barriers(
     const std::vector<std::vector<double>>& bandwidth_times,
     double obs_interval) {
   SCALPEL_REQUIRE(horizon > 0.0, "horizon must be positive");
-  // Exact-keyed map: scripted times are reproduced with the very same
-  // floating-point recurrences the single loop's rescheduling produces, so
-  // coincident categories (e.g. a fault scheduled on a controller tick)
+  // Exact-keyed map: every tick category advances by the same
+  // floating-point recurrence, so coincident categories (e.g. a fault scheduled on a controller tick)
   // merge into one barrier exactly.
   std::map<double, EpochBarrier> agenda;
   auto at = [&agenda](double t) -> EpochBarrier& {

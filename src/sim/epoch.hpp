@@ -40,8 +40,8 @@ struct TaskEnvelope {
 /// in-flight integral, and the windowed time series are all sensitive to the
 /// order floating-point accumulation happens in. Every shard therefore logs
 /// its arrivals/terminals as MetricRecords and the coordinator replays the
-/// deterministically merged log through the exact single-loop accumulation
-/// arithmetic — bit-identical for any shard or thread count.
+/// deterministically merged log through one accumulation routine —
+/// bit-identical for any shard or thread count.
 enum class MetricRecordKind : std::uint8_t {
   kArrival = 0,  // in-flight +1 (logged only when the time series is on)
   kComplete,
@@ -53,11 +53,9 @@ enum class MetricRecordKind : std::uint8_t {
 
 /// Sort key position of records the serial reduction phase emits. Serial
 /// records carry the global serial counter (they replay in exactly the order
-/// the serial phase executed, which mirrors the single loop's seq order:
-/// scripted events schedule before task events). Mid-epoch records carry
-/// kMidEpochSeq, sorting after every serial record at an equal timestamp —
-/// matching the single loop, where a task event at a barrier's exact time has
-/// a larger seq than the scripted event that defined the barrier.
+/// the serial phase executed). Mid-epoch records carry kMidEpochSeq, sorting
+/// after every serial record at an equal timestamp — the engine's ordering
+/// rule: at a barrier instant, scripted events precede task events.
 constexpr std::uint64_t kMidEpochSeq =
     std::numeric_limits<std::uint64_t>::max();
 
@@ -80,16 +78,15 @@ struct MetricRecord {
   };
 };
 
-/// Partial order matching the single-loop processing order everywhere the
-/// sharded simulator guarantees bit-identity: time, then serial-phase order.
-/// Deliberately NOT refined further — one event's cascade can emit several
-/// records at the identical timestamp (an upload drain advancing the queue
-/// can shed multiple expired tasks at one `now`), and the single loop folds
-/// those in cascade order, which is exactly the per-shard log order. The
-/// merge is therefore *stable*: ties keep the earliest input log and preserve
-/// each log's internal order. Equal-time mid-epoch records from different
-/// shards are the measure-zero cross-shard coincidence covered by the
-/// tie-break caveat in EXPERIMENTS.md.
+/// Partial order matching one-shard processing order: time, then
+/// serial-phase order. Deliberately NOT refined further — one event's
+/// cascade can emit several records at the identical timestamp (an upload
+/// drain advancing the queue can shed multiple expired tasks at one `now`),
+/// and those fold in cascade order, which is exactly the per-shard log
+/// order. The merge is therefore *stable*: ties keep the earliest input log
+/// and preserve each log's internal order. Equal-time mid-epoch records
+/// from different shards have continuous random times, so they coincide
+/// with probability zero.
 inline bool metric_record_before(const MetricRecord& a,
                                  const MetricRecord& b) {
   if (a.time != b.time) return a.time < b.time;
@@ -105,15 +102,13 @@ std::vector<MetricRecord> merge_metric_records(
 /// One synchronization point of the sharded run. Scripted global events
 /// (fault transitions, bandwidth change-points, controller and series ticks)
 /// happen here, in the serial reduction phase, in exactly this order:
-/// envelope delivery, faults, bandwidth, controller, series — the same order
-/// the single loop's (time, seq) tiebreak yields for events seeded at
-/// construction vs. rescheduled ticks.
+/// envelope delivery, faults, bandwidth, controller, series, obs sample.
 struct EpochBarrier {
   double time = 0.0;
   bool controller = false;
   bool series = false;
   /// Observability sample due at `time` (runs last in the serial phase,
-  /// after the controller and series ticks — the single loop's seq order).
+  /// after the controller and series ticks).
   bool obs = false;
   /// Indices into the fault schedule's event list due exactly at `time`.
   std::vector<std::size_t> fault_events;
@@ -126,9 +121,9 @@ struct EpochBarrier {
   }
 };
 
-/// Builds the barrier agenda: every scripted event time (computed with the
-/// exact floating-point recurrences the single loop uses when rescheduling
-/// ticks), the horizon as the final barrier, and filler barriers so no two
+/// Builds the barrier agenda: every scripted event time (ticks advance by
+/// the same floating-point recurrence t += interval), the horizon as the
+/// final barrier, and filler barriers so no two
 /// consecutive barriers are more than `lookahead` apart. An infinite
 /// lookahead (no cross-shard pairs) inserts no fillers.
 std::vector<EpochBarrier> build_epoch_barriers(

@@ -28,13 +28,16 @@ inline bool sim_event_before(const SimEvent& x, const SimEvent& y) {
   return x.time != y.time ? x.time < y.time : x.seq < y.seq;
 }
 
-/// Reference implementation: std::priority_queue over (time, seq). Kept as
-/// the differential-test oracle for CalendarEventQueue and selectable via
-/// Simulator::Options::event_queue (test-only; the calendar queue is the
-/// production pick).
+/// Reference implementation: std::priority_queue over (time, seq). A test
+/// oracle only — event_queue_test and the integration fuzz hold the
+/// calendar queue's pop order to it; the engine never uses it.
 class BinaryHeapEventQueue {
  public:
-  void push(const SimEvent& ev) { heap_.push(ev); }
+  /// Same interface and seq assignment as EventQueue::push, so an oracle
+  /// fed the same pushes must pop the same sequence.
+  void push(double time, std::uint32_t kind, std::int32_t a, std::uint64_t b) {
+    heap_.push(SimEvent{time, seq_++, kind, a, b});
+  }
   SimEvent pop_min();
   bool empty() const { return heap_.empty(); }
   std::size_t size() const { return heap_.size(); }
@@ -46,15 +49,16 @@ class BinaryHeapEventQueue {
     }
   };
   std::priority_queue<SimEvent, std::vector<SimEvent>, Later> heap_;
+  std::uint64_t seq_ = 0;
 };
 
 /// Calendar queue (Brown 1988): a ring of time buckets of width `width_`
 /// seconds, scanned in time order. push is O(1); pop scans the current
 /// "day" bucket and, with the resize policy holding mean occupancy near one
 /// event per bucket, is O(1) amortized — versus O(log n) heap sift-downs
-/// with poor locality. Pop order is exactly min (time, seq), so a run is
-/// bit-identical to one driven by BinaryHeapEventQueue (enforced by the
-/// perf-equivalence suite and the fuzz oracle in fuzz_test).
+/// with poor locality. Pop order is exactly min (time, seq) — the order of
+/// the BinaryHeapEventQueue oracle (enforced by event_queue_test and the
+/// fuzz oracle in the integration suite).
 ///
 /// The width is re-estimated at every resize from the sim-time gap between
 /// recently popped events (the rate the event horizon actually advances at),
@@ -114,55 +118,24 @@ class CalendarEventQueue {
   double last_pop_time_ = 0.0;
 };
 
-/// Which event-queue implementation a Simulator run uses. kBinaryHeap is
-/// retained for differential testing only — by construction both pop the
-/// identical sequence, and tests/sim/perf_equivalence_test.cpp holds the two
-/// to bit-identical metrics, traces, and conservation counters.
-enum class EventQueueImpl : std::uint8_t { kCalendar = 0, kBinaryHeap = 1 };
-
-/// Facade the simulator schedules through: assigns the monotonically
-/// increasing `seq` tiebreak and forwards to the selected implementation.
+/// Facade the engine schedules through: assigns the monotonically
+/// increasing `seq` tiebreak and forwards to the calendar queue.
 class EventQueue {
  public:
-  explicit EventQueue(EventQueueImpl impl = EventQueueImpl::kCalendar)
-      : impl_(impl) {}
-
   void push(double time, std::uint32_t kind, std::int32_t a, std::uint64_t b) {
-    SimEvent ev{time, seq_++, kind, a, b};
-    if (impl_ == EventQueueImpl::kCalendar) {
-      calendar_.push(ev);
-    } else {
-      heap_.push(ev);
-    }
+    calendar_.push(SimEvent{time, seq_++, kind, a, b});
   }
-  /// Re-inserts an already-sequenced event unchanged. The sharded simulator
-  /// bounds each epoch by popping the queue minimum and pushing it back when
-  /// it lies at/past the barrier — keeping the original seq preserves the
+  /// Re-inserts an already-sequenced event unchanged. The engine bounds each
+  /// epoch by popping the queue minimum and pushing it back when it lies
+  /// at/past the barrier — keeping the original seq preserves the
   /// (time, seq) total order that the determinism bar rests on.
-  void push_raw(const SimEvent& ev) {
-    if (impl_ == EventQueueImpl::kCalendar) {
-      calendar_.push(ev);
-    } else {
-      heap_.push(ev);
-    }
-  }
-  SimEvent pop_min() {
-    return impl_ == EventQueueImpl::kCalendar ? calendar_.pop_min()
-                                              : heap_.pop_min();
-  }
-  bool empty() const {
-    return impl_ == EventQueueImpl::kCalendar ? calendar_.empty()
-                                              : heap_.empty();
-  }
-  std::size_t size() const {
-    return impl_ == EventQueueImpl::kCalendar ? calendar_.size()
-                                              : heap_.size();
-  }
+  void push_raw(const SimEvent& ev) { calendar_.push(ev); }
+  SimEvent pop_min() { return calendar_.pop_min(); }
+  bool empty() const { return calendar_.empty(); }
+  std::size_t size() const { return calendar_.size(); }
 
  private:
-  EventQueueImpl impl_;
   CalendarEventQueue calendar_;
-  BinaryHeapEventQueue heap_;
   std::uint64_t seq_ = 0;
 };
 

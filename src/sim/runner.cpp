@@ -37,22 +37,13 @@ ReplicatedMetrics ScenarioRunner::run() const {
   auto run_one = [&](std::size_t r) {
     Simulator::Options o = options_.sim;
     o.seed = replication_seed(options_.sim.seed, r);
-    if (options_.shards > 0) {
-      ShardOptions sopts;
-      sopts.shards = options_.shards;
-      sopts.threads = options_.shard_threads;
-      ShardedSimulator sim(*instance_, decision_, o, sopts);
-      if (options_.configure_sharded) options_.configure_sharded(sim, r);
-      results[r] = std::make_unique<SimMetrics>(sim.run());
-      // Already the canonical reconciled order (single-loop snapshots are
-      // raw rings; reconcile either side before comparing streams).
-      if (tracing) traces[r] = sim.trace_events();
-      return;
-    }
-    Simulator sim(*instance_, decision_, o);
+    ShardOptions sopts;
+    sopts.shards = options_.shards;  // ShardPlan turns 0 into 1
+    sopts.threads = options_.shard_threads;
+    ShardedSimulator sim(*instance_, decision_, o, sopts);
     if (options_.configure) options_.configure(sim, r);
     results[r] = std::make_unique<SimMetrics>(sim.run());
-    if (tracing) traces[r] = sim.trace().snapshot();
+    if (tracing) traces[r] = sim.trace_events();
   };
 
   if (n == 1 || options_.threads == 1) {

@@ -39,9 +39,10 @@ struct ReplicatedMetrics {
   std::size_t shed = 0;       // post-warmup overload drops, total
   std::size_t expired = 0;    // post-warmup deadline-expiry drops, total
 
-  /// Per-replication event traces, indexed by replication id (empty unless
-  /// Options::sim.trace_capacity > 0). Each trace is the bit-identical
-  /// stream the replication's seed produces, regardless of thread count.
+  /// Per-replication event traces in reconciled order, indexed by
+  /// replication id (empty unless Options::sim.trace_capacity > 0). Each
+  /// trace is the bit-identical stream the replication's seed produces,
+  /// regardless of thread or shard count.
   std::vector<std::vector<TraceEvent>> traces;
 
   Summary latency_summary() const { return summarize(mean_latency); }
@@ -65,25 +66,21 @@ class ScenarioRunner {
     /// instead of silently aggregating empty Samples (the classic
     /// short-horizon footgun).
     bool require_completions = true;
+    /// Engine shard count of every replication (ShardOptions::shards); 0
+    /// and 1 both mean one shard. Results are bit-identical for any value;
+    /// more shards pay off for metro-scale topologies.
+    std::size_t shards = 0;
+    /// Worker threads inside each replication (ShardOptions::threads).
+    /// Defaults to 1: the fan-out already parallelizes across
+    /// replications, so per-replication threading only pays off when
+    /// replications < cores.
+    std::size_t shard_threads = 1;
     /// Per-replication setup hook, called after construction and before
     /// run() with the replication id — the place to attach controllers,
     /// traces, or an admission gate. Must be thread-safe across
     /// replications (it runs on the fan-out workers) and deterministic in
     /// the replication id for reproducible aggregates.
-    std::function<void(Simulator&, std::size_t)> configure;
-    /// > 0 runs every replication on the cell-sharded engine
-    /// (ShardedSimulator) with this shard count instead of the single-loop
-    /// Simulator. The results are bit-identical either way (that's the
-    /// sharding determinism bar); the sharded path is for metro-scale
-    /// topologies where one event loop is the bottleneck.
-    std::size_t shards = 0;
-    /// Worker threads inside each sharded replication (ShardOptions::
-    /// threads). Defaults to 1: the fan-out already parallelizes across
-    /// replications, so per-replication threading only pays off when
-    /// replications < cores.
-    std::size_t shard_threads = 1;
-    /// Sharded-path twin of `configure` (same contract).
-    std::function<void(ShardedSimulator&, std::size_t)> configure_sharded;
+    std::function<void(ShardedSimulator&, std::size_t)> configure;
   };
 
   ScenarioRunner(const ProblemInstance& instance, Decision decision,

@@ -2,32 +2,57 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 #include <utility>
 
 #include "obs/slo.hpp"
 #include "obs/timeseries.hpp"
+#include "sim/event_queue.hpp"
+#include "sim/fluid.hpp"
+#include "sim/task_pool.hpp"
 #include "util/assert.hpp"
+#include "util/log.hpp"
 
 namespace scalpel {
 namespace {
 
-// Same FluidSink tag layout as the single-loop simulator: stage in the top
-// bit, task index below.
-constexpr std::uint64_t kShardServerStageBit = 1ull << 32;
+// FluidSink tag layout: stage in the top bit, task index below. Stage 0 is
+// an uplink transfer, stage 1 a server execution.
+constexpr std::uint64_t kServerStageBit = 1ull << 32;
 
 inline std::uint64_t upload_tag(TaskIndex t) { return t; }
-inline std::uint64_t server_tag(TaskIndex t) { return kShardServerStageBit | t; }
+inline std::uint64_t server_tag(TaskIndex t) { return kServerStageBit | t; }
 
-/// Key of a (device, server) chain in its server-shard's chain map. The
-/// single loop keeps chains inside CompiledDevice; the sharded simulator
-/// moves them to the server's shard so a device with in-flight tasks to
-/// servers in two shards (possible after an online replan) never has two
-/// shards mutating its CompiledDevice concurrently.
-inline std::uint64_t chain_key(DeviceId dev, ServerId srv) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(dev)) << 32) |
-         static_cast<std::uint32_t>(srv);
-}
+/// FIFO serialization chain of one (device, server) stream: a device's
+/// offloaded tasks targeting one server occupy at most one fluid slot on that
+/// server, so a burst cannot multiply its granted weight by queueing several
+/// jobs. Chains are per-(device, server) — not per-device — so streams to
+/// different servers (possible after an online replan moves the device) never
+/// serialize against each other. A chain lives in its server's shard, so a
+/// device with in-flight tasks to servers in two shards never has two shards
+/// mutating shared state concurrently.
+struct ServerChain {
+  DeviceId device = -1;
+  ServerId server = -1;
+  std::int32_t next = -1;  // next chain of the same device in this shard
+  IndexDeque queue;
+  bool serving = false;
+  TaskIndex serving_task = kNoTask;
+};
+
+/// Whole-run task counters one shard increments; summed into the registry
+/// after the run (integer adds, so any shard count gives the same totals).
+struct TaskCounters {
+  Counter arrived;
+  Counter completed;
+  Counter failed;
+  Counter shed;
+  Counter expired;
+  Counter retry;
+  Counter resteer;
+  Counter gate_refused;
+  Counter deadline_met;
+  Counter deadline_total;
+};
 
 }  // namespace
 
@@ -126,12 +151,10 @@ ShardPlan ShardPlan::build(const ClusterTopology& topo, std::size_t requested) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardCore: one shard's event engine. Every handler is a line-for-line port
-// of the Simulator member of the same name; divergences are (a) order-
-// sensitive floating-point folds become MetricRecords replayed later, (b)
-// (device, server) chains live in the server-shard's map, (c) the upload
-// drain hands cross-shard tasks to the outbox instead of scheduling
-// kServerArrive locally.
+// ShardCore: one shard's event loop. Order-sensitive floating-point folds
+// go out as MetricRecords (see ShardedSimulator::account); (device, server)
+// chains live in the server's shard; the upload drain hands cross-shard
+// tasks to the outbox instead of scheduling kServerArrive locally.
 
 struct ShardCore final : FluidSink {
   enum class Ev : std::uint32_t {
@@ -141,13 +164,10 @@ struct ShardCore final : FluidSink {
     kRedispatch,    // b = task index (fault-policy retry backoff elapsed)
     kFluidWake,     // a = *global* fluid slot (cells, then servers), b = epoch
     // Cross-shard offload whose target server is scripted down at the arrival
-    // instant: the fault fires on the device's shard, replacing the single
-    // loop's kServerArrive -> !server_up_ -> handle_fault (one event either
-    // way, so events_processed stays identical).
+    // instant: the fault fires on the device's shard instead of the server's
+    // (one event either way, so events_processed is shard-count-invariant).
     kOffloadFault,  // b = task index
   };
-
-  explicit ShardCore(EventQueueImpl impl) : events(impl) {}
 
   ShardedSimulator* g = nullptr;
   std::int32_t sid = 0;
@@ -155,31 +175,24 @@ struct ShardCore final : FluidSink {
 
   EventQueue events;
   TaskPool tasks;
-  /// (device, server) chains owned by this shard's servers (chain_key).
-  std::unordered_map<std::uint64_t, ServerChain> chains;
+  /// (device, server) chains owned by this shard's servers, in creation
+  /// order; first_chain[dev] heads each device's list (-1 = none).
+  std::vector<ServerChain> chains;
+  std::vector<std::int32_t> first_chain;
   TaskTracer tracer;
-  MetricsRegistry registry;
-  Counter* ctr_arrived = nullptr;
-  Counter* ctr_completed = nullptr;
-  Counter* ctr_failed = nullptr;
-  Counter* ctr_shed = nullptr;
-  Counter* ctr_expired = nullptr;
-  Counter* ctr_retry = nullptr;
-  Counter* ctr_resteer = nullptr;
-  Counter* ctr_gate_refused = nullptr;
-  Counter* ctr_deadline_met = nullptr;
-  Counter* ctr_deadline_total = nullptr;
+  TaskCounters ctr;
   std::vector<MetricRecord> log;
   std::vector<TaskEnvelope> outbox;
 
   double now = 0.0;
   /// Last *popped* event time — the utilization clock. `now` is bumped to
-  /// every barrier so serial-phase work uses the right clock, but the single
-  /// loop's now_ only advances on pops, and server busy-time settles at that.
+  /// every barrier so serial-phase work uses the right clock, but server
+  /// busy-time settles at the last dispatched event.
   double last_event_time = 0.0;
   std::size_t events_processed = 0;
   /// Set by the coordinator around serial phases: traces and records emitted
-  /// while true go to the global serial streams (ordered by serial_seq).
+  /// while true go to the serial streams (see serial_tracer_,
+  /// record_serial).
   bool serial_mode = false;
 
   const ClusterTopology& topo() const { return g->instance_->topology(); }
@@ -192,16 +205,16 @@ struct ShardCore final : FluidSink {
 
   void trace_rec(double t, std::uint64_t id, std::int32_t dev,
                  std::int32_t srv, TraceEventType type, std::uint8_t arg = 0) {
-    (serial_mode ? g->serial_tracer_ : tracer)
+    (serial_mode ? *g->serial_tracer_ : tracer)
         .record(t, id, dev, srv, type, arg);
   }
 
-  void push_record(MetricRecord r) {
+  void push_record(const MetricRecord& r) {
     if (serial_mode) {
-      r.serial_seq = g->serial_seq_++;
-      g->serial_log_.push_back(r);
+      g->record_serial(r);
+    } else if (g->cores_.size() == 1) {
+      g->account(r);  // one shard: processing order is the merged order
     } else {
-      r.serial_seq = kMidEpochSeq;
       log.push_back(r);
     }
   }
@@ -230,8 +243,28 @@ struct ShardCore final : FluidSink {
     push_record(r);
   }
 
+  /// The (dev, srv) chain, created on first use. A device targets one
+  /// server at a time, so its list stays one or two entries long.
   ServerChain& chain_for(DeviceId dev, ServerId srv) {
-    return chains[chain_key(dev, srv)];
+    std::int32_t* link = &first_chain[static_cast<std::size_t>(dev)];
+    while (*link >= 0) {
+      ServerChain& chain = chains[static_cast<std::size_t>(*link)];
+      if (chain.server == srv) return chain;
+      link = &chain.next;
+    }
+    *link = static_cast<std::int32_t>(chains.size());
+    ServerChain& chain = chains.emplace_back();
+    chain.device = dev;
+    chain.server = srv;
+    return chain;
+  }
+
+  /// Tasks waiting in or occupying this shard's server chains, per device.
+  void add_server_depth(std::vector<std::size_t>& depth) const {
+    for (const ServerChain& chain : chains) {
+      depth[static_cast<std::size_t>(chain.device)] +=
+          chain.queue.size() + (chain.serving_task != kNoTask ? 1 : 0);
+    }
   }
 
   double burst_multiplier() const {
@@ -343,7 +376,7 @@ struct ShardCore final : FluidSink {
     tasks.cpu_weight[task] = cd.share;
 
     ++g->metrics_.per_device[i].arrived;
-    ctr_arrived->inc();
+    ctr.arrived.inc();
     ++g->arrivals_since_tick_[i];
     record_arrival(task);
     trace_rec(now, tasks.id[task], dev, tasks.server[task],
@@ -351,7 +384,7 @@ struct ShardCore final : FluidSink {
 
     if (!g->admit_fraction_.empty() &&
         g->admit_rngs_[i].uniform() > g->admit_fraction_[i]) {
-      ctr_gate_refused->inc();
+      ctr.gate_refused.inc();
       shed_task(task, now, false);
       return;
     }
@@ -523,7 +556,7 @@ struct ShardCore final : FluidSink {
 
   void fluid_job_done(std::uint64_t tag, double at) override {
     const TaskIndex task = static_cast<TaskIndex>(tag & 0xffffffffu);
-    if ((tag & kShardServerStageBit) == 0) {
+    if ((tag & kServerStageBit) == 0) {
       // Uplink transfer drained.
       trace_rec(at, tasks.id[task], tasks.device[task], tasks.server[task],
                 TraceEventType::kUploadEnd);
@@ -531,17 +564,15 @@ struct ShardCore final : FluidSink {
       const ServerId srv = tasks.server[task];
       const double t_arrive = at + tasks.rtt[task];
       if (g->plan_.server_shard[static_cast<std::size_t>(srv)] == sid) {
-        // Same shard: the single loop's path verbatim.
         schedule(t_arrive, Ev::kServerArrive, -1, task);
       } else if (t_arrive > g->options_.horizon) {
-        // The single loop drops the kServerArrive event past the horizon and
-        // strands the task in flight; keep the slot live here too.
+        // Same as a dropped same-shard kServerArrive past the horizon: the
+        // task stays in flight, so keep its slot live.
       } else if (!g->options_.faults.schedule.server_up(srv, t_arrive)) {
         // The target is scripted down at the arrival instant (liveness only
         // changes at barriers, all applied before t_arrive's epoch), so the
         // arrival would fault on the remote shard against a device this shard
-        // owns. Fault locally instead — one event, like the single loop's
-        // kServerArrive.
+        // owns. Fault locally instead — one event, like kServerArrive.
         schedule(t_arrive, Ev::kOffloadFault, -1, task);
       } else {
         TaskEnvelope env;
@@ -593,7 +624,7 @@ struct ShardCore final : FluidSink {
           return;
         }
         ++tasks.retries[task];
-        ctr_retry->inc();
+        ctr.retry.inc();
         if (tasks.counted(task)) {
           ++g->metrics_
                 .per_device[static_cast<std::size_t>(tasks.device[task])]
@@ -629,7 +660,7 @@ struct ShardCore final : FluidSink {
       shed_task(task, now, true);
       return;
     }
-    ctr_resteer->inc();
+    ctr.resteer.inc();
     if (tasks.counted(task)) {
       ++g->metrics_.per_device[static_cast<std::size_t>(tasks.device[task])]
             .resteered;
@@ -672,20 +703,20 @@ struct ShardCore final : FluidSink {
     schedule(cd.busy_until, Ev::kDeviceDone, -1, task);
   }
 
-  /// Mirrors the single loop's registry-side deadline accounting (shed/fail/
-  /// miss all count as deadline_total; only an on-time completion counts as
-  /// met). Integer counters merge by addition, so per-core increments here
-  /// are safe for any shard/thread count.
+  /// Registry-side deadline accounting (shed/fail/miss all count as
+  /// deadline_total; only an on-time completion counts as met). Integer
+  /// counters merge by addition, so per-core increments here are safe for
+  /// any shard/thread count.
   void count_deadline(TaskIndex task, double latency, bool completed) {
     if (!tasks.counted(task)) return;
     const double deadline = topo().device(tasks.device[task]).deadline;
     if (deadline <= 0.0) return;
-    ctr_deadline_total->inc();
-    if (completed && latency <= deadline) ctr_deadline_met->inc();
+    ctr.deadline_total.inc();
+    if (completed && latency <= deadline) ctr.deadline_met.inc();
   }
 
   void shed_task(TaskIndex task, double at, bool expired) {
-    (expired ? ctr_expired : ctr_shed)->inc();
+    (expired ? ctr.expired : ctr.shed).inc();
     trace_rec(at, tasks.id[task], tasks.device[task], tasks.server[task],
               expired ? TraceEventType::kExpire : TraceEventType::kShed);
     record_terminal(expired ? MetricRecordKind::kExpire
@@ -696,7 +727,7 @@ struct ShardCore final : FluidSink {
   }
 
   void fail_task(TaskIndex task, double at) {
-    ctr_failed->inc();
+    ctr.failed.inc();
     trace_rec(at, tasks.id[task], tasks.device[task], tasks.server[task],
               TraceEventType::kFail);
     record_terminal(MetricRecordKind::kFail, task, at);
@@ -705,7 +736,7 @@ struct ShardCore final : FluidSink {
   }
 
   void complete_task(TaskIndex task, double at) {
-    ctr_completed->inc();
+    ctr.completed.inc();
     count_deadline(task, at - tasks.arrival[task], true);
     trace_rec(at, tasks.id[task], tasks.device[task], tasks.server[task],
               TraceEventType::kComplete);
@@ -779,8 +810,8 @@ struct ShardCore final : FluidSink {
 
   /// Processes every event strictly before `barrier`; the first event at or
   /// past it goes back with its original seq (push_raw), preserving the
-  /// (time, seq) total order. Deferred peeks are not dispatches, so
-  /// events_processed matches the single loop's count.
+  /// (time, seq) total order. Deferred peeks are not dispatches, so they do
+  /// not count toward events_processed.
   void run_until(double barrier) {
     while (!events.empty()) {
       const SimEvent ev = events.pop_min();
@@ -791,20 +822,7 @@ struct ShardCore final : FluidSink {
       SCALPEL_REQUIRE(ev.time >= now - 1e-9, "event time went backwards");
       now = std::max(now, ev.time);
       last_event_time = now;
-      ++events_processed;
-      dispatch(ev);
-    }
-  }
-
-  /// After the final (horizon) barrier: everything left fires at exactly the
-  /// horizon (schedule() drops anything later; run_until deferred anything
-  /// at/after the barrier).
-  void drain_all() {
-    while (!events.empty()) {
-      const SimEvent ev = events.pop_min();
-      SCALPEL_REQUIRE(ev.time >= now - 1e-9, "event time went backwards");
-      now = std::max(now, ev.time);
-      last_event_time = now;
+      set_log_sim_time(now);  // log lines carry the event-loop clock
       ++events_processed;
       dispatch(ev);
     }
@@ -849,9 +867,9 @@ ShardedSimulator::ShardedSimulator(const ProblemInstance& instance,
 
   plan_ = ShardPlan::build(topo, shard_options_.shards);
 
-  // Exactly the single loop's stream layout: one master Rng, device streams
-  // drawn in global device order, then every admission stream — identical
-  // realizations for any shard count.
+  // Stream layout: one master Rng, device streams drawn in global device
+  // order, then every admission stream — identical realizations for any
+  // shard count.
   Rng master(options_.seed);
   rngs_.reserve(topo.devices().size());
   for (std::size_t i = 0; i < topo.devices().size(); ++i) {
@@ -878,7 +896,7 @@ ShardedSimulator::ShardedSimulator(const ProblemInstance& instance,
 
   cores_.reserve(plan_.num_shards);
   for (std::size_t s = 0; s < plan_.num_shards; ++s) {
-    auto core = std::make_unique<ShardCore>(options_.event_queue);
+    auto core = std::make_unique<ShardCore>();
     core->g = this;
     core->sid = static_cast<std::int32_t>(s);
     for (std::size_t d = 0; d < topo.devices().size(); ++d) {
@@ -886,26 +904,22 @@ ShardedSimulator::ShardedSimulator(const ProblemInstance& instance,
         core->my_devices.push_back(static_cast<DeviceId>(d));
       }
     }
+    // Pool warm start: enough slots for every device to have a handful of
+    // tasks in flight before the first growth stalls the inner loop.
     core->tasks.reserve(core->my_devices.size() * 8);
+    core->first_chain.assign(topo.devices().size(), -1);
     core->tracer.reset(options_.trace_capacity);
-    core->ctr_arrived = &core->registry.counter("sim.task.arrived");
-    core->ctr_completed = &core->registry.counter("sim.task.completed");
-    core->ctr_failed = &core->registry.counter("sim.task.failed");
-    core->ctr_shed = &core->registry.counter("sim.task.shed");
-    core->ctr_expired = &core->registry.counter("sim.task.expired");
-    core->ctr_retry = &core->registry.counter("sim.task.retry");
-    core->ctr_resteer = &core->registry.counter("sim.task.resteer");
-    core->ctr_gate_refused = &core->registry.counter("sim.gate.refused");
-    core->ctr_deadline_met = &core->registry.counter("sim.task.deadline_met");
-    core->ctr_deadline_total =
-        &core->registry.counter("sim.task.deadline_total");
     cores_.push_back(std::move(core));
   }
 
-  serial_tracer_.reset(options_.trace_capacity);
+  if (cores_.size() == 1) {
+    serial_tracer_ = &cores_.front()->tracer;
+  } else {
+    serial_ring_.reset(options_.trace_capacity);
+    serial_tracer_ = &serial_ring_;
+  }
   // Master registry carries the merged truth; resolving every name here keeps
-  // its key set identical to the single-loop registry even for untouched
-  // counters.
+  // its key set fixed even for untouched counters.
   ctr_arrived_ = &registry_.counter("sim.task.arrived");
   ctr_completed_ = &registry_.counter("sim.task.completed");
   ctr_failed_ = &registry_.counter("sim.task.failed");
@@ -914,8 +928,8 @@ ShardedSimulator::ShardedSimulator(const ProblemInstance& instance,
   ctr_retry_ = &registry_.counter("sim.task.retry");
   ctr_resteer_ = &registry_.counter("sim.task.resteer");
   ctr_gate_refused_ = &registry_.counter("sim.gate.refused");
-  registry_.counter("sim.task.deadline_met");
-  registry_.counter("sim.task.deadline_total");
+  ctr_deadline_met_ = &registry_.counter("sim.task.deadline_met");
+  ctr_deadline_total_ = &registry_.counter("sim.task.deadline_total");
   ctr_server_down_ = &registry_.counter("sim.fault.server_down");
   ctr_link_down_ = &registry_.counter("sim.fault.link_down");
   hist_latency_ = &registry_.histogram("sim.task.latency_seconds", 0.0,
@@ -929,26 +943,6 @@ void ShardedSimulator::set_cell_trace(CellId cell, BandwidthTrace trace) {
                       static_cast<std::size_t>(cell) < traces_.size(),
                   "cell id out of range");
   traces_[static_cast<std::size_t>(cell)] = std::move(trace);
-}
-
-void ShardedSimulator::set_controller(Simulator::Controller controller) {
-  set_controller(Simulator::RichController(
-      [inner = std::move(controller)](
-          double now, const std::vector<double>& bw,
-          const std::vector<bool>& alive, const std::vector<double>&,
-          const std::vector<double>&) {
-        ControlAction action;
-        action.decision = inner(now, bw, alive);
-        return action;
-      }));
-}
-
-void ShardedSimulator::set_controller(Simulator::RichController controller) {
-  set_controller(Simulator::ObservingController(
-      [inner = std::move(controller)](const Observation& o) {
-        return inner(o.time, o.cell_bandwidth, o.server_alive, o.offered_rate,
-                     o.queue_depth);
-      }));
 }
 
 void ShardedSimulator::set_controller(
@@ -1137,11 +1131,14 @@ void ShardedSimulator::on_server_down(ServerId s, double bt) {
   ShardCore& v =
       *cores_[static_cast<std::size_t>(
           plan_.server_shard[static_cast<std::size_t>(s)])];
-  // Global device order, exactly like the single loop's sweep.
+  // Global device order, so the fault order is shard-count-invariant.
   for (std::size_t i = 0; i < devices_.size(); ++i) {
-    const auto it = v.chains.find(chain_key(static_cast<DeviceId>(i), s));
-    if (it == v.chains.end()) continue;
-    ServerChain& chain = it->second;
+    std::int32_t idx = v.first_chain[i];
+    while (idx >= 0 && v.chains[static_cast<std::size_t>(idx)].server != s) {
+      idx = v.chains[static_cast<std::size_t>(idx)].next;
+    }
+    if (idx < 0) continue;
+    ServerChain& chain = v.chains[static_cast<std::size_t>(idx)];
     std::vector<TaskIndex> victims;
     if (chain.serving_task != kNoTask) {
       victims.push_back(chain.serving_task);
@@ -1188,16 +1185,14 @@ void ShardedSimulator::controller_tick(double bt) {
     o.cell_bandwidth[c] = cell_links_[c]->capacity();
   }
   o.server_alive = server_up_;
+  // Load signals: offered rate since the last tick plus instantaneous queue
+  // depth across the device's whole pipeline. These are controller-side
+  // estimates, not cluster telemetry — the channel model does not touch them.
   const double span = std::max(bt - last_controller_tick_, 1e-12);
-  // Server-stage depth is scattered across the server shards' chain maps;
-  // sum it per device first (integer adds, so map order is irrelevant).
+  // Server-stage depth is scattered across the server shards' chains; sum
+  // it per device first (integer adds, so chain order is irrelevant).
   std::vector<std::size_t> server_depth(devices_.size(), 0);
-  for (const auto& core : cores_) {
-    for (const auto& [key, chain] : core->chains) {
-      server_depth[static_cast<std::size_t>(key >> 32)] +=
-          chain.queue.size() + (chain.serving_task != kNoTask ? 1 : 0);
-    }
-  }
+  for (const auto& core : cores_) core->add_server_depth(server_depth);
   o.offered_rate.assign(devices_.size(), 0.0);
   o.queue_depth.assign(devices_.size(), 0.0);
   for (std::size_t i = 0; i < devices_.size(); ++i) {
@@ -1210,8 +1205,7 @@ void ShardedSimulator::controller_tick(double bt) {
                                            server_depth[i]);
   }
   // Serial phase only: one channel sample per tick, in tick order — the
-  // identical draw sequence the single loop consumes, for any shard/thread
-  // count.
+  // identical draw sequence for any shard/thread count.
   if (channel_) {
     channel_->sample(bt, o.cell_bandwidth, o.server_alive, o.bw_fresh,
                      o.bw_age, o.alive_fresh);
@@ -1228,10 +1222,10 @@ void ShardedSimulator::serial_phase(const EpochBarrier& b) {
     core->now = b.time;  // serial work runs on the barrier clock
     core->serial_mode = true;
   }
-  // The single loop's (time, seq) order at a shared timestamp: envelopes only
-  // schedule (no observable effect ordering), then construction-seeded fault
-  // events, then bandwidth change-points, then the controller tick, then the
-  // series boundary.
+  set_log_sim_time(b.time);
+  // Fixed order at a barrier: envelopes only schedule (no observable
+  // effect ordering), then fault events, then bandwidth change-points, then
+  // the controller tick, then the series boundary, then the obs sample.
   deliver_envelopes();
   const auto& fault_events = options_.faults.schedule.events();
   for (const std::size_t idx : b.fault_events) {
@@ -1257,9 +1251,8 @@ void ShardedSimulator::serial_phase(const EpochBarrier& b) {
     serial_last_time_ = b.time;
     MetricRecord r;
     r.time = b.time;
-    r.serial_seq = serial_seq_++;
     r.kind = MetricRecordKind::kSeries;
-    serial_log_.push_back(r);
+    record_serial(r);
   }
   if (b.obs && options_.obs_interval > 0.0 && options_.recorder != nullptr) {
     ++serial_events_;
@@ -1272,29 +1265,23 @@ void ShardedSimulator::serial_phase(const EpochBarrier& b) {
 void ShardedSimulator::obs_sample(double bt) {
   // Counter sums and the live-task count are integers, so per-core addition
   // order cannot perturb them; queue depth is the controller tick's integer
-  // computation. The resulting EngineSample is bit-identical to the single
-  // loop's obs_tick at the same grid time.
+  // computation. The resulting EngineSample is shard-count-invariant.
   EngineSample s;
   s.time = bt;
   std::size_t live = 0;
   for (const auto& core : cores_) {
-    s.arrived += core->ctr_arrived->value();
-    s.completed += core->ctr_completed->value();
-    s.failed += core->ctr_failed->value();
-    s.shed += core->ctr_shed->value();
-    s.expired += core->ctr_expired->value();
-    s.deadline_met += core->ctr_deadline_met->value();
-    s.deadline_total += core->ctr_deadline_total->value();
+    s.arrived += core->ctr.arrived.value();
+    s.completed += core->ctr.completed.value();
+    s.failed += core->ctr.failed.value();
+    s.shed += core->ctr.shed.value();
+    s.expired += core->ctr.expired.value();
+    s.deadline_met += core->ctr.deadline_met.value();
+    s.deadline_total += core->ctr.deadline_total.value();
     live += core->tasks.live();
   }
   s.in_flight = static_cast<double>(live);
   std::vector<std::size_t> server_depth(devices_.size(), 0);
-  for (const auto& core : cores_) {
-    for (const auto& [key, chain] : core->chains) {
-      server_depth[static_cast<std::size_t>(key >> 32)] +=
-          chain.queue.size() + (chain.serving_task != kNoTask ? 1 : 0);
-    }
-  }
+  for (const auto& core : cores_) core->add_server_depth(server_depth);
   double depth = 0.0;
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     const auto& cd = devices_[i];
@@ -1307,108 +1294,107 @@ void ShardedSimulator::obs_sample(double bt) {
   if (options_.slo != nullptr) options_.slo->evaluate();
 }
 
-void ShardedSimulator::replay_metric_records(
-    const std::vector<MetricRecord>& merged) {
-  const auto& topo = instance_->topology();
+void ShardedSimulator::record_serial(MetricRecord r) {
+  if (cores_.size() == 1) {
+    account(r);
+    return;
+  }
+  r.serial_seq = serial_seq_++;
+  serial_log_.push_back(r);
+}
+
+void ShardedSimulator::account(const MetricRecord& r) {
   const bool series_on = options_.series_window > 0.0;
-  if (series_on) metrics_.series.window = options_.series_window;
-  // The single loop's accumulators, fed the identical value sequence in the
-  // identical order — bit-identical floating-point results.
-  std::int64_t in_flight = 0;
-  double in_flight_integral = 0.0;
-  double in_flight_last_t = 0.0;
-  std::size_t window_completions = 0;
-  double window_accuracy_sum = 0.0;
-  std::size_t window_shed = 0;
-  auto settle = [&](double t) {
-    in_flight_integral += static_cast<double>(in_flight) *
-                          (t - in_flight_last_t);
-    in_flight_last_t = t;
+  SeriesState& w = series_;
+  auto settle = [&w](double t) {
+    w.in_flight_integral +=
+        static_cast<double>(w.in_flight) * (t - w.in_flight_last_t);
+    w.in_flight_last_t = t;
   };
-  for (const MetricRecord& r : merged) {
-    const bool counted = (r.flags & MetricRecord::kCounted) != 0;
-    switch (r.kind) {
-      case MetricRecordKind::kArrival:
+  const bool counted = (r.flags & MetricRecord::kCounted) != 0;
+  switch (r.kind) {
+    case MetricRecordKind::kArrival:
+      settle(r.time);
+      ++w.in_flight;
+      return;
+    case MetricRecordKind::kSeries:
+      settle(r.time);
+      metrics_.series.tasks_in_flight.push_back(w.in_flight_integral /
+                                                options_.series_window);
+      w.in_flight_integral = 0.0;
+      metrics_.series.completion_rate.push_back(
+          static_cast<double>(w.completions) / options_.series_window);
+      metrics_.series.mean_accuracy.push_back(
+          w.completions
+              ? w.accuracy_sum / static_cast<double>(w.completions)
+              : 0.0);
+      metrics_.series.shed_rate.push_back(static_cast<double>(w.shed) /
+                                          options_.series_window);
+      w.completions = 0;
+      w.accuracy_sum = 0.0;
+      w.shed = 0;
+      return;
+    case MetricRecordKind::kComplete: {
+      if (series_on) {
         settle(r.time);
-        ++in_flight;
-        break;
-      case MetricRecordKind::kSeries:
+        --w.in_flight;
+        ++w.completions;
+        w.accuracy_sum += r.correct_prob;
+      }
+      if (!counted) return;
+      auto& dm = metrics_.per_device[static_cast<std::size_t>(r.device)];
+      dm.latency.add(r.latency);
+      hist_latency_->add(r.latency);
+      ++dm.completed;
+      if ((r.flags & MetricRecord::kOutageOrFaulted) != 0) {
+        metrics_.outage_latency.add(r.latency);
+      }
+      const auto& device = instance_->topology().device(r.device);
+      if (device.deadline > 0.0) {
+        ++dm.deadline_total;
+        if (r.latency <= device.deadline) ++dm.deadline_met;
+      }
+      dm.accuracy_sum += r.correct_prob;
+      dm.energy_sum += r.energy;
+      if ((r.flags & MetricRecord::kOffloaded) != 0) ++dm.offloaded;
+      const auto slot = static_cast<std::size_t>(r.exit_slot);
+      if (dm.exit_histogram.size() <= slot) {
+        dm.exit_histogram.resize(slot + 1, 0);
+      }
+      ++dm.exit_histogram[slot];
+      return;
+    }
+    case MetricRecordKind::kFail: {
+      if (series_on) {
         settle(r.time);
-        metrics_.series.tasks_in_flight.push_back(in_flight_integral /
-                                                  options_.series_window);
-        in_flight_integral = 0.0;
-        metrics_.series.completion_rate.push_back(
-            static_cast<double>(window_completions) /
-            options_.series_window);
-        metrics_.series.mean_accuracy.push_back(
-            window_completions
-                ? window_accuracy_sum /
-                      static_cast<double>(window_completions)
-                : 0.0);
-        metrics_.series.shed_rate.push_back(
-            static_cast<double>(window_shed) / options_.series_window);
-        window_completions = 0;
-        window_accuracy_sum = 0.0;
-        window_shed = 0;
-        break;
-      case MetricRecordKind::kComplete: {
-        if (series_on) {
-          settle(r.time);
-          --in_flight;
-          ++window_completions;
-          window_accuracy_sum += r.correct_prob;
-        }
-        if (!counted) break;
-        auto& dm = metrics_.per_device[static_cast<std::size_t>(r.device)];
-        dm.latency.add(r.latency);
-        hist_latency_->add(r.latency);
-        ++dm.completed;
-        if ((r.flags & MetricRecord::kOutageOrFaulted) != 0) {
-          metrics_.outage_latency.add(r.latency);
-        }
-        const auto& device = topo.device(r.device);
-        if (device.deadline > 0.0) {
-          ++dm.deadline_total;
-          if (r.latency <= device.deadline) ++dm.deadline_met;
-        }
-        dm.accuracy_sum += r.correct_prob;
-        dm.energy_sum += r.energy;
-        if ((r.flags & MetricRecord::kOffloaded) != 0) ++dm.offloaded;
-        const auto slot = static_cast<std::size_t>(r.exit_slot);
-        if (dm.exit_histogram.size() <= slot) {
-          dm.exit_histogram.resize(slot + 1, 0);
-        }
-        ++dm.exit_histogram[slot];
-        break;
+        --w.in_flight;
       }
-      case MetricRecordKind::kFail: {
-        if (series_on) {
-          settle(r.time);
-          --in_flight;
-        }
-        if (!counted) break;
-        auto& dm = metrics_.per_device[static_cast<std::size_t>(r.device)];
-        ++dm.failed;
-        if (topo.device(r.device).deadline > 0.0) ++dm.deadline_total;
-        break;
+      if (!counted) return;
+      auto& dm = metrics_.per_device[static_cast<std::size_t>(r.device)];
+      ++dm.failed;
+      if (instance_->topology().device(r.device).deadline > 0.0) {
+        ++dm.deadline_total;
       }
-      case MetricRecordKind::kShed:
-      case MetricRecordKind::kExpire: {
-        if (series_on) {
-          settle(r.time);
-          --in_flight;
-          ++window_shed;
-        }
-        if (!counted) break;
-        auto& dm = metrics_.per_device[static_cast<std::size_t>(r.device)];
-        if (r.kind == MetricRecordKind::kExpire) {
-          ++dm.expired;
-        } else {
-          ++dm.shed;
-        }
-        if (topo.device(r.device).deadline > 0.0) ++dm.deadline_total;
-        break;
+      return;
+    }
+    case MetricRecordKind::kShed:
+    case MetricRecordKind::kExpire: {
+      if (series_on) {
+        settle(r.time);
+        --w.in_flight;
+        ++w.shed;
       }
+      if (!counted) return;
+      auto& dm = metrics_.per_device[static_cast<std::size_t>(r.device)];
+      if (r.kind == MetricRecordKind::kExpire) {
+        ++dm.expired;
+      } else {
+        ++dm.shed;
+      }
+      if (instance_->topology().device(r.device).deadline > 0.0) {
+        ++dm.deadline_total;
+      }
+      return;
     }
   }
 }
@@ -1462,10 +1448,9 @@ void ShardedSimulator::finalize_metrics() {
           ? static_cast<double>(offloaded) /
                 static_cast<double>(metrics_.completed)
           : 0.0;
-  // The single loop settles utilization at its final now_ — the last *popped*
-  // event's time. Barrier bookkeeping bumps core->now past that, so the
-  // popped-event clocks (and the last dispatching barrier) are tracked
-  // separately.
+  // Utilization settles at the last *dispatched* event's time. Barrier
+  // bookkeeping bumps core->now past that, so the popped-event clocks (and
+  // the last dispatching barrier) are tracked separately.
   double t_end = serial_last_time_;
   for (const auto& core : cores_) {
     t_end = std::max(t_end, core->last_event_time);
@@ -1508,6 +1493,9 @@ SimMetrics ShardedSimulator::run() {
                         options_.obs_interval <= options_.series_window,
                     "obs_interval must not exceed series_window");
   }
+  if (options_.series_window > 0.0) {
+    metrics_.series.window = options_.series_window;
+  }
   seed_initial_events();
   const std::vector<EpochBarrier> barriers = build_agenda();
 
@@ -1530,16 +1518,28 @@ SimMetrics ShardedSimulator::run() {
                     "cross-shard envelope created after the final barrier");
   }
 
-  // Merge the per-shard streams into the single loop's exact accounting.
-  std::vector<const std::vector<MetricRecord>*> logs;
-  logs.reserve(cores_.size() + 1);
-  for (const auto& core : cores_) logs.push_back(&core->log);
-  logs.push_back(&serial_log_);
-  replay_metric_records(merge_metric_records(logs));
+  clear_log_sim_time();
+  // Several shards logged their records; account for them in the merged
+  // order (one shard already accounted for every record as it happened).
+  if (cores_.size() > 1) {
+    std::vector<const std::vector<MetricRecord>*> logs;
+    logs.reserve(cores_.size() + 1);
+    for (const auto& core : cores_) logs.push_back(&core->log);
+    logs.push_back(&serial_log_);
+    for (const MetricRecord& r : merge_metric_records(logs)) account(r);
+  }
   for (const auto& core : cores_) {
-    for (const auto& [name, counter] : core->registry.counters()) {
-      registry_.counter(name).inc(counter.value());
-    }
+    const TaskCounters& c = core->ctr;
+    ctr_arrived_->inc(c.arrived.value());
+    ctr_completed_->inc(c.completed.value());
+    ctr_failed_->inc(c.failed.value());
+    ctr_shed_->inc(c.shed.value());
+    ctr_expired_->inc(c.expired.value());
+    ctr_retry_->inc(c.retry.value());
+    ctr_resteer_->inc(c.resteer.value());
+    ctr_gate_refused_->inc(c.gate_refused.value());
+    ctr_deadline_met_->inc(c.deadline_met.value());
+    ctr_deadline_total_->inc(c.deadline_total.value());
   }
   finalize_metrics();
   return metrics_;
@@ -1551,9 +1551,20 @@ std::vector<TraceEvent> ShardedSimulator::trace_events() const {
     const auto snap = core->tracer.snapshot();
     all.insert(all.end(), snap.begin(), snap.end());
   }
-  const auto serial = serial_tracer_.snapshot();
+  const auto serial = serial_ring_.snapshot();
   all.insert(all.end(), serial.begin(), serial.end());
   return reconcile_trace(std::move(all));
+}
+
+std::uint64_t ShardedSimulator::trace_dropped() const {
+  std::uint64_t dropped = serial_ring_.dropped();
+  for (const auto& core : cores_) dropped += core->tracer.dropped();
+  return dropped;
+}
+
+const TaskTracer& ShardedSimulator::one_shard_tracer() const {
+  SCALPEL_REQUIRE(cores_.size() == 1, "the run has more than one trace ring");
+  return cores_.front()->tracer;
 }
 
 }  // namespace scalpel

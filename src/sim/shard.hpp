@@ -9,7 +9,9 @@
 #include "core/instance.hpp"
 #include "sim/compiled_device.hpp"
 #include "sim/epoch.hpp"
+#include "sim/fluid.hpp"
 #include "sim/simulator.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace scalpel {
@@ -40,8 +42,8 @@ struct ShardPlan {
 
 struct ShardOptions {
   /// Requested shard count; clamped to the cell count and reduced by
-  /// zero-RTT merging (see ShardPlan). 1 degenerates to a single serial
-  /// event loop with barrier-split bookkeeping.
+  /// zero-RTT merging (see ShardPlan). 1 runs one event loop on the calling
+  /// thread (what Simulator does).
   std::size_t shards = 2;
   /// Worker threads the epochs fan out on; 0 = one per usable CPU,
   /// 1 = run shards sequentially on the calling thread (still the same
@@ -49,25 +51,25 @@ struct ShardOptions {
   std::size_t threads = 1;
 };
 
-/// Cell-sharded conservative-lookahead twin of Simulator for metro-scale
-/// topologies: each shard owns a contiguous block of cells (devices + cell
+/// The event engine: a cell-sharded conservative-lookahead discrete-event
+/// simulator. Each shard owns a contiguous block of cells (devices + cell
 /// uplinks) plus a server partition, and runs its own event loop over its
 /// own EventQueue/TaskPool/tracer between epoch barriers. Barriers sit on
 /// every scripted global event (fault transitions, bandwidth change-points,
-/// controller and series ticks) and at most `lookahead` apart; a serial
+/// controller, series and obs ticks) and at most `lookahead` apart; a serial
 /// reduction phase at each barrier delivers cross-shard task envelopes,
-/// applies faults/bandwidth, and runs the controller — in the single loop's
-/// exact tie-break order.
+/// applies faults/bandwidth, and runs the controller. Simulator is this
+/// engine at one shard.
 ///
-/// Determinism bar (enforced by tests/sim/shard_equivalence_test.cpp): for a
-/// fixed seed, SimMetrics, the metrics registry, and the reconciled trace
-/// are bit-identical to the single-loop Simulator for ANY shard count and
-/// ANY thread count. Order-sensitive floating-point accumulation is made
-/// exact by logging per-shard MetricRecords and replaying the
-/// deterministically merged log through the single loop's arithmetic.
-/// The one documented exception: scripted event times exactly colliding
-/// with continuous-time task events (a measure-zero coincidence) may resolve
-/// in a different order than the single loop's seq tiebreak.
+/// Ordering rule: at a barrier instant every scripted event (serial phase)
+/// precedes every task event of that instant, and task events keep their
+/// (time, seq) order within a shard.
+///
+/// Determinism bar (pinned by tests/sim/sim_golden_test.cpp): for a fixed
+/// seed, SimMetrics, the metrics registry, and the reconciled trace are
+/// bit-identical for ANY shard count and ANY thread count. Order-sensitive
+/// floating-point accumulation is made exact by feeding MetricRecords to
+/// one accounting routine in the canonical merged order (see account()).
 class ShardedSimulator {
  public:
   ShardedSimulator(const ProblemInstance& instance, Decision decision,
@@ -78,8 +80,6 @@ class ShardedSimulator {
   ShardedSimulator& operator=(const ShardedSimulator&) = delete;
 
   void set_cell_trace(CellId cell, BandwidthTrace trace);
-  void set_controller(Simulator::Controller controller);
-  void set_controller(Simulator::RichController controller);
   void set_controller(Simulator::ObservingController controller);
   void set_admission(std::vector<double> fraction);
 
@@ -88,13 +88,15 @@ class ShardedSimulator {
 
   /// Merged per-task lifecycle trace of the finished run in the canonical
   /// reconciled order (see reconcile_trace); empty unless
-  /// Options::trace_capacity > 0. Compare against
-  /// reconcile_trace(single_loop.trace().snapshot()).
+  /// Options::trace_capacity > 0.
   std::vector<TraceEvent> trace_events() const;
+  /// Events the run's trace rings overwrote (summed over the rings), so
+  /// trace_events().size() + trace_dropped() is every event recorded.
+  std::uint64_t trace_dropped() const;
 
-  /// Merged registry: per-shard counters summed by name plus the replayed
+  /// Merged registry: per-shard counters summed plus the accounted
   /// latency histogram and end-of-run gauges — name-for-name and
-  /// value-for-value identical to the single-loop Simulator's registry.
+  /// value-for-value identical for any shard and thread count.
   const MetricsRegistry& registry() const { return registry_; }
 
   const ShardPlan& plan() const { return plan_; }
@@ -103,7 +105,11 @@ class ShardedSimulator {
 
  private:
   friend struct ShardCore;
+  friend class Simulator;
 
+  /// The whole trace of a one-shard run: the serial phase records into the
+  /// only shard's ring too (Simulator::trace()).
+  const TaskTracer& one_shard_tracer() const;
   void apply_decision(const Decision& decision);
   void seed_initial_events();
   std::vector<EpochBarrier> build_agenda() const;
@@ -122,9 +128,16 @@ class ShardedSimulator {
   /// servers — the same layout kFluidWake events carry in `a`.
   FluidResource* fluid_at(std::size_t slot);
   void controller_tick(double bt);
-  /// Serial-phase twin of Simulator::obs_tick — runs last at an obs barrier.
+  /// Observability sample — runs last at an obs barrier.
   void obs_sample(double bt);
-  void replay_metric_records(const std::vector<MetricRecord>& merged);
+  /// Folds one order-sensitive record into the metrics. Records must
+  /// arrive in the canonical merged order (metric_record_before): at one
+  /// shard that is processing order, so records are accounted as they
+  /// happen; with several shards the logs are merged after the run.
+  void account(const MetricRecord& r);
+  /// A record emitted by the serial phase: accounted at once at one shard,
+  /// else logged with the next serial sequence number.
+  void record_serial(MetricRecord r);
   void finalize_metrics();
 
   const ProblemInstance* instance_;
@@ -142,9 +155,9 @@ class ShardedSimulator {
   std::vector<std::unique_ptr<FluidResource>> servers_;     // by ServerId
   std::vector<std::optional<BandwidthTrace>> traces_;
   Simulator::ObservingController controller_;
-  /// Telemetry impairment model; same construction as the single loop
-  /// (pure function of options + seed), sampled only in the serial phase's
-  /// controller tick, so readings are thread- and shard-count-invariant.
+  /// Telemetry impairment model (pure function of options + seed), sampled
+  /// only in the serial phase's controller tick, so readings are thread-
+  /// and shard-count-invariant.
   std::unique_ptr<TelemetryChannel> channel_;
   std::vector<double> admit_fraction_;
   std::vector<std::size_t> arrivals_since_tick_;
@@ -159,11 +172,24 @@ class ShardedSimulator {
 
   // --- serial-phase accounting (single-threaded by construction).
   std::vector<MetricRecord> serial_log_;
-  TaskTracer serial_tracer_;
+  /// Where serial-phase trace events go: the only shard's ring at one
+  /// shard (no second ring to allocate), else serial_ring_.
+  TaskTracer* serial_tracer_ = nullptr;
+  TaskTracer serial_ring_;
   std::uint64_t serial_seq_ = 0;
   std::size_t serial_events_ = 0;      // scripted dispatches (events_processed)
   double serial_last_time_ = 0.0;      // last barrier that dispatched anything
   std::size_t barriers_run_ = 0;
+  /// account()'s running state: the in-flight integral and the open
+  /// series window.
+  struct SeriesState {
+    std::int64_t in_flight = 0;
+    double in_flight_integral = 0.0;
+    double in_flight_last_t = 0.0;
+    std::size_t completions = 0;
+    double accuracy_sum = 0.0;
+    std::size_t shed = 0;
+  } series_;
 
   SimMetrics metrics_;
   MetricsRegistry registry_;
@@ -177,6 +203,8 @@ class ShardedSimulator {
   Counter* ctr_gate_refused_ = nullptr;
   Counter* ctr_server_down_ = nullptr;
   Counter* ctr_link_down_ = nullptr;
+  Counter* ctr_deadline_met_ = nullptr;
+  Counter* ctr_deadline_total_ = nullptr;
   HistogramMetric* hist_latency_ = nullptr;
 };
 

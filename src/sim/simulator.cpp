@@ -1,29 +1,14 @@
 #include "sim/simulator.hpp"
 
-#include <algorithm>
-#include <cmath>
-
-#include "core/objective.hpp"
-#include "obs/slo.hpp"
-#include "obs/timeseries.hpp"
-#include "surgery/plan.hpp"
-#include "util/assert.hpp"
-#include "util/log.hpp"
+#include "sim/shard.hpp"
+#include "util/rng.hpp"
 
 namespace scalpel {
 namespace {
 
-// FluidSink tag layout: stage in the top bit, task index below. Stage 0 is
-// an uplink transfer, stage 1 a server execution.
-constexpr std::uint64_t kServerStageBit = 1ull << 32;
-
-inline std::uint64_t upload_tag(TaskIndex t) { return t; }
-inline std::uint64_t server_tag(TaskIndex t) { return kServerStageBit | t; }
-
 // Substream tag for the telemetry channel's RNG, derived from the run seed
 // with Rng::substream_seed — NOT drawn from the master stream, so attaching
-// a channel never perturbs the device/admission streams (shared verbatim
-// with ShardedSimulator; the channel streams must match bit-for-bit).
+// a channel never perturbs the device/admission streams.
 constexpr std::uint64_t kTelemetryStreamTag = 0x54454c454d455452ull;  // "TELEMETR"
 
 }  // namespace
@@ -41,1034 +26,32 @@ std::unique_ptr<TelemetryChannel> make_telemetry_channel(
 
 Simulator::Simulator(const ProblemInstance& instance, Decision decision,
                      Options options)
-    : instance_(&instance), decision_(std::move(decision)),
-      options_(std::move(options)), events_(options_.event_queue) {
-  SCALPEL_REQUIRE(options_.horizon > 0.0, "horizon must be positive");
-  SCALPEL_REQUIRE(options_.warmup >= 0.0 && options_.warmup < options_.horizon,
-                  "warmup must lie inside the horizon");
-  SCALPEL_REQUIRE(options_.faults.retry_backoff > 0.0 &&
-                      options_.faults.retry_timeout > 0.0,
-                  "fault retry backoff/timeout must be positive");
-  const auto& topo = instance_->topology();
-  SCALPEL_REQUIRE(decision_.per_device.size() == topo.devices().size(),
-                  "decision must cover every device");
-  for (const auto& ev : options_.faults.schedule.events()) {
-    const auto limit = ev.target == FaultTarget::Server
-                           ? topo.servers().size()
-                           : topo.cells().size();
-    SCALPEL_REQUIRE(ev.id >= 0 && static_cast<std::size_t>(ev.id) < limit,
-                    "fault event targets an unknown server/cell");
-  }
-
-  for (const auto& rb : options_.rate_bursts) {
-    SCALPEL_REQUIRE(rb.factor > 0.0 && rb.start >= 0.0 && rb.end >= rb.start,
-                    "rate burst needs a positive factor and an ordered window");
-  }
-
-  Rng master(options_.seed);
-  for (std::size_t i = 0; i < topo.devices().size(); ++i) {
-    rngs_.push_back(std::make_unique<Rng>(master.next_u64()));
-    devices_.push_back(std::make_unique<CompiledDevice>());
-  }
-  // Admission-gate streams are drawn *after* every device stream so a gated
-  // run sees the identical arrival/difficulty realizations as an ungated one.
-  for (std::size_t i = 0; i < topo.devices().size(); ++i) {
-    admit_rngs_.push_back(std::make_unique<Rng>(master.next_u64()));
-  }
-  arrivals_since_tick_.assign(topo.devices().size(), 0);
-  for (const auto& cell : topo.cells()) {
-    cell_links_.push_back(std::make_unique<FluidResource>(cell.bandwidth));
-    traces_.push_back(std::nullopt);
-  }
-  for (std::size_t j = 0; j < topo.servers().size(); ++j) {
-    servers_.push_back(std::make_unique<FluidResource>(1.0));
-  }
-  for (auto& l : cell_links_) fluids_.push_back(l.get());
-  for (auto& s : servers_) fluids_.push_back(s.get());
-  server_up_.assign(topo.servers().size(), true);
-  link_up_.assign(topo.cells().size(), true);
-  channel_ = make_telemetry_channel(options_.telemetry, topo, options_.seed);
-  apply_decision(decision_);
-  metrics_.per_device.resize(topo.devices().size());
-  // Pool warm start: enough slots for every device to have a handful of
-  // tasks in flight before the first growth stalls the inner loop.
-  tasks_.reserve(topo.devices().size() * 8);
-
-  // Observability wiring: the tracer ring is preallocated here so record()
-  // never allocates, and every registry handle is resolved once (metric
-  // names are listed in README "Observability").
-  tracer_.reset(options_.trace_capacity);
-  ctr_arrived_ = &registry_.counter("sim.task.arrived");
-  ctr_completed_ = &registry_.counter("sim.task.completed");
-  ctr_failed_ = &registry_.counter("sim.task.failed");
-  ctr_shed_ = &registry_.counter("sim.task.shed");
-  ctr_expired_ = &registry_.counter("sim.task.expired");
-  ctr_retry_ = &registry_.counter("sim.task.retry");
-  ctr_resteer_ = &registry_.counter("sim.task.resteer");
-  ctr_gate_refused_ = &registry_.counter("sim.gate.refused");
-  ctr_server_down_ = &registry_.counter("sim.fault.server_down");
-  ctr_link_down_ = &registry_.counter("sim.fault.link_down");
-  ctr_deadline_met_ = &registry_.counter("sim.task.deadline_met");
-  ctr_deadline_total_ = &registry_.counter("sim.task.deadline_total");
-  hist_latency_ = &registry_.histogram("sim.task.latency_seconds", 0.0,
-                                       10.0, 200);
-}
+    : engine_(std::make_unique<ShardedSimulator>(
+          instance, std::move(decision), std::move(options),
+          ShardOptions{/*shards=*/1, /*threads=*/1})) {}
 
 Simulator::~Simulator() = default;
 
 void Simulator::set_cell_trace(CellId cell, BandwidthTrace trace) {
-  SCALPEL_REQUIRE(cell >= 0 &&
-                      static_cast<std::size_t>(cell) < traces_.size(),
-                  "cell id out of range");
-  traces_[static_cast<std::size_t>(cell)] = std::move(trace);
-}
-
-void Simulator::set_controller(Controller controller) {
-  set_controller(RichController(
-      [inner = std::move(controller)](
-          double now, const std::vector<double>& bw,
-          const std::vector<bool>& alive, const std::vector<double>&,
-          const std::vector<double>&) {
-        ControlAction action;
-        action.decision = inner(now, bw, alive);
-        return action;
-      }));
-}
-
-void Simulator::set_controller(RichController controller) {
-  set_controller(ObservingController(
-      [inner = std::move(controller)](const Observation& o) {
-        return inner(o.time, o.cell_bandwidth, o.server_alive, o.offered_rate,
-                     o.queue_depth);
-      }));
+  engine_->set_cell_trace(cell, std::move(trace));
 }
 
 void Simulator::set_controller(ObservingController controller) {
-  SCALPEL_REQUIRE(options_.control_interval > 0.0,
-                  "controller needs control_interval > 0");
-  controller_ = std::move(controller);
+  engine_->set_controller(std::move(controller));
 }
 
 void Simulator::set_admission(std::vector<double> fraction) {
-  if (!fraction.empty()) {
-    SCALPEL_REQUIRE(fraction.size() == devices_.size(),
-                    "admission gate must cover every device");
-    for (double f : fraction) {
-      SCALPEL_REQUIRE(f >= 0.0 && f <= 1.0,
-                      "admission fraction must be in [0, 1]");
-    }
-  }
-  admit_fraction_ = std::move(fraction);
+  engine_->set_admission(std::move(fraction));
 }
 
-void Simulator::schedule(double t, EvKind kind, std::int32_t a,
-                         std::uint64_t b) {
-  if (t > options_.horizon) return;
-  events_.push(t, static_cast<std::uint32_t>(kind), a, b);
+SimMetrics Simulator::run() { return engine_->run(); }
+
+const TaskTracer& Simulator::trace() const {
+  return engine_->one_shard_tracer();
 }
 
-void Simulator::compile_device(DeviceId dev) {
-  const auto i = static_cast<std::size_t>(dev);
-  compile_device_decision(*instance_, dev, decision_.per_device[i],
-                          *devices_[i], /*cache=*/nullptr);
-}
-
-void Simulator::apply_decision(const Decision& decision) {
-  SCALPEL_REQUIRE(
-      decision.per_device.size() == instance_->topology().devices().size(),
-      "decision must cover every device");
-  decision_ = decision;
-  for (std::size_t i = 0; i < decision_.per_device.size(); ++i) {
-    compile_device(static_cast<DeviceId>(i));
-  }
-}
-
-void Simulator::settle_in_flight(double now) {
-  in_flight_integral_ += static_cast<double>(in_flight_) *
-                         (now - in_flight_last_t_);
-  in_flight_last_t_ = now;
-}
-
-double Simulator::burst_multiplier() const {
-  double factor = 1.0;
-  for (const auto& rb : options_.rate_bursts) {
-    if (now_ >= rb.start && now_ < rb.end) factor *= rb.factor;
-  }
-  return factor;
-}
-
-bool Simulator::deadline_expired(TaskIndex task,
-                                 double best_case_remaining) const {
-  if (options_.overload.policy != OverloadPolicy::ShedExpired) return false;
-  const double deadline =
-      instance_->topology().device(tasks_.device[task]).deadline;
-  if (deadline <= 0.0) return false;  // best effort never expires
-  return now_ + best_case_remaining >
-         tasks_.arrival[task] + deadline + 1e-12;
-}
-
-double Simulator::best_case_offload_remaining(TaskIndex task) const {
-  // Most optimistic rest-of-pipeline time: the whole cell uplink to itself,
-  // no queueing anywhere, the server at full capacity. Only a task late even
-  // under these assumptions is *provably* late.
-  const auto& device = instance_->topology().device(tasks_.device[task]);
-  const double cap =
-      cell_links_[static_cast<std::size_t>(device.cell)]->capacity();
-  const double upload =
-      cap > 0.0
-          ? static_cast<double>(tasks_.phases[task].upload_bytes) / cap
-          : 0.0;
-  return upload + tasks_.rtt[task] + tasks_.phases[task].server_time;
-}
-
-bool Simulator::enqueue_bounded(IndexDeque& queue, TaskIndex task,
-                                std::size_t limit, bool server_stage) {
-  if (limit == 0 || queue.size() < limit) {
-    queue.push_back(task);
-    return true;
-  }
-  auto remaining = [&](TaskIndex t) {
-    return server_stage ? tasks_.phases[t].server_time
-                        : best_case_offload_remaining(t);
-  };
-  switch (options_.overload.policy) {
-    case OverloadPolicy::Block:
-      // Blocked-calls-cleared: the entrant is refused.
-      shed(task, now_, false);
-      return false;
-    case OverloadPolicy::ShedExpired:
-      // Prefer sacrificing a task that is already provably late.
-      for (std::size_t pos = 0; pos < queue.size(); ++pos) {
-        const TaskIndex t = queue.at(pos);
-        if (deadline_expired(t, remaining(t))) {
-          queue.erase_at(pos);
-          shed(t, now_, true);
-          queue.push_back(task);
-          return true;
-        }
-      }
-      [[fallthrough]];
-    case OverloadPolicy::ShedNewest: {
-      // Shed the youngest task by arrival time, preserving the work already
-      // invested in older ones (retried/resteered tasks reorder queues, so
-      // the entrant is not always the youngest).
-      std::size_t youngest = 0;
-      for (std::size_t pos = 0; pos < queue.size(); ++pos) {
-        if (tasks_.arrival[queue.at(pos)] >
-            tasks_.arrival[queue.at(youngest)]) {
-          youngest = pos;
-        }
-      }
-      if (tasks_.arrival[queue.at(youngest)] > tasks_.arrival[task]) {
-        const TaskIndex victim = queue.at(youngest);
-        queue.erase_at(youngest);
-        shed(victim, now_, false);
-        queue.push_back(task);
-        return true;
-      }
-      shed(task, now_, false);
-      return false;
-    }
-  }
-  return false;  // unreachable
-}
-
-void Simulator::on_arrival(DeviceId dev) {
-  const auto i = static_cast<std::size_t>(dev);
-  const auto& device = instance_->topology().device(dev);
-  auto& rng = *rngs_[i];
-
-  auto& cd = *devices_[i];
-
-  // Schedule the next arrival first (Poisson, or Markov-modulated when
-  // burstiness is configured; scripted bursts scale the rate directly).
-  double rate = device.arrival_rate * burst_multiplier();
-  if (options_.burst_factor > 0.0) {
-    SCALPEL_REQUIRE(options_.burst_factor < 1.0,
-                    "burst_factor must be in [0, 1)");
-    while (now_ >= cd.burst_state_until) {
-      cd.burst_high = !cd.burst_high;
-      cd.burst_state_until = std::max(now_, cd.burst_state_until) +
-                             rng.exponential(1.0 / options_.burst_hold);
-    }
-    rate *= cd.burst_high ? (1.0 + options_.burst_factor)
-                          : (1.0 - options_.burst_factor);
-  }
-  const double next = now_ + rng.exponential(rate);
-  schedule(next, EvKind::kArrival, dev);
-  const TaskIndex task = tasks_.acquire();
-  tasks_.id[task] = make_task_id(dev, cd.arrival_seq++);
-  tasks_.device[task] = dev;
-  tasks_.arrival[task] = now_;
-  if (now_ >= options_.warmup) tasks_.flags[task] |= TaskPool::kCounted;
-  tasks_.difficulty[task] = device.difficulty.sample(rng);
-  tasks_.phases[task] = cd.plan->phases_for(tasks_.difficulty[task]);
-  tasks_.server[task] = cd.server;
-  tasks_.rtt[task] = cd.rtt;
-  tasks_.bw_weight[task] = cd.bandwidth;
-  tasks_.cpu_weight[task] = cd.share;
-
-  ++metrics_.per_device[i].arrived;
-  ctr_arrived_->inc();
-  ++arrivals_since_tick_[i];
-  settle_in_flight(now_);
-  ++in_flight_;
-  tracer_.record(now_, tasks_.id[task], dev, tasks_.server[task],
-                 TraceEventType::kArrive);
-
-  // Runtime admission gate: a refused arrival is shed before consuming any
-  // device time (its difficulty draw above keeps the RNG streams aligned
-  // with an ungated run; the coin comes from a dedicated stream).
-  if (!admit_fraction_.empty() &&
-      admit_rngs_[i]->uniform() > admit_fraction_[i]) {
-    ctr_gate_refused_->inc();
-    shed(task, now_, false);
-    return;
-  }
-
-  // FCFS device queue with deterministic service: the finish time is known
-  // at arrival.
-  const double start = std::max(now_, cd.busy_until);
-
-  // Deadline expiry at the door: the device wait is exact and the offload
-  // remainder is bounded below, so lateness here is provable (ShedExpired).
-  double best_case = (start - now_) + tasks_.phases[task].device_time;
-  if (tasks_.phases[task].offloaded) {
-    best_case += best_case_offload_remaining(task);
-  }
-  if (deadline_expired(task, best_case)) {
-    shed(task, now_, true);
-    return;
-  }
-
-  // Bounded device stage. Its schedule is committed at enqueue (events
-  // already posted), so every policy refuses the entrant here — which at
-  // arrival time is always the youngest task anyway.
-  const std::size_t limit = options_.overload.device_queue_limit;
-  if (limit > 0 && cd.device_backlog >= limit) {
-    shed(task, now_, false);
-    return;
-  }
-  ++cd.device_backlog;
-  tracer_.record(now_, tasks_.id[task], dev, -1, TraceEventType::kEnqueue,
-                 static_cast<std::uint8_t>(TraceStage::kDevice));
-  // The device stage schedule is committed here, so the exec-start stamp is
-  // known now even though it may lie in the future.
-  tracer_.record(start, tasks_.id[task], dev, -1, TraceEventType::kExecStart,
-                 static_cast<std::uint8_t>(TraceStage::kDevice));
-  const double finish = start + tasks_.phases[task].device_time;
-  cd.busy_until = finish;
-  schedule(finish, EvKind::kDeviceDone, -1, task);
-}
-
-void Simulator::finish_device_phase(TaskIndex task) {
-  auto& cd = *devices_[static_cast<std::size_t>(tasks_.device[task])];
-  if (cd.device_backlog > 0) --cd.device_backlog;
-  tasks_.device_done[task] = now_;
-  tracer_.record(now_, tasks_.id[task], tasks_.device[task], -1,
-                 TraceEventType::kExecEnd,
-                 static_cast<std::uint8_t>(TraceStage::kDevice));
-  if (!tasks_.phases[task].offloaded) {
-    complete(task, now_);
-    return;
-  }
-  start_upload(task);
-}
-
-void Simulator::start_upload(TaskIndex task) {
-  auto& cd = *devices_[static_cast<std::size_t>(tasks_.device[task])];
-  if (deadline_expired(task, best_case_offload_remaining(task))) {
-    shed(task, now_, true);
-    return;
-  }
-  if (cd.uploading) {
-    if (enqueue_bounded(cd.upload_queue, task,
-                        options_.overload.upload_queue_limit, false)) {
-      tracer_.record(now_, tasks_.id[task], tasks_.device[task],
-                     tasks_.server[task], TraceEventType::kEnqueue,
-                     static_cast<std::uint8_t>(TraceStage::kUpload));
-    }
-    return;
-  }
-  cd.uploading = true;
-  begin_upload_job(task);
-}
-
-void Simulator::advance_upload_queue(DeviceId dev) {
-  auto& cd = *devices_[static_cast<std::size_t>(dev)];
-  if (cd.upload_queue.empty()) {
-    cd.uploading = false;
-    return;
-  }
-  const TaskIndex next = cd.upload_queue.pop_front();
-  tracer_.record(now_, tasks_.id[next], tasks_.device[next],
-                 tasks_.server[next], TraceEventType::kDispatch,
-                 static_cast<std::uint8_t>(TraceStage::kUpload));
-  begin_upload_job(next);
-}
-
-void Simulator::begin_upload_job(TaskIndex task) {
-  const auto& device = instance_->topology().device(tasks_.device[task]);
-  const auto cell = static_cast<std::size_t>(device.cell);
-  // A dead link or dead target server fails the transfer before it starts.
-  if (!link_up_[cell] ||
-      !server_up_[static_cast<std::size_t>(tasks_.server[task])]) {
-    advance_upload_queue(tasks_.device[task]);
-    handle_fault(task);
-    return;
-  }
-  // A task that queued past its provable deadline is dropped before it
-  // occupies the uplink slot (ShedExpired).
-  if (deadline_expired(task, best_case_offload_remaining(task))) {
-    advance_upload_queue(tasks_.device[task]);
-    shed(task, now_, true);
-    return;
-  }
-  auto* link = cell_links_[cell].get();
-  auto& owner = *devices_[static_cast<std::size_t>(tasks_.device[task])];
-  owner.uploading_task = task;
-  tracer_.record(now_, tasks_.id[task], tasks_.device[task],
-                 tasks_.server[task], TraceEventType::kUploadStart);
-  link->add_job(now_, static_cast<double>(tasks_.phases[task].upload_bytes),
-                tasks_.bw_weight[task], upload_tag(task));
-  arm_fluid(cell);
-}
-
-void Simulator::start_server_phase(TaskIndex task) {
-  SCALPEL_REQUIRE(tasks_.server[task] >= 0, "offloaded task lost its server");
-  // The server may have crashed while the upload or rtt was in progress.
-  if (!server_up_[static_cast<std::size_t>(tasks_.server[task])]) {
-    handle_fault(task);
-    return;
-  }
-  tasks_.upload_done[task] = now_;
-  if (tasks_.phases[task].server_time <= 0.0) {
-    complete(task, now_);
-    return;
-  }
-  auto& cd = *devices_[static_cast<std::size_t>(tasks_.device[task])];
-  if (deadline_expired(task, tasks_.phases[task].server_time)) {
-    shed(task, now_, true);
-    return;
-  }
-  auto& chain = cd.chain_for(tasks_.server[task]);
-  if (chain.serving) {
-    if (enqueue_bounded(chain.queue, task,
-                        options_.overload.server_queue_limit, true)) {
-      tracer_.record(now_, tasks_.id[task], tasks_.device[task],
-                     tasks_.server[task], TraceEventType::kEnqueue,
-                     static_cast<std::uint8_t>(TraceStage::kServer));
-    }
-    return;
-  }
-  chain.serving = true;
-  begin_server_job(task);
-}
-
-void Simulator::advance_server_chain(DeviceId dev, ServerId server) {
-  auto& cd = *devices_[static_cast<std::size_t>(dev)];
-  auto& chain = cd.chain_for(server);
-  if (chain.queue.empty()) {
-    chain.serving = false;
-    return;
-  }
-  const TaskIndex next = chain.queue.pop_front();
-  tracer_.record(now_, tasks_.id[next], tasks_.device[next],
-                 tasks_.server[next], TraceEventType::kDispatch,
-                 static_cast<std::uint8_t>(TraceStage::kServer));
-  begin_server_job(next);
-}
-
-void Simulator::begin_server_job(TaskIndex task) {
-  if (!server_up_[static_cast<std::size_t>(tasks_.server[task])]) {
-    advance_server_chain(tasks_.device[task], tasks_.server[task]);
-    handle_fault(task);
-    return;
-  }
-  // Never start server work whose result is provably past the deadline.
-  if (deadline_expired(task, tasks_.phases[task].server_time)) {
-    advance_server_chain(tasks_.device[task], tasks_.server[task]);
-    shed(task, now_, true);
-    return;
-  }
-  const auto srv = static_cast<std::size_t>(tasks_.server[task]);
-  auto* server = servers_[srv].get();
-  auto& owner =
-      devices_[static_cast<std::size_t>(tasks_.device[task])]->chain_for(
-          tasks_.server[task]);
-  owner.serving_task = task;
-  tracer_.record(now_, tasks_.id[task], tasks_.device[task],
-                 tasks_.server[task], TraceEventType::kExecStart,
-                 static_cast<std::uint8_t>(TraceStage::kServer));
-  server->add_job(now_, tasks_.phases[task].server_time,
-                  tasks_.cpu_weight[task], server_tag(task));
-  arm_fluid(cell_links_.size() + srv);
-}
-
-void Simulator::fluid_job_done(std::uint64_t tag, double now) {
-  const TaskIndex task = static_cast<TaskIndex>(tag & 0xffffffffu);
-  if ((tag & kServerStageBit) == 0) {
-    // Uplink transfer drained.
-    tracer_.record(now, tasks_.id[task], tasks_.device[task],
-                   tasks_.server[task], TraceEventType::kUploadEnd);
-    // Propagation/setup delay after the transfer drains.
-    schedule(now + tasks_.rtt[task], EvKind::kServerArrive, -1, task);
-    // Head-of-line advance for this device's upload stream.
-    const DeviceId dev = tasks_.device[task];
-    devices_[static_cast<std::size_t>(dev)]->uploading_task = kNoTask;
-    advance_upload_queue(dev);
-    return;
-  }
-  // Server execution finished.
-  tracer_.record(now, tasks_.id[task], tasks_.device[task],
-                 tasks_.server[task], TraceEventType::kExecEnd,
-                 static_cast<std::uint8_t>(TraceStage::kServer));
-  const DeviceId dev = tasks_.device[task];
-  const ServerId srv = tasks_.server[task];
-  devices_[static_cast<std::size_t>(dev)]->chain_for(srv).serving_task =
-      kNoTask;
-  complete(task, now);  // releases the pool slot; read fields before this
-  advance_server_chain(dev, srv);
-}
-
-void Simulator::on_fault_event(const FaultEvent& ev) {
-  if (ev.target == FaultTarget::Server) {
-    const auto s = static_cast<std::size_t>(ev.id);
-    if (ev.up) {
-      if (!server_up_[s]) {
-        server_up_[s] = true;
-        --down_servers_;
-      }
-    } else if (server_up_[s]) {
-      on_server_down(ev.id);
-    }
-  } else {
-    const auto c = static_cast<std::size_t>(ev.id);
-    if (ev.up) {
-      if (!link_up_[c]) {
-        link_up_[c] = true;
-        --down_links_;
-      }
-    } else if (link_up_[c]) {
-      on_link_down(ev.id);
-    }
-  }
-}
-
-void Simulator::on_server_down(ServerId s) {
-  server_up_[static_cast<std::size_t>(s)] = false;
-  ++down_servers_;
-  ctr_server_down_->inc();
-  // Every fluid job on this server belongs to a task targeting it; drop them
-  // all at once, then fail/resteer the owners.
-  servers_[static_cast<std::size_t>(s)]->clear(now_);
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    ServerChain* chain = devices_[i]->find_chain(s);
-    if (chain == nullptr) continue;
-    // Every task in this (device, server) chain targets the dead server:
-    // the one in service first (it lost real progress), then the queue in
-    // FIFO order. The chain goes idle — nothing is left to advance to.
-    std::vector<TaskIndex> victims;
-    if (chain->serving_task != kNoTask) {
-      victims.push_back(chain->serving_task);
-      chain->serving_task = kNoTask;
-    }
-    while (!chain->queue.empty()) victims.push_back(chain->queue.pop_front());
-    chain->serving = false;
-    for (TaskIndex v : victims) handle_fault(v);
-  }
-}
-
-void Simulator::on_link_down(CellId c) {
-  link_up_[static_cast<std::size_t>(c)] = false;
-  ++down_links_;
-  ctr_link_down_->inc();
-  cell_links_[static_cast<std::size_t>(c)]->clear(now_);
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    if (instance_->topology().device(static_cast<DeviceId>(i)).cell != c) {
-      continue;
-    }
-    auto& cd = *devices_[i];
-    std::vector<TaskIndex> victims;
-    if (cd.uploading_task != kNoTask) {
-      victims.push_back(cd.uploading_task);
-      cd.uploading_task = kNoTask;
-    }
-    for (std::size_t pos = 0; pos < cd.upload_queue.size(); ++pos) {
-      victims.push_back(cd.upload_queue.at(pos));
-    }
-    cd.upload_queue.clear();
-    cd.uploading = false;
-    for (TaskIndex v : victims) handle_fault(v);
-  }
-}
-
-void Simulator::handle_fault(TaskIndex task) {
-  tasks_.flags[task] |= TaskPool::kFaulted;
-  switch (options_.faults.policy) {
-    case FaultPolicy::Drop:
-      fail(task, now_);
-      return;
-    case FaultPolicy::RetryOnDevice:
-      resteer_local(task);
-      return;
-    case FaultPolicy::RetryOffload: {
-      const auto& f = options_.faults;
-      if (tasks_.retries[task] >= f.max_retries ||
-          now_ + f.retry_backoff - tasks_.arrival[task] > f.retry_timeout) {
-        fail(task, now_);
-        return;
-      }
-      ++tasks_.retries[task];
-      ctr_retry_->inc();
-      if (tasks_.counted(task)) {
-        ++metrics_.per_device[static_cast<std::size_t>(tasks_.device[task])]
-              .retries;
-      }
-      tracer_.record(now_, tasks_.id[task], tasks_.device[task],
-                     tasks_.server[task], TraceEventType::kRetry,
-                     static_cast<std::uint8_t>(
-                         std::min<std::size_t>(tasks_.retries[task], 255)));
-      schedule(now_ + f.retry_backoff, EvKind::kRedispatch, -1, task);
-      return;
-    }
-  }
-}
-
-void Simulator::resteer_local(TaskIndex task) {
-  auto& cd = *devices_[static_cast<std::size_t>(tasks_.device[task])];
-  // Re-execute the whole task on the device under the device-only variant of
-  // its plan (the partial server-side work is lost with the server).
-  const PlanModel* fb = cd.fallback ? cd.fallback.get() : cd.plan.get();
-  tasks_.phases[task] = fb->phases_for(tasks_.difficulty[task]);
-  tasks_.server[task] = -1;
-  tasks_.rtt[task] = 0.0;
-  tasks_.bw_weight[task] = 0.0;
-  tasks_.cpu_weight[task] = 0.0;
-  const double start = std::max(now_, cd.busy_until);
-  if (deadline_expired(task,
-                       (start - now_) + tasks_.phases[task].device_time)) {
-    shed(task, now_, true);
-    return;
-  }
-  ctr_resteer_->inc();
-  if (tasks_.counted(task)) {
-    ++metrics_.per_device[static_cast<std::size_t>(tasks_.device[task])]
-          .resteered;
-  }
-  tracer_.record(now_, tasks_.id[task], tasks_.device[task], -1,
-                 TraceEventType::kResteer);
-  ++cd.device_backlog;
-  cd.busy_until = start + tasks_.phases[task].device_time;
-  tracer_.record(start, tasks_.id[task], tasks_.device[task], -1,
-                 TraceEventType::kExecStart,
-                 static_cast<std::uint8_t>(TraceStage::kDevice));
-  schedule(cd.busy_until, EvKind::kDeviceDone, -1, task);
-}
-
-void Simulator::redispatch(TaskIndex task) {
-  // Re-enter the pipeline end-to-end under the device's *current* plan — by
-  // now an online controller may have re-solved around the failure. If the
-  // plan no longer offloads, this degenerates to a device re-execution.
-  auto& cd = *devices_[static_cast<std::size_t>(tasks_.device[task])];
-  tasks_.phases[task] = cd.plan->phases_for(tasks_.difficulty[task]);
-  tasks_.server[task] = cd.server;
-  tasks_.rtt[task] = cd.rtt;
-  tasks_.bw_weight[task] = cd.bandwidth;
-  tasks_.cpu_weight[task] = cd.share;
-  const double start = std::max(now_, cd.busy_until);
-  double best_case = (start - now_) + tasks_.phases[task].device_time;
-  if (tasks_.phases[task].offloaded) {
-    best_case += best_case_offload_remaining(task);
-  }
-  if (deadline_expired(task, best_case)) {
-    shed(task, now_, true);
-    return;
-  }
-  ++cd.device_backlog;
-  cd.busy_until = start + tasks_.phases[task].device_time;
-  tracer_.record(start, tasks_.id[task], tasks_.device[task], -1,
-                 TraceEventType::kExecStart,
-                 static_cast<std::uint8_t>(TraceStage::kDevice));
-  schedule(cd.busy_until, EvKind::kDeviceDone, -1, task);
-}
-
-void Simulator::shed(TaskIndex task, double now, bool expired) {
-  settle_in_flight(now);
-  --in_flight_;
-  (expired ? ctr_expired_ : ctr_shed_)->inc();
-  ++window_shed_;
-  tracer_.record(now, tasks_.id[task], tasks_.device[task],
-                 tasks_.server[task],
-                 expired ? TraceEventType::kExpire : TraceEventType::kShed);
-  if (!tasks_.counted(task)) {
-    tasks_.release(task);
-    return;
-  }
-  auto& dm = metrics_.per_device[static_cast<std::size_t>(tasks_.device[task])];
-  if (expired) {
-    ++dm.expired;
-  } else {
-    ++dm.shed;
-  }
-  // A shed deadline-bearing task is a miss — overload protection must never
-  // look better than the overload it protects against.
-  const auto& device = instance_->topology().device(tasks_.device[task]);
-  if (device.deadline > 0.0) {
-    ++dm.deadline_total;
-    ctr_deadline_total_->inc();
-  }
-  tasks_.release(task);
-}
-
-void Simulator::fail(TaskIndex task, double now) {
-  settle_in_flight(now);
-  --in_flight_;
-  ctr_failed_->inc();
-  tracer_.record(now, tasks_.id[task], tasks_.device[task],
-                 tasks_.server[task], TraceEventType::kFail);
-  if (!tasks_.counted(task)) {
-    tasks_.release(task);
-    return;
-  }
-  auto& dm = metrics_.per_device[static_cast<std::size_t>(tasks_.device[task])];
-  ++dm.failed;
-  // A dropped deadline-bearing task is a miss, not a statistical no-show —
-  // otherwise shedding load would inflate deadline satisfaction.
-  const auto& device = instance_->topology().device(tasks_.device[task]);
-  if (device.deadline > 0.0) {
-    ++dm.deadline_total;
-    ctr_deadline_total_->inc();
-  }
-  tasks_.release(task);
-}
-
-void Simulator::complete(TaskIndex task, double now) {
-  settle_in_flight(now);
-  --in_flight_;
-  ++window_completions_;
-  window_accuracy_sum_ += tasks_.phases[task].correct_prob;
-  ctr_completed_->inc();
-  tracer_.record(now, tasks_.id[task], tasks_.device[task],
-                 tasks_.server[task], TraceEventType::kComplete);
-  if (!tasks_.counted(task)) {
-    tasks_.release(task);
-    return;
-  }
-  const auto i = static_cast<std::size_t>(tasks_.device[task]);
-  auto& dm = metrics_.per_device[i];
-  const double latency = now - tasks_.arrival[task];
-  dm.latency.add(latency);
-  hist_latency_->add(latency);
-  ++dm.completed;
-  if (tasks_.faulted(task) || any_outage()) {
-    metrics_.outage_latency.add(latency);
-  }
-  const auto& device = instance_->topology().device(tasks_.device[task]);
-  if (device.deadline > 0.0) {
-    ++dm.deadline_total;
-    ctr_deadline_total_->inc();
-    if (latency <= device.deadline) {
-      ++dm.deadline_met;
-      ctr_deadline_met_->inc();
-    }
-  }
-  const TaskPhases& phases = tasks_.phases[task];
-  dm.accuracy_sum += phases.correct_prob;
-  // Device-side energy: active while computing, transmitting while the
-  // upload drains, idling while the server works.
-  const double upload_dur =
-      phases.offloaded ? tasks_.upload_done[task] - tasks_.device_done[task]
-                       : 0.0;
-  const double idle_dur =
-      phases.offloaded ? now - tasks_.upload_done[task] : 0.0;
-  dm.energy_sum += device.energy.task_energy(phases.device_time, upload_dur,
-                                             idle_dur);
-  if (phases.offloaded) ++dm.offloaded;
-  const std::size_t slot =
-      phases.exit_index < 0 ? 0
-                            : static_cast<std::size_t>(phases.exit_index) + 1;
-  if (dm.exit_histogram.size() <= slot) dm.exit_histogram.resize(slot + 1, 0);
-  ++dm.exit_histogram[slot];
-  tasks_.release(task);
-}
-
-void Simulator::series_tick() {
-  // Settle the in-flight integral at the window boundary.
-  settle_in_flight(now_);
-  metrics_.series.tasks_in_flight.push_back(in_flight_integral_ /
-                                            options_.series_window);
-  in_flight_integral_ = 0.0;
-  metrics_.series.completion_rate.push_back(
-      static_cast<double>(window_completions_) / options_.series_window);
-  metrics_.series.mean_accuracy.push_back(
-      window_completions_
-          ? window_accuracy_sum_ / static_cast<double>(window_completions_)
-          : 0.0);
-  metrics_.series.shed_rate.push_back(static_cast<double>(window_shed_) /
-                                      options_.series_window);
-  window_completions_ = 0;
-  window_accuracy_sum_ = 0.0;
-  window_shed_ = 0;
-  schedule(now_ + options_.series_window, EvKind::kSeries);
-}
-
-void Simulator::controller_tick() {
-  Observation o;
-  o.time = now_;
-  o.cell_bandwidth.resize(cell_links_.size());
-  for (std::size_t c = 0; c < cell_links_.size(); ++c) {
-    o.cell_bandwidth[c] = cell_links_[c]->capacity();
-  }
-  o.server_alive = server_up_;
-  // Load signals: offered rate since the last tick plus instantaneous queue
-  // depth across the device's whole pipeline. These are controller-side
-  // estimates, not cluster telemetry — the channel model does not touch them.
-  const double span = std::max(now_ - last_controller_tick_, 1e-12);
-  o.offered_rate.assign(devices_.size(), 0.0);
-  o.queue_depth.assign(devices_.size(), 0.0);
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    o.offered_rate[i] = static_cast<double>(arrivals_since_tick_[i]) / span;
-    const auto& cd = *devices_[i];
-    o.queue_depth[i] = static_cast<double>(cd.device_backlog +
-                                           cd.upload_queue.size() +
-                                           (cd.uploading_task != kNoTask ? 1
-                                                                         : 0) +
-                                           cd.server_stage_depth());
-  }
-  if (channel_) {
-    channel_->sample(now_, o.cell_bandwidth, o.server_alive, o.bw_fresh,
-                     o.bw_age, o.alive_fresh);
-  }
-  ControlAction action = controller_(o);
-  if (action.decision) apply_decision(*action.decision);
-  if (action.admit_fraction) set_admission(*action.admit_fraction);
-  arrivals_since_tick_.assign(devices_.size(), 0);
-  last_controller_tick_ = now_;
-  schedule(now_ + options_.control_interval, EvKind::kController);
-}
-
-void Simulator::obs_tick() {
-  EngineSample s;
-  s.time = now_;
-  s.arrived = ctr_arrived_->value();
-  s.completed = ctr_completed_->value();
-  s.failed = ctr_failed_->value();
-  s.shed = ctr_shed_->value();
-  s.expired = ctr_expired_->value();
-  s.deadline_met = ctr_deadline_met_->value();
-  s.deadline_total = ctr_deadline_total_->value();
-  s.in_flight = static_cast<double>(std::max<std::int64_t>(0, in_flight_));
-  double depth = 0.0;
-  for (const auto& dev : devices_) {
-    const auto& cd = *dev;
-    depth += static_cast<double>(cd.device_backlog + cd.upload_queue.size() +
-                                 (cd.uploading_task != kNoTask ? 1 : 0) +
-                                 cd.server_stage_depth());
-  }
-  s.queue_depth = depth;
-  options_.recorder->sample(s);
-  if (options_.slo != nullptr) options_.slo->evaluate();
-  schedule(now_ + options_.obs_interval, EvKind::kObsSample);
-}
-
-void Simulator::arm_fluid(std::size_t slot) {
-  FluidResource* resource = fluids_[slot];
-  const double t = resource->next_completion();
-  if (!std::isfinite(t)) return;
-  // Fluid completions may land beyond the horizon; in-flight tasks are
-  // simply abandoned there.
-  schedule(std::max(t, now_), EvKind::kFluidWake,
-           static_cast<std::int32_t>(slot), resource->epoch());
-}
-
-void Simulator::dispatch(const SimEvent& ev) {
-  switch (static_cast<EvKind>(ev.kind)) {
-    case EvKind::kArrival:
-      on_arrival(static_cast<DeviceId>(ev.a));
-      return;
-    case EvKind::kDeviceDone:
-      finish_device_phase(static_cast<TaskIndex>(ev.b));
-      return;
-    case EvKind::kServerArrive:
-      start_server_phase(static_cast<TaskIndex>(ev.b));
-      return;
-    case EvKind::kRedispatch:
-      redispatch(static_cast<TaskIndex>(ev.b));
-      return;
-    case EvKind::kFluidWake: {
-      const std::size_t slot = static_cast<std::size_t>(ev.a);
-      FluidResource* resource = fluids_[slot];
-      if (resource->epoch() != ev.b) return;  // stale wake-up
-      resource->complete_due(now_, *this);
-      arm_fluid(slot);
-      return;
-    }
-    case EvKind::kFaultEvent:
-      on_fault_event(
-          options_.faults.schedule.events()[static_cast<std::size_t>(ev.b)]);
-      return;
-    case EvKind::kController:
-      controller_tick();
-      return;
-    case EvKind::kSeries:
-      series_tick();
-      return;
-    case EvKind::kObsSample:
-      obs_tick();
-      return;
-    case EvKind::kBandwidth: {
-      const auto c = static_cast<std::size_t>(ev.a);
-      const auto& seg =
-          traces_[c]->segments()[static_cast<std::size_t>(ev.b)];
-      cell_links_[c]->set_capacity(now_, seg.bandwidth);
-      arm_fluid(c);
-      return;
-    }
-  }
-  SCALPEL_REQUIRE(false, "unknown simulator event kind");
-}
-
-SimMetrics Simulator::run() {
-  const auto& topo = instance_->topology();
-
-  // Fault-schedule transitions are scheduled first so a crash at time t
-  // precedes any arrival at the same timestamp.
-  const auto& fault_events = options_.faults.schedule.events();
-  for (std::size_t f = 0; f < fault_events.size(); ++f) {
-    schedule(fault_events[f].time, EvKind::kFaultEvent, -1, f);
-  }
-  // Seed arrivals.
-  for (std::size_t i = 0; i < topo.devices().size(); ++i) {
-    const auto dev = static_cast<DeviceId>(i);
-    const double first =
-        rngs_[i]->exponential(topo.device(dev).arrival_rate);
-    schedule(first, EvKind::kArrival, dev);
-  }
-  // Bandwidth trace change-points.
-  for (std::size_t c = 0; c < traces_.size(); ++c) {
-    if (!traces_[c]) continue;
-    auto* link = cell_links_[c].get();
-    const auto& segs = traces_[c]->segments();
-    for (std::size_t s = 0; s < segs.size(); ++s) {
-      if (segs[s].start <= 0.0) {
-        link->set_capacity(0.0, segs[s].bandwidth);
-        continue;
-      }
-      schedule(segs[s].start, EvKind::kBandwidth,
-               static_cast<std::int32_t>(c), s);
-    }
-  }
-  // Controller ticks.
-  if (controller_) {
-    schedule(options_.control_interval, EvKind::kController);
-  }
-  // Time-series sampling.
-  if (options_.series_window > 0.0) {
-    metrics_.series.window = options_.series_window;
-    schedule(options_.series_window, EvKind::kSeries);
-  }
-  // Observability sampling — seeded last so at a coinciding grid time the
-  // controller and series ticks (scheduled earlier, hence lower seq)
-  // dispatch first, matching the sharded engine's serial-phase order of
-  // controller tick -> series -> obs sample. The interval caps keep that
-  // induction valid at every later collision.
-  if (options_.obs_interval > 0.0 && options_.recorder != nullptr) {
-    SCALPEL_REQUIRE(!controller_ ||
-                        options_.obs_interval <= options_.control_interval,
-                    "obs_interval must not exceed control_interval");
-    SCALPEL_REQUIRE(options_.series_window == 0.0 ||
-                        options_.obs_interval <= options_.series_window,
-                    "obs_interval must not exceed series_window");
-    schedule(options_.obs_interval, EvKind::kObsSample);
-  }
-
-  while (!events_.empty()) {
-    const SimEvent ev = events_.pop_min();
-    SCALPEL_REQUIRE(ev.time >= now_ - 1e-9, "event time went backwards");
-    now_ = std::max(now_, ev.time);
-    if (now_ > options_.horizon) break;
-    set_log_sim_time(now_);  // log lines carry the event-loop clock
-    ++events_processed_;
-    dispatch(ev);
-  }
-  clear_log_sim_time();
-
-  // Aggregate. The whole-run conservation fields come straight from the
-  // registry counters — the registry is the single source of truth for
-  // event counts; SimMetrics is the reporting view.
-  metrics_.horizon = options_.horizon;
-  metrics_.events_processed = events_processed_;
-  metrics_.completed_all = ctr_completed_->value();
-  metrics_.failed_all = ctr_failed_->value();
-  metrics_.shed_all = ctr_shed_->value() + ctr_expired_->value();
-  metrics_.in_flight_end = static_cast<std::size_t>(std::max<std::int64_t>(
-      0, in_flight_));
-  std::size_t deadline_met = 0;
-  std::size_t deadline_total = 0;
-  double acc_sum = 0.0;
-  double energy_sum = 0.0;
-  std::size_t offloaded = 0;
-  for (const auto& dm : metrics_.per_device) {
-    metrics_.arrived += dm.arrived;
-    metrics_.completed += dm.completed;
-    metrics_.failed += dm.failed;
-    metrics_.shed += dm.shed;
-    metrics_.expired += dm.expired;
-    metrics_.retried += dm.retries;
-    metrics_.resteered += dm.resteered;
-    for (double v : dm.latency.values()) metrics_.latency.add(v);
-    deadline_met += dm.deadline_met;
-    deadline_total += dm.deadline_total;
-    acc_sum += dm.accuracy_sum;
-    energy_sum += dm.energy_sum;
-    offloaded += dm.offloaded;
-  }
-  metrics_.deadline_satisfaction =
-      deadline_total ? static_cast<double>(deadline_met) /
-                           static_cast<double>(deadline_total)
-                     : 1.0;
-  metrics_.measured_accuracy =
-      metrics_.completed ? acc_sum / static_cast<double>(metrics_.completed)
-                         : 0.0;
-  metrics_.mean_task_energy =
-      metrics_.completed ? energy_sum / static_cast<double>(metrics_.completed)
-                         : 0.0;
-  metrics_.offload_fraction =
-      metrics_.completed
-          ? static_cast<double>(offloaded) /
-                static_cast<double>(metrics_.completed)
-          : 0.0;
-  for (const auto& s : servers_) {
-    metrics_.server_utilization.push_back(
-        s->busy_time(std::min(now_, options_.horizon)) / options_.horizon);
-  }
-  if (!options_.faults.schedule.empty() && !servers_.empty()) {
-    double avail = 0.0;
-    for (std::size_t s = 0; s < servers_.size(); ++s) {
-      avail += options_.faults.schedule.server_availability(
-          static_cast<std::int32_t>(s), options_.horizon);
-    }
-    metrics_.availability = avail / static_cast<double>(servers_.size());
-  }
-  registry_.gauge("sim.task.in_flight_end")
-      .set(static_cast<double>(metrics_.in_flight_end));
-  registry_.gauge("sim.availability").set(metrics_.availability);
-  registry_.gauge("sim.horizon_seconds").set(options_.horizon);
-  registry_.gauge("sim.events_processed")
-      .set(static_cast<double>(metrics_.events_processed));
-  // Pool-discipline check: the conservation identity below equates arrivals
-  // with terminal events; live() catching in_flight_end proves no task slot
-  // leaked or double-released either.
-  SCALPEL_REQUIRE(tasks_.live() == metrics_.in_flight_end,
-                  "task pool live count diverged from in-flight accounting");
-  // Whole-run conservation: every arrival is accounted for exactly once.
-  SCALPEL_REQUIRE(metrics_.arrived == metrics_.completed_all +
-                                          metrics_.failed_all +
-                                          metrics_.shed_all +
-                                          metrics_.in_flight_end,
-                  "task conservation violated");
-  return metrics_;
+const MetricsRegistry& Simulator::registry() const {
+  return engine_->registry();
 }
 
 }  // namespace scalpel

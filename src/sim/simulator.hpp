@@ -11,14 +11,10 @@
 #include "edge/dynamics.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/compiled_device.hpp"
-#include "sim/event_queue.hpp"
-#include "sim/fluid.hpp"
-#include "sim/task_pool.hpp"
-#include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace scalpel {
+class ShardedSimulator;
 class SloMonitor;
 class TimeSeriesRecorder;
 
@@ -88,11 +84,10 @@ struct SimMetrics {
   std::size_t failed_all = 0;
   std::size_t shed_all = 0;
   std::size_t in_flight_end = 0;
-  /// Discrete events dispatched by the run's inner loop (arrivals, phase
-  /// completions, fluid wake-ups, controller/series ticks, ...). The
-  /// denominator of the ns/event and allocations/event figures BENCH_simcore
-  /// tracks; identical across event-queue implementations and thread counts
-  /// for a fixed seed.
+  /// Discrete events dispatched by the run (arrivals, phase completions,
+  /// fluid wake-ups, controller/series ticks, ...). The denominator of the
+  /// ns/event and allocations/event figures BENCH_simcore tracks; identical
+  /// across shard and thread counts for a fixed seed.
   std::size_t events_processed = 0;
 };
 
@@ -147,7 +142,7 @@ struct RateBurst {
   double factor = 1.0;
 };
 
-/// What a (rich) controller tick asks of the simulator: optionally swap the
+/// What a controller tick asks of the simulator: optionally swap the
 /// deployment plan, optionally (re)set the per-device admission gate — the
 /// probability in [0, 1] that a new arrival is admitted (an empty vector
 /// clears the gate). Refused arrivals are shed and count as deadline misses.
@@ -163,21 +158,18 @@ struct ControlAction {
 /// effects the closed form cannot (work-conserving spare capacity, transient
 /// overload, bandwidth dynamics).
 ///
-/// The inner loop is engineered for throughput (scoreboard: BENCH_simcore):
-/// events are POD records dispatched through one switch (no std::function on
-/// the per-event path — only the per-tick controller callback stays type-
-/// erased), the default event queue is a calendar queue, and task records
-/// live in a recycled structure-of-arrays pool (TaskPool). Determinism bar:
-/// for a fixed seed, aggregates and traces are bit-identical for any thread
-/// count and for either event-queue implementation.
-class Simulator : private FluidSink {
+/// There is one event engine, the cell-sharded one (sim/shard.hpp);
+/// Simulator runs it at one shard on the calling thread. Its outputs are
+/// bit-identical to ShardedSimulator's at any shard and thread count
+/// (pinned by tests/sim/sim_golden_test.cpp).
+class Simulator {
  public:
   struct Options {
     double horizon = 60.0;      // simulated seconds
     double warmup = 5.0;        // metrics ignore tasks arriving before this
     std::uint64_t seed = 7;
-    /// If set, the controller callback runs every interval with the observed
-    /// per-cell bandwidths; returning a Decision swaps the deployment plan.
+    /// Controller cadence: an attached controller runs every interval with
+    /// the current Observation; its ControlAction may swap the plan.
     double control_interval = 0.0;  // 0 disables
     /// Markov-modulated arrival burstiness in [0, 1): each device flips
     /// between a high state (rate x (1+f)) and a low state (rate x (1-f))
@@ -193,33 +185,28 @@ class Simulator : private FluidSink {
     OverloadOptions overload;
     /// Scripted offered-load multipliers (empty = none).
     std::vector<RateBurst> rate_bursts;
-    /// Per-task event tracing: ring-buffer capacity in events (0 disables;
-    /// a disabled tracer costs one branch per lifecycle hook). Size the ring
-    /// from the expected event volume — roughly 8-10 events per offloaded
-    /// task — or accept oldest-first overwrites (trace().dropped()).
+    /// Per-task event tracing: ring-buffer capacity in events per shard (0
+    /// disables; a disabled tracer costs one branch per lifecycle hook).
+    /// Size the ring from the expected event volume — roughly 8-10 events
+    /// per offloaded task — or accept oldest-first overwrites
+    /// (trace().dropped(), ShardedSimulator::trace_dropped()).
     std::size_t trace_capacity = 0;
-    /// Event-queue implementation. kBinaryHeap is the pre-calendar reference
-    /// kept for differential testing; both pop the identical (time, seq)
-    /// sequence, so runs are bit-identical either way (enforced by
-    /// tests/sim/perf_equivalence_test.cpp).
-    EventQueueImpl event_queue = EventQueueImpl::kCalendar;
     /// Impairments on what the controller observes (delay/drop/noise/
     /// quantization on bandwidth, drop/flip on liveness). The default
     /// pass-through skips channel construction entirely, so runs without it
     /// stay bit-identical; with a channel, every signal draws from its own
     /// substream of seed (independent of the arrival/admission streams) and
-    /// the channel is sampled only on the controller-tick path, so sharded
-    /// runs remain bit-identical to the single loop.
+    /// the channel is sampled only in the serial controller tick, so the
+    /// readings are shard- and thread-count-invariant.
     TelemetryChannelOptions telemetry;
     /// Observability sampling cadence (seconds); 0 disables. Every
     /// obs_interval the engine snapshots its counters plus all sources
-    /// registered on `recorder` and, if set, evaluates `slo`. Sampling sits
-    /// on the exact same time grid in both engines (a scheduled event here,
-    /// the epoch barrier in the sharded engine), ordered after the
-    /// controller/series ticks of a coinciding instant, so recorded series
-    /// are bit-identical across shard x thread counts. Requires
+    /// registered on `recorder` and, if set, evaluates `slo`. Samples are
+    /// taken at epoch barriers on an exact time grid, after the controller
+    /// and series ticks of a coinciding instant, so recorded series are
+    /// bit-identical across shard x thread counts. Requires
     /// obs_interval <= control_interval (when a controller is attached) and
-    /// <= series_window (when the series is on) so that ordering holds.
+    /// <= series_window (when the series is on).
     double obs_interval = 0.0;
     /// Borrowed sink for obs samples; must outlive the run. Null disables
     /// sampling regardless of obs_interval.
@@ -228,24 +215,12 @@ class Simulator : private FluidSink {
     SloMonitor* slo = nullptr;
   };
 
-  using Controller = std::function<std::optional<Decision>(
-      double now, const std::vector<double>& cell_bandwidth,
-      const std::vector<bool>& server_alive)>;
-
-  /// Overload-aware controller: additionally sees the per-device offered
-  /// rate (arrivals/s since the last tick) and instantaneous queue depth
-  /// (device backlog + upload + server queues), and may drive the admission
-  /// gate as well as the plan.
-  using RichController = std::function<ControlAction(
-      double now, const std::vector<double>& cell_bandwidth,
-      const std::vector<bool>& server_alive,
-      const std::vector<double>& offered_rate,
-      const std::vector<double>& queue_depth)>;
-
-  /// Observation-struct controller: sees everything RichController does plus
-  /// the telemetry-freshness fields the channel model fills in — the shape
+  /// The controller signature: sees the (possibly impaired) per-cell
+  /// bandwidths and server liveness, the per-device offered rate (arrivals/s
+  /// since the last tick) and queue depth (device backlog + upload + server
+  /// queues), plus the telemetry-freshness fields — the shape
   /// OnlineController::observe(const Observation&) consumes directly. The
-  /// other controller signatures are adapters over this one.
+  /// returned action may swap the plan and drive the admission gate.
   using ObservingController = std::function<ControlAction(const Observation&)>;
 
   Simulator(const ProblemInstance& instance, Decision decision,
@@ -257,8 +232,6 @@ class Simulator : private FluidSink {
   void set_cell_trace(CellId cell, BandwidthTrace trace);
 
   /// Attach an online controller (requires options.control_interval > 0).
-  void set_controller(Controller controller);
-  void set_controller(RichController controller);
   void set_controller(ObservingController controller);
 
   /// Static per-device admission gate: each arrival at device i is admitted
@@ -272,135 +245,20 @@ class Simulator : private FluidSink {
   /// Per-task lifecycle events of the (finished or in-progress) run; empty
   /// unless Options::trace_capacity > 0. Events appear in causal recording
   /// order; a fixed seed yields a bit-identical stream.
-  const TaskTracer& trace() const { return tracer_; }
+  const TaskTracer& trace() const;
 
   /// Structured counters/gauges/histograms the run publishes into (always
   /// on; counters cover the whole run including warmup, matching the
   /// SimMetrics conservation fields). See README "Observability" for names.
-  const MetricsRegistry& registry() const { return registry_; }
+  const MetricsRegistry& registry() const;
 
  private:
-  /// Dispatch tags of the POD event records (SimEvent::kind).
-  enum class EvKind : std::uint32_t {
-    kArrival,      // a = device
-    kDeviceDone,   // b = task index
-    kServerArrive, // b = task index (upload drained + RTT elapsed)
-    kRedispatch,   // b = task index (fault-policy retry backoff elapsed)
-    kFluidWake,    // a = fluid slot (cells, then servers), b = armed epoch
-    kFaultEvent,   // b = index into the fault schedule's event list
-    kController,
-    kSeries,
-    kObsSample,    // time-series recorder + SLO evaluation cadence
-    kBandwidth,    // a = cell, b = segment index of its trace
-  };
-
-  void schedule(double t, EvKind kind, std::int32_t a = -1,
-                std::uint64_t b = 0);
-  void dispatch(const SimEvent& ev);
-  // FluidSink: tag encodes (stage, task) — see tag helpers in simulator.cpp.
-  void fluid_job_done(std::uint64_t tag, double now) override;
-  void on_arrival(DeviceId dev);
-  void finish_device_phase(TaskIndex task);
-  void start_upload(TaskIndex task);
-  void begin_upload_job(TaskIndex task);
-  void advance_upload_queue(DeviceId dev);
-  void start_server_phase(TaskIndex task);
-  void begin_server_job(TaskIndex task);
-  void advance_server_chain(DeviceId dev, ServerId server);
-  void complete(TaskIndex task, double now);
-  void fail(TaskIndex task, double now);
-  // Overload control.
-  void shed(TaskIndex task, double now, bool expired);
-  void settle_in_flight(double now);
-  bool deadline_expired(TaskIndex task, double best_case_remaining) const;
-  double best_case_offload_remaining(TaskIndex task) const;
-  /// Admit `task` into `queue` honoring `limit` under the overload policy.
-  /// Returns false when the entrant itself was shed. `server_stage` selects
-  /// the best-case-remaining estimate used for expiry decisions.
-  bool enqueue_bounded(IndexDeque& queue, TaskIndex task, std::size_t limit,
-                       bool server_stage);
-  double burst_multiplier() const;
-  void arm_fluid(std::size_t slot);
-  void apply_decision(const Decision& decision);
-  void compile_device(DeviceId dev);
-  void controller_tick();
-  void series_tick();
-  void obs_tick();
-  // Fault injection.
-  void on_fault_event(const FaultEvent& ev);
-  void on_server_down(ServerId s);
-  void on_link_down(CellId c);
-  void handle_fault(TaskIndex task);
-  void resteer_local(TaskIndex task);
-  void redispatch(TaskIndex task);
-  bool any_outage() const { return down_servers_ > 0 || down_links_ > 0; }
-
-  const ProblemInstance* instance_;
-  Decision decision_;
-  Options options_;
-
-  EventQueue events_;
-  double now_ = 0.0;
-  std::size_t events_processed_ = 0;
-
-  std::vector<std::unique_ptr<FluidResource>> cell_links_;
-  std::vector<std::unique_ptr<FluidResource>> servers_;
-  /// Flat wake-up view: slots [0, #cells) are the cell links, then servers.
-  std::vector<FluidResource*> fluids_;
-  std::vector<std::optional<BandwidthTrace>> traces_;
-  ObservingController controller_;
-  /// Telemetry impairment model between ground truth and the controller;
-  /// null when Options::telemetry is pass-through.
-  std::unique_ptr<TelemetryChannel> channel_;
-  /// Per-device admission probability (empty = admit everything).
-  std::vector<double> admit_fraction_;
-  /// Arrivals per device since the last controller tick (offered-load signal).
-  std::vector<std::size_t> arrivals_since_tick_;
-  double last_controller_tick_ = 0.0;
-
-  std::vector<std::unique_ptr<CompiledDevice>> devices_;
-  /// Recycled structure-of-arrays records of every task in flight.
-  TaskPool tasks_;
-  // Liveness state driven by the fault schedule (everything starts up).
-  std::vector<bool> server_up_;
-  std::vector<bool> link_up_;
-  std::size_t down_servers_ = 0;
-  std::size_t down_links_ = 0;
-  SimMetrics metrics_;
-  // Time-series accumulators.
-  std::int64_t in_flight_ = 0;
-  double in_flight_integral_ = 0.0;
-  double in_flight_last_t_ = 0.0;
-  std::size_t window_completions_ = 0;
-  double window_accuracy_sum_ = 0.0;
-  std::size_t window_shed_ = 0;
-  std::vector<std::unique_ptr<Rng>> rngs_;  // per device
-  /// Separate per-device streams for admission-gate coin flips, so gating
-  /// never perturbs the arrival/difficulty streams shared across schemes.
-  std::vector<std::unique_ptr<Rng>> admit_rngs_;
-  // Observability: the tracer rings lifecycle events; the registry carries
-  // whole-run counters the SimMetrics conservation fields are copied from.
-  TaskTracer tracer_;
-  MetricsRegistry registry_;
-  Counter* ctr_arrived_ = nullptr;
-  Counter* ctr_completed_ = nullptr;
-  Counter* ctr_failed_ = nullptr;
-  Counter* ctr_shed_ = nullptr;
-  Counter* ctr_expired_ = nullptr;
-  Counter* ctr_retry_ = nullptr;
-  Counter* ctr_resteer_ = nullptr;
-  Counter* ctr_gate_refused_ = nullptr;
-  Counter* ctr_server_down_ = nullptr;
-  Counter* ctr_link_down_ = nullptr;
-  Counter* ctr_deadline_met_ = nullptr;
-  Counter* ctr_deadline_total_ = nullptr;
-  HistogramMetric* hist_latency_ = nullptr;
+  std::unique_ptr<ShardedSimulator> engine_;
 };
 
 /// Builds the telemetry channel for a run: nullptr when `opts` is
 /// pass-through, else a channel seeded from a dedicated substream of the run
-/// seed. Shared by Simulator and ShardedSimulator so both engines derive
-/// bit-identical channel streams for the same seed.
+/// seed, independent of the device and admission streams.
 std::unique_ptr<TelemetryChannel> make_telemetry_channel(
     const TelemetryChannelOptions& opts, const ClusterTopology& topo,
     std::uint64_t seed);

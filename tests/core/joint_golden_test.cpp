@@ -176,7 +176,7 @@ TEST(JointGoldenConcurrency, FromRunnerReplications) {
   o.sim.horizon = 2.0;
   o.sim.warmup = 0.0;
   o.require_completions = false;
-  o.configure = [&](Simulator&, std::size_t r) {
+  o.configure = [&](ShardedSimulator&, std::size_t r) {
     got[r] = solve(campus(), light_budget());
   };
   ScenarioRunner(campus(), baselines::device_only(campus()), o).run();

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "edge/builders.hpp"
 #include "util/assert.hpp"
@@ -12,6 +14,22 @@
 
 namespace scalpel {
 namespace {
+
+/// Builds the Observation the controller sees: bandwidths, liveness (every
+/// server up when omitted) and, optionally, the per-device load signals.
+bool observe(OnlineController& ctl, std::vector<double> bw,
+             std::vector<bool> alive = {}, std::vector<double> offered = {},
+             std::vector<double> depth = {}) {
+  Observation o;
+  o.cell_bandwidth = std::move(bw);
+  o.server_alive =
+      alive.empty()
+          ? std::vector<bool>(ctl.instance().topology().servers().size(), true)
+          : std::move(alive);
+  o.offered_rate = std::move(offered);
+  o.queue_depth = std::move(depth);
+  return ctl.observe(o);
+}
 
 OnlineController::Options fast_opts(double hysteresis = 0.25) {
   OnlineController::Options o;
@@ -34,8 +52,8 @@ TEST(Online, SmallDriftIgnored) {
   OnlineController ctl(clusters::small_lab(), fast_opts(0.25));
   ctl.decision();
   const double base = clusters::small_lab().cell(0).bandwidth;
-  EXPECT_FALSE(ctl.observe({base * 1.1}));
-  EXPECT_FALSE(ctl.observe({base * 0.9}));
+  EXPECT_FALSE(observe(ctl, {base * 1.1}));
+  EXPECT_FALSE(observe(ctl, {base * 0.9}));
   EXPECT_EQ(ctl.reoptimizations(), 0u);
 }
 
@@ -43,12 +61,12 @@ TEST(Online, LargeDriftTriggersReoptimization) {
   OnlineController ctl(clusters::small_lab(), fast_opts(0.25));
   ctl.decision();
   const double base = clusters::small_lab().cell(0).bandwidth;
-  EXPECT_TRUE(ctl.observe({base * 0.4}));
+  EXPECT_TRUE(observe(ctl, {base * 0.4}));
   EXPECT_EQ(ctl.reoptimizations(), 1u);
   // The instance now reflects the observed bandwidth.
   EXPECT_NEAR(ctl.instance().topology().cell(0).bandwidth, base * 0.4, 1e-6);
   // Observing the same value again is within hysteresis of the new solve.
-  EXPECT_FALSE(ctl.observe({base * 0.4}));
+  EXPECT_FALSE(observe(ctl, {base * 0.4}));
 }
 
 TEST(Online, DecisionAdaptsToBandwidthCollapse) {
@@ -57,7 +75,7 @@ TEST(Online, DecisionAdaptsToBandwidthCollapse) {
   double offload_before = 0.0;
   for (const auto& p : before.predicted) offload_before += p.offload_prob;
   // Collapse the uplink to 2 Mbps: offloading must shrink.
-  ctl.observe({mbps(2.0)});
+  observe(ctl, {mbps(2.0)});
   const auto after = ctl.decision();
   double offload_after = 0.0;
   for (const auto& p : after.predicted) offload_after += p.offload_prob;
@@ -66,17 +84,17 @@ TEST(Online, DecisionAdaptsToBandwidthCollapse) {
 
 TEST(Online, ValidatesObservationArity) {
   OnlineController ctl(clusters::small_lab(), fast_opts());
-  EXPECT_THROW(ctl.observe({1.0, 2.0}), ContractViolation);
-  EXPECT_THROW(ctl.observe({0.0}), ContractViolation);
+  EXPECT_THROW(observe(ctl, {1.0, 2.0}), ContractViolation);
+  EXPECT_THROW(observe(ctl, {0.0}), ContractViolation);
 }
 
 TEST(Online, ValidatesLivenessArity) {
   const auto topo = clusters::small_lab();  // 1 cell, 2 servers
   OnlineController ctl(topo, fast_opts());
   const std::vector<double> bw = {topo.cell(0).bandwidth};
-  EXPECT_THROW(ctl.observe(bw, {true}), ContractViolation);
-  EXPECT_THROW(ctl.observe(bw, {true, true, true}), ContractViolation);
-  EXPECT_NO_THROW(ctl.observe(bw, {true, true}));
+  EXPECT_THROW(observe(ctl, bw, {true}), ContractViolation);
+  EXPECT_THROW(observe(ctl, bw, {true, true, true}), ContractViolation);
+  EXPECT_NO_THROW(observe(ctl, bw, {true, true}));
 }
 
 TEST(Online, DeadServerExcludedFromAssignment) {
@@ -86,7 +104,7 @@ TEST(Online, DeadServerExcludedFromAssignment) {
   OnlineController ctl(topo, fast_opts());
   ctl.decision();
   const std::vector<double> bw = {topo.cell(0).bandwidth};
-  EXPECT_TRUE(ctl.observe(bw, {false, true}));
+  EXPECT_TRUE(observe(ctl, bw, {false, true}));
   EXPECT_EQ(ctl.failovers(), 1u);
   const auto& d = ctl.decision();
   bool any_offload = false;
@@ -103,7 +121,7 @@ TEST(Online, AllServersDeadFallsBackToDeviceOnly) {
   const auto topo = clusters::small_lab();
   OnlineController ctl(topo, fast_opts());
   const std::vector<double> bw = {topo.cell(0).bandwidth};
-  EXPECT_TRUE(ctl.observe(bw, {false, false}));
+  EXPECT_TRUE(observe(ctl, bw, {false, false}));
   const auto& d = ctl.decision();
   EXPECT_EQ(d.scheme, "device_fallback");
   for (const auto& dd : d.per_device) {
@@ -117,12 +135,12 @@ TEST(Online, RecoveryRestoresOffloading) {
   const auto topo = clusters::small_lab();
   OnlineController ctl(topo, fast_opts());
   const std::vector<double> bw = {topo.cell(0).bandwidth};
-  ASSERT_TRUE(ctl.observe(bw, {false, false}));
+  ASSERT_TRUE(observe(ctl, bw, {false, false}));
   for (const auto& dd : ctl.decision().per_device) {
     ASSERT_TRUE(dd.plan.device_only);
   }
   // Both servers come back: the controller must re-solve and offload again.
-  EXPECT_TRUE(ctl.observe(bw, {true, true}));
+  EXPECT_TRUE(observe(ctl, bw, {true, true}));
   bool any_offload = false;
   for (const auto& dd : ctl.decision().per_device) {
     if (!dd.plan.device_only) any_offload = true;
@@ -147,7 +165,7 @@ std::vector<double> lab_bw() {
 TEST(Online, LadderIsMonotone) {
   OnlineController ctl(clusters::small_lab(), overload_opts());
   const std::vector<double> zeros(4, 0.0);
-  ctl.observe(lab_bw(), {true, true}, zeros, zeros);
+  observe(ctl, lab_bw(), {true, true}, zeros, zeros);
   const auto& ladder = ctl.ladder();
   ASSERT_GE(ladder.size(), 2u);
   EXPECT_EQ(ctl.current_rung(), 0u);
@@ -174,12 +192,12 @@ TEST(Online, SustainedOverloadWalksDownLadderThenThrottles) {
   const std::vector<double> bw = lab_bw();
   const std::vector<double> flood(4, 1e4);
   const std::vector<double> zeros(4, 0.0);
-  ctl.observe(bw, {true, true}, zeros, zeros);
+  observe(ctl, bw, {true, true}, zeros, zeros);
   const std::size_t bottom = ctl.ladder().size() - 1;
 
   // Two overloaded windows per step-down, then two more to engage the gate.
   for (std::size_t w = 0; w < 2 * (bottom + 1); ++w) {
-    ctl.observe(bw, {true, true}, flood, zeros);
+    observe(ctl, bw, {true, true}, flood, zeros);
   }
   EXPECT_EQ(ctl.current_rung(), bottom);
   EXPECT_EQ(ctl.degradations(), bottom);
@@ -199,21 +217,21 @@ TEST(Online, RecoveryUnwindsGateFirstThenRungs) {
   const std::vector<double> bw = lab_bw();
   const std::vector<double> flood(4, 1e4);
   const std::vector<double> zeros(4, 0.0);
-  ctl.observe(bw, {true, true}, zeros, zeros);
+  observe(ctl, bw, {true, true}, zeros, zeros);
   const std::size_t bottom = ctl.ladder().size() - 1;
   for (std::size_t w = 0; w < 2 * (bottom + 1); ++w) {
-    ctl.observe(bw, {true, true}, flood, zeros);
+    observe(ctl, bw, {true, true}, flood, zeros);
   }
   ASSERT_FALSE(ctl.admit_fraction().empty());
 
   // Calm traffic: the gate clears before any rung climbs, then the ladder
   // unwinds one rung per recovery streak until the base plan is back.
-  ctl.observe(bw, {true, true}, zeros, zeros);
-  ctl.observe(bw, {true, true}, zeros, zeros);
+  observe(ctl, bw, {true, true}, zeros, zeros);
+  observe(ctl, bw, {true, true}, zeros, zeros);
   EXPECT_TRUE(ctl.admit_fraction().empty());
   EXPECT_EQ(ctl.current_rung(), bottom);
   for (std::size_t w = 0; w < 2 * bottom; ++w) {
-    ctl.observe(bw, {true, true}, zeros, zeros);
+    observe(ctl, bw, {true, true}, zeros, zeros);
   }
   EXPECT_EQ(ctl.current_rung(), 0u);
   EXPECT_EQ(ctl.recoveries(), bottom);
@@ -224,11 +242,11 @@ TEST(Online, BriefSpikesDoNotDegrade) {
   const std::vector<double> bw = lab_bw();
   const std::vector<double> flood(4, 1e4);
   const std::vector<double> zeros(4, 0.0);
-  ctl.observe(bw, {true, true}, zeros, zeros);
+  observe(ctl, bw, {true, true}, zeros, zeros);
   // Alternating spike/calm never reaches trigger_windows consecutive hits.
   for (int w = 0; w < 6; ++w) {
-    ctl.observe(bw, {true, true}, flood, zeros);
-    ctl.observe(bw, {true, true}, zeros, zeros);
+    observe(ctl, bw, {true, true}, flood, zeros);
+    observe(ctl, bw, {true, true}, zeros, zeros);
   }
   EXPECT_EQ(ctl.current_rung(), 0u);
   EXPECT_EQ(ctl.degradations(), 0u);
@@ -240,18 +258,18 @@ TEST(Online, QueueDepthAloneTriggersDegradation) {
   const std::vector<double> zeros(4, 0.0);
   std::vector<double> deep(4, 0.0);
   deep[0] = 100.0;  // stale rate estimate, but the backlog is undeniable
-  ctl.observe(bw, {true, true}, zeros, zeros);
-  ctl.observe(bw, {true, true}, zeros, deep);
-  ctl.observe(bw, {true, true}, zeros, deep);
+  observe(ctl, bw, {true, true}, zeros, zeros);
+  observe(ctl, bw, {true, true}, zeros, deep);
+  observe(ctl, bw, {true, true}, zeros, deep);
   EXPECT_GE(ctl.degradations(), 1u);
 }
 
 TEST(Online, ValidatesOverloadObservationArity) {
   OnlineController ctl(clusters::small_lab(), overload_opts());
   const std::vector<double> bw = lab_bw();
-  EXPECT_THROW(ctl.observe(bw, {true, true}, {1.0}, {0.0, 0.0, 0.0, 0.0}),
+  EXPECT_THROW(observe(ctl, bw, {true, true}, {1.0}, {0.0, 0.0, 0.0, 0.0}),
                ContractViolation);
-  EXPECT_THROW(ctl.observe(bw, {true, true}, {1.0, 1.0, 1.0, 1.0}, {0.0}),
+  EXPECT_THROW(observe(ctl, bw, {true, true}, {1.0, 1.0, 1.0, 1.0}, {0.0}),
                ContractViolation);
 }
 
@@ -260,7 +278,7 @@ TEST(Online, SustainableRatesSurviveFailover) {
   // the liveness-reduced topology after a crash failover.
   OnlineController ctl(clusters::small_lab(), fast_opts());
   ctl.decision();
-  ASSERT_TRUE(ctl.observe(lab_bw(), {false, true}));
+  ASSERT_TRUE(observe(ctl, lab_bw(), {false, true}));
   const auto& d = ctl.decision();
   for (std::size_t i = 0; i < d.per_device.size(); ++i) {
     const double rate = admission::max_sustainable_rate(
@@ -281,7 +299,7 @@ TEST(Online, AllDeadFallbackKeepsAdmissionFinite) {
   // Even the device-only fallback must quote finite sustainable rates (no
   // division blow-ups on the degenerate no-server deployment).
   OnlineController ctl(clusters::small_lab(), fast_opts());
-  ASSERT_TRUE(ctl.observe(lab_bw(), {false, false}));
+  ASSERT_TRUE(observe(ctl, lab_bw(), {false, false}));
   const auto& d = ctl.decision();
   ASSERT_EQ(d.scheme, "device_fallback");
   for (std::size_t i = 0; i < d.per_device.size(); ++i) {
@@ -321,7 +339,7 @@ TEST(OnlineRobust, ThrowingSolverKeepsLastGoodPlan) {
 
   // Bandwidth *rises* 50%: drift triggers a re-solve, the solver throws,
   // and the last-good plan (still valid under more capacity) survives.
-  EXPECT_FALSE(ctl.observe({lab_bw()[0] * 1.5}));
+  EXPECT_FALSE(observe(ctl, {lab_bw()[0] * 1.5}));
   EXPECT_EQ(calls, 2);
   EXPECT_EQ(ctl.solver_timeouts(), 1u);
   EXPECT_EQ(ctl.fallbacks(), 1u);
@@ -362,7 +380,7 @@ TEST(OnlineRobust, GarbagePlanIsRejectedBeforeAdoption) {
   };
   OnlineController ctl(clusters::small_lab(), o);
   const Decision before = ctl.decision();
-  EXPECT_FALSE(ctl.observe({lab_bw()[0] * 1.5}));
+  EXPECT_FALSE(observe(ctl, {lab_bw()[0] * 1.5}));
   EXPECT_EQ(ctl.plans_rejected(), 1u);
   EXPECT_EQ(ctl.solver_timeouts(), 0u);
   EXPECT_EQ(ctl.fallbacks(), 1u);
@@ -382,16 +400,16 @@ TEST(OnlineRobust, BackoffSkipsDriftResolvesButNotFailovers) {
   ctl.decision();
   const double base = lab_bw()[0];
 
-  EXPECT_FALSE(ctl.observe({base * 1.5}));  // trips the watchdog
+  EXPECT_FALSE(observe(ctl, {base * 1.5}));  // trips the watchdog
   ASSERT_EQ(calls, 2);
 
   // Two backoff windows: persistent drift must not hammer the broken
   // solver (the bandwidth anchor stays stale, so drift keeps signaling).
-  EXPECT_FALSE(ctl.observe({base * 2.0}));
-  EXPECT_FALSE(ctl.observe({base * 2.0}));
+  EXPECT_FALSE(observe(ctl, {base * 2.0}));
+  EXPECT_FALSE(observe(ctl, {base * 2.0}));
   EXPECT_EQ(calls, 2) << "backoff windows must skip the solver entirely";
 
-  EXPECT_FALSE(ctl.observe({base * 2.0}));  // backoff exhausted: retry
+  EXPECT_FALSE(observe(ctl, {base * 2.0}));  // backoff exhausted: retry
   EXPECT_EQ(calls, 3);
 
   // A liveness flip is a hard signal: it re-solves through any backoff.
@@ -407,7 +425,7 @@ TEST(OnlineRobust, BackoffSkipsDriftResolvesButNotFailovers) {
   ASSERT_GE(used, 0);
   std::vector<bool> alive = {true, true};
   alive[static_cast<std::size_t>(used)] = false;
-  EXPECT_TRUE(ctl.observe({base * 2.0}, alive));
+  EXPECT_TRUE(observe(ctl, {base * 2.0}, alive));
   EXPECT_EQ(calls, 4);
   EXPECT_EQ(ctl.failovers(), 1u);
   // Nothing may still point at the dead server.
@@ -433,18 +451,18 @@ TEST(OnlineRobust, BackoffResetsAfterAcceptedSolve) {
   ctl.decision();
   const double base = lab_bw()[0];
 
-  EXPECT_FALSE(ctl.observe({base * 1.5}));  // trips the watchdog, backoff = 3
+  EXPECT_FALSE(observe(ctl, {base * 1.5}));  // trips the watchdog, backoff = 3
   ASSERT_EQ(calls, 2);
-  EXPECT_FALSE(ctl.observe({base * 2.0}));  // skipped, backoff decays to 2
+  EXPECT_FALSE(observe(ctl, {base * 2.0}));  // skipped, backoff decays to 2
   ASSERT_EQ(calls, 2);
 
   // A liveness flip punches through the backoff and succeeds...
-  EXPECT_TRUE(ctl.observe({base * 2.0}, {true, false}));
+  EXPECT_TRUE(observe(ctl, {base * 2.0}, {true, false}));
   ASSERT_EQ(calls, 3);
 
   // ...so the next drift window must reach the solver immediately. If the
   // backoff survived the accepted solve, this observe would be skipped.
-  EXPECT_TRUE(ctl.observe({base * 4.0}, {true, false}));
+  EXPECT_TRUE(observe(ctl, {base * 4.0}, {true, false}));
   EXPECT_EQ(calls, 4);
   EXPECT_EQ(ctl.fallbacks(), 1u);
 }
@@ -463,19 +481,19 @@ TEST(OnlineRobust, QuietWindowsDoNotConsumeBackoff) {
   ctl.decision();
   const double base = lab_bw()[0];
 
-  EXPECT_FALSE(ctl.observe({base * 1.5}));  // trips the watchdog, backoff = 1
+  EXPECT_FALSE(observe(ctl, {base * 1.5}));  // trips the watchdog, backoff = 1
   ASSERT_EQ(calls, 2);
 
   // Calm windows (within hysteresis of the stale anchor): no decay.
-  EXPECT_FALSE(ctl.observe({base}));
-  EXPECT_FALSE(ctl.observe({base}));
+  EXPECT_FALSE(observe(ctl, {base}));
+  EXPECT_FALSE(observe(ctl, {base}));
   ASSERT_EQ(calls, 2);
 
   // First drift window is skipped (consumes the one backoff window)...
-  EXPECT_FALSE(ctl.observe({base * 2.0}));
+  EXPECT_FALSE(observe(ctl, {base * 2.0}));
   ASSERT_EQ(calls, 2);
   // ...the second one retries the solver.
-  EXPECT_TRUE(ctl.observe({base * 2.0}));
+  EXPECT_TRUE(observe(ctl, {base * 2.0}));
   EXPECT_EQ(calls, 3);
 }
 
@@ -488,7 +506,7 @@ TEST(OnlineRobust, FallbackNeverLeavesTasksUnroutable) {
   OnlineController ctl(clusters::small_lab(), o);
   // Even with the solver dead from the start and every server lost, the
   // controller must produce a complete, evaluated, device-only deployment.
-  ctl.observe(lab_bw(), {false, false});
+  observe(ctl, lab_bw(), {false, false});
   const auto& d = ctl.decision();
   EXPECT_EQ(d.scheme, "device_fallback");
   ASSERT_EQ(d.per_device.size(), 4u);
@@ -535,33 +553,9 @@ TEST(OnlineRobust, GroundTruthLivenessBypassesDebounce) {
 
   // No channel metadata: the observation IS the cluster state, so even
   // hardened trust options believe the flip on the first reading.
-  EXPECT_TRUE(ctl.observe(lab_bw(), {false, true}));
+  EXPECT_TRUE(observe(ctl, lab_bw(), {false, true}));
   EXPECT_EQ(ctl.failovers(), 1u);
   EXPECT_EQ(ctl.telemetry_rejections(), 0u);
-}
-
-TEST(OnlineRobust, ObservationStructMatchesShimBehavior) {
-  OnlineController via_shim(clusters::small_lab(), fast_opts());
-  OnlineController via_struct(clusters::small_lab(), fast_opts());
-  via_shim.decision();
-  via_struct.decision();
-
-  const double collapsed = lab_bw()[0] * 0.4;
-  EXPECT_TRUE(via_shim.observe({collapsed}, {true, true}));
-
-  Observation obs;
-  obs.cell_bandwidth = {collapsed};
-  obs.server_alive = {true, true};
-  EXPECT_TRUE(via_struct.observe(obs));
-
-  EXPECT_EQ(via_shim.reoptimizations(), via_struct.reoptimizations());
-  EXPECT_EQ(via_shim.decision().scheme, via_struct.decision().scheme);
-  EXPECT_EQ(via_shim.decision().per_device.size(),
-            via_struct.decision().per_device.size());
-  for (std::size_t i = 0; i < via_shim.decision().per_device.size(); ++i) {
-    EXPECT_EQ(via_shim.decision().per_device[i].server,
-              via_struct.decision().per_device[i].server);
-  }
 }
 
 TEST(OnlineRobust, ObservationTimeAdvancesAuditClock) {
@@ -589,9 +583,9 @@ TEST(Online, UnchangedLivenessDoesNotResolve) {
   const auto topo = clusters::small_lab();
   OnlineController ctl(topo, fast_opts());
   const std::vector<double> bw = {topo.cell(0).bandwidth};
-  EXPECT_TRUE(ctl.observe(bw, {false, true}));
+  EXPECT_TRUE(observe(ctl, bw, {false, true}));
   const auto n = ctl.reoptimizations();
-  EXPECT_FALSE(ctl.observe(bw, {false, true}));
+  EXPECT_FALSE(observe(ctl, bw, {false, true}));
   EXPECT_EQ(ctl.reoptimizations(), n);
 }
 

@@ -132,12 +132,14 @@ TEST(EndToEnd, OnlineAdaptationBeatsStaticUnderBandwidthDrop) {
   aopts.control_interval = 5.0;
   Simulator adaptive_sim(inst, static_decision, aopts);
   adaptive_sim.set_cell_trace(0, trace);
-  adaptive_sim.set_controller(
-      [&](double, const std::vector<double>& bw,
-          const std::vector<bool>& alive) -> std::optional<Decision> {
-        if (controller.observe(bw, alive)) return controller.decision();
-        return std::nullopt;
-      });
+  adaptive_sim.set_controller([&](const Observation& o) {
+    Observation links;  // liveness and bandwidth only: no load signals
+    links.cell_bandwidth = o.cell_bandwidth;
+    links.server_alive = o.server_alive;
+    ControlAction a;
+    if (controller.observe(links)) a.decision = controller.decision();
+    return a;
+  });
   const auto adaptive_m = adaptive_sim.run();
 
   EXPECT_GT(controller.reoptimizations(), 0u);

@@ -312,18 +312,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzOverloadTest,
 
 // ---------------------------------------------------------------------------
 // Event-queue fuzz: the calendar queue against the std::priority_queue-backed
-// reference. Two layers: raw op streams (queue-level oracle on adversarial
-// time distributions) and full simulations on random topologies with faults
-// and overload in play (every event the DES can generate, both impls, same
-// answer). Complements the pinned scenarios in sim/perf_equivalence_test.cpp
-// with randomized coverage.
+// reference on raw op streams with adversarial time distributions. Pinned
+// engine-level outputs live in sim/sim_golden_test.cpp.
 
 class FuzzQueueTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FuzzQueueTest, OpStreamMatchesHeapOracle) {
   const std::uint64_t seed = GetParam();
-  EventQueue cal(EventQueueImpl::kCalendar);
-  EventQueue heap(EventQueueImpl::kBinaryHeap);
+  EventQueue cal;
+  BinaryHeapEventQueue heap;
   Rng rng(seed * 7919 + 1);
   double now = 0.0;
   for (int step = 0; step < 6000; ++step) {
@@ -364,56 +361,6 @@ TEST_P(FuzzQueueTest, OpStreamMatchesHeapOracle) {
     ASSERT_EQ(a.seq, b.seq);
   }
   EXPECT_TRUE(heap.empty());
-}
-
-TEST_P(FuzzQueueTest, RandomScenarioBitIdenticalAcrossQueueImpls) {
-  const std::uint64_t seed = GetParam();
-  clusters::CampusOptions copts;
-  copts.seed = seed;
-  copts.num_devices = 4 + (seed % 5);
-  copts.num_servers = 2 + (seed % 2);
-  copts.mean_arrival_rate = 1.0 + 0.5 * static_cast<double>(seed % 5);
-  const ProblemInstance instance(clusters::campus(copts));
-  const auto d = JointOptimizer(fast_opts()).optimize(instance);
-
-  Simulator::Options sopts;
-  sopts.horizon = 25.0;
-  sopts.warmup = 2.0;
-  sopts.seed = seed;
-  if (seed % 2) {
-    sopts.faults.schedule = FaultSchedule::server_crash(
-        0, 5.0 + static_cast<double>(seed % 4), 12.0);
-  }
-  if (seed % 3 == 0) {
-    sopts.overload.policy = OverloadPolicy::ShedNewest;
-    sopts.overload.device_queue_limit = 3;
-    sopts.overload.server_queue_limit = 2;
-    sopts.rate_bursts.push_back(RateBurst{3.0, 8.0, 14.0});
-  }
-
-  sopts.event_queue = EventQueueImpl::kBinaryHeap;
-  const SimMetrics heap_m = Simulator(instance, d, sopts).run();
-  sopts.event_queue = EventQueueImpl::kCalendar;
-  const SimMetrics cal_m = Simulator(instance, d, sopts).run();
-
-  EXPECT_GT(heap_m.arrived, 0u);
-  EXPECT_EQ(heap_m.arrived, cal_m.arrived);
-  EXPECT_EQ(heap_m.completed, cal_m.completed);
-  EXPECT_EQ(heap_m.failed, cal_m.failed);
-  EXPECT_EQ(heap_m.shed, cal_m.shed);
-  EXPECT_EQ(heap_m.expired, cal_m.expired);
-  EXPECT_EQ(heap_m.deadline_satisfaction, cal_m.deadline_satisfaction);
-  EXPECT_EQ(heap_m.events_processed, cal_m.events_processed);
-  EXPECT_EQ(heap_m.in_flight_end, cal_m.in_flight_end);
-  if (!heap_m.latency.empty()) {
-    EXPECT_EQ(heap_m.latency.mean(), cal_m.latency.mean());
-    EXPECT_EQ(heap_m.latency.max(), cal_m.latency.max());
-  }
-  ASSERT_EQ(heap_m.per_device.size(), cal_m.per_device.size());
-  for (std::size_t i = 0; i < heap_m.per_device.size(); ++i) {
-    EXPECT_EQ(heap_m.per_device[i].completed, cal_m.per_device[i].completed);
-    EXPECT_EQ(heap_m.per_device[i].failed, cal_m.per_device[i].failed);
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzQueueTest,

@@ -76,7 +76,7 @@ TEST(TraceExport, ChromeJsonRoundTripsThroughParser) {
                       static_cast<std::uint8_t>(TraceStage::kDevice)));
   events.push_back(ev(0.005, 7, TraceEventType::kComplete));
 
-  const Json doc = trace_to_chrome_json(events);
+  const Json doc = trace_to_chrome_json(events, 0);
   const Json parsed = Json::parse(doc.dump_pretty());
   const Json& arr = parsed.at("traceEvents");
   ASSERT_EQ(arr.size(), 4u);

@@ -60,7 +60,6 @@ Json fake_report(double ns_per_event, bool unoptimized,
   work.set("warmup_seconds", Json::number(1.0));
   work.set("cluster_seed", Json::number(7));
   work.set("sim_seed", Json::number(12345));
-  work.set("event_queue", Json::string("calendar"));
   work.set("shards", Json::number(sharded_ns > 0.0 ? 4.0 : 0.0));
   work.set("injected_slowdown", Json::number(0.0));
 

@@ -19,7 +19,7 @@ std::vector<SimEvent> drain(EventQueue& q) {
 }
 
 TEST(CalendarQueue, PopsInTimeOrder) {
-  EventQueue q(EventQueueImpl::kCalendar);
+  EventQueue q;
   Rng rng(42);
   std::vector<double> times;
   for (int i = 0; i < 500; ++i) {
@@ -41,7 +41,7 @@ TEST(CalendarQueue, PopsInTimeOrder) {
 TEST(CalendarQueue, EqualTimesPopInPushOrder) {
   // The seq tiebreak makes (time, seq) a strict total order: ties resolve
   // to push order, exactly like the reference heap.
-  EventQueue q(EventQueueImpl::kCalendar);
+  EventQueue q;
   for (int i = 0; i < 100; ++i) q.push(1.5, 0, i, 0);
   const auto popped = drain(q);
   ASSERT_EQ(popped.size(), 100u);
@@ -49,7 +49,7 @@ TEST(CalendarQueue, EqualTimesPopInPushOrder) {
 }
 
 TEST(CalendarQueue, GrowsAndShrinksWithLoad) {
-  EventQueue q(EventQueueImpl::kCalendar);
+  EventQueue q;
   Rng rng(7);
   // Interleave pushes with pops so the width estimator sees real pop gaps.
   double now = 0.0;
@@ -75,7 +75,7 @@ TEST(CalendarQueue, SparseFarFutureEventsAreFound) {
   // A near cluster plus events days beyond the ring's span: after the near
   // ones drain, the global-min fallback must land on the far ones instead
   // of spinning over empty buckets.
-  EventQueue q(EventQueueImpl::kCalendar);
+  EventQueue q;
   for (int i = 0; i < 64; ++i) q.push(0.001 * i, 0, i, 0);
   q.push(1e6, 0, -2, 0);
   q.push(2e6, 0, -3, 0);
@@ -89,7 +89,7 @@ TEST(CalendarQueue, PushBehindScanPointerStillPops) {
   // The simulator may schedule an event at (or barely after) the time of
   // the event being dispatched — a day the scan pointer already passed if
   // widths shrank. The queue must rewind rather than lose it.
-  EventQueue q(EventQueueImpl::kCalendar);
+  EventQueue q;
   for (int i = 0; i < 256; ++i) {
     q.push(10.0 + 0.1 * i, 0, i, 0);
   }
@@ -103,7 +103,7 @@ TEST(CalendarQueue, PushBehindScanPointerStillPops) {
 TEST(CalendarQueue, AllEventsAtOneInstant) {
   // Zero pop-time spread drives the width estimate to its clamp; ordering
   // must survive.
-  EventQueue q(EventQueueImpl::kCalendar);
+  EventQueue q;
   for (int i = 0; i < 300; ++i) q.push(7.25, 0, i, 0);
   const auto popped = drain(q);
   ASSERT_EQ(popped.size(), 300u);
@@ -113,7 +113,7 @@ TEST(CalendarQueue, AllEventsAtOneInstant) {
 }
 
 TEST(CalendarQueue, RejectsNonFiniteAndNegativeTimes) {
-  EventQueue q(EventQueueImpl::kCalendar);
+  EventQueue q;
   EXPECT_THROW(q.push(-1.0, 0, 0, 0), ContractViolation);
   EXPECT_THROW(q.push(std::numeric_limits<double>::quiet_NaN(), 0, 0, 0),
                ContractViolation);
@@ -125,8 +125,8 @@ TEST(EventQueue, CalendarMatchesHeapOracleOnRandomStreams) {
   // Property check: identical interleaved push/pop streams through both
   // implementations produce identical pop sequences (time, seq, payload).
   for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
-    EventQueue cal(EventQueueImpl::kCalendar);
-    EventQueue heap(EventQueueImpl::kBinaryHeap);
+    EventQueue cal;
+    BinaryHeapEventQueue heap;
     Rng rng(seed);
     double now = 0.0;
     for (int step = 0; step < 4000; ++step) {
@@ -177,8 +177,8 @@ TEST(EventQueue, PeriodicTelemetryQuietZonesMatchHeapOracle) {
   // event bursts, plus far-future stragglers that alias into the same ring
   // buckets. The per-bucket min-day bound must skip quiet days without ever
   // skipping a due event — held to the heap oracle pop for pop.
-  EventQueue cal(EventQueueImpl::kCalendar);
-  EventQueue heap(EventQueueImpl::kBinaryHeap);
+  EventQueue cal;
+  BinaryHeapEventQueue heap;
   auto push_both = [&](double t, std::uint32_t kind, std::int32_t a) {
     cal.push(t, kind, a, 0);
     heap.push(t, kind, a, 0);
@@ -214,7 +214,7 @@ TEST(CalendarQueue, ShrinkReanchorThenPushAtPointerStillSorted) {
   // pointer), then push new events at and just after the drain frontier —
   // including exactly the last popped instant, which lands at or behind the
   // re-anchored pointer and must rewind it rather than be skipped.
-  EventQueue q(EventQueueImpl::kCalendar);
+  EventQueue q;
   Rng rng(99);
   std::vector<SimEvent> expected;
   for (int i = 0; i < 2000; ++i) {
@@ -238,42 +238,37 @@ TEST(CalendarQueue, ShrinkReanchorThenPushAtPointerStillSorted) {
 }
 
 TEST(EventQueue, PushRawPreservesSeqAcrossDeferral) {
-  // The sharded epoch loop bounds an epoch by popping the minimum and
-  // pushing it back (push_raw) when it lies at/past the barrier. The
-  // re-inserted event must keep its original seq: deferral then resumption
-  // yields the identical pop sequence on both implementations.
-  for (const auto impl :
-       {EventQueueImpl::kCalendar, EventQueueImpl::kBinaryHeap}) {
-    EventQueue q(impl);
-    Rng rng(7);
-    std::vector<SimEvent> reference;
-    for (int i = 0; i < 300; ++i) q.push(10.0 * rng.uniform(), 0, i, 0);
-    // Walk barriers over the horizon; at each, defer the first beyond-
-    // barrier event the way ShardCore::run_until does.
-    std::vector<SimEvent> popped;
-    for (double barrier = 1.0; barrier <= 11.0; barrier += 1.0) {
-      while (!q.empty()) {
-        const SimEvent ev = q.pop_min();
-        if (ev.time >= barrier) {
-          q.push_raw(ev);
-          break;
-        }
-        popped.push_back(ev);
+  // The engine bounds an epoch by popping the minimum and pushing it back
+  // (push_raw) when it lies at/past the barrier. The re-inserted event must
+  // keep its original seq: deferral then resumption yields the identical
+  // pop sequence.
+  EventQueue q;
+  Rng rng(7);
+  for (int i = 0; i < 300; ++i) q.push(10.0 * rng.uniform(), 0, i, 0);
+  // Walk barriers over the horizon; at each, defer the first beyond-barrier
+  // event the way ShardCore::run_until does.
+  std::vector<SimEvent> popped;
+  for (double barrier = 1.0; barrier <= 11.0; barrier += 1.0) {
+    while (!q.empty()) {
+      const SimEvent ev = q.pop_min();
+      if (ev.time >= barrier) {
+        q.push_raw(ev);
+        break;
       }
+      popped.push_back(ev);
     }
-    while (!q.empty()) popped.push_back(q.pop_min());
-    ASSERT_EQ(popped.size(), 300u);
-    for (std::size_t i = 1; i < popped.size(); ++i) {
-      ASSERT_TRUE(sim_event_before(popped[i - 1], popped[i]))
-          << "impl " << static_cast<int>(impl) << " event " << i;
-    }
-    // Seqs are a permutation of push order and strictly increasing at equal
-    // times — push_raw must not have re-sequenced anything.
-    std::vector<std::uint64_t> seqs;
-    for (const auto& ev : popped) seqs.push_back(ev.seq);
-    std::sort(seqs.begin(), seqs.end());
-    for (std::size_t i = 0; i < seqs.size(); ++i) ASSERT_EQ(seqs[i], i);
   }
+  while (!q.empty()) popped.push_back(q.pop_min());
+  ASSERT_EQ(popped.size(), 300u);
+  for (std::size_t i = 1; i < popped.size(); ++i) {
+    ASSERT_TRUE(sim_event_before(popped[i - 1], popped[i])) << "event " << i;
+  }
+  // Seqs are a permutation of push order and strictly increasing at equal
+  // times — push_raw must not have re-sequenced anything.
+  std::vector<std::uint64_t> seqs;
+  for (const auto& ev : popped) seqs.push_back(ev.seq);
+  std::sort(seqs.begin(), seqs.end());
+  for (std::size_t i = 0; i < seqs.size(); ++i) ASSERT_EQ(seqs[i], i);
 }
 
 }  // namespace

@@ -219,11 +219,13 @@ TEST(Faults, AllServersDeadDegradesToDeviceOnlyViaController) {
           .merged(FaultSchedule::server_crash(
               1, 20.0, std::numeric_limits<double>::infinity()));
   Simulator sim(inst, initial, opts);
-  sim.set_controller([&](double, const std::vector<double>& bw,
-                         const std::vector<bool>& alive)
-                         -> std::optional<Decision> {
-    if (controller.observe(bw, alive)) return controller.decision();
-    return std::nullopt;
+  sim.set_controller([&](const Observation& o) {
+    Observation links;  // liveness and bandwidth only: no load signals
+    links.cell_bandwidth = o.cell_bandwidth;
+    links.server_alive = o.server_alive;
+    ControlAction a;
+    if (controller.observe(links)) a.decision = controller.decision();
+    return a;
   });
   const auto m = sim.run();
   EXPECT_GE(controller.failovers(), 1u);

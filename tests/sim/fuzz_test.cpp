@@ -156,22 +156,19 @@ TEST(ShardFuzz, ConservationIsShardCountInvariant) {
     // When telemetry rode along, close the loop: a stateless policy keyed
     // off the (possibly impaired) readings, shared across all runs so any
     // divergence in what the channel delivered diverges the counters.
-    Simulator::RichController rich;
+    Simulator::ObservingController controller;
     if (opts.control_interval > 0.0) {
       Decision d_local;
       d_local.scheme = "fuzz-local";
       d_local.per_device.resize(instance.topology().devices().size());
       for (auto& dd : d_local.per_device) dd.plan.device_only = true;
       evaluate_decision(instance, d_local);
-      rich = [d, d_local](double, const std::vector<double>& bw,
-                          const std::vector<bool>& alive,
-                          const std::vector<double>&,
-                          const std::vector<double>&) {
+      controller = [d, d_local](const Observation& o) {
         ControlAction a;
         double sum = 0.0;
-        for (const double v : bw) sum += v / mbps(1.0);
+        for (const double v : o.cell_bandwidth) sum += v / mbps(1.0);
         bool any_down = false;
-        for (const bool up : alive) any_down = any_down || !up;
+        for (const bool up : o.server_alive) any_down = any_down || !up;
         a.decision = (any_down || std::fmod(sum, 2.0) < 1.0) ? d_local : d;
         return a;
       };
@@ -179,7 +176,7 @@ TEST(ShardFuzz, ConservationIsShardCountInvariant) {
 
     Simulator ref(instance, d, opts);
     if (!gate.empty()) ref.set_admission(gate);
-    if (rich) ref.set_controller(rich);
+    if (controller) ref.set_controller(controller);
     const SimMetrics ref_m = ref.run();
 
     for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
@@ -191,7 +188,7 @@ TEST(ShardFuzz, ConservationIsShardCountInvariant) {
         sopts.threads = threads;
         ShardedSimulator sim(instance, d, opts, sopts);
         if (!gate.empty()) sim.set_admission(gate);
-        if (rich) sim.set_controller(rich);
+        if (controller) sim.set_controller(controller);
         const SimMetrics m = sim.run();
 
         // Conservation with cross-shard in-flight tasks at the end: every

@@ -243,15 +243,12 @@ TEST(Overload, RichControllerSeesLoadAndDrivesGate) {
   std::size_t ticks = 0;
   double max_offered = 0.0;
   double max_depth = 0.0;
-  sim.set_controller([&](double, const std::vector<double>&,
-                         const std::vector<bool>&,
-                         const std::vector<double>& offered,
-                         const std::vector<double>& depth) {
+  sim.set_controller([&](const Observation& o) {
     ++ticks;
-    EXPECT_EQ(offered.size(), 1u);
-    EXPECT_EQ(depth.size(), 1u);
-    max_offered = std::max(max_offered, offered[0]);
-    max_depth = std::max(max_depth, depth[0]);
+    EXPECT_EQ(o.offered_rate.size(), 1u);
+    EXPECT_EQ(o.queue_depth.size(), 1u);
+    max_offered = std::max(max_offered, o.offered_rate[0]);
+    max_depth = std::max(max_depth, o.queue_depth[0]);
     ControlAction action;
     action.admit_fraction = std::vector<double>{0.1};
     return action;

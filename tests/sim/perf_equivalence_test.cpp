@@ -1,10 +1,6 @@
-// Differential determinism suite for the event-queue swap: the calendar
-// queue (production) and the retained binary-heap reference must drive the
-// simulator to BIT-IDENTICAL results — metrics aggregates, trace streams,
-// conservation counters, and events_processed — on scenarios shaped like
-// the paper benches (F4 arrival sweep, F16 faults, F17 overload). This is
-// the safety net that lets the hot-path engineering claim "same simulator,
-// just faster".
+// Determinism of the replication fan-out: a ScenarioRunner aggregate is
+// bit-identical for any fan-out thread count. The engine-level outputs of
+// the F4/F16/F17-shaped scenarios are pinned in sim_golden_test.cpp.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +9,6 @@
 #include "core/joint.hpp"
 #include "edge/builders.hpp"
 #include "sim/runner.hpp"
-#include "sim/simulator.hpp"
 
 namespace scalpel {
 namespace {
@@ -26,213 +21,8 @@ JointOptions fast_opts() {
   return o;
 }
 
-void expect_samples_identical(const Samples& a, const Samples& b) {
-  ASSERT_EQ(a.count(), b.count());
-  const auto& va = a.values();
-  const auto& vb = b.values();
-  for (std::size_t i = 0; i < va.size(); ++i) {
-    EXPECT_EQ(va[i], vb[i]) << "sample " << i;  // bitwise, not approximate
-  }
-}
-
-/// Every field of SimMetrics, bit-for-bit. EXPECT_EQ on doubles is exact
-/// equality on purpose — the determinism bar is "identical", not "close".
-void expect_metrics_identical(const SimMetrics& a, const SimMetrics& b) {
-  EXPECT_EQ(a.events_processed, b.events_processed);
-  EXPECT_EQ(a.arrived, b.arrived);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.failed, b.failed);
-  EXPECT_EQ(a.shed, b.shed);
-  EXPECT_EQ(a.expired, b.expired);
-  EXPECT_EQ(a.retried, b.retried);
-  EXPECT_EQ(a.resteered, b.resteered);
-  EXPECT_EQ(a.completed_all, b.completed_all);
-  EXPECT_EQ(a.failed_all, b.failed_all);
-  EXPECT_EQ(a.shed_all, b.shed_all);
-  EXPECT_EQ(a.in_flight_end, b.in_flight_end);
-  EXPECT_EQ(a.deadline_satisfaction, b.deadline_satisfaction);
-  EXPECT_EQ(a.measured_accuracy, b.measured_accuracy);
-  EXPECT_EQ(a.mean_task_energy, b.mean_task_energy);
-  EXPECT_EQ(a.offload_fraction, b.offload_fraction);
-  EXPECT_EQ(a.availability, b.availability);
-  expect_samples_identical(a.latency, b.latency);
-  expect_samples_identical(a.outage_latency, b.outage_latency);
-  ASSERT_EQ(a.server_utilization.size(), b.server_utilization.size());
-  for (std::size_t s = 0; s < a.server_utilization.size(); ++s) {
-    EXPECT_EQ(a.server_utilization[s], b.server_utilization[s]);
-  }
-  ASSERT_EQ(a.per_device.size(), b.per_device.size());
-  for (std::size_t i = 0; i < a.per_device.size(); ++i) {
-    const auto& da = a.per_device[i];
-    const auto& db = b.per_device[i];
-    EXPECT_EQ(da.arrived, db.arrived) << "device " << i;
-    EXPECT_EQ(da.completed, db.completed) << "device " << i;
-    EXPECT_EQ(da.failed, db.failed) << "device " << i;
-    EXPECT_EQ(da.shed, db.shed) << "device " << i;
-    EXPECT_EQ(da.expired, db.expired) << "device " << i;
-    EXPECT_EQ(da.retries, db.retries) << "device " << i;
-    EXPECT_EQ(da.resteered, db.resteered) << "device " << i;
-    EXPECT_EQ(da.deadline_met, db.deadline_met) << "device " << i;
-    EXPECT_EQ(da.deadline_total, db.deadline_total) << "device " << i;
-    EXPECT_EQ(da.accuracy_sum, db.accuracy_sum) << "device " << i;
-    EXPECT_EQ(da.energy_sum, db.energy_sum) << "device " << i;
-    EXPECT_EQ(da.exit_histogram, db.exit_histogram) << "device " << i;
-  }
-  ASSERT_EQ(a.series.tasks_in_flight.size(), b.series.tasks_in_flight.size());
-  for (std::size_t w = 0; w < a.series.tasks_in_flight.size(); ++w) {
-    EXPECT_EQ(a.series.tasks_in_flight[w], b.series.tasks_in_flight[w]);
-    EXPECT_EQ(a.series.completion_rate[w], b.series.completion_rate[w]);
-    EXPECT_EQ(a.series.mean_accuracy[w], b.series.mean_accuracy[w]);
-    EXPECT_EQ(a.series.shed_rate[w], b.series.shed_rate[w]);
-  }
-}
-
-/// Runs the scenario under both queue implementations and holds them to
-/// bit-identical metrics, full trace streams, and conservation.
-void expect_queue_equivalence(const ProblemInstance& instance,
-                              const Decision& d, Simulator::Options opts) {
-  opts.trace_capacity = 1 << 18;  // large enough that nothing is dropped
-
-  opts.event_queue = EventQueueImpl::kBinaryHeap;
-  Simulator heap_sim(instance, d, opts);
-  const SimMetrics heap_m = heap_sim.run();
-  const std::vector<TraceEvent> heap_trace = heap_sim.trace().snapshot();
-  const std::uint64_t heap_recorded = heap_sim.trace().recorded();
-
-  opts.event_queue = EventQueueImpl::kCalendar;
-  Simulator cal_sim(instance, d, opts);
-  const SimMetrics cal_m = cal_sim.run();
-  const std::vector<TraceEvent> cal_trace = cal_sim.trace().snapshot();
-
-  expect_metrics_identical(heap_m, cal_m);
-
-  // Trace streams: same number of recorded events, and every retained
-  // record identical in content AND order.
-  EXPECT_EQ(heap_recorded, cal_sim.trace().recorded());
-  ASSERT_EQ(heap_trace.size(), cal_trace.size());
-  EXPECT_EQ(heap_sim.trace().dropped(), 0u) << "ring too small for scenario";
-  for (std::size_t i = 0; i < heap_trace.size(); ++i) {
-    ASSERT_TRUE(heap_trace[i] == cal_trace[i]) << "trace event " << i;
-  }
-
-  // Conservation, independently for both runs.
-  EXPECT_EQ(heap_m.arrived, heap_m.completed_all + heap_m.failed_all +
-                                heap_m.shed_all + heap_m.in_flight_end);
-  EXPECT_EQ(cal_m.arrived, cal_m.completed_all + cal_m.failed_all +
-                               cal_m.shed_all + cal_m.in_flight_end);
-  EXPECT_GT(cal_m.events_processed, 0u);
-}
-
-class PerfEquivalenceTest : public ::testing::TestWithParam<std::uint64_t> {};
-
-// F4-shaped: plain arrival sweep — the seed scales the offered load from
-// light to past saturation.
-TEST_P(PerfEquivalenceTest, ArrivalSweepBitIdentical) {
-  const std::uint64_t seed = GetParam();
-  clusters::CampusOptions copts;
-  copts.seed = seed;
-  copts.num_devices = 8;
-  copts.num_servers = 3;
-  copts.mean_arrival_rate = 1.0 + 1.5 * static_cast<double>(seed % 4);
-  const ProblemInstance instance(clusters::campus(copts));
-  const auto d = JointOptimizer(fast_opts()).optimize(instance);
-
-  Simulator::Options opts;
-  opts.horizon = 20.0;
-  opts.warmup = 2.0;
-  opts.seed = seed;
-  opts.series_window = 1.0;
-  expect_queue_equivalence(instance, d, opts);
-}
-
-// F16-shaped: server/link outages under each fault policy. Fault handling
-// reorders queues, schedules retry backoffs, and clears fluid resources —
-// the paths most likely to betray an event-order difference.
-TEST_P(PerfEquivalenceTest, FaultScheduleBitIdentical) {
-  const std::uint64_t seed = GetParam();
-  clusters::CampusOptions copts;
-  copts.seed = seed;
-  copts.num_devices = 6;
-  copts.num_servers = 2;
-  copts.mean_arrival_rate = 2.0;
-  const ProblemInstance instance(clusters::campus(copts));
-  const auto d = JointOptimizer(fast_opts()).optimize(instance);
-
-  Simulator::Options opts;
-  opts.horizon = 20.0;
-  opts.warmup = 2.0;
-  opts.seed = seed;
-  std::vector<FaultEvent> events;
-  events.push_back({5.0, FaultTarget::Server, 0, false});
-  events.push_back({9.0, FaultTarget::Server, 0, true});
-  events.push_back({12.0, FaultTarget::Link, 0, false});
-  events.push_back({14.0, FaultTarget::Link, 0, true});
-  opts.faults.schedule = FaultSchedule(events);
-  const FaultPolicy policies[] = {FaultPolicy::Drop,
-                                  FaultPolicy::RetryOnDevice,
-                                  FaultPolicy::RetryOffload};
-  opts.faults.policy = policies[seed % 3];
-  expect_queue_equivalence(instance, d, opts);
-}
-
-// F17-shaped: bounded queues, shedding policy, a scripted rate burst and an
-// admission gate — heavy queue-victim selection and gate RNG traffic.
-TEST_P(PerfEquivalenceTest, OverloadBitIdentical) {
-  const std::uint64_t seed = GetParam();
-  clusters::CampusOptions copts;
-  copts.seed = seed;
-  copts.num_devices = 6;
-  copts.num_servers = 2;
-  copts.mean_arrival_rate = 2.5;
-  const ProblemInstance instance(clusters::campus(copts));
-  const auto d = JointOptimizer(fast_opts()).optimize(instance);
-
-  Simulator::Options opts;
-  opts.horizon = 18.0;
-  opts.warmup = 2.0;
-  opts.seed = seed;
-  const OverloadPolicy policies[] = {OverloadPolicy::Block,
-                                     OverloadPolicy::ShedNewest,
-                                     OverloadPolicy::ShedExpired};
-  opts.overload.policy = policies[seed % 3];
-  opts.overload.device_queue_limit = 3;
-  opts.overload.upload_queue_limit = 2;
-  opts.overload.server_queue_limit = 2;
-  opts.rate_bursts.push_back(RateBurst{4.0, 10.0, 12.0});
-  opts.trace_capacity = 1 << 18;
-
-  opts.event_queue = EventQueueImpl::kBinaryHeap;
-  Simulator heap_sim(instance, d, opts);
-  std::vector<double> gate;
-  for (std::size_t i = 0; i < instance.topology().devices().size(); ++i) {
-    gate.push_back(0.5 + 0.05 * static_cast<double>(i));
-  }
-  heap_sim.set_admission(gate);
-  const SimMetrics heap_m = heap_sim.run();
-  const auto heap_trace = heap_sim.trace().snapshot();
-
-  opts.event_queue = EventQueueImpl::kCalendar;
-  Simulator cal_sim(instance, d, opts);
-  cal_sim.set_admission(gate);
-  const SimMetrics cal_m = cal_sim.run();
-  const auto cal_trace = cal_sim.trace().snapshot();
-
-  expect_metrics_identical(heap_m, cal_m);
-  ASSERT_EQ(heap_trace.size(), cal_trace.size());
-  for (std::size_t i = 0; i < heap_trace.size(); ++i) {
-    ASSERT_TRUE(heap_trace[i] == cal_trace[i]) << "trace event " << i;
-  }
-  // The burst over tight limits must actually shed, or this exercises
-  // nothing beyond the arrival sweep.
-  EXPECT_GT(cal_m.shed_all, 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, PerfEquivalenceTest,
-                         ::testing::Values(3, 17, 42, 99, 123, 256));
-
 // Replication fan-out: per-replication counters must be identical across
-// BOTH thread counts AND queue implementations — the full determinism
-// matrix the header promises.
+// fan-out thread counts.
 TEST(PerfEquivalence, ReplicatedMatrixBitIdentical) {
   clusters::CampusOptions copts;
   copts.seed = 11;
@@ -250,13 +40,9 @@ TEST(PerfEquivalence, ReplicatedMatrixBitIdentical) {
   ropts.sim.faults.schedule = FaultSchedule::server_crash(0, 4.0, 7.0);
 
   std::vector<ReplicatedMetrics> runs;
-  for (const auto impl :
-       {EventQueueImpl::kCalendar, EventQueueImpl::kBinaryHeap}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      ropts.sim.event_queue = impl;
-      ropts.threads = threads;
-      runs.push_back(ScenarioRunner(instance, d, ropts).run());
-    }
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ropts.threads = threads;
+    runs.push_back(ScenarioRunner(instance, d, ropts).run());
   }
   const auto& ref = runs.front();
   for (std::size_t k = 1; k < runs.size(); ++k) {

@@ -1,6 +1,6 @@
-// Differential determinism matrix for the cell-sharded simulator: for any
-// shard count and any worker-thread count, ShardedSimulator must reproduce
-// the single-loop Simulator BIT-IDENTICALLY — every SimMetrics field, the
+// Shard x thread determinism matrix of the event engine: for any shard
+// count and any worker-thread count, ShardedSimulator must reproduce the
+// one-shard run (Simulator) BIT-IDENTICALLY — every SimMetrics field, the
 // merged metrics registry, the reconciled trace stream, conservation
 // counters, and events_processed. Scenarios are shaped like the paper
 // benches (F4 arrival sweep, F16 fault schedules, F17 overload) plus the
@@ -143,7 +143,7 @@ void expect_metrics_identical(const SimMetrics& a, const SimMetrics& b) {
   }
 }
 
-/// Merged registry vs. single-loop registry: same counter/gauge key sets,
+/// Merged registry vs. one-shard registry: same counter/gauge key sets,
 /// same values; the latency histogram agrees in mass and quantiles.
 void expect_registries_identical(const MetricsRegistry& a,
                                  const MetricsRegistry& b) {
@@ -176,11 +176,11 @@ void expect_registries_identical(const MetricsRegistry& a,
 
 struct ShardHooks {
   std::vector<double> admission;
-  Simulator::RichController rich;
+  Simulator::ObservingController controller;
 };
 
-/// Runs the scenario on the single loop, then across the full shard x thread
-/// matrix, and holds every run to the single loop's exact outputs.
+/// Runs the scenario at one shard, then across the full shard x thread
+/// matrix, and holds every run to the one-shard run's exact outputs.
 void expect_shard_equivalence(const ProblemInstance& instance,
                               const Decision& d, Simulator::Options opts,
                               const ShardHooks& hooks = {}) {
@@ -188,7 +188,7 @@ void expect_shard_equivalence(const ProblemInstance& instance,
 
   Simulator ref(instance, d, opts);
   if (!hooks.admission.empty()) ref.set_admission(hooks.admission);
-  if (hooks.rich) ref.set_controller(hooks.rich);
+  if (hooks.controller) ref.set_controller(hooks.controller);
   const SimMetrics ref_m = ref.run();
   const std::vector<TraceEvent> ref_trace =
       reconcile_trace(ref.trace().snapshot());
@@ -203,7 +203,7 @@ void expect_shard_equivalence(const ProblemInstance& instance,
       sopts.threads = threads;
       ShardedSimulator sim(instance, d, opts, sopts);
       if (!hooks.admission.empty()) sim.set_admission(hooks.admission);
-      if (hooks.rich) sim.set_controller(hooks.rich);
+      if (hooks.controller) sim.set_controller(hooks.controller);
       const SimMetrics m = sim.run();
       expect_metrics_identical(ref_m, m);
       expect_registries_identical(ref.registry(), sim.registry());
@@ -289,7 +289,7 @@ TEST_P(ShardEquivalenceTest, OverloadBitIdentical) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardEquivalenceTest,
                          ::testing::Values(3, 17, 42, 99));
 
-// Online replanning: a rich controller that alternates every device between
+// Online replanning: a controller that alternates every device between
 // offload and device-only and tightens admission — the controller runs in
 // the serial phase, and replans retarget in-flight chains across shards.
 TEST(ShardEquivalence, ControllerReplanBitIdentical) {
@@ -305,16 +305,13 @@ TEST(ShardEquivalence, ControllerReplanBitIdentical) {
   opts.series_window = 1.0;
 
   ShardHooks hooks;
-  hooks.rich = [d_off, d_loc](double now, const std::vector<double>&,
-                              const std::vector<bool>&,
-                              const std::vector<double>&,
-                              const std::vector<double>& qdepth) {
+  hooks.controller = [d_off, d_loc](const Observation& o) {
     ControlAction a;
-    const bool odd = static_cast<int>(now / 0.75 + 0.5) % 2 != 0;
+    const bool odd = static_cast<int>(o.time / 0.75 + 0.5) % 2 != 0;
     a.decision = odd ? d_loc : d_off;
-    std::vector<double> gate(qdepth.size());
+    std::vector<double> gate(o.queue_depth.size());
     for (std::size_t i = 0; i < gate.size(); ++i) {
-      gate[i] = qdepth[i] > 4.0 ? 0.6 : 1.0;
+      gate[i] = o.queue_depth[i] > 4.0 ? 0.6 : 1.0;
     }
     a.admit_fraction = std::move(gate);
     return a;
@@ -348,15 +345,12 @@ TEST(ShardEquivalence, AdverseTelemetryChannelBitIdentical) {
   // Stateless policy, but keyed off the *impaired* readings: noise and
   // liveness flips steer the replans, so any divergence in what the channel
   // delivered shows up as divergent decisions and fails the bit-compare.
-  hooks.rich = [d_off, d_loc](double, const std::vector<double>& bw,
-                              const std::vector<bool>& alive,
-                              const std::vector<double>&,
-                              const std::vector<double>&) {
+  hooks.controller = [d_off, d_loc](const Observation& o) {
     ControlAction a;
     double sum = 0.0;
-    for (const double v : bw) sum += v / mbps(1.0);
+    for (const double v : o.cell_bandwidth) sum += v / mbps(1.0);
     bool any_down = false;
-    for (const bool up : alive) any_down = any_down || !up;
+    for (const bool up : o.server_alive) any_down = any_down || !up;
     a.decision = (any_down || std::fmod(sum, 2.0) < 1.0) ? d_loc : d_off;
     return a;
   };
@@ -444,8 +438,8 @@ TEST(ShardEquivalence, HardenedOnlineControllerBitIdentical) {
 // with the coordinator crashing mid-epoch, one cell controller partitioned
 // away, and a data-plane server outage forcing per-cell failover solves.
 // The plane runs entirely in the serial control phase on dedicated fabric
-// substreams, so a FRESH stateful plane per run must reproduce the single
-// loop bit-identically — metrics, registries, traces, AND the plane's own
+// substreams, so a FRESH stateful plane per run must reproduce the one-shard
+// run bit-identically — metrics, registries, traces, AND the plane's own
 // audit trail and protocol counters.
 TEST(ShardEquivalence, DistributedControlPlaneBitIdentical) {
   const ProblemInstance instance = sharded_campus(9, 2.0, 8, 3);
@@ -559,7 +553,7 @@ TEST(ShardEquivalence, ObservabilityPipelineBitIdentical) {
   // control fabric, the time-series recorder fed engine counters plus the
   // plane's registered sources, and SLO burn-rate alerting writing into the
   // shared audit log. Everything it emits must be bit-identical between the
-  // single loop and every shard x thread configuration: the sharded engine
+  // one-shard run and every shard x thread configuration: the sharded engine
   // samples at epoch barriers laid on the same exact time grid.
   const ProblemInstance instance = sharded_campus(9, 2.5, 8, 3);
   Decision d;
@@ -682,7 +676,7 @@ TEST(ShardEquivalence, ObservabilityPipelineBitIdentical) {
 
 // Tasks still crossing shards when the run ends: a long-RTT offload whose
 // kServerArrive lands past the horizon must stay in flight (never delivered,
-// never double-counted), exactly like the single loop dropping the event.
+// never double-counted), exactly like a same-shard arrival past the horizon.
 TEST(ShardEquivalence, CrossShardInFlightAtHorizonBitIdentical) {
   clusters::CampusOptions copts;
   copts.seed = 13;
@@ -734,7 +728,7 @@ TEST(ShardPlan, DeterministicAndClamped) {
 }
 
 // The runner's sharded path: per-replication aggregates must match the
-// classic single-loop fan-out exactly, for any shard count.
+// one-shard fan-out exactly, for any shard count.
 TEST(ShardEquivalence, RunnerShardedPathBitIdentical) {
   const ProblemInstance instance = sharded_campus(11, 2.0, 6, 2);
   const Decision d = offload_decision(instance, 0.1, mbps(40.0));

@@ -224,14 +224,13 @@ TEST(Simulator, ControllerSwapsDecisionMidRun) {
   opts.control_interval = 10.0;
   Simulator sim(inst, offload, opts);
   bool swapped = false;
-  sim.set_controller([&](double now, const std::vector<double>&,
-                         const std::vector<bool>&)
-                         -> std::optional<Decision> {
-    if (now >= 150.0 && !swapped) {
+  sim.set_controller([&](const Observation& o) {
+    ControlAction a;
+    if (o.time >= 150.0 && !swapped) {
       swapped = true;
-      return local;
+      a.decision = local;
     }
-    return std::nullopt;
+    return a;
   });
   const auto m = sim.run();
   EXPECT_TRUE(swapped);
@@ -250,10 +249,7 @@ TEST(Simulator, ValidatesOptions) {
   Simulator::Options ok = fast_run();
   Simulator sim(inst, d, ok);
   EXPECT_THROW(
-      sim.set_controller([](double, const std::vector<double>&,
-                            const std::vector<bool>&) {
-        return std::optional<Decision>{};
-      }),
+      sim.set_controller([](const Observation&) { return ControlAction{}; }),
       ContractViolation);  // no control_interval configured
   EXPECT_THROW(sim.set_cell_trace(7, BandwidthTrace::constant(1.0)),
                ContractViolation);

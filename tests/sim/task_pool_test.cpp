@@ -1,5 +1,4 @@
-// Unit backfill for the task-pool layer the simulators (single-loop and
-// sharded) build on: the SoA free-list discipline and the IndexDeque's
+// Unit backfill for the task-pool layer the event engine builds on: the SoA free-list discipline and the IndexDeque's
 // head-cursor compaction — edge cases the integration suites only hit
 // probabilistically.
 

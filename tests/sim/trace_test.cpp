@@ -144,6 +144,45 @@ TEST(Trace, RingOverflowInARealRunKeepsCapacityEvents) {
   EXPECT_EQ(sim.trace().snapshot().size(), 64u);
 }
 
+// Sharded traces account for every event they lose: with rings far smaller
+// than the run, the retained events plus trace_dropped() equal what the same
+// run records into ample rings, and the Chrome export reports the loss.
+TEST(Trace, ShardedRingOverflowReportsDrops) {
+  clusters::CampusOptions copts;
+  copts.seed = 11;
+  copts.num_devices = 8;
+  copts.num_servers = 3;
+  copts.devices_per_cell = 2;
+  copts.mean_arrival_rate = 3.0;
+  const ProblemInstance instance(clusters::campus(copts));
+  const Decision d = offload_decision(instance, 0.1);
+
+  Simulator::Options o;
+  o.horizon = 10.0;
+  o.warmup = 1.0;
+  o.seed = 11;
+  o.faults.schedule = FaultSchedule::server_crash(0, 3.0, 5.0);
+  ShardOptions so;
+  so.shards = 2;
+
+  o.trace_capacity = 1 << 16;
+  ShardedSimulator ample(instance, d, o, so);
+  ample.run();
+  ASSERT_EQ(ample.plan().num_shards, 2u);
+  ASSERT_EQ(ample.trace_dropped(), 0u);
+  const std::size_t recorded = ample.trace_events().size();
+
+  o.trace_capacity = 32;
+  ShardedSimulator tiny(instance, d, o, so);
+  tiny.run();
+  const std::vector<TraceEvent> kept = tiny.trace_events();
+  EXPECT_GT(tiny.trace_dropped(), 0u);
+  EXPECT_EQ(kept.size() + tiny.trace_dropped(), recorded);
+  const Json doc = trace_to_chrome_json(kept, tiny.trace_dropped());
+  EXPECT_EQ(static_cast<std::uint64_t>(doc.at("droppedEvents").as_int()),
+            tiny.trace_dropped());
+}
+
 TEST(Trace, BitIdenticalAcrossThreadCounts) {
   const ClusterTopology topo = two_devices(5.0, 0.3);
   const ProblemInstance instance(topo);
