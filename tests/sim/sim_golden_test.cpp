@@ -1,7 +1,7 @@
 // Golden outputs of the event engine. Every scenario below is run through
 // `Simulator` and through `ShardedSimulator` at shards {1, 2, 4} x threads
 // {1, 4}, and each run must reproduce the frozen FNV-1a hashes of
-//   - the serialized SimMetrics (every field, per-device rows, series),
+//   - the serialized SimMetrics (every field and per-device row),
 //   - the metrics registry JSON,
 //   - the reconciled task trace (plus its recorded/dropped counts),
 //   - the scenario's extra exports where present: controller or plane audit
@@ -93,11 +93,6 @@ std::uint64_t hash_metrics(const SimMetrics& m) {
     h.u64(d.exit_histogram.size());
     for (std::size_t v : d.exit_histogram) h.u64(v);
   }
-  h.f64(m.series.window);
-  h.doubles(m.series.tasks_in_flight);
-  h.doubles(m.series.completion_rate);
-  h.doubles(m.series.mean_accuracy);
-  h.doubles(m.series.shed_rate);
   h.samples(m.latency);
   for (std::size_t v : {m.arrived, m.completed, m.failed, m.retried,
                         m.resteered, m.shed, m.expired, m.completed_all,
@@ -184,6 +179,21 @@ Simulator::Options with_sinks(Simulator::Options o, const Attachments& a) {
   o.recorder = a.recorder;
   o.slo = a.slo;
   return o;
+}
+
+/// Adds a fresh TimeSeriesRecorder to every run of `attach` (or of a
+/// scenario without attachments) and makes its JSON export the `extra`
+/// hash: the windowed view of the run, pinned like every other output.
+/// `attach` must not set an extra or an owner of its own.
+std::function<Attachments()> recorded(std::function<Attachments()> attach) {
+  return [attach] {
+    Attachments a = attach ? attach() : Attachments{};
+    auto rec = std::make_shared<TimeSeriesRecorder>(1 << 10);
+    a.recorder = rec.get();
+    a.extra = [rec = rec.get()] { return hash_string(rec->to_json().dump()); };
+    a.owner = rec;
+    return a;
+  };
 }
 
 /// shards == 0 runs `Simulator`; otherwise ShardedSimulator(shards, threads).
@@ -346,7 +356,8 @@ std::vector<Scenario> build_scenarios(const std::string& want) {
                         1.0 + 1.5 * static_cast<double>(seed % 4), 0);
     s.decision = JointOptimizer(fast_opts()).optimize(*s.instance);
     s.opts = base_opts(20.0, 2.0, seed);
-    s.opts.series_window = 1.0;
+    s.opts.obs_interval = 1.0;
+    s.attach = recorded(nullptr);
     out.push_back(std::move(s));
   }
   // F16-shaped outages under each fault policy.
@@ -393,7 +404,8 @@ std::vector<Scenario> build_scenarios(const std::string& want) {
                         1.0 + 1.5 * static_cast<double>(seed % 4), 2);
     s.decision = JointOptimizer(fast_opts()).optimize(*s.instance);
     s.opts = base_opts(12.0, 1.0, seed);
-    s.opts.series_window = 1.0;
+    s.opts.obs_interval = 1.0;
+    s.attach = recorded(nullptr);
     out.push_back(std::move(s));
   }
   for (const std::uint64_t seed : shard_seeds) {
@@ -414,7 +426,7 @@ std::vector<Scenario> build_scenarios(const std::string& want) {
     s.instance = campus(seed, 6, 2, 2.5, 2);
     s.decision = JointOptimizer(fast_opts()).optimize(*s.instance);
     s.opts = base_opts(10.0, 1.0, seed);
-    s.opts.series_window = 0.5;
+    s.opts.obs_interval = 0.5;
     s.opts.burst_factor = 0.4;
     s.opts.overload.policy = kOverloadPolicies[seed % 3];
     s.opts.overload.device_queue_limit = 3;
@@ -422,11 +434,11 @@ std::vector<Scenario> build_scenarios(const std::string& want) {
     s.opts.overload.server_queue_limit = 2;
     s.opts.rate_bursts.push_back(RateBurst{3.0, 6.0, 4.0});
     const std::vector<double> gate = ramp_gate(*s.instance);
-    s.attach = [gate] {
+    s.attach = recorded([gate] {
       Attachments a;
       a.admission = gate;
       return a;
-    };
+    });
     out.push_back(std::move(s));
   }
 
@@ -441,8 +453,8 @@ std::vector<Scenario> build_scenarios(const std::string& want) {
     s.decision = d_off;
     s.opts = base_opts(10.0, 1.0, 7);
     s.opts.control_interval = 0.75;
-    s.opts.series_window = 1.0;
-    s.attach = [d_off, d_loc] {
+    s.opts.obs_interval = 0.75;
+    s.attach = recorded([d_off, d_loc] {
       Attachments a;
       a.controller = [d_off, d_loc](const Observation& o) {
         ControlAction act;
@@ -456,7 +468,7 @@ std::vector<Scenario> build_scenarios(const std::string& want) {
         return act;
       };
       return a;
-    };
+    });
     out.push_back(std::move(s));
   }
 
@@ -470,13 +482,13 @@ std::vector<Scenario> build_scenarios(const std::string& want) {
     s.decision = d_off;
     s.opts = base_opts(10.0, 1.0, 19);
     s.opts.control_interval = 0.75;
-    s.opts.series_window = 1.0;
+    s.opts.obs_interval = 0.75;
     s.opts.telemetry.delay = 0.5;
     s.opts.telemetry.drop_prob = 0.2;
     s.opts.telemetry.noise_sigma = 0.3;
     s.opts.telemetry.quantum = mbps(1.0);
     s.opts.telemetry.flip_prob = 0.1;
-    s.attach = [d_off, d_loc] {
+    s.attach = recorded([d_off, d_loc] {
       Attachments a;
       a.controller = [d_off, d_loc](const Observation& o) {
         ControlAction act;
@@ -489,7 +501,7 @@ std::vector<Scenario> build_scenarios(const std::string& want) {
         return act;
       };
       return a;
-    };
+    });
     out.push_back(std::move(s));
   }
 
@@ -680,115 +692,115 @@ struct Golden {
 // change to the engine's observable behaviour.
 const Golden kGoldens[] = {
     {"PerfArrivalSweep_3",
-     {0x39f69757be429cc2ull, 0x4fa7fe940bd28b9aull,
-      0xb276944fb1b83029ull, 0}},
+     {0x33b9a8139ea0efe4ull, 0x4fa7fe940bd28b9aull,
+      0xb276944fb1b83029ull, 0xee0686b0463f65b6ull}},
     {"PerfArrivalSweep_17",
-     {0x9e73c20184477dd8ull, 0xddbdf14582ebccfeull,
-      0xdd633ffe23638e39ull, 0}},
+     {0xc951776c5138bb1cull, 0xddbdf14582ebccfeull,
+      0xdd633ffe23638e39ull, 0x5f2fe94b0b7f2f57ull}},
     {"PerfArrivalSweep_42",
-     {0xb8f2469581124aefull, 0xf8ed27e1e7d9fb4eull,
-      0x08ce026a08d82af8ull, 0}},
+     {0x85699b56d063f997ull, 0xf8ed27e1e7d9fb4eull,
+      0x08ce026a08d82af8ull, 0x0679611b90babf92ull}},
     {"PerfArrivalSweep_99",
-     {0x0427cba7eed8e79bull, 0xefed799223c1f4b1ull,
-      0xf96b72daf5fc747aull, 0}},
+     {0x76d5fd81d39429bdull, 0xefed799223c1f4b1ull,
+      0xf96b72daf5fc747aull, 0xa2708c77a6b35fa3ull}},
     {"PerfArrivalSweep_123",
-     {0xee946cb002ec07d1ull, 0xd2eaf02d718bbb15ull,
-      0x080b8adfbacf7da0ull, 0}},
+     {0xf6903c8fd8364db9ull, 0xd2eaf02d718bbb15ull,
+      0x080b8adfbacf7da0ull, 0xde3e2faa43670a19ull}},
     {"PerfArrivalSweep_256",
-     {0x470df2218f23ab52ull, 0x3d3484d439ecef19ull,
-      0x63628695d5cd6c35ull, 0}},
+     {0x83029cde6c0ac787ull, 0x3d3484d439ecef19ull,
+      0x63628695d5cd6c35ull, 0x4e3e7d497e0a490aull}},
     {"PerfFaultSchedule_3",
-     {0x51622aa365366357ull, 0x2fa727daed9e73bcull,
+     {0x4c35fa1706fbf61aull, 0x2fa727daed9e73bcull,
       0x808a1deb198830c6ull, 0}},
     {"PerfFaultSchedule_17",
-     {0xa10ca72fe9e711e1ull, 0x46be7b0ba812a9afull,
+     {0x0ecc9b6a53c890c8ull, 0x46be7b0ba812a9afull,
       0x5ffa07b76c429edbull, 0}},
     {"PerfFaultSchedule_42",
-     {0x371237b66b5669aaull, 0xcb099b478a24183dull,
+     {0x7a2b7bc56c2a15d7ull, 0xcb099b478a24183dull,
       0x296089a08d365b5aull, 0}},
     {"PerfFaultSchedule_99",
-     {0x154102c496696b51ull, 0x9133ac48f542cf24ull,
+     {0x1c06e0bc735cb204ull, 0x9133ac48f542cf24ull,
       0x6c7a5aaec24b4435ull, 0}},
     {"PerfFaultSchedule_123",
-     {0xeaba432a5955ba35ull, 0x53d6224d97f40cd3ull,
+     {0xeb0a29e4815fad2cull, 0x53d6224d97f40cd3ull,
       0x85d7de33fd2e6d4dull, 0}},
     {"PerfFaultSchedule_256",
-     {0xded86ef298515cf2ull, 0xf38bd60fde95125full,
+     {0x173a32ea68993ad3ull, 0xf38bd60fde95125full,
       0xa240c7f871e2db17ull, 0}},
     {"PerfOverload_3",
-     {0x3fdf1da292e93f3aull, 0xc461cb569c64d4b0ull,
+     {0xed2dc73b161854b7ull, 0xc461cb569c64d4b0ull,
       0xb94a4105547359aaull, 0}},
     {"PerfOverload_17",
-     {0x7ce3fd62401d7560ull, 0xb4eb9386b3260fd7ull,
+     {0x44f6f5fe142833e1ull, 0xb4eb9386b3260fd7ull,
       0xa34badf573e9eaf8ull, 0}},
     {"PerfOverload_42",
-     {0xeb147420d03a0151ull, 0x0e074be0019e86b1ull,
+     {0x9ba56e4b5fafa368ull, 0x0e074be0019e86b1ull,
       0x57f5664021766d16ull, 0}},
     {"PerfOverload_99",
-     {0xa10ba5f724ae2a34ull, 0xa453379e27086c46ull,
+     {0xafe219f789ad0ff1ull, 0xa453379e27086c46ull,
       0x2069f4f69bf75afaull, 0}},
     {"PerfOverload_123",
-     {0xfe20e73575345f1full, 0xc0604d830373892eull,
+     {0xdcea0184b6f211faull, 0xc0604d830373892eull,
       0xa7dc14b58a2dc4f3ull, 0}},
     {"PerfOverload_256",
-     {0x5f11b7612507e0c8ull, 0x62ffc47d7303e99dull,
+     {0x4ded3d868bbc29ddull, 0x62ffc47d7303e99dull,
       0x0482d306dbab9d65ull, 0}},
     {"ShardArrivalSweep_3",
-     {0x30009f95c43b8788ull, 0xe6b19a9b1deb50c0ull,
-      0x1bc1ba4f488497eaull, 0}},
+     {0x85dd3658e27fdc4aull, 0xe6b19a9b1deb50c0ull,
+      0x1bc1ba4f488497eaull, 0x7a8bff8e9230ade5ull}},
     {"ShardArrivalSweep_17",
-     {0x20fad97ee1f1bcb0ull, 0xca2615d577e0b772ull,
-      0x747ad6ef3460d453ull, 0}},
+     {0x9acdd626997ba67cull, 0xca2615d577e0b772ull,
+      0x747ad6ef3460d453ull, 0x26a29926480131a7ull}},
     {"ShardArrivalSweep_42",
-     {0x40008157bdaebf96ull, 0x6736afc60a98bb7aull,
-      0xd23a3373686f96ffull, 0}},
+     {0x682c5d8449a040a8ull, 0x6736afc60a98bb7aull,
+      0xd23a3373686f96ffull, 0xece20cee4773b67aull}},
     {"ShardArrivalSweep_99",
-     {0x8fee769cc2228f4cull, 0x6afa32f1e86cf9fdull,
-      0x6bf110784bb0e7bcull, 0}},
+     {0x6aeeacba13afa1f3ull, 0x6afa32f1e86cf9fdull,
+      0x6bf110784bb0e7bcull, 0x7874c2ad52a7119eull}},
     {"ShardFaultSchedule_3",
-     {0x62bebbccd16d7b6cull, 0x00d618c5296d3e58ull,
+     {0x0776aaedc660ce99ull, 0x00d618c5296d3e58ull,
       0x1a65391f4cb599bcull, 0}},
     {"ShardFaultSchedule_17",
-     {0xb4f609af5dcc6312ull, 0x6183036c90a59e6bull,
+     {0x0497886433981ad3ull, 0x6183036c90a59e6bull,
       0x76954899ba24e686ull, 0}},
     {"ShardFaultSchedule_42",
-     {0x6a4ba2f158b5a9b0ull, 0x81b0b0be9d3bc6a4ull,
+     {0xffcb29dbf682819dull, 0x81b0b0be9d3bc6a4ull,
       0xb90ba9647c820da4ull, 0}},
     {"ShardFaultSchedule_99",
-     {0x2a8355a0f04c93a4ull, 0xd23070e5bc7f71bcull,
+     {0xf6eb871253cbd291ull, 0xd23070e5bc7f71bcull,
       0x34271f410884481dull, 0}},
     {"ShardOverload_3",
-     {0x4903afb99141db6aull, 0xd185c622d5469e22ull,
-      0x09b263d992297953ull, 0}},
+     {0x21166cda15ea5dafull, 0xd185c622d5469e22ull,
+      0x09b263d992297953ull, 0x54b513dc3ef0feeaull}},
     {"ShardOverload_17",
-     {0x102fcc339dadab58ull, 0xdaa8fe16c513c019ull,
-      0x92d1847a18e39749ull, 0}},
+     {0x2bd1c60f3b0302c6ull, 0xdaa8fe16c513c019ull,
+      0x92d1847a18e39749ull, 0x58fad15d9e913908ull}},
     {"ShardOverload_42",
-     {0x924160b179140a3aull, 0x32dd8bc849e2c1ddull,
-      0xbe3bb1787205439bull, 0}},
+     {0x9e2db0f83916d998ull, 0x32dd8bc849e2c1ddull,
+      0xbe3bb1787205439bull, 0x46af3f47e06884b4ull}},
     {"ShardOverload_99",
-     {0x62ba7aee640e0329ull, 0xef57c186777bbcf6ull,
-      0xc7fe823d7f238eceull, 0}},
+     {0x8b1cc4ca33b76508ull, 0xef57c186777bbcf6ull,
+      0xc7fe823d7f238eceull, 0x48ddd69173599be3ull}},
     {"ControllerReplan",
-     {0x20ec7469d0953cacull, 0xd849a133bedc2158ull,
-      0xc397f98a6ea959ceull, 0}},
+     {0x5e6c2e69a785f33eull, 0xe0b0bf91728f9ba5ull,
+      0xc397f98a6ea959ceull, 0xc1773933c39ee851ull}},
     {"AdverseTelemetryChannel",
-     {0x589676072131d1ecull, 0x6b82e84d55f10e72ull,
-      0x662ba36ed48fa2e6ull, 0}},
+     {0x0261182eb26fabd6ull, 0xbdd4069021b28371ull,
+      0x662ba36ed48fa2e6ull, 0xf083cae6665dfe00ull}},
     {"HardenedOnlineController",
-     {0xe521459a42f00b97ull, 0x83f902d4f3f87790ull,
+     {0x817bbe35827fafbaull, 0x83f902d4f3f87790ull,
       0x3fe40b190d3c4449ull, 0x84efb9f833b05221ull}},
     {"DistributedControlPlane",
-     {0xd5bc92396baf07feull, 0x71b8c4a3adf0e52dull,
+     {0x1728bae05ceb29efull, 0x71b8c4a3adf0e52dull,
       0x5705cc33c6d4badaull, 0x3d511b250336c20eull}},
     {"ObservabilityPipeline",
-     {0x321460a9bd22b382ull, 0x8fc76146370ce5e0ull,
+     {0x902577586727a243ull, 0x8fc76146370ce5e0ull,
       0x968aa4eb942c0749ull, 0x742b508e5da96675ull}},
     {"CrossShardInFlightAtHorizon",
-     {0xa6560f790321e7e5ull, 0x2391f305085ed3fdull,
+     {0xba6fca8355530c48ull, 0x2391f305085ed3fdull,
       0x0b2c8384d0f33ca2ull, 0}},
     {"MetroDeviceOnly",
-     {0xbb0733d279dae02aull, 0x0bcb1cb677d78ce2ull,
+     {0x1be0118f905ae47full, 0x0bcb1cb677d78ce2ull,
       0xcbffcaef28c55334ull, 0}},
 };
 
@@ -888,8 +900,8 @@ struct RunnerGolden {
 };
 
 const RunnerGolden kRunnerGoldens[] = {
-    {"ReplicatedServerCrash", 0x41c2d4a87eb4af83ull},
-    {"ReplicatedCrossShardCrash", 0x267f178249a1ec44ull},
+    {"ReplicatedServerCrash", 0x9ba6cba62b7c1cb0ull},
+    {"ReplicatedCrossShardCrash", 0x3e228b579eb18fb0ull},
 };
 
 void PrintTo(const RunnerGolden& g, std::ostream* os) { *os << g.name; }
