@@ -18,6 +18,7 @@
 #include "bench_common.hpp"
 #include "core/admission.hpp"
 #include "core/online.hpp"
+#include "obs/timeseries.hpp"
 
 using namespace scalpel;
 
@@ -210,11 +211,21 @@ int main() {
 
   auto opts = base_sim(140.0);
   opts.rate_bursts.push_back(RateBurst{40.0, 70.0, 4.0});
-  opts.series_window = 10.0;
   opts.overload = bounded_queues();
   opts.control_interval = 1.0;
+  opts.obs_interval = 1.0;
 
   OnlineController ctl(topo, controller_opts());
+  // Sampled every second, after the controller tick of the same instant;
+  // the table below aggregates the samples into 10-s windows.
+  TimeSeriesRecorder rec;
+  ctl.register_sources(rec);
+  rec.register_gauge("bench.rung_accuracy", [&ctl] {
+    const auto& ladder = ctl.ladder();  // built at the first tick
+    return ladder.empty() ? 0.0
+                          : ladder[ctl.current_rung()].predicted_accuracy;
+  });
+  opts.recorder = &rec;
   Simulator sim(instance, ctl.decision(), opts);
   std::vector<std::pair<double, std::size_t>> rung_trace;
   sim.set_controller([&](const Observation& o) {
@@ -244,15 +255,37 @@ int main() {
               m.deadline_satisfaction, m.measured_accuracy, m.shed,
               m.expired);
 
+  // Per 10-s window: mean of the in-flight and rung-accuracy samples, and
+  // completions and drops (shed + expired) per second from the cumulative
+  // counters' growth over the window.
+  constexpr std::size_t kWindow = 10;  // 1-s samples per table row
+  const std::size_t in_flight = rec.column_index("sim.in_flight");
+  const std::size_t completed = rec.column_index("sim.completed");
+  const std::size_t shed = rec.column_index("sim.shed");
+  const std::size_t expired = rec.column_index("sim.expired");
+  const std::size_t accuracy = rec.column_index("bench.rung_accuracy");
   Table ts({"window start s", "in flight", "completions/s", "accuracy",
             "shed/s"});
-  for (std::size_t w = 0; w < m.series.tasks_in_flight.size(); ++w) {
-    ts.add_row({Table::num(static_cast<std::int64_t>(
-                    static_cast<double>(w) * m.series.window)),
-                Table::num(m.series.tasks_in_flight[w], 1),
-                Table::num(m.series.completion_rate[w], 1),
-                Table::num(m.series.mean_accuracy[w], 3),
-                Table::num(m.series.shed_rate[w], 1)});
+  double done_before = 0.0;
+  double dropped_before = 0.0;
+  for (std::size_t lo = 0; lo + kWindow <= rec.size(); lo += kWindow) {
+    double flight_sum = 0.0;
+    double accuracy_sum = 0.0;
+    for (std::size_t r = lo; r < lo + kWindow; ++r) {
+      flight_sum += rec.value(r, in_flight);
+      accuracy_sum += rec.value(r, accuracy);
+    }
+    const std::size_t last = lo + kWindow - 1;
+    const double done = rec.value(last, completed);
+    const double dropped = rec.value(last, shed) + rec.value(last, expired);
+    const double window_s = static_cast<double>(kWindow);
+    ts.add_row({Table::num(static_cast<std::int64_t>(lo)),
+                Table::num(flight_sum / window_s, 1),
+                Table::num((done - done_before) / window_s, 1),
+                Table::num(accuracy_sum / window_s, 3),
+                Table::num((dropped - dropped_before) / window_s, 1)});
+    done_before = done;
+    dropped_before = dropped;
   }
   std::printf("%s\n", ts.to_string().c_str());
 

@@ -74,7 +74,10 @@ trace_smoke() {
 # monitor all enabled, exported through the CLI, then validate-trace checks
 # that the merged Chrome trace parses, the ctrl.* metrics reconcile with the
 # span stream (sent == dropped + delivered + dead-lettered + in-flight),
-# and the time series is monotone on its cumulative columns.
+# and the time series is monotone on its cumulative columns. Then F17's
+# burst run, the one bench whose table is built from the recorder (1-s
+# samples after each 1-s controller tick, aggregated into 10-s windows over
+# a 140-s horizon): it must print all 14 windows.
 obs_smoke() {
   local cli="$BUILD_DIR/examples/scalpel_cli"
   local dir
@@ -87,6 +90,17 @@ obs_smoke() {
   "$cli" validate-trace --trace "$dir/obs_trace.json" \
     --metrics "$dir/obs_metrics.json"
   rm -rf "$dir"
+  local windows
+  windows="$("$BUILD_DIR/bench/bench_f17_overload" |
+    awk '/^\| window start s/ { on = 1; next }
+         on && /^\|-/ { next }
+         on && /^\|/ { n++; next }
+         on { on = 0 }
+         END { print n + 0 }')"
+  if [[ "$windows" != 14 ]]; then
+    echo "bench_f17_overload burst table: $windows windows, want 14" >&2
+    return 1
+  fi
 }
 
 # One-seed slice of the shard×thread determinism matrix: every scenario

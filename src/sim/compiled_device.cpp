@@ -73,9 +73,14 @@ std::shared_ptr<const PlanModel> PlanModelCache::get_or_compile(
   return model;
 }
 
+void PlanModelCache::evict_unused() {
+  std::erase_if(cache_,
+                [](const auto& entry) { return entry.second.use_count() == 1; });
+}
+
 void compile_device_decision(const ProblemInstance& instance, DeviceId dev,
                              const DeviceDecision& dd, CompiledDevice& cd,
-                             PlanModelCache* cache) {
+                             PlanModelCache& cache) {
   const auto& device = instance.topology().device(dev);
   const auto& bundle = instance.bundle_for(dev);
   cd.device_only = dd.plan.device_only;
@@ -100,14 +105,8 @@ void compile_device_decision(const ProblemInstance& instance, DeviceId dev,
   const ComputeProfile& server_profile =
       dd.plan.device_only ? device.compute
                           : instance.topology().server(dd.server).compute;
-  if (cache != nullptr) {
-    cd.plan = cache->get_or_compile(bundle, dd.plan, device.compute,
-                                    server_profile, link, device.difficulty);
-  } else {
-    cd.plan = std::make_shared<const PlanModel>(
-        bundle.graph, bundle.candidates, dd.plan, bundle.accuracy,
-        device.compute, server_profile, link, device.difficulty);
-  }
+  cd.plan = cache.get_or_compile(bundle, dd.plan, device.compute,
+                                 server_profile, link, device.difficulty);
   if (dd.plan.device_only) {
     cd.fallback.reset();
   } else {
@@ -117,15 +116,9 @@ void compile_device_decision(const ProblemInstance& instance, DeviceId dev,
     local.device_only = true;
     LinkSpec no_link;
     no_link.bandwidth = 1.0;
-    if (cache != nullptr) {
-      cd.fallback =
-          cache->get_or_compile(bundle, local, device.compute, device.compute,
-                                no_link, device.difficulty);
-    } else {
-      cd.fallback = std::make_shared<const PlanModel>(
-          bundle.graph, bundle.candidates, local, bundle.accuracy,
-          device.compute, device.compute, no_link, device.difficulty);
-    }
+    cd.fallback = cache.get_or_compile(bundle, local, device.compute,
+                                       device.compute, no_link,
+                                       device.difficulty);
   }
 }
 

@@ -63,6 +63,10 @@ class PlanModelCache {
       const ComputeProfile& device, const ComputeProfile& server,
       const LinkSpec& link, const DifficultyModel& difficulty);
 
+  /// Drops every entry nothing outside the cache still holds, so a run
+  /// that replans many times keeps only the plans its devices use.
+  void evict_unused();
+
   std::size_t size() const { return cache_.size(); }
 
  private:
@@ -70,10 +74,10 @@ class PlanModelCache {
   std::string key_;  // scratch buffer of get_or_compile
 };
 
-/// Compiles `dd` into `cd`: plan + device-only fallback, grants, rtt. With a non-null `cache` the
-/// PlanModels are shared across identical devices.
+/// Compiles `dd` into `cd`: plan + device-only fallback, grants, rtt. The
+/// PlanModels come from `cache`, shared across identical devices.
 void compile_device_decision(const ProblemInstance& instance, DeviceId dev,
                              const DeviceDecision& dd, CompiledDevice& cd,
-                             PlanModelCache* cache);
+                             PlanModelCache& cache);
 
 }  // namespace scalpel

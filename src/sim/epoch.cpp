@@ -37,8 +37,7 @@ std::vector<MetricRecord> merge_metric_records(
 
 std::vector<EpochBarrier> build_epoch_barriers(
     double horizon, double lookahead, double control_interval,
-    bool has_controller, double series_window,
-    const std::vector<double>& fault_times,
+    bool has_controller, const std::vector<double>& fault_times,
     const std::vector<std::vector<double>>& bandwidth_times,
     double obs_interval) {
   SCALPEL_REQUIRE(horizon > 0.0, "horizon must be positive");
@@ -56,9 +55,8 @@ std::vector<EpochBarrier> build_epoch_barriers(
     if (fault_times[f] > horizon) continue;
     at(fault_times[f]).fault_events.push_back(f);
   }
-  // Cells in ascending order, segments in ascending order — the single
-  // loop's construction-time seeding order, which is its tiebreak at equal
-  // times.
+  // Cells in ascending order, segments in ascending order: the order the
+  // serial phase applies coincident change-points in.
   for (std::size_t c = 0; c < bandwidth_times.size(); ++c) {
     for (std::size_t s = 0; s < bandwidth_times[c].size(); ++s) {
       const double t = bandwidth_times[c][s];
@@ -71,11 +69,6 @@ std::vector<EpochBarrier> build_epoch_barriers(
     // now_ is the exact previous tick time.
     for (double t = control_interval; t <= horizon; t += control_interval) {
       at(t).controller = true;
-    }
-  }
-  if (series_window > 0.0) {
-    for (double t = series_window; t <= horizon; t += series_window) {
-      at(t).series = true;
     }
   }
   if (obs_interval > 0.0) {

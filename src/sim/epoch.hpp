@@ -36,19 +36,17 @@ struct TaskEnvelope {
 };
 
 /// Kind of one order-sensitive accounting record. Integer counters merge by
-/// addition across shards, but Samples vectors, energy/accuracy sums, the
-/// in-flight integral, and the windowed time series are all sensitive to the
-/// order floating-point accumulation happens in. Every shard therefore logs
-/// its arrivals/terminals as MetricRecords and the coordinator replays the
-/// deterministically merged log through one accumulation routine —
-/// bit-identical for any shard or thread count.
+/// addition across shards, but Samples vectors and energy/accuracy sums are
+/// sensitive to the order floating-point accumulation happens in. Every
+/// shard therefore logs the terminals of its counted (post-warmup) tasks as
+/// MetricRecords and the coordinator replays the deterministically merged
+/// log through one accumulation routine — bit-identical for any shard or
+/// thread count.
 enum class MetricRecordKind : std::uint8_t {
-  kArrival = 0,  // in-flight +1 (logged only when the time series is on)
-  kComplete,
+  kComplete = 0,
   kFail,
   kShed,
   kExpire,
-  kSeries,  // window boundary (serial phase; carries no task fields)
 };
 
 /// Sort key position of records the serial reduction phase emits. Serial
@@ -68,13 +66,12 @@ struct MetricRecord {
   double energy = 0.0;             // kComplete only (device-side joules)
   std::int32_t device = -1;
   std::int32_t exit_slot = 0;      // kComplete only: exit histogram slot
-  MetricRecordKind kind = MetricRecordKind::kArrival;
+  MetricRecordKind kind = MetricRecordKind::kComplete;
   std::uint8_t flags = 0;
 
   enum : std::uint8_t {
-    kCounted = 1,          // arrived post-warmup: contributes to DeviceMetrics
-    kOutageOrFaulted = 2,  // completion during an outage or after a fault
-    kOffloaded = 4,
+    kOutageOrFaulted = 1,  // completion during an outage or after a fault
+    kOffloaded = 2,
   };
 };
 
@@ -100,25 +97,19 @@ std::vector<MetricRecord> merge_metric_records(
     const std::vector<const std::vector<MetricRecord>*>& logs);
 
 /// One synchronization point of the sharded run. Scripted global events
-/// (fault transitions, bandwidth change-points, controller and series ticks)
+/// (fault transitions, bandwidth change-points, controller and obs ticks)
 /// happen here, in the serial reduction phase, in exactly this order:
-/// envelope delivery, faults, bandwidth, controller, series, obs sample.
+/// envelope delivery, faults, bandwidth, controller, obs sample.
 struct EpochBarrier {
   double time = 0.0;
   bool controller = false;
-  bool series = false;
   /// Observability sample due at `time` (runs last in the serial phase,
-  /// after the controller and series ticks).
+  /// after the controller tick).
   bool obs = false;
   /// Indices into the fault schedule's event list due exactly at `time`.
   std::vector<std::size_t> fault_events;
   /// (cell, segment) bandwidth change-points due exactly at `time`.
   std::vector<std::pair<std::int32_t, std::size_t>> bandwidth_changes;
-
-  bool scripted() const {
-    return controller || series || obs || !fault_events.empty() ||
-           !bandwidth_changes.empty();
-  }
 };
 
 /// Builds the barrier agenda: every scripted event time (ticks advance by
@@ -128,8 +119,7 @@ struct EpochBarrier {
 /// lookahead (no cross-shard pairs) inserts no fillers.
 std::vector<EpochBarrier> build_epoch_barriers(
     double horizon, double lookahead, double control_interval,
-    bool has_controller, double series_window,
-    const std::vector<double>& fault_times,
+    bool has_controller, const std::vector<double>& fault_times,
     const std::vector<std::vector<double>>& bandwidth_times,
     double obs_interval = 0.0);
 

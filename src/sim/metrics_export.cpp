@@ -93,21 +93,6 @@ Json sim_metrics_to_json(const SimMetrics& m) {
     devices.push_back(std::move(d));
   }
   o.set("per_device", std::move(devices));
-
-  if (!m.series.tasks_in_flight.empty()) {
-    Json series = Json::object();
-    series.set("window", Json::number(m.series.window));
-    auto arr = [](const std::vector<double>& xs) {
-      Json a = Json::array();
-      for (double x : xs) a.push_back(Json::number(x));
-      return a;
-    };
-    series.set("tasks_in_flight", arr(m.series.tasks_in_flight));
-    series.set("completion_rate", arr(m.series.completion_rate));
-    series.set("mean_accuracy", arr(m.series.mean_accuracy));
-    series.set("shed_rate", arr(m.series.shed_rate));
-    o.set("series", std::move(series));
-  }
   return o;
 }
 

@@ -13,11 +13,11 @@ struct ReplicatedMetrics;
 /// console one-liner omits) to downstream tooling.
 
 /// Full SimMetrics as a JSON object: scalars, conservation counters, latency
-/// quantiles, per-device breakdown, utilization and time series.
+/// quantiles, per-device breakdown and utilization.
 Json sim_metrics_to_json(const SimMetrics& m);
 
-/// Flat (metric, value) rows of the aggregate scalars (per-device and series
-/// data excluded) for CSV export.
+/// Flat (metric, value) rows of the aggregate scalars (per-device data
+/// excluded) for CSV export.
 Table sim_metrics_to_table(const SimMetrics& m);
 
 /// Replicated aggregate: per-metric mean ± 95% CI summaries plus the

@@ -19,6 +19,12 @@ ScenarioRunner::ScenarioRunner(const ProblemInstance& instance,
   SCALPEL_REQUIRE(
       options_.sim.warmup >= 0.0 && options_.sim.warmup < options_.sim.horizon,
       "warmup must lie inside the horizon");
+  // Every replication copies options_.sim; borrowed sinks would be shared,
+  // racing on parallel fan-outs and interleaving runs on serial ones.
+  SCALPEL_REQUIRE(options_.replications == 1 ||
+                      (options_.sim.recorder == nullptr &&
+                       options_.sim.slo == nullptr),
+                  "a recorder or SLO monitor needs replications == 1");
 }
 
 std::uint64_t ScenarioRunner::replication_seed(std::uint64_t base_seed,

@@ -61,6 +61,8 @@ class ScenarioRunner {
     std::size_t threads = 0;
     /// Template for every replication; `sim.seed` is the *base* seed each
     /// replication substreams from, not the seed any replication runs with.
+    /// Its borrowed `recorder` and `slo` must be null unless replications
+    /// is 1: one sink cannot take the samples of several runs.
     Simulator::Options sim;
     /// Reject replications whose post-warmup completion count is zero
     /// instead of silently aggregating empty Samples (the classic

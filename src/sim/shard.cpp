@@ -196,7 +196,6 @@ struct ShardCore final : FluidSink {
   bool serial_mode = false;
 
   const ClusterTopology& topo() const { return g->instance_->topology(); }
-  bool series_on() const { return g->options_.series_window > 0.0; }
 
   void schedule(double t, Ev kind, std::int32_t a = -1, std::uint64_t b = 0) {
     if (t > g->options_.horizon) return;
@@ -219,27 +218,15 @@ struct ShardCore final : FluidSink {
     }
   }
 
-  void record_arrival(TaskIndex task) {
-    if (!series_on()) return;  // in-flight integral is the only consumer
-    MetricRecord r;
-    r.time = now;
-    r.id = tasks.id[task];
-    r.device = tasks.device[task];
-    r.kind = MetricRecordKind::kArrival;
-    push_record(r);
-  }
-
-  /// kFail / kShed / kExpire records (kComplete carries more and is emitted
-  /// inline in complete_task).
+  /// kFail / kShed / kExpire records of counted tasks (kComplete carries
+  /// more and is emitted inline in complete_task).
   void record_terminal(MetricRecordKind kind, TaskIndex task, double at) {
-    const bool counted = tasks.counted(task);
-    if (!counted && !series_on()) return;
+    if (!tasks.counted(task)) return;
     MetricRecord r;
     r.time = at;
     r.id = tasks.id[task];
     r.device = tasks.device[task];
     r.kind = kind;
-    if (counted) r.flags |= MetricRecord::kCounted;
     push_record(r);
   }
 
@@ -378,7 +365,6 @@ struct ShardCore final : FluidSink {
     ++g->metrics_.per_device[i].arrived;
     ctr.arrived.inc();
     ++g->arrivals_since_tick_[i];
-    record_arrival(task);
     trace_rec(now, tasks.id[task], dev, tasks.server[task],
               TraceEventType::kArrive);
 
@@ -740,8 +726,7 @@ struct ShardCore final : FluidSink {
     count_deadline(task, at - tasks.arrival[task], true);
     trace_rec(at, tasks.id[task], tasks.device[task], tasks.server[task],
               TraceEventType::kComplete);
-    const bool counted = tasks.counted(task);
-    if (counted || series_on()) {
+    if (tasks.counted(task)) {
       MetricRecord r;
       r.time = at;
       r.id = tasks.id[task];
@@ -760,7 +745,6 @@ struct ShardCore final : FluidSink {
       r.energy =
           device.energy.task_energy(phases.device_time, upload_dur, idle_dur);
       r.exit_slot = phases.exit_index < 0 ? 0 : phases.exit_index + 1;
-      if (counted) r.flags |= MetricRecord::kCounted;
       if (tasks.faulted(task) ||
           g->down_servers_ > 0 || g->down_links_ > 0) {
         r.flags |= MetricRecord::kOutageOrFaulted;
@@ -971,8 +955,9 @@ void ShardedSimulator::apply_decision(const Decision& decision) {
   if (&decision != &decision_) decision_ = decision;
   for (std::size_t i = 0; i < decision_.per_device.size(); ++i) {
     compile_device_decision(*instance_, static_cast<DeviceId>(i),
-                            decision_.per_device[i], devices_[i], &cache_);
+                            decision_.per_device[i], devices_[i], cache_);
   }
+  cache_.evict_unused();
 }
 
 std::vector<EpochBarrier> ShardedSimulator::build_agenda() const {
@@ -990,8 +975,7 @@ std::vector<EpochBarrier> ShardedSimulator::build_agenda() const {
   }
   return build_epoch_barriers(options_.horizon, plan_.lookahead,
                               options_.control_interval,
-                              static_cast<bool>(controller_),
-                              options_.series_window, fault_times,
+                              static_cast<bool>(controller_), fault_times,
                               bandwidth_times,
                               options_.recorder != nullptr
                                   ? options_.obs_interval
@@ -1225,7 +1209,7 @@ void ShardedSimulator::serial_phase(const EpochBarrier& b) {
   set_log_sim_time(b.time);
   // Fixed order at a barrier: envelopes only schedule (no observable
   // effect ordering), then fault events, then bandwidth change-points, then
-  // the controller tick, then the series boundary, then the obs sample.
+  // the controller tick, then the obs sample.
   deliver_envelopes();
   const auto& fault_events = options_.faults.schedule.events();
   for (const std::size_t idx : b.fault_events) {
@@ -1245,14 +1229,6 @@ void ShardedSimulator::serial_phase(const EpochBarrier& b) {
     ++serial_events_;
     serial_last_time_ = b.time;
     controller_tick(b.time);
-  }
-  if (b.series && options_.series_window > 0.0) {
-    ++serial_events_;
-    serial_last_time_ = b.time;
-    MetricRecord r;
-    r.time = b.time;
-    r.kind = MetricRecordKind::kSeries;
-    record_serial(r);
   }
   if (b.obs && options_.obs_interval > 0.0 && options_.recorder != nullptr) {
     ++serial_events_;
@@ -1304,55 +1280,20 @@ void ShardedSimulator::record_serial(MetricRecord r) {
 }
 
 void ShardedSimulator::account(const MetricRecord& r) {
-  const bool series_on = options_.series_window > 0.0;
-  SeriesState& w = series_;
-  auto settle = [&w](double t) {
-    w.in_flight_integral +=
-        static_cast<double>(w.in_flight) * (t - w.in_flight_last_t);
-    w.in_flight_last_t = t;
-  };
-  const bool counted = (r.flags & MetricRecord::kCounted) != 0;
+  auto& dm = metrics_.per_device[static_cast<std::size_t>(r.device)];
+  const auto& device = instance_->topology().device(r.device);
+  // Every terminal of a deadline-bearing task counts: a drop is a miss.
+  if (device.deadline > 0.0) ++dm.deadline_total;
   switch (r.kind) {
-    case MetricRecordKind::kArrival:
-      settle(r.time);
-      ++w.in_flight;
-      return;
-    case MetricRecordKind::kSeries:
-      settle(r.time);
-      metrics_.series.tasks_in_flight.push_back(w.in_flight_integral /
-                                                options_.series_window);
-      w.in_flight_integral = 0.0;
-      metrics_.series.completion_rate.push_back(
-          static_cast<double>(w.completions) / options_.series_window);
-      metrics_.series.mean_accuracy.push_back(
-          w.completions
-              ? w.accuracy_sum / static_cast<double>(w.completions)
-              : 0.0);
-      metrics_.series.shed_rate.push_back(static_cast<double>(w.shed) /
-                                          options_.series_window);
-      w.completions = 0;
-      w.accuracy_sum = 0.0;
-      w.shed = 0;
-      return;
     case MetricRecordKind::kComplete: {
-      if (series_on) {
-        settle(r.time);
-        --w.in_flight;
-        ++w.completions;
-        w.accuracy_sum += r.correct_prob;
-      }
-      if (!counted) return;
-      auto& dm = metrics_.per_device[static_cast<std::size_t>(r.device)];
       dm.latency.add(r.latency);
       hist_latency_->add(r.latency);
       ++dm.completed;
       if ((r.flags & MetricRecord::kOutageOrFaulted) != 0) {
         metrics_.outage_latency.add(r.latency);
       }
-      const auto& device = instance_->topology().device(r.device);
-      if (device.deadline > 0.0) {
-        ++dm.deadline_total;
-        if (r.latency <= device.deadline) ++dm.deadline_met;
+      if (device.deadline > 0.0 && r.latency <= device.deadline) {
+        ++dm.deadline_met;
       }
       dm.accuracy_sum += r.correct_prob;
       dm.energy_sum += r.energy;
@@ -1364,38 +1305,15 @@ void ShardedSimulator::account(const MetricRecord& r) {
       ++dm.exit_histogram[slot];
       return;
     }
-    case MetricRecordKind::kFail: {
-      if (series_on) {
-        settle(r.time);
-        --w.in_flight;
-      }
-      if (!counted) return;
-      auto& dm = metrics_.per_device[static_cast<std::size_t>(r.device)];
+    case MetricRecordKind::kFail:
       ++dm.failed;
-      if (instance_->topology().device(r.device).deadline > 0.0) {
-        ++dm.deadline_total;
-      }
       return;
-    }
     case MetricRecordKind::kShed:
-    case MetricRecordKind::kExpire: {
-      if (series_on) {
-        settle(r.time);
-        --w.in_flight;
-        ++w.shed;
-      }
-      if (!counted) return;
-      auto& dm = metrics_.per_device[static_cast<std::size_t>(r.device)];
-      if (r.kind == MetricRecordKind::kExpire) {
-        ++dm.expired;
-      } else {
-        ++dm.shed;
-      }
-      if (instance_->topology().device(r.device).deadline > 0.0) {
-        ++dm.deadline_total;
-      }
+      ++dm.shed;
       return;
-    }
+    case MetricRecordKind::kExpire:
+      ++dm.expired;
+      return;
   }
 }
 
@@ -1489,12 +1407,6 @@ SimMetrics ShardedSimulator::run() {
     SCALPEL_REQUIRE(!controller_ ||
                         options_.obs_interval <= options_.control_interval,
                     "obs_interval must not exceed control_interval");
-    SCALPEL_REQUIRE(options_.series_window == 0.0 ||
-                        options_.obs_interval <= options_.series_window,
-                    "obs_interval must not exceed series_window");
-  }
-  if (options_.series_window > 0.0) {
-    metrics_.series.window = options_.series_window;
   }
   seed_initial_events();
   const std::vector<EpochBarrier> barriers = build_agenda();

@@ -56,10 +56,10 @@ struct ShardOptions {
 /// uplinks) plus a server partition, and runs its own event loop over its
 /// own EventQueue/TaskPool/tracer between epoch barriers. Barriers sit on
 /// every scripted global event (fault transitions, bandwidth change-points,
-/// controller, series and obs ticks) and at most `lookahead` apart; a serial
+/// controller and obs ticks) and at most `lookahead` apart; a serial
 /// reduction phase at each barrier delivers cross-shard task envelopes,
-/// applies faults/bandwidth, and runs the controller. Simulator is this
-/// engine at one shard.
+/// applies faults/bandwidth, runs the controller, and takes the obs
+/// sample. Simulator is this engine at one shard.
 ///
 /// Ordering rule: at a barrier instant every scripted event (serial phase)
 /// precedes every task event of that instant, and task events keep their
@@ -180,16 +180,6 @@ class ShardedSimulator {
   std::size_t serial_events_ = 0;      // scripted dispatches (events_processed)
   double serial_last_time_ = 0.0;      // last barrier that dispatched anything
   std::size_t barriers_run_ = 0;
-  /// account()'s running state: the in-flight integral and the open
-  /// series window.
-  struct SeriesState {
-    std::int64_t in_flight = 0;
-    double in_flight_integral = 0.0;
-    double in_flight_last_t = 0.0;
-    std::size_t completions = 0;
-    double accuracy_sum = 0.0;
-    std::size_t shed = 0;
-  } series_;
 
   SimMetrics metrics_;
   MetricsRegistry registry_;

@@ -40,21 +40,8 @@ struct DeviceMetrics {
   std::vector<std::size_t> exit_histogram;  // index 0 = final exit, then exits
 };
 
-/// Windowed time series of system state (for transient plots and
-/// Little's-law checks).
-struct TimeSeries {
-  double window = 1.0;                 // seconds per sample
-  std::vector<double> tasks_in_flight;  // time-average per window
-  std::vector<double> completion_rate;  // completions/s per window
-  /// Mean correctness probability of the window's completions (0 for an
-  /// empty window) — shows accuracy dips and recovery through a burst.
-  std::vector<double> mean_accuracy;
-  std::vector<double> shed_rate;        // overload drops/s per window
-};
-
 struct SimMetrics {
   std::vector<DeviceMetrics> per_device;
-  TimeSeries series;
   Samples latency;                 // aggregate
   std::size_t arrived = 0;
   std::size_t completed = 0;
@@ -85,7 +72,7 @@ struct SimMetrics {
   std::size_t shed_all = 0;
   std::size_t in_flight_end = 0;
   /// Discrete events dispatched by the run (arrivals, phase completions,
-  /// fluid wake-ups, controller/series ticks, ...). The denominator of the
+  /// fluid wake-ups, controller/obs ticks, ...). The denominator of the
   /// ns/event and allocations/event figures BENCH_simcore tracks; identical
   /// across shard and thread counts for a fixed seed.
   std::size_t events_processed = 0;
@@ -177,8 +164,6 @@ class Simulator {
     /// plain Poisson arrivals (and identical RNG streams).
     double burst_factor = 0.0;
     double burst_hold = 2.0;
-    /// Time-series sampling window (seconds); 0 disables recording.
-    double series_window = 0.0;
     /// Hard-failure script and in-flight-task policy (empty = no faults).
     FaultOptions faults;
     /// Bounded queues + shedding policy (defaults leave behavior unchanged).
@@ -203,10 +188,10 @@ class Simulator {
     /// obs_interval the engine snapshots its counters plus all sources
     /// registered on `recorder` and, if set, evaluates `slo`. Samples are
     /// taken at epoch barriers on an exact time grid, after the controller
-    /// and series ticks of a coinciding instant, so recorded series are
-    /// bit-identical across shard x thread counts. Requires
-    /// obs_interval <= control_interval (when a controller is attached) and
-    /// <= series_window (when the series is on).
+    /// tick of a coinciding instant, so recorded series are bit-identical
+    /// across shard x thread counts. Requires obs_interval <=
+    /// control_interval when a controller is attached. This is the engine's
+    /// only windowed time series (see TimeSeriesRecorder).
     double obs_interval = 0.0;
     /// Borrowed sink for obs samples; must outlive the run. Null disables
     /// sampling regardless of obs_interval.

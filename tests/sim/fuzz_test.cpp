@@ -1,7 +1,8 @@
 // Shard fuzzer: random topologies, random decisions, random fault schedules
 // and overload bursts, then the shard-count-invariance contract — the
 // whole-run conservation counters (and conservation identity itself, with
-// tasks mid-flight across shards at the end) must not depend on how the
+// tasks mid-flight across shards at the end) and, when the fuzzer draws an
+// obs interval, the recorded time series must not depend on how the
 // topology was partitioned or how many workers ran the epochs. The bitwise
 // equivalence matrix lives in shard_equivalence_test.cpp; this file hunts
 // the configurations nobody thought to enumerate there.
@@ -10,11 +11,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/objective.hpp"
 #include "ctrl/plane.hpp"
 #include "edge/builders.hpp"
+#include "obs/timeseries.hpp"
 #include "sim/shard.hpp"
 #include "sim/simulator.hpp"
 #include "util/json.hpp"
@@ -70,12 +73,26 @@ Decision random_decision(const ProblemInstance& instance, Rng& rng) {
   return d;
 }
 
+/// The engine samples no faster than the controller ticks.
+void cap_obs_interval(Simulator::Options& opts) {
+  if (opts.control_interval > 0.0) {
+    opts.obs_interval = std::min(opts.obs_interval, opts.control_interval);
+  }
+}
+
+/// `opts` sampling into `rec` when the fuzzer drew an obs interval.
+Simulator::Options with_recorder(Simulator::Options opts,
+                                 TimeSeriesRecorder& rec) {
+  if (opts.obs_interval > 0.0) opts.recorder = &rec;
+  return opts;
+}
+
 Simulator::Options random_options(const ProblemInstance& instance, Rng& rng) {
   Simulator::Options opts;
   opts.horizon = rng.uniform(4.0, 8.0);
   opts.warmup = rng.uniform(0.0, 1.0);
   opts.seed = rng.next_u64();
-  if (rng.uniform() < 0.5) opts.series_window = rng.uniform(0.3, 1.0);
+  if (rng.uniform() < 0.5) opts.obs_interval = rng.uniform(0.3, 1.0);
   if (rng.uniform() < 0.5) opts.burst_factor = rng.uniform(0.1, 0.7);
 
   // Random fault schedule over real targets.
@@ -117,6 +134,7 @@ Simulator::Options random_options(const ProblemInstance& instance, Rng& rng) {
     if (rng.uniform() < 0.4) opts.telemetry.quantum = mbps(rng.uniform(0.5, 4.0));
     if (rng.uniform() < 0.6) opts.telemetry.flip_prob = rng.uniform(0.0, 0.3);
   }
+  cap_obs_interval(opts);
 
   // Random overload posture and a burst window.
   if (rng.uniform() < 0.7) {
@@ -174,10 +192,12 @@ TEST(ShardFuzz, ConservationIsShardCountInvariant) {
       };
     }
 
-    Simulator ref(instance, d, opts);
+    TimeSeriesRecorder ref_rec;
+    Simulator ref(instance, d, with_recorder(opts, ref_rec));
     if (!gate.empty()) ref.set_admission(gate);
     if (controller) ref.set_controller(controller);
     const SimMetrics ref_m = ref.run();
+    const std::string ref_series = ref_rec.to_json().dump();
 
     for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
       for (const std::size_t threads : {1u, 2u}) {
@@ -186,7 +206,8 @@ TEST(ShardFuzz, ConservationIsShardCountInvariant) {
         ShardOptions sopts;
         sopts.shards = shards;
         sopts.threads = threads;
-        ShardedSimulator sim(instance, d, opts, sopts);
+        TimeSeriesRecorder rec;
+        ShardedSimulator sim(instance, d, with_recorder(opts, rec), sopts);
         if (!gate.empty()) sim.set_admission(gate);
         if (controller) sim.set_controller(controller);
         const SimMetrics m = sim.run();
@@ -203,6 +224,7 @@ TEST(ShardFuzz, ConservationIsShardCountInvariant) {
         EXPECT_EQ(ref_m.retried, m.retried);
         EXPECT_EQ(ref_m.resteered, m.resteered);
         EXPECT_EQ(ref_m.events_processed, m.events_processed);
+        EXPECT_EQ(rec.to_json().dump(), ref_series);
       }
     }
   }
@@ -223,6 +245,7 @@ TEST(ShardFuzz, DistributedPlaneIsShardCountInvariant) {
     // The plane is the controller here; make sure it actually ticks.
     if (opts.control_interval <= 0.0) {
       opts.control_interval = rng.uniform(0.3, 1.5);
+      cap_obs_interval(opts);
     }
 
     DistributedPlaneOptions popts;
@@ -267,9 +290,11 @@ TEST(ShardFuzz, DistributedPlaneIsShardCountInvariant) {
     }
 
     DistributedControlPlane ref_plane(instance.topology(), popts);
-    Simulator ref(instance, d, opts);
+    TimeSeriesRecorder ref_rec;
+    Simulator ref(instance, d, with_recorder(opts, ref_rec));
     ref.set_controller(ref_plane.callback());
     const SimMetrics ref_m = ref.run();
+    const std::string ref_series = ref_rec.to_json().dump();
     const std::string ref_audit =
         ref_plane.audit_log().to_json().dump_pretty();
 
@@ -281,7 +306,8 @@ TEST(ShardFuzz, DistributedPlaneIsShardCountInvariant) {
         sopts.shards = shards;
         sopts.threads = threads;
         DistributedControlPlane plane(instance.topology(), popts);
-        ShardedSimulator sim(instance, d, opts, sopts);
+        TimeSeriesRecorder rec;
+        ShardedSimulator sim(instance, d, with_recorder(opts, rec), sopts);
         sim.set_controller(plane.callback());
         const SimMetrics m = sim.run();
 
@@ -299,6 +325,7 @@ TEST(ShardFuzz, DistributedPlaneIsShardCountInvariant) {
         EXPECT_EQ(plane.epochs_rejected(), ref_plane.epochs_rejected());
         EXPECT_EQ(plane.dead_letters(), ref_plane.dead_letters());
         EXPECT_EQ(plane.fabric().dropped(), ref_plane.fabric().dropped());
+        EXPECT_EQ(rec.to_json().dump(), ref_series);
       }
     }
   }

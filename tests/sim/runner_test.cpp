@@ -6,6 +6,8 @@
 
 #include "core/objective.hpp"
 #include "edge/builders.hpp"
+#include "obs/slo.hpp"
+#include "obs/timeseries.hpp"
 #include "profile/compute_profile.hpp"
 #include "profile/energy_model.hpp"
 #include "util/assert.hpp"
@@ -208,6 +210,33 @@ TEST(ScenarioRunner, ValidatesOptions) {
     o.sim.warmup = o.sim.horizon;
     EXPECT_THROW(ScenarioRunner(inst, d, o), ContractViolation);
   }
+}
+
+TEST(ScenarioRunner, RejectsSharedSinksAcrossReplications) {
+  // One recorder or SLO monitor cannot take the samples of several runs:
+  // parallel replications would race on it, serial ones interleave rows.
+  const ProblemInstance inst(single_device(1.0));
+  const auto d = local_decision(inst);
+  TimeSeriesRecorder rec;
+  SloMonitor slo(&rec);
+  {
+    auto o = runner_opts(2, 1);
+    o.sim.obs_interval = 1.0;
+    o.sim.recorder = &rec;
+    EXPECT_THROW(ScenarioRunner(inst, d, o), ContractViolation);
+  }
+  {
+    auto o = runner_opts(2, 1);
+    o.sim.slo = &slo;
+    EXPECT_THROW(ScenarioRunner(inst, d, o), ContractViolation);
+  }
+  // A single replication may borrow them like a plain Simulator.
+  auto o = runner_opts(1, 1);
+  o.sim.obs_interval = 1.0;
+  o.sim.recorder = &rec;
+  o.sim.slo = &slo;
+  ScenarioRunner(inst, d, o).run();
+  EXPECT_EQ(rec.size(), 60u);
 }
 
 }  // namespace

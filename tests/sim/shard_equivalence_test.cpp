@@ -1,8 +1,8 @@
 // Shard x thread determinism matrix of the event engine: for any shard
 // count and any worker-thread count, ShardedSimulator must reproduce the
 // one-shard run (Simulator) BIT-IDENTICALLY — every SimMetrics field, the
-// merged metrics registry, the reconciled trace stream, conservation
-// counters, and events_processed. Scenarios are shaped like the paper
+// merged metrics registry, the reconciled trace stream, the recorded time
+// series, conservation counters, and events_processed. Scenarios are shaped like the paper
 // benches (F4 arrival sweep, F16 fault schedules, F17 overload) plus the
 // cross-shard-specific paths: online replans, admission changes, and tasks
 // in flight across epoch barriers and the horizon.
@@ -134,12 +134,19 @@ void expect_metrics_identical(const SimMetrics& a, const SimMetrics& b) {
     EXPECT_EQ(da.exit_histogram, db.exit_histogram) << "device " << i;
     expect_samples_identical(da.latency, db.latency);
   }
-  ASSERT_EQ(a.series.tasks_in_flight.size(), b.series.tasks_in_flight.size());
-  for (std::size_t w = 0; w < a.series.tasks_in_flight.size(); ++w) {
-    EXPECT_EQ(a.series.tasks_in_flight[w], b.series.tasks_in_flight[w]);
-    EXPECT_EQ(a.series.completion_rate[w], b.series.completion_rate[w]);
-    EXPECT_EQ(a.series.mean_accuracy[w], b.series.mean_accuracy[w]);
-    EXPECT_EQ(a.series.shed_rate[w], b.series.shed_rate[w]);
+}
+
+/// Every retained row of both recorders, bitwise — column layout included.
+void expect_series_identical(const TimeSeriesRecorder& a,
+                             const TimeSeriesRecorder& b) {
+  ASSERT_EQ(a.columns(), b.columns());
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(a.dropped(), b.dropped());
+  for (std::size_t r = 0; r < a.size(); ++r) {
+    for (std::size_t c = 0; c < a.columns().size(); ++c) {
+      ASSERT_EQ(a.value(r, c), b.value(r, c))
+          << "row " << r << " col " << a.columns()[c];
+    }
   }
 }
 
@@ -180,12 +187,17 @@ struct ShardHooks {
 };
 
 /// Runs the scenario at one shard, then across the full shard x thread
-/// matrix, and holds every run to the one-shard run's exact outputs.
+/// matrix, and holds every run to the one-shard run's exact outputs. With
+/// opts.obs_interval set, every run also records its engine series into a
+/// fresh TimeSeriesRecorder, compared row for row.
 void expect_shard_equivalence(const ProblemInstance& instance,
                               const Decision& d, Simulator::Options opts,
                               const ShardHooks& hooks = {}) {
   opts.trace_capacity = 1 << 18;  // ample: no ring drops, full stream compare
+  const bool recording = opts.obs_interval > 0.0;
 
+  TimeSeriesRecorder ref_rec;
+  if (recording) opts.recorder = &ref_rec;
   Simulator ref(instance, d, opts);
   if (!hooks.admission.empty()) ref.set_admission(hooks.admission);
   if (hooks.controller) ref.set_controller(hooks.controller);
@@ -201,11 +213,15 @@ void expect_shard_equivalence(const ProblemInstance& instance,
       ShardOptions sopts;
       sopts.shards = shards;
       sopts.threads = threads;
-      ShardedSimulator sim(instance, d, opts, sopts);
+      TimeSeriesRecorder rec;
+      Simulator::Options run_opts = opts;
+      if (recording) run_opts.recorder = &rec;
+      ShardedSimulator sim(instance, d, run_opts, sopts);
       if (!hooks.admission.empty()) sim.set_admission(hooks.admission);
       if (hooks.controller) sim.set_controller(hooks.controller);
       const SimMetrics m = sim.run();
       expect_metrics_identical(ref_m, m);
+      if (recording) expect_series_identical(ref_rec, rec);
       expect_registries_identical(ref.registry(), sim.registry());
       const std::vector<TraceEvent> trace = sim.trace_events();
       ASSERT_EQ(ref_trace.size(), trace.size());
@@ -218,7 +234,7 @@ void expect_shard_equivalence(const ProblemInstance& instance,
 
 class ShardEquivalenceTest : public ::testing::TestWithParam<std::uint64_t> {};
 
-// F4-shaped: plain arrival sweep over an optimized decision, time series on.
+// F4-shaped: plain arrival sweep over an optimized decision, recorder on.
 TEST_P(ShardEquivalenceTest, ArrivalSweepBitIdentical) {
   const std::uint64_t seed = GetParam();
   const ProblemInstance instance =
@@ -229,7 +245,7 @@ TEST_P(ShardEquivalenceTest, ArrivalSweepBitIdentical) {
   opts.horizon = 12.0;
   opts.warmup = 1.0;
   opts.seed = seed;
-  opts.series_window = 1.0;
+  opts.obs_interval = 1.0;
   expect_shard_equivalence(instance, d, opts);
 }
 
@@ -268,7 +284,7 @@ TEST_P(ShardEquivalenceTest, OverloadBitIdentical) {
   opts.horizon = 10.0;
   opts.warmup = 1.0;
   opts.seed = seed;
-  opts.series_window = 0.5;
+  opts.obs_interval = 0.5;
   opts.burst_factor = 0.4;
   const OverloadPolicy policies[] = {OverloadPolicy::Block,
                                      OverloadPolicy::ShedNewest,
@@ -302,7 +318,7 @@ TEST(ShardEquivalence, ControllerReplanBitIdentical) {
   opts.warmup = 1.0;
   opts.seed = 7;
   opts.control_interval = 0.75;
-  opts.series_window = 1.0;
+  opts.obs_interval = 0.75;
 
   ShardHooks hooks;
   hooks.controller = [d_off, d_loc](const Observation& o) {
@@ -334,7 +350,7 @@ TEST(ShardEquivalence, AdverseTelemetryChannelBitIdentical) {
   opts.warmup = 1.0;
   opts.seed = 19;
   opts.control_interval = 0.75;
-  opts.series_window = 1.0;
+  opts.obs_interval = 0.75;
   opts.telemetry.delay = 0.5;
   opts.telemetry.drop_prob = 0.2;
   opts.telemetry.noise_sigma = 0.3;
@@ -530,20 +546,6 @@ TEST(ShardEquivalence, DistributedControlPlaneBitIdentical) {
       EXPECT_EQ(plane.rejoins(), ref_plane.rejoins());
       EXPECT_EQ(plane.fabric().sent(), ref_plane.fabric().sent());
       EXPECT_EQ(plane.fabric().dropped(), ref_plane.fabric().dropped());
-    }
-  }
-}
-
-/// Every retained row of both recorders, bitwise — column layout included.
-void expect_series_identical(const TimeSeriesRecorder& a,
-                             const TimeSeriesRecorder& b) {
-  ASSERT_EQ(a.columns(), b.columns());
-  ASSERT_EQ(a.size(), b.size());
-  EXPECT_EQ(a.dropped(), b.dropped());
-  for (std::size_t r = 0; r < a.size(); ++r) {
-    for (std::size_t c = 0; c < a.columns().size(); ++c) {
-      ASSERT_EQ(a.value(r, c), b.value(r, c))
-          << "row " << r << " col " << a.columns()[c];
     }
   }
 }

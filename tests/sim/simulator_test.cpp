@@ -7,6 +7,7 @@
 #include "core/objective.hpp"
 #include "util/assert.hpp"
 #include "edge/builders.hpp"
+#include "obs/timeseries.hpp"
 #include "profile/latency_model.hpp"
 #include "sched/queueing.hpp"
 #include "sim/runner.hpp"
@@ -333,53 +334,71 @@ TEST(Simulator, OffloadingShiftsEnergyFromComputeToTxIdle) {
   EXPECT_NE(ma.mean_task_energy, mb.mean_task_energy);
 }
 
-TEST(Simulator, TimeSeriesSatisfiesLittlesLaw) {
-  // L = lambda * W over the steady-state window, with L the time-average
-  // number in system from the recorded series.
-  const ProblemInstance inst(single_device(2.0));
-  const auto d = local_decision(inst);
-  Simulator::Options opts = fast_run(2000.0, 61);
-  opts.series_window = 5.0;
-  Simulator sim(inst, d, opts);
-  const auto m = sim.run();
-  ASSERT_GT(m.series.tasks_in_flight.size(), 100u);
-  // Skip the warmup windows.
-  double l_sum = 0.0;
-  std::size_t count = 0;
-  const std::size_t skip = m.series.tasks_in_flight.size() / 10;
-  for (std::size_t i = skip; i < m.series.tasks_in_flight.size(); ++i) {
-    l_sum += m.series.tasks_in_flight[i];
-    ++count;
-  }
-  const double l_avg = l_sum / static_cast<double>(count);
-  const double throughput =
-      static_cast<double>(m.completed) /
-      (opts.horizon - opts.warmup);
-  const double littles = throughput * m.latency.mean();
-  EXPECT_NEAR(l_avg, littles, littles * 0.1 + 0.02);
+/// Deterministic on-device service time of the single_device() task.
+double service_time() {
+  const ProblemInstance probe(single_device(1.0));
+  return LatencyModel::graph_latency(probe.bundle_for(0).graph,
+                                     probe.topology().device(0).compute);
 }
 
+/// Little's law L = lambda * W on one run at rho = 0.6: L is the mean of
+/// the recorder's sim.in_flight samples after warmup, taken every
+/// 0.37 service times (off the service grid, so samples do not alias with
+/// the deterministic departures); lambda and W come from the counted
+/// completions. Both sides integrate the same sample path, so they agree to
+/// sampling and edge error, far inside 2 %.
+void expect_littles_law(std::uint64_t seed) {
+  const double service = service_time();
+  const double rate = 0.6 / service;
+  const ProblemInstance inst(single_device(rate));
+  Simulator::Options opts;
+  opts.horizon = 20000.0 * service;
+  opts.warmup = 2000.0 * service;
+  opts.seed = seed;
+  opts.obs_interval = 0.37 * service;
+  TimeSeriesRecorder rec(std::size_t{1} << 16);
+  opts.recorder = &rec;
+  Simulator sim(inst, local_decision(inst), opts);
+  const auto m = sim.run();
+  ASSERT_EQ(rec.dropped(), 0u);
+  ASSERT_GT(m.completed, 5000u);
+
+  const std::size_t col = rec.column_index("sim.in_flight");
+  double l_sum = 0.0;
+  std::size_t count = 0;
+  for (std::size_t r = 0; r < rec.size(); ++r) {
+    if (rec.value(r, 0) < opts.warmup) continue;
+    l_sum += rec.value(r, col);
+    ++count;
+  }
+  ASSERT_GT(count, 40000u);
+  const double l_avg = l_sum / static_cast<double>(count);
+  const double throughput =
+      static_cast<double>(m.completed) / (opts.horizon - opts.warmup);
+  const double littles = throughput * m.latency.mean();
+  EXPECT_NEAR(l_avg, littles, 0.02 * littles) << "seed " << seed;
+}
+
+TEST(Simulator, TimeSeriesSatisfiesLittlesLaw) { expect_littles_law(61); }
+
 TEST(Simulator, TimeSeriesCompletionRatesMatchTotals) {
+  // The recorder's cumulative sim.completed at the horizon is the run's
+  // whole-run completion count, exactly.
   const ProblemInstance inst(single_device(3.0));
   const auto d = local_decision(inst);
   Simulator::Options opts = fast_run(300.0, 63);
   opts.warmup = 0.0;
-  opts.series_window = 2.0;
+  opts.obs_interval = 2.0;
+  TimeSeriesRecorder rec;
+  opts.recorder = &rec;
   Simulator sim(inst, d, opts);
   const auto m = sim.run();
-  double from_series = 0.0;
-  for (double r : m.series.completion_rate) r > 0 ? from_series += r * 2.0
-                                                  : 0.0;
-  // The series covers full windows only; allow the last partial window.
-  EXPECT_NEAR(from_series, static_cast<double>(m.completed),
-              static_cast<double>(m.completed) * 0.05 + 10.0);
-}
-
-TEST(Simulator, SeriesDisabledByDefault) {
-  const ProblemInstance inst(single_device(1.0));
-  Simulator sim(inst, local_decision(inst), fast_run(50.0, 65));
-  const auto m = sim.run();
-  EXPECT_TRUE(m.series.tasks_in_flight.empty());
+  ASSERT_EQ(rec.size(), 150u);
+  const std::size_t last = rec.size() - 1;
+  EXPECT_EQ(rec.last_time(), opts.horizon);
+  ASSERT_GT(m.completed_all, 0u);
+  EXPECT_EQ(rec.value(last, rec.column_index("sim.completed")),
+            static_cast<double>(m.completed_all));
 }
 
 TEST(Simulator, ReplicatedCiCoversQueueingTheory) {
@@ -387,9 +406,7 @@ TEST(Simulator, ReplicatedCiCoversQueueingTheory) {
   // deterministic on-device service are an M/D/1 queue exactly, so the 95%
   // CI over independent replications must cover the analytical sojourn
   // prediction from queueing.hpp (deterministic given the fixed base seed).
-  const ProblemInstance probe(single_device(1.0));
-  const double service = LatencyModel::graph_latency(
-      probe.bundle_for(0).graph, probe.topology().device(0).compute);
+  const double service = service_time();
   const double rate = 0.6 / service;  // rho = 0.6
   const ProblemInstance inst(single_device(rate));
   const auto d = local_decision(inst);
@@ -413,33 +430,10 @@ TEST(Simulator, ReplicatedCiCoversQueueingTheory) {
 }
 
 TEST(Simulator, ReplicatedTimeSeriesSatisfiesLittlesLaw) {
-  // L = lambda * W must hold within tolerance on every replication's
-  // recorded TimeSeries, not just on one lucky seed.
-  const ProblemInstance inst(single_device(2.0));
-  const auto d = local_decision(inst);
-  ScenarioRunner::Options opts;
-  opts.replications = 4;
-  opts.threads = 2;
-  opts.sim.horizon = 800.0;
-  opts.sim.warmup = 80.0;
-  opts.sim.seed = 71;
-  opts.sim.series_window = 5.0;
-  const auto m = ScenarioRunner(inst, d, opts).run();
-  ASSERT_EQ(m.replications.size(), 4u);
-  for (const auto& rep : m.replications) {
-    ASSERT_GT(rep.series.tasks_in_flight.size(), 100u);
-    double l_sum = 0.0;
-    std::size_t count = 0;
-    const std::size_t skip = rep.series.tasks_in_flight.size() / 10;
-    for (std::size_t i = skip; i < rep.series.tasks_in_flight.size(); ++i) {
-      l_sum += rep.series.tasks_in_flight[i];
-      ++count;
-    }
-    const double l_avg = l_sum / static_cast<double>(count);
-    const double throughput = static_cast<double>(rep.completed) /
-                              (opts.sim.horizon - opts.sim.warmup);
-    const double littles = throughput * rep.latency.mean();
-    EXPECT_NEAR(l_avg, littles, littles * 0.1 + 0.02);
+  // Little's law on every replication seed of a fan-out, not just on one
+  // lucky seed. A recorder samples one run, so each replication runs alone.
+  for (std::size_t r = 0; r < 4; ++r) {
+    expect_littles_law(ScenarioRunner::replication_seed(71, r));
   }
 }
 
