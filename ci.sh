@@ -53,10 +53,30 @@ WERROR=ON
 cmake -B "$BUILD_DIR" -S . -DSCALPEL_WERROR="$WERROR" "${EXTRA[@]}"
 cmake --build "$BUILD_DIR" -j "$JOBS"
 
+# Loads every named file with python3's json module: an independent parser,
+# so a bug in our JSON writer cannot hide behind a matching bug in our own
+# parser. NaN and Infinity literals are rejected as well.
+json_load_check() {
+  python3 - "$@" <<'PY'
+import json
+import sys
+
+
+def reject(token):
+    raise ValueError("non-standard JSON literal " + token)
+
+
+for path in sys.argv[1:]:
+    with open(path) as f:
+        json.load(f, parse_constant=reject)
+PY
+}
+
 # Observability smoke: record a traced overload run through the CLI and
 # check the exported JSON parses and its events reconcile exactly with the
 # conservation counters (arrived == completed_all + failed_all + shed_all +
-# in_flight_end). Exercises the tracer, audit log, and exporters end to end.
+# in_flight_end). Exercises the tracer, audit log, and exporters end to end;
+# python3 then loads every exported file.
 trace_smoke() {
   local cli="$BUILD_DIR/examples/scalpel_cli"
   local dir
@@ -66,6 +86,7 @@ trace_smoke() {
     --out "$dir/trace.json" --audit-out "$dir/audit.json" \
     --metrics-out "$dir/metrics.json"
   "$cli" validate-trace --trace "$dir/trace.json" --metrics "$dir/metrics.json"
+  json_load_check "$dir/trace.json" "$dir/audit.json" "$dir/metrics.json"
   rm -rf "$dir"
 }
 
@@ -74,10 +95,11 @@ trace_smoke() {
 # monitor all enabled, exported through the CLI, then validate-trace checks
 # that the merged Chrome trace parses, the ctrl.* metrics reconcile with the
 # span stream (sent == dropped + delivered + dead-lettered + in-flight),
-# and the time series is monotone on its cumulative columns. Then F17's
-# burst run, the one bench whose table is built from the recorder (1-s
-# samples after each 1-s controller tick, aggregated into 10-s windows over
-# a 140-s horizon): it must print all 14 windows.
+# and the time series is monotone on its cumulative columns; python3 loads
+# all four exported JSON files. Then F17's burst run, the one bench whose
+# table is built from the recorder (1-s samples after each 1-s controller
+# tick, aggregated into 10-s windows over a 140-s horizon): it must print
+# all 14 windows.
 obs_smoke() {
   local cli="$BUILD_DIR/examples/scalpel_cli"
   local dir
@@ -89,6 +111,8 @@ obs_smoke() {
     --audit-out "$dir/obs_audit.json"
   "$cli" validate-trace --trace "$dir/obs_trace.json" \
     --metrics "$dir/obs_metrics.json"
+  json_load_check "$dir/obs_trace.json" "$dir/obs_series.json" \
+    "$dir/obs_metrics.json" "$dir/obs_audit.json"
   rm -rf "$dir"
   local windows
   windows="$("$BUILD_DIR/bench/bench_f17_overload" |

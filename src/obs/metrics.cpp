@@ -58,16 +58,17 @@ HistogramMetric& MetricsRegistry::histogram(const std::string& name, double lo,
 }
 
 Json MetricsRegistry::to_json() const {
-  Json doc = Json::object();
-  Json& counters = doc.set("counters", Json::object());
+  // Each section is filled before it is inserted: a ref returned by set()
+  // would dangle at the next insert into `doc`.
+  Json counters = Json::object();
   for (const auto& [name, c] : counters_) {
     counters.set(name, Json::number(static_cast<double>(c.value())));
   }
-  Json& gauges = doc.set("gauges", Json::object());
+  Json gauges = Json::object();
   for (const auto& [name, g] : gauges_) {
     gauges.set(name, Json::number(g.value()));
   }
-  Json& hists = doc.set("histograms", Json::object());
+  Json hists = Json::object();
   for (const auto& [name, h] : histograms_) {
     Json entry = Json::object();
     entry.set("count", Json::number(static_cast<double>(h.total())));
@@ -86,6 +87,10 @@ Json MetricsRegistry::to_json() const {
     entry.set("bins", std::move(bins));
     hists.set(name, std::move(entry));
   }
+  Json doc = Json::object();
+  doc.set("counters", std::move(counters));
+  doc.set("gauges", std::move(gauges));
+  doc.set("histograms", std::move(hists));
   return doc;
 }
 

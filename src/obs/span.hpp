@@ -107,8 +107,8 @@ constexpr std::int64_t kCtrlChromePid = 1 << 20;
 
 /// Chrome trace-event fragments for control-plane spans: instant events on
 /// pid=kCtrlChromePid / tid=corr, each carrying corr, epoch, price, from,
-/// to, msg type, and span event in args. Returned as a bare event array so
-/// callers can splice it next to task events.
+/// to, msg type, and span event in args. Returned as a bare event array.
+/// Like trace_to_chrome_json(), these DOM forms parse the streamed layout.
 Json ctrl_spans_to_chrome_events(const std::vector<CtrlSpan>& spans);
 
 /// One merged Chrome trace document: task lifecycle events and control-plane
@@ -121,6 +121,10 @@ Json merged_trace_to_chrome_json(const TaskTracer& tasks,
 Json merged_trace_to_chrome_json(const std::vector<TraceEvent>& tasks,
                                  std::uint64_t dropped_tasks,
                                  const CtrlTracer& spans);
+/// Streams the merged document, pretty-printed, straight to `path` without
+/// building it; returns false (and logs) on I/O failure.
+bool write_merged_trace(const std::string& path, const TaskTracer& tasks,
+                        const CtrlTracer& spans);
 
 /// Flat tabular view (time_s, corr, epoch, price, from, to, msg, event) for
 /// CSV export.
