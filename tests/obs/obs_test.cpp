@@ -4,7 +4,11 @@
 // decision audit log.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -102,13 +106,24 @@ TEST(TraceExport, TracerOverloadReportsDrops) {
 }
 
 TEST(TraceExport, TableHasOneRowPerEvent) {
-  std::vector<TraceEvent> events;
-  events.push_back(ev(0.5, 1, TraceEventType::kArrive));
-  events.push_back(ev(0.75, 1, TraceEventType::kShed));
-  const Table t = trace_to_table(events);
-  const std::string csv = t.to_csv();
-  EXPECT_NE(csv.find("arrive"), std::string::npos);
-  EXPECT_NE(csv.find("shed"), std::string::npos);
+  TaskTracer tracer(8);
+  tracer.record(0.5, 1, 0, -1, TraceEventType::kArrive);
+  tracer.record(0.75, 1, 0, 3, TraceEventType::kRetry, 2);
+  tracer.record(1.0, 1, 0, -1, TraceEventType::kShed);
+  const std::string path = ::testing::TempDir() + "obs_test_trace_" +
+                           std::to_string(static_cast<long>(::getpid())) +
+                           ".csv";
+  ASSERT_TRUE(write_trace(tracer, path));
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream csv;
+  csv << in.rdbuf();
+  in.close();
+  std::remove(path.c_str());
+  EXPECT_EQ(csv.str(),
+            "time_s,task,device,server,event,arg\n"
+            "0.500000,1,0,-1,arrive,0\n"
+            "0.750000,1,0,3,retry,2\n"
+            "1.000000,1,0,-1,shed,0\n");
 }
 
 TEST(TraceExport, EventCountsIndexByType) {
