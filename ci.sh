@@ -154,9 +154,7 @@ chaos_slice() {
     --out "$dir/topo.json"
   "$cli" distributed --topology "$dir/topo.json" --drop 0.2 \
     --coord-mtbf 10 --horizon 40 --audit-out "$dir/audit.json"
-  python3 -c "import json,sys; json.load(open(sys.argv[1]))" \
-    "$dir/audit.json" 2>/dev/null \
-    || grep -q '"cause"' "$dir/audit.json"
+  json_load_check "$dir/audit.json"
   rm -rf "$dir"
 }
 

@@ -300,10 +300,7 @@ int cmd_simulate(const std::map<std::string, std::string>& flags) {
               to_ms(p99.ci95), sat.mean, sat.ci95, acc.mean, acc.ci95,
               off.mean, off.ci95, energy.mean * 1e3, energy.ci95 * 1e3);
   if (!metrics_out.empty()) {
-    const bool csv = metrics_out.size() >= 4 &&
-                     metrics_out.compare(metrics_out.size() - 4, 4, ".csv") ==
-                         0;
-    if (csv) {
+    if (metrics_out.ends_with(".csv")) {
       // One row of headline scalars per replication; the full nested detail
       // needs the JSON form.
       Table t({"rep", "arrived", "completed", "failed", "shed", "expired",
@@ -485,12 +482,10 @@ int cmd_trace(const std::map<std::string, std::string>& flags) {
                 ctl.degradations(), ctl.recoveries(), ctl.current_rung());
     const std::string audit_out = flag_or(flags, "audit-out", "");
     if (!audit_out.empty()) {
-      const bool csv = audit_out.size() >= 4 &&
-                       audit_out.compare(audit_out.size() - 4, 4, ".csv") ==
-                           0;
-      write_file(audit_out,
-                 csv ? ctl.audit_log().to_table().to_csv()
-                     : ctl.audit_log().to_json().dump_pretty() + "\n");
+      if (!ctl.audit_log().write(audit_out)) {
+        std::fprintf(stderr, "error: cannot write %s\n", audit_out.c_str());
+        return 1;
+      }
       std::printf("wrote audit log to %s\n", audit_out.c_str());
     }
   }
@@ -781,12 +776,10 @@ int cmd_distributed(const std::map<std::string, std::string>& flags) {
       static_cast<unsigned long long>(chaos.dead_letters()));
 
   if (!audit_out.empty()) {
-    const bool csv =
-        audit_out.size() >= 4 &&
-        audit_out.compare(audit_out.size() - 4, 4, ".csv") == 0;
-    write_file(audit_out, csv ? chaos.audit_log().to_table().to_csv()
-                              : chaos.audit_log().to_json().dump_pretty() +
-                                    "\n");
+    if (!chaos.audit_log().write(audit_out)) {
+      std::fprintf(stderr, "error: cannot write %s\n", audit_out.c_str());
+      return 1;
+    }
     std::printf("wrote %zu audit records to %s\n", chaos.audit_log().size(),
                 audit_out.c_str());
   }
@@ -800,10 +793,7 @@ int cmd_distributed(const std::map<std::string, std::string>& flags) {
                 trace_out.c_str());
   }
   if (!metrics_out.empty()) {
-    const bool csv =
-        metrics_out.size() >= 4 &&
-        metrics_out.compare(metrics_out.size() - 4, 4, ".csv") == 0;
-    if (csv) {
+    if (metrics_out.ends_with(".csv")) {
       if (!write_sim_metrics(m, metrics_out)) return 1;
     } else {
       Json doc = sim_metrics_to_json(m);
@@ -945,10 +935,7 @@ int cmd_obs_report(const std::map<std::string, std::string>& flags) {
                 timeseries_out.c_str());
   }
   if (!metrics_out.empty()) {
-    const bool csv =
-        metrics_out.size() >= 4 &&
-        metrics_out.compare(metrics_out.size() - 4, 4, ".csv") == 0;
-    if (csv) {
+    if (metrics_out.ends_with(".csv")) {
       if (!write_sim_metrics(m, metrics_out)) return 1;
     } else {
       Json doc = sim_metrics_to_json(m);
@@ -961,12 +948,10 @@ int cmd_obs_report(const std::map<std::string, std::string>& flags) {
     std::printf("wrote metrics to %s\n", metrics_out.c_str());
   }
   if (!audit_out.empty()) {
-    const bool csv =
-        audit_out.size() >= 4 &&
-        audit_out.compare(audit_out.size() - 4, 4, ".csv") == 0;
-    write_file(audit_out, csv ? plane.audit_log().to_table().to_csv()
-                              : plane.audit_log().to_json().dump_pretty() +
-                                    "\n");
+    if (!plane.audit_log().write(audit_out)) {
+      std::fprintf(stderr, "error: cannot write %s\n", audit_out.c_str());
+      return 1;
+    }
     std::printf("wrote %zu audit records to %s\n", plane.audit_log().size(),
                 audit_out.c_str());
   }

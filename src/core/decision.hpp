@@ -19,6 +19,8 @@ struct DeviceDecision {
   double compute_share = 0.0;
   /// Uplink bytes/s granted within the device's cell. Unused if device_only.
   double bandwidth = 0.0;
+
+  bool operator==(const DeviceDecision&) const = default;
 };
 
 /// Predicted per-device metrics attached to a decision by the evaluator.

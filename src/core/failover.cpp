@@ -14,7 +14,7 @@ namespace failover {
 
 GuardedOutcome guarded_attempt(const ProblemInstance& instance,
                                const std::vector<bool>& alive,
-                               const GuardOptions& opts,
+                               double budget_seconds,
                                const std::function<Decision()>& solve) {
   GuardedOutcome out;
   out.ok = true;
@@ -26,22 +26,21 @@ GuardedOutcome guarded_attempt(const ProblemInstance& instance,
     out.fail_cause = AuditCause::kSolverTimeout;
     out.fail_detail = std::string("solver threw: ") + e.what();
   }
-  if (out.ok && std::isfinite(opts.budget_seconds)) {
+  if (out.ok && std::isfinite(budget_seconds)) {
     const double elapsed =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
-    if (elapsed > opts.budget_seconds) {
+    if (elapsed > budget_seconds) {
       out.ok = false;
       out.fail_cause = AuditCause::kSolverTimeout;
       char buf[96];
       std::snprintf(buf, sizeof(buf), "solve took %.3fs, budget %.3fs",
-                    elapsed, opts.budget_seconds);
+                    elapsed, budget_seconds);
       out.fail_detail = buf;
     }
   }
-  if (out.ok && opts.validate) {
-    const PlanValidation v =
-        validate_plan(instance, out.decision, alive, opts.validation);
+  if (out.ok) {
+    const PlanValidation v = validate_plan(instance, out.decision, alive);
     if (!v.ok) {
       out.ok = false;
       out.fail_cause = AuditCause::kPlanRejected;
@@ -152,12 +151,9 @@ Decision solve_excluding_dead(
 
 FallbackOutcome fallback_chain(const ProblemInstance& instance,
                                const std::vector<bool>& alive,
-                               const Decision* previous,
-                               const GuardOptions& opts) {
+                               const Decision* previous) {
   FallbackOutcome out;
-  if (previous != nullptr &&
-      (!opts.validate ||
-       validate_plan(instance, *previous, alive, opts.validation).ok)) {
+  if (previous != nullptr && validate_plan(instance, *previous, alive).ok) {
     // Last-good plan is still safe under the believed conditions.
     out.decision = *previous;
     out.detail = "kept last-good plan";
@@ -166,8 +162,7 @@ FallbackOutcome fallback_chain(const ProblemInstance& instance,
   }
   if (previous != nullptr) {
     Decision repaired = remap_dead_servers(instance, *previous, alive);
-    if (!opts.validate ||
-        validate_plan(instance, repaired, alive, opts.validation).ok) {
+    if (validate_plan(instance, repaired, alive).ok) {
       out.decision = std::move(repaired);
       out.detail = "remapped onto live servers";
       return out;

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <functional>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -19,15 +18,6 @@ namespace failover {
 /// None of these touch controller state; callers keep their own counters,
 /// audit records, and backoff windows.
 
-/// Watchdog knobs for one guarded solve attempt.
-struct GuardOptions {
-  /// Wall-clock budget (post-hoc: an overrun solve is discarded). inf = off.
-  double budget_seconds = std::numeric_limits<double>::infinity();
-  /// Run validate_plan() on the output before accepting it.
-  bool validate = true;
-  PlanValidationOptions validation;
-};
-
 /// Outcome of one guarded solve attempt. When !ok, `decision` is untouched
 /// garbage — callers must not adopt it — and fail_cause/fail_detail carry
 /// the audit attribution (solver_timeout or plan_rejected).
@@ -38,11 +28,12 @@ struct GuardedOutcome {
   std::string fail_detail;
 };
 
-/// Runs `solve` under the watchdog: try/catch, wall-clock budget, and
-/// validate_plan against `alive` (empty = all up). Never throws.
+/// Runs `solve` under the watchdog: try/catch, a post-hoc wall-clock budget
+/// (an overrun solve is discarded; inf = off), and validate_plan against
+/// `alive` (empty = all up). Never throws.
 GuardedOutcome guarded_attempt(const ProblemInstance& instance,
                                const std::vector<bool>& alive,
-                               const GuardOptions& opts,
+                               double budget_seconds,
                                const std::function<Decision()>& solve);
 
 /// Everything-local survival plan: every device runs device-only. Always
@@ -81,8 +72,7 @@ struct FallbackOutcome {
 /// The returned decision always validates (device-only cannot fail).
 FallbackOutcome fallback_chain(const ProblemInstance& instance,
                                const std::vector<bool>& alive,
-                               const Decision* previous,
-                               const GuardOptions& opts);
+                               const Decision* previous);
 
 }  // namespace failover
 }  // namespace scalpel

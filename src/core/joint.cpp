@@ -10,6 +10,7 @@
 
 #include "core/objective.hpp"
 #include "profile/latency_model.hpp"
+#include "sched/offloading.hpp"
 #include "sched/queueing.hpp"
 #include "sched/shares.hpp"
 #include "surgery/partition.hpp"
@@ -21,6 +22,8 @@ namespace scalpel {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Stop when the objective improves by less than this fraction.
+constexpr double kConvergenceTol = 0.01;
 
 /// Subsample clean cuts to keep the per-device surgery search bounded: keep
 /// the earliest cut (offload-everything), the minimum-activation cut, and an
@@ -586,7 +589,7 @@ Decision JointOptimizer::optimize(const ProblemInstance& instance,
           prob.base_latency.push_back(std::move(base));
           prob.work.push_back(std::move(work));
         }
-        auto solution = best_response_offloading(prob, opts_.best_response);
+        auto solution = best_response_offloading(prob);
         if (!solution.feasible) {
           // Shed load: convert the heaviest offloaders to device-only until
           // the assignment stabilizes.
@@ -611,7 +614,7 @@ Decision JointOptimizer::optimize(const ProblemInstance& instance,
             prob.work.erase(prob.work.begin() +
                             static_cast<std::ptrdiff_t>(worst));
             if (off_idx.empty()) break;
-            solution = best_response_offloading(prob, opts_.best_response);
+            solution = best_response_offloading(prob);
           }
         }
         if (!off_idx.empty() && solution.feasible) {
@@ -638,7 +641,7 @@ Decision JointOptimizer::optimize(const ProblemInstance& instance,
               : 1.0;
       best_obj = d_score;
       best = std::move(d);
-      if (!first && improvement < opts_.convergence_tol) break;
+      if (!first && improvement < kConvergenceTol) break;
     } else if (std::isfinite(best_obj)) {
       break;  // no improvement on a finite objective: converged
     }

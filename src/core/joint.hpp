@@ -2,7 +2,6 @@
 
 #include "core/decision.hpp"
 #include "core/instance.hpp"
-#include "sched/offloading.hpp"
 #include "surgery/exit_setting.hpp"
 
 namespace scalpel {
@@ -24,8 +23,6 @@ struct JointOptions {
   JointObjective objective = JointObjective::kMeanLatency;
   /// Alternating (surgery <-> allocation) rounds.
   std::size_t max_iterations = 6;
-  /// Stop when the objective improves by less than this fraction.
-  double convergence_tol = 0.01;
 
   /// Ablation: optimize model surgery (partition + exits). When false the
   /// plan is frozen to the Neurosurgeon partition computed under the initial
@@ -45,8 +42,6 @@ struct JointOptions {
   std::vector<double> theta_grid = {0.0, 0.15, 0.30, 0.45, 0.60, 0.75};
   std::size_t max_exits = 3;
   std::size_t dp_coverage_bins = 60;
-
-  BestResponseOptions best_response;
 };
 
 /// Diagnostics from a solve (drives the scalability/convergence benches).

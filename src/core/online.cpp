@@ -17,21 +17,19 @@ namespace scalpel {
 
 namespace {
 
-bool same_plan(const SurgeryPlan& a, const SurgeryPlan& b) {
-  if (a.device_only != b.device_only ||
-      a.quantize_upload != b.quantize_upload ||
-      a.partition_after != b.partition_after ||
-      a.policy.exits.size() != b.policy.exits.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.policy.exits.size(); ++i) {
-    if (a.policy.exits[i].candidate != b.policy.exits[i].candidate ||
-        a.policy.exits[i].theta != b.policy.exits[i].theta) {
-      return false;
-    }
-  }
-  return true;
-}
+/// Enable INT8-quantized uploads from this ladder rung down (offloading
+/// plans).
+constexpr std::size_t kQuantizeFrom = 2;
+/// A device is overloaded when its offered rate exceeds this multiple of
+/// the current rung's sustainable rate, or its queue depth exceeds
+/// kQueueTrigger.
+constexpr double kOverloadMargin = 1.0;
+/// Queue depth (tasks buffered at the device across all stages) that flags
+/// overload regardless of the rate estimate.
+constexpr double kQueueTrigger = 16.0;
+/// Headroom for the bottom-rung admission gate (load shedding is the last
+/// resort once the ladder is exhausted).
+constexpr double kThrottleHeadroom = 0.9;
 
 }  // namespace
 
@@ -89,7 +87,7 @@ std::vector<LadderRung> build_degradation_ladder(
       const auto res = dp_exit_setting(bundle.graph, bundle.candidates,
                                        bundle.accuracy, device.compute, eo);
       if (res.feasible) plan.policy = res.policy;
-      if (!plan.device_only && k >= opts.quantize_from) {
+      if (!plan.device_only && k >= kQuantizeFrom) {
         plan.quantize_upload = true;
       }
       DeviceDecision dd = base.per_device[i];
@@ -114,7 +112,7 @@ std::vector<LadderRung> build_degradation_ladder(
     }
     bool distinct = false;
     for (std::size_t i = 0; i < n && !distinct; ++i) {
-      distinct = !same_plan(rung.plans[i], prev.plans[i]);
+      distinct = rung.plans[i] != prev.plans[i];
     }
     // A duplicate rung is skipped, but deeper floors may still unlock new
     // plans, so keep descending.
@@ -226,16 +224,12 @@ Decision OnlineController::run_solver(const ProblemInstance& sub) const {
 
 bool OnlineController::guarded_solve(bool liveness_changed) {
   const RobustnessOptions& ro = opts_.robustness;
-  failover::GuardOptions guard;
-  guard.budget_seconds = ro.solve_budget_seconds;
-  guard.validate = ro.validate_plans;
-  guard.validation = ro.validation;
 
   // The solve closure never touches controller state, so a failed attempt
   // needs no restore — decision_ and the solved-state anchors only advance
   // when the watchdog accepts the output.
   failover::GuardedOutcome outcome = failover::guarded_attempt(
-      instance_, alive_, guard, [&]() -> Decision {
+      instance_, alive_, ro.solve_budget_seconds, [&]() -> Decision {
         bool any_alive = false;
         bool all_alive = true;
         for (bool a : alive_) {
@@ -274,7 +268,7 @@ bool OnlineController::guarded_solve(bool liveness_changed) {
   backoff_remaining_ = ro.solver_backoff_windows;
   AuditRecord fb = audit_open(AuditCause::kFallbackApplied, "");
   failover::FallbackOutcome fallen = failover::fallback_chain(
-      instance_, alive_, solved_ ? &decision_ : nullptr, guard);
+      instance_, alive_, solved_ ? &decision_ : nullptr);
   if (fallen.remap_rejected) ++plans_rejected_;
   fb.detail = fallen.detail;
   const bool changed = !fallen.kept_previous;
@@ -409,8 +403,8 @@ bool OnlineController::observe_load(const Observation& obs, bool changed) {
   for (std::size_t i = 0; i < n; ++i) {
     SCALPEL_REQUIRE(offered_rate[i] >= 0.0 && queue_depth[i] >= 0.0,
                     "offered rate and queue depth must be non-negative");
-    if (offered_rate[i] > o.overload_margin * cur.sustainable[i] + 1e-12 ||
-        queue_depth[i] > o.queue_trigger) {
+    if (offered_rate[i] > kOverloadMargin * cur.sustainable[i] + 1e-12 ||
+        queue_depth[i] > kQueueTrigger) {
       if (!overloaded) {
         char buf[96];
         std::snprintf(buf, sizeof(buf),
@@ -421,7 +415,7 @@ bool OnlineController::observe_load(const Observation& obs, bool changed) {
       overloaded = true;
     }
     if (offered_rate[i] > o.recover_margin * target.sustainable[i] ||
-        queue_depth[i] > 0.5 * o.queue_trigger) {
+        queue_depth[i] > 0.5 * kQueueTrigger) {
       calm = false;
     }
   }
@@ -443,7 +437,7 @@ bool OnlineController::observe_load(const Observation& obs, bool changed) {
         std::vector<double> gate(n, 1.0);
         for (std::size_t i = 0; i < n; ++i) {
           if (offered_rate[i] <= 0.0) continue;
-          const double cap = o.throttle_headroom * cur.sustainable[i];
+          const double cap = kThrottleHeadroom * cur.sustainable[i];
           gate[i] = std::clamp(cap / offered_rate[i], 0.0, 1.0);
         }
         if (gate != admit_fraction_) {

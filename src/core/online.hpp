@@ -35,14 +35,12 @@ struct LadderOptions {
   /// base plan's expected accuracy — the ladder deliberately trades the
   /// configured accuracy floors for liveness under overload.
   double accuracy_step = 0.05;
-  /// Enable INT8-quantized uploads from this rung down (offloading plans).
-  std::size_t quantize_from = 2;
 };
 
 /// Precomputes the degradation ladder for a decision: per device and rung,
 /// re-runs the exit-setting DP (surgery/exit_setting) with a progressively
 /// lower accuracy floor — lower thresholds and earlier mandatory exits fall
-/// out of the DP — and optionally quantizes uploads. Partition point,
+/// out of the DP — and, from rung 2 down, quantizes uploads. Partition point,
 /// server, and resource grants stay fixed, so every rung is feasible under
 /// the same allocation. Monotonicity is enforced: a rung never has higher
 /// predicted accuracy or lower sustainable rate than the one above it.
@@ -62,25 +60,16 @@ class OnlineController {
  public:
   struct OverloadControlOptions {
     LadderOptions ladder;
-    /// A device is overloaded when its offered rate exceeds this multiple of
-    /// the current rung's sustainable rate, or its queue depth exceeds
-    /// `queue_trigger`.
-    double overload_margin = 1.0;
     /// The cluster is calm (eligible for recovery) when every device's
     /// offered rate is below this multiple of the *next rung up*'s
-    /// sustainable rate — the gap between the two margins is the hysteresis
-    /// band that prevents rung thrash.
+    /// sustainable rate — the gap between it and the overload margin (1.0:
+    /// offered rate above the current rung's sustainable rate) is the
+    /// hysteresis band that prevents rung thrash.
     double recover_margin = 0.7;
-    /// Queue depth (tasks buffered at the device across all stages) that
-    /// flags overload regardless of the rate estimate.
-    double queue_trigger = 16.0;
     /// Consecutive overloaded observation windows before stepping down.
     std::size_t trigger_windows = 2;
     /// Consecutive calm observation windows before stepping back up.
     std::size_t recovery_windows = 3;
-    /// Headroom for the bottom-rung admission gate (load shedding is the
-    /// last resort once the ladder is exhausted).
-    double throttle_headroom = 0.9;
   };
 
   /// Defenses against imperfect telemetry and a misbehaving solver. Every
@@ -97,9 +86,6 @@ class OnlineController {
     /// After a watchdog trip, skip this many bandwidth-drift re-solves
     /// (liveness flips always re-solve — a crash is a hard signal).
     std::size_t solver_backoff_windows = 0;
-    /// Run validate_plan() on every solver output before adopting it.
-    bool validate_plans = true;
-    PlanValidationOptions validation;
   };
 
   struct Options {

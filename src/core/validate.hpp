@@ -8,20 +8,6 @@
 
 namespace scalpel {
 
-struct PlanValidationOptions {
-  /// Relative slack on the per-server compute-share sum and the per-cell
-  /// bandwidth-grant sum (solvers and remaps accumulate FP error; a few
-  /// percent of oversubscription is noise, 2x is a garbage plan).
-  double capacity_slack = 0.02;
-  /// Also reject plans whose evaluated accuracy falls below a device's
-  /// configured floor (minus accuracy_slack). Off by default: the joint
-  /// optimizer may legitimately trade an unreachable floor for feasibility,
-  /// and the degradation ladder lowers floors on purpose — enable this only
-  /// for deployments where the floor is a hard contract.
-  bool check_accuracy = false;
-  double accuracy_slack = 1e-9;
-};
-
 /// Outcome of validate_plan: ok, or the first defect found (one line, used
 /// verbatim as the plan_rejected audit detail).
 struct PlanValidation {
@@ -37,12 +23,13 @@ struct PlanValidation {
 ///   - a non-positive or > 1 compute share, or a non-positive bandwidth
 ///     grant, on an offloading device;
 ///   - per-server share sums or per-cell grant sums beyond capacity (plus
-///     slack) — admitted work could then never drain;
-///   - optionally, evaluated accuracy below a device's configured floor.
+///     slack) — admitted work could then never drain.
+/// Accuracy is advisory: the joint optimizer may legitimately trade an
+/// unreachable floor for feasibility, and the degradation ladder lowers
+/// floors on purpose, so a plan below a device's floor still passes.
 /// `server_alive` is indexed by server id (empty = every server up).
 PlanValidation validate_plan(const ProblemInstance& instance,
                              const Decision& decision,
-                             const std::vector<bool>& server_alive,
-                             const PlanValidationOptions& opts = {});
+                             const std::vector<bool>& server_alive);
 
 }  // namespace scalpel

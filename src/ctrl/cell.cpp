@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
+#include "core/failover.hpp"
 #include "core/objective.hpp"
 #include "util/assert.hpp"
 
@@ -11,23 +13,19 @@ namespace scalpel {
 
 namespace {
 
-bool same_device_decision(const DeviceDecision& a, const DeviceDecision& b) {
-  if (a.plan.device_only != b.plan.device_only ||
-      a.plan.quantize_upload != b.plan.quantize_upload ||
-      a.plan.partition_after != b.plan.partition_after ||
-      a.plan.policy.exits.size() != b.plan.policy.exits.size() ||
-      a.server != b.server || a.compute_share != b.compute_share ||
-      a.bandwidth != b.bandwidth) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.plan.policy.exits.size(); ++i) {
-    if (a.plan.policy.exits[i].candidate != b.plan.policy.exits[i].candidate ||
-        a.plan.policy.exits[i].theta != b.plan.policy.exits[i].theta) {
-      return false;
-    }
-  }
-  return true;
-}
+/// Seconds without any coordinator message before the cell declares the
+/// coordinator lost and enters validated local autonomy.
+constexpr double kHeartbeatTimeout = 3.0;
+/// Seconds between load reports to the coordinator.
+constexpr double kReportInterval = 1.0;
+/// A slice grant older than this is stale (the cell then trusts only
+/// CellController::kStaleDiscount of it). Heartbeats carrying the adopted
+/// epoch re-anchor freshness, so a live converged coordinator keeps its
+/// cells permanently fresh.
+constexpr double kFreshFor = 5.0;
+/// Wall-clock budget of a local solve: none (the watchdog still catches
+/// throws and validates the plan on the cell's sub-instance).
+constexpr double kSolveBudgetSeconds = std::numeric_limits<double>::infinity();
 
 }  // namespace
 
@@ -86,7 +84,7 @@ void CellController::receive(const CtrlMessage& msg, double now) {
     // off our load-report epoch echo) is what repairs it.
     if (msg.epoch == adopted_epoch_) {
       granted_at_ = std::max(granted_at_, msg.sent_at);
-      if (stale_ && now - granted_at_ <= opts_.fresh_for) {
+      if (stale_ && now - granted_at_ <= kFreshFor) {
         stale_ = false;
         pending_solve_ = true;  // restore the undiscounted slice
       }
@@ -128,7 +126,7 @@ void CellController::receive(const CtrlMessage& msg, double now) {
   granted_at_ = msg.sent_at;
   const bool was_stale = stale_;
   stale_ = false;
-  if (was_stale || max_delta > opts_.slice_hysteresis) pending_solve_ = true;
+  if (was_stale || max_delta > kSliceHysteresis) pending_solve_ = true;
   append_log();
 }
 
@@ -155,7 +153,7 @@ bool CellController::local_solve(double now, AuditCause cause,
   (void)now;
   ++local_solves_;
   const auto& topo = global_->topology();
-  const double discount = stale_ ? opts_.stale_discount : 1.0;
+  const double discount = stale_ ? kStaleDiscount : 1.0;
   std::vector<double> usable(num_servers_, 0.0);
   for (std::size_t s = 0; s < num_servers_; ++s) {
     usable[s] = slice_[s] * discount;
@@ -194,7 +192,7 @@ bool CellController::local_solve(double now, AuditCause cause,
     bool changed = !had_plan || local_.size() != previous.size();
     if (!changed) {
       for (std::size_t i = 0; i < local_.size(); ++i) {
-        if (!same_device_decision(local_[i], previous[i])) {
+        if (local_[i] != previous[i]) {
           changed = true;
           break;
         }
@@ -227,7 +225,8 @@ bool CellController::local_solve(double now, AuditCause cause,
 
   const ProblemInstance sub(reduced);
   failover::GuardedOutcome outcome = failover::guarded_attempt(
-      sub, /*alive=*/{}, opts_.guard, [&] { return run_solver(sub); });
+      sub, /*alive=*/{}, kSolveBudgetSeconds,
+      [&] { return run_solver(sub); });
 
   if (outcome.ok) {
     // Map the sub-space decision back to global ids and global share space.
@@ -295,7 +294,7 @@ bool CellController::tick(double now, double cell_bandwidth,
                           ControlFabric& fabric) {
   observed_bw_ = cell_bandwidth;
 
-  if (!autonomous_ && now - last_coord_seen_ > opts_.heartbeat_timeout) {
+  if (!autonomous_ && now - last_coord_seen_ > kHeartbeatTimeout) {
     autonomous_ = true;
     ++coordinator_losses_;
     if (audit_ != nullptr) {
@@ -304,12 +303,12 @@ bool CellController::tick(double now, double cell_bandwidth,
       char buf[96];
       std::snprintf(buf, sizeof(buf),
                     "no coordinator message for %.1fs (timeout %.1fs)",
-                    now - last_coord_seen_, opts_.heartbeat_timeout);
+                    now - last_coord_seen_, kHeartbeatTimeout);
       r.detail = tag() + buf;
       audit_->append(std::move(r));
     }
   }
-  if (!stale_ && now - granted_at_ > opts_.fresh_for) {
+  if (!stale_ && now - granted_at_ > kFreshFor) {
     stale_ = true;
     ++stale_transitions_;
     pending_solve_ = true;
@@ -320,7 +319,7 @@ bool CellController::tick(double now, double cell_bandwidth,
       std::snprintf(buf, sizeof(buf),
                     "grant epoch %llu age %.1fs > %.1fs; usable slice x%.2f",
                     static_cast<unsigned long long>(adopted_epoch_),
-                    now - granted_at_, opts_.fresh_for, opts_.stale_discount);
+                    now - granted_at_, kFreshFor, kStaleDiscount);
       r.detail = tag() + buf;
       audit_->append(std::move(r));
     }
@@ -338,8 +337,7 @@ bool CellController::tick(double now, double cell_bandwidth,
           "server " + std::to_string(s) + (server_alive[s] ? " up" : " down");
     }
   } else if (has_plan_ && solved_bw_ > 0.0 &&
-             std::abs(observed_bw_ / solved_bw_ - 1.0) >
-                 opts_.bandwidth_hysteresis) {
+             std::abs(observed_bw_ / solved_bw_ - 1.0) > kBandwidthHysteresis) {
     pending_solve_ = true;
     char buf[64];
     std::snprintf(buf, sizeof(buf), "uplink %+.0f%%",
@@ -369,7 +367,7 @@ bool CellController::tick(double now, double cell_bandwidth,
   }
 
   if (now >= next_report_) {
-    next_report_ = now + opts_.report_interval;
+    next_report_ = now + kReportInterval;
     CtrlMessage m;
     m.type = CtrlMsgType::kLoadReport;
     m.from = 1 + static_cast<int>(cell_);

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "core/failover.hpp"
 #include "core/instance.hpp"
 #include "core/joint.hpp"
 #include "ctrl/fabric.hpp"
@@ -14,28 +13,6 @@
 namespace scalpel {
 
 struct CellControllerOptions {
-  /// Seconds without any coordinator message before the cell declares the
-  /// coordinator lost and enters validated local autonomy.
-  double heartbeat_timeout = 3.0;
-  /// Seconds between load reports to the coordinator.
-  double report_interval = 1.0;
-  /// A slice grant older than this is stale: the cell keeps operating (it
-  /// never blocks on the coordinator) but only trusts `stale_discount` of
-  /// the granted capacity — bounded staleness, priced conservatively.
-  /// Heartbeats carrying the adopted epoch re-anchor freshness, so a live
-  /// converged coordinator keeps its cells permanently fresh.
-  double fresh_for = 5.0;
-  double stale_discount = 0.75;
-  /// A newly adopted grant re-solves only when some server's slice moved by
-  /// more than this (absolute) — the distributed analogue of the online
-  /// controller's bandwidth hysteresis.
-  double slice_hysteresis = 0.02;
-  /// Re-solve when the observed cell uplink drifts from the value used at
-  /// the last local solve by more than this relative factor.
-  double bandwidth_hysteresis = 0.25;
-  /// Watchdog applied to every local solve (budget, validate_plan on the
-  /// cell's sub-instance).
-  failover::GuardOptions guard;
   JointOptions joint;
   /// Test seam: replaces JointOptimizer for the cell's local solves.
   std::function<Decision(const ProblemInstance&, const JointOptions&)> solver;
@@ -52,13 +29,26 @@ struct CellControllerOptions {
 /// Robustness contract: every local solve runs under the PR 8 watchdog
 /// (failover::guarded_attempt) and a last-good -> device-only fallback
 /// chain, so the cell's devices always have a routable plan; coordinator
-/// silence beyond heartbeat_timeout flips the cell into audited local
+/// silence beyond the heartbeat timeout flips the cell into audited local
 /// autonomy; grant staleness discounts usable capacity instead of blocking;
 /// grants carrying an epoch <= the last adopted one are rejected
 /// (split-brain guard). Crash wipes volatile state; restart replays the
 /// cell's own append-only state log.
 class CellController {
  public:
+  /// Fraction of the granted capacity a stale cell trusts: a slice grant
+  /// older than the freshness window is stale, and the cell keeps operating
+  /// (it never blocks on the coordinator) on this share of it — bounded
+  /// staleness, priced conservatively.
+  static constexpr double kStaleDiscount = 0.75;
+  /// A newly adopted grant re-solves only when some server's slice moved by
+  /// more than this (absolute) — the distributed analogue of the online
+  /// controller's bandwidth hysteresis.
+  static constexpr double kSliceHysteresis = 0.02;
+  /// Re-solve when the observed cell uplink drifts from the value used at
+  /// the last local solve by more than this relative factor.
+  static constexpr double kBandwidthHysteresis = 0.25;
+
   CellController(const ProblemInstance& global, CellId cell,
                  CellControllerOptions opts, DecisionAuditLog* audit);
 
@@ -103,9 +93,9 @@ class CellController {
   /// signal the coordinator's tatonnement converges.
   double slice_mean() const;
   /// Fraction of the granted slice the cell trusts right now (1 fresh,
-  /// stale_discount stale).
+  /// kStaleDiscount stale).
   double effective_price() const {
-    return stale_ ? opts_.stale_discount : 1.0;
+    return stale_ ? kStaleDiscount : 1.0;
   }
 
   /// Attaches a span recorder (nullptr detaches); purely observational.

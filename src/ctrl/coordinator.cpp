@@ -9,6 +9,22 @@ namespace scalpel {
 
 namespace {
 
+/// Seconds between reallocation rounds (grants go out only when the slice
+/// matrix actually moved).
+constexpr double kReallocInterval = 1.0;
+/// Seconds between heartbeats to every cell (cells read any coordinator
+/// message as a sign of life; explicit heartbeats cover converged phases
+/// when no grants flow).
+constexpr double kHeartbeatInterval = 1.0;
+/// Converged when max|delta phi| stays below this across a round.
+constexpr double kConvergeEps = 1e-3;
+
+static_assert(GlobalCoordinator::kAlpha > 0.0 &&
+                  GlobalCoordinator::kAlpha <= 1.0,
+              "coordinator alpha must be in (0, 1]");
+static_assert(GlobalCoordinator::kMinSlice >= 0.0,
+              "slice floor must be non-negative");
+
 std::vector<std::vector<double>> equal_slices(std::size_t num_cells,
                                               std::size_t num_servers) {
   return std::vector<std::vector<double>>(
@@ -19,16 +35,12 @@ std::vector<std::vector<double>> equal_slices(std::size_t num_cells,
 }  // namespace
 
 GlobalCoordinator::GlobalCoordinator(std::size_t num_cells,
-                                     std::size_t num_servers,
-                                     CoordinatorOptions opts)
-    : opts_(opts), num_cells_(num_cells), num_servers_(num_servers) {
+                                     std::size_t num_servers)
+    : num_cells_(num_cells), num_servers_(num_servers) {
   SCALPEL_REQUIRE(num_cells >= 1 && num_servers >= 1,
                   "coordinator needs at least one cell and one server");
-  SCALPEL_REQUIRE(opts_.alpha > 0.0 && opts_.alpha <= 1.0,
-                  "coordinator alpha must be in (0, 1]");
-  SCALPEL_REQUIRE(opts_.min_slice >= 0.0 &&
-                      opts_.min_slice * static_cast<double>(num_cells) < 1.0,
-                  "min_slice leaves no capacity to allocate");
+  SCALPEL_REQUIRE(kMinSlice * static_cast<double>(num_cells) < 1.0,
+                  "slice floor leaves no capacity to allocate");
   phi_ = equal_slices(num_cells_, num_servers_);
   demand_.assign(num_cells_, std::vector<double>(num_servers_, 0.0));
   has_demand_.assign(num_cells_, false);
@@ -66,14 +78,14 @@ void GlobalCoordinator::send_grants(double now, ControlFabric& fabric) {
 void GlobalCoordinator::tick(double now, ControlFabric& fabric) {
   bool granted_all = false;
   if (now >= next_realloc_) {
-    next_realloc_ = now + opts_.realloc_interval;
+    next_realloc_ = now + kReallocInterval;
     const bool any_demand =
         std::any_of(has_demand_.begin(), has_demand_.end(),
                     [](bool b) { return b; });
     double max_delta = 0.0;
     if (any_demand) {
       // Damped proportional tatonnement, one server column at a time:
-      // target_k = floor + residual * w_k / sum(w) with the min_slice floor
+      // target_k = floor + residual * w_k / sum(w) with the kMinSlice floor
       // built into the target (residual = 1 - cells * floor), then
       // phi' = (1-a) phi + a target. Folding the floor in keeps the target
       // column summing to exactly 1, so the clamp and the renormalization
@@ -83,7 +95,7 @@ void GlobalCoordinator::tick(double now, ControlFabric& fabric) {
       // target is a constant and the distance to it contracts by exactly
       // (1 - alpha) per round.
       const double residual =
-          1.0 - opts_.min_slice * static_cast<double>(num_cells_);
+          1.0 - kMinSlice * static_cast<double>(num_cells_);
       for (std::size_t s = 0; s < num_servers_; ++s) {
         double total = 0.0;
         for (std::size_t k = 0; k < num_cells_; ++k) {
@@ -96,11 +108,10 @@ void GlobalCoordinator::tick(double now, ControlFabric& fabric) {
           // job, not the fabric's).
           const double target =
               (total > 1e-12 && has_demand_[k])
-                  ? opts_.min_slice + residual * demand_[k][s] / total
+                  ? kMinSlice + residual * demand_[k][s] / total
                   : phi_[k][s];
-          double next = (1.0 - opts_.alpha) * phi_[k][s] +
-                        opts_.alpha * target;
-          next = std::max(next, opts_.min_slice);
+          double next = (1.0 - kAlpha) * phi_[k][s] + kAlpha * target;
+          next = std::max(next, kMinSlice);
           max_delta = std::max(max_delta, std::abs(next - phi_[k][s]));
           phi_[k][s] = next;
           col_sum += next;
@@ -114,7 +125,7 @@ void GlobalCoordinator::tick(double now, ControlFabric& fabric) {
     // First round always grants (cells start on an assumed equal split and
     // need an epoch > 0 to anchor staleness); afterwards grants flow only
     // while the matrix is still moving.
-    if (epoch_ == 0 || max_delta > opts_.converge_eps) {
+    if (epoch_ == 0 || max_delta > kConvergeEps) {
       converged_ = false;
       ++epoch_;
       ++realloc_rounds_;
@@ -147,7 +158,7 @@ void GlobalCoordinator::tick(double now, ControlFabric& fabric) {
     fabric.send(std::move(m), now);
   }
   if (now >= next_heartbeat_) {
-    next_heartbeat_ = now + opts_.heartbeat_interval;
+    next_heartbeat_ = now + kHeartbeatInterval;
     for (std::size_t k = 0; k < num_cells_; ++k) {
       CtrlMessage m;
       m.type = CtrlMsgType::kHeartbeat;
@@ -181,7 +192,7 @@ void GlobalCoordinator::restart(double now) {
     epoch_ = log_.back().epoch;
     phi_ = log_.back().phi;
   }
-  next_realloc_ = now + opts_.realloc_interval;
+  next_realloc_ = now + kReallocInterval;
   next_heartbeat_ = now;  // announce liveness immediately
 }
 

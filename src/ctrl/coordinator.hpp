@@ -7,30 +7,6 @@
 
 namespace scalpel {
 
-struct CoordinatorOptions {
-  /// Seconds between reallocation rounds (grants go out only when the slice
-  /// matrix actually moved).
-  double realloc_interval = 1.0;
-  /// Seconds between heartbeats to every cell (cells read any coordinator
-  /// message as a sign of life; explicit heartbeats cover converged phases
-  /// when no grants flow).
-  double heartbeat_interval = 1.0;
-  /// Damping of the tatonnement: phi' = (1 - alpha) * phi + alpha * target.
-  /// With static demand the per-round contraction factor is exactly
-  /// (1 - alpha), so max|delta phi| decays geometrically — the convergence
-  /// guarantee ConvergesGeometricallyOnStaticWorkload pins down.
-  double alpha = 0.5;
-  /// Converged when max|delta phi| stays below this across a round.
-  double converge_eps = 1e-3;
-  /// Slice floor: a cell with no demand keeps this much of each server so
-  /// it can re-enter later (a zero slice would lock it out of offloading
-  /// forever — its local solver would never see server capacity again).
-  /// Folded into the tatonnement target (reserve floor per cell, split the
-  /// residual proportionally) so the fixed point respects the floor and the
-  /// iteration actually converges instead of limit-cycling on the clamp.
-  double min_slice = 0.005;
-};
-
 /// The slow global tier of the distributed control plane: aggregates the
 /// cells' per-server demand reports and reallocates each server's capacity
 /// across cells by damped proportional tatonnement. Epoch-numbered grants
@@ -40,8 +16,20 @@ struct CoordinatorOptions {
 /// re-issuing epoch numbers it already used.
 class GlobalCoordinator {
  public:
-  GlobalCoordinator(std::size_t num_cells, std::size_t num_servers,
-                    CoordinatorOptions opts);
+  /// Damping of the tatonnement: phi' = (1 - alpha) * phi + alpha * target.
+  /// With static demand the per-round contraction factor is exactly
+  /// (1 - alpha), so max|delta phi| decays geometrically — the convergence
+  /// guarantee ConvergesGeometricallyOnStaticWorkload pins down.
+  static constexpr double kAlpha = 0.5;
+  /// Slice floor: a cell with no demand keeps this much of each server so
+  /// it can re-enter later (a zero slice would lock it out of offloading
+  /// forever — its local solver would never see server capacity again).
+  /// Folded into the tatonnement target (reserve floor per cell, split the
+  /// residual proportionally) so the fixed point respects the floor and the
+  /// iteration actually converges instead of limit-cycling on the clamp.
+  static constexpr double kMinSlice = 0.005;
+
+  GlobalCoordinator(std::size_t num_cells, std::size_t num_servers);
 
   /// Ingests a delivered message (kLoadReport; everything else ignored).
   void receive(const CtrlMessage& msg);
@@ -76,7 +64,6 @@ class GlobalCoordinator {
 
   void send_grants(double now, ControlFabric& fabric);
 
-  CoordinatorOptions opts_;
   std::size_t num_cells_;
   std::size_t num_servers_;
   CtrlTracer* tracer_ = nullptr;

@@ -14,8 +14,7 @@ DistributedControlPlane::DistributedControlPlane(
     : opts_(std::move(opts)),
       instance_(topology),
       fabric_(opts_.fabric, 1 + topology.cells().size(), opts_.seed),
-      coord_(topology.cells().size(), topology.servers().size(),
-             opts_.coordinator) {
+      coord_(topology.cells().size(), topology.servers().size()) {
   const std::size_t num_cells = topology.cells().size();
   cells_.reserve(num_cells);
   for (std::size_t k = 0; k < num_cells; ++k) {

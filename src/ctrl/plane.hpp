@@ -17,7 +17,6 @@ class TimeSeriesRecorder;
 
 struct DistributedPlaneOptions {
   ControlFabricOptions fabric;
-  CoordinatorOptions coordinator;
   CellControllerOptions cell;
   /// Controller liveness script, reusing FaultSchedule with
   /// FaultTarget::Server ids as *endpoint* ids: 0 = the coordinator,

@@ -11,6 +11,9 @@
 namespace scalpel::clusters {
 namespace {
 
+/// Mean uplink capacity of a campus cell; each cell draws its own around it.
+constexpr double kCampusCellBandwidthMbps = 120.0;
+
 Device make_device(const std::string& name, const ComputeProfile& compute,
                    const EnergyProfile& energy, CellId cell,
                    const std::string& model, double rate, double deadline,
@@ -75,8 +78,8 @@ ClusterTopology campus(const CampusOptions& opts) {
     Cell cell;
     cell.name = "cell" + std::to_string(c);
     // Mild bandwidth diversity across cells.
-    cell.bandwidth = mbps(opts.cell_bandwidth_mbps *
-                          rng.lognormal_mean_cov(1.0, 0.15));
+    cell.bandwidth =
+        mbps(kCampusCellBandwidthMbps * rng.lognormal_mean_cov(1.0, 0.15));
     cell.rtt = opts.cell_rtt;
     t.add_cell(cell);
   }

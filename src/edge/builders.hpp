@@ -19,7 +19,6 @@ struct CampusOptions {
   std::size_t num_servers = 4;
   /// Devices per cell (cells created as needed).
   std::size_t devices_per_cell = 8;
-  double cell_bandwidth_mbps = 120.0;
   double cell_rtt = 2e-3;
   /// Coefficient of variation applied to server speeds (heterogeneity knob
   /// for the sensitivity bench); 0 = homogeneous T4-class servers.

@@ -1,5 +1,6 @@
 #include "obs/audit.hpp"
 
+#include "util/csv.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
 
@@ -76,6 +77,11 @@ Table DecisionAuditLog::to_table() const {
                    Table::num(r.admit_after, 2)});
   }
   return t;
+}
+
+bool DecisionAuditLog::write(const std::string& path) const {
+  if (path.ends_with(".csv")) return write_csv(to_table(), path);
+  return write_json_file(path, [&](JsonWriter& w) { w.value(to_json()); });
 }
 
 }  // namespace scalpel

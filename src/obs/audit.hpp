@@ -78,6 +78,8 @@ class DecisionAuditLog {
   Json to_json() const;
   /// Console/CSV view: time, cause, detail, rung, accuracy, admit columns.
   Table to_table() const;
+  /// Writes JSON (or CSV with a ".csv" suffix); false + log on I/O failure.
+  bool write(const std::string& path) const;
 
  private:
   std::deque<AuditRecord> records_;

@@ -1,10 +1,8 @@
 #include "obs/timeseries.hpp"
 
-#include <fstream>
-
 #include "util/assert.hpp"
+#include "util/csv.hpp"
 #include "util/json.hpp"
-#include "util/log.hpp"
 #include "util/table.hpp"
 
 namespace scalpel {
@@ -216,19 +214,8 @@ Table TimeSeriesRecorder::to_table() const {
 }
 
 bool TimeSeriesRecorder::write(const std::string& path) const {
-  const bool csv =
-      path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    log_warn("could not open time-series output file: " + path);
-    return false;
-  }
-  if (csv) {
-    out << to_table().to_csv();
-  } else {
-    out << to_json().dump_pretty() << "\n";
-  }
-  return static_cast<bool>(out);
+  if (path.ends_with(".csv")) return write_csv(to_table(), path);
+  return write_json_file(path, [&](JsonWriter& w) { w.value(to_json()); });
 }
 
 }  // namespace scalpel

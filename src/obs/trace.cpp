@@ -126,9 +126,7 @@ Json trace_to_chrome_json(const TaskTracer& tracer) {
 }
 
 bool write_trace(const TaskTracer& tracer, const std::string& path) {
-  const bool csv = path.size() >= 4 &&
-                   path.compare(path.size() - 4, 4, ".csv") == 0;
-  if (!csv) {
+  if (!path.ends_with(".csv")) {
     return write_json_file(path, [&](JsonWriter& w) {
       write_task_doc(w, tracer.snapshot(), tracer.dropped());
     });

@@ -11,7 +11,11 @@
 namespace scalpel {
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-}
+/// Best-response round budget.
+constexpr std::size_t kMaxRounds = 100;
+/// A device moves only if its own latency improves by this factor.
+constexpr double kImprovementEps = 1e-6;
+}  // namespace
 
 void OffloadingProblem::validate() const {
   SCALPEL_REQUIRE(!rate.empty(), "offloading problem has no devices");
@@ -142,15 +146,14 @@ OffloadingSolution greedy_offloading(const OffloadingProblem& p) {
   return finalize(p, std::move(assign), 0, true);
 }
 
-OffloadingSolution best_response_offloading(const OffloadingProblem& p,
-                                            const BestResponseOptions& opts) {
+OffloadingSolution best_response_offloading(const OffloadingProblem& p) {
   OffloadingSolution current = greedy_offloading(p);
   const std::size_t n = p.num_devices();
   const std::size_t m = p.num_servers();
 
   std::size_t round = 0;
   bool converged = false;
-  for (; round < opts.max_rounds; ++round) {
+  for (; round < kMaxRounds; ++round) {
     bool moved = false;
     for (std::size_t i = 0; i < n; ++i) {
       std::vector<double> latency;
@@ -165,8 +168,7 @@ OffloadingSolution best_response_offloading(const OffloadingProblem& p,
         std::vector<double> trial_latency;
         const double cost = evaluate_assignment(p, trial, &trial_latency);
         if (!std::isfinite(cost)) continue;
-        if (trial_latency[i] <
-            best_latency * (1.0 - opts.improvement_eps)) {
+        if (trial_latency[i] < best_latency * (1.0 - kImprovementEps)) {
           best_latency = trial_latency[i];
           best_j = static_cast<int>(j);
         }

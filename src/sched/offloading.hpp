@@ -45,15 +45,8 @@ double evaluate_assignment(const OffloadingProblem& p,
 /// Devices sorted by demand, each placed on the currently cheapest server.
 OffloadingSolution greedy_offloading(const OffloadingProblem& p);
 
-struct BestResponseOptions {
-  std::size_t max_rounds = 100;
-  /// A device moves only if its own latency improves by this factor.
-  double improvement_eps = 1e-6;
-};
-
 /// Asynchronous best-response dynamics from the greedy start.
-OffloadingSolution best_response_offloading(
-    const OffloadingProblem& p, const BestResponseOptions& opts = {});
+OffloadingSolution best_response_offloading(const OffloadingProblem& p);
 
 /// Exact optimum by enumeration — O(servers^devices); reference for tests
 /// and the small instances of the convergence bench.

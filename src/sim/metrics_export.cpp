@@ -1,11 +1,9 @@
 #include "sim/metrics_export.hpp"
 
-#include <fstream>
-
 #include "sim/runner.hpp"
 #include "sim/simulator.hpp"
+#include "util/csv.hpp"
 #include "util/json.hpp"
-#include "util/log.hpp"
 #include "util/table.hpp"
 
 namespace scalpel {
@@ -163,19 +161,9 @@ Json replicated_metrics_to_json(const ReplicatedMetrics& agg) {
 }
 
 bool write_sim_metrics(const SimMetrics& m, const std::string& path) {
-  const bool csv = path.size() >= 4 &&
-                   path.compare(path.size() - 4, 4, ".csv") == 0;
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    log_warn("could not open metrics output file: " + path);
-    return false;
-  }
-  if (csv) {
-    out << sim_metrics_to_table(m).to_csv();
-  } else {
-    out << sim_metrics_to_json(m).dump_pretty() << "\n";
-  }
-  return static_cast<bool>(out);
+  if (path.ends_with(".csv")) return write_csv(sim_metrics_to_table(m), path);
+  return write_json_file(
+      path, [&](JsonWriter& w) { w.value(sim_metrics_to_json(m)); });
 }
 
 }  // namespace scalpel

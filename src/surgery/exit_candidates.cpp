@@ -36,7 +36,7 @@ std::vector<ExitCandidate> find_exit_candidates(
     if (shape.rank() != 3 && shape.rank() != 1) continue;
     const double depth = static_cast<double>(cut.prefix_flops) / total;
     if (depth <= 0.0) continue;  // an exit before any compute is useless
-    if (depth > opts.max_depth) break;
+    if (depth > kMaxExitDepth) break;
     if (last_depth >= 0.0 && depth - last_depth < opts.min_spacing) continue;
     ExitCandidate c;
     c.attach = cut.after;

@@ -31,19 +31,21 @@ enum class ExitHeadStyle {
   kConv,
 };
 
+/// Attach points deeper than this depth fraction are ignored (an exit at
+/// 97% depth saves nothing over the final exit).
+inline constexpr double kMaxExitDepth = 0.95;
+
 struct ExitCandidateOptions {
   std::int64_t num_classes = 1000;
   ExitHeadStyle head_style = ExitHeadStyle::kLight;
   /// Candidates must be at least this far apart in depth fraction.
   double min_spacing = 0.05;
-  /// Ignore attach points deeper than this (an exit at 97% depth saves
-  /// nothing over the final exit).
-  double max_depth = 0.95;
   std::size_t max_candidates = 8;
 };
 
 /// Enumerates clean cuts of the backbone and synthesizes a classifier head at
-/// each, subject to spacing/depth limits. Candidates are in depth order.
+/// each, subject to the spacing limit and kMaxExitDepth. Candidates are in
+/// depth order.
 std::vector<ExitCandidate> find_exit_candidates(
     const Graph& backbone, const ExitCandidateOptions& opts = {});
 

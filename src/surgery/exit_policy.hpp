@@ -16,12 +16,16 @@ namespace scalpel {
 struct ExitChoice {
   std::size_t candidate = 0;
   double theta = 0.3;
+
+  bool operator==(const ExitChoice&) const = default;
 };
 
 /// An ordered (by depth) set of enabled exits over a fixed candidate list.
 /// The empty policy is the vanilla single-exit model.
 struct ExitPolicy {
   std::vector<ExitChoice> exits;
+
+  bool operator==(const ExitPolicy&) const = default;
 };
 
 /// Closed-form behaviour of a policy under the difficulty/accuracy model.

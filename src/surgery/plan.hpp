@@ -21,6 +21,8 @@ struct SurgeryPlan {
   /// small accuracy penalty on offloaded tasks). See kernels::quantize_int8
   /// for the executable counterpart.
   bool quantize_upload = false;
+
+  bool operator==(const SurgeryPlan&) const = default;
 };
 
 /// Expected per-task behaviour of a SurgeryPlan under given device/server

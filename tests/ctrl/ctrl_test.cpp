@@ -214,10 +214,8 @@ TEST(CtrlFabric, DropForDeadDiscardsOnlyTheVictimsQueue) {
 TEST(CtrlCoordinator, ConvergesGeometricallyOnStaticWorkload) {
   // The convergence guarantee: with static demand reports the tatonnement
   // target is constant, so max|delta phi| contracts by exactly (1 - alpha)
-  // per granting round until it crosses converge_eps.
-  CoordinatorOptions co;
-  co.alpha = 0.5;
-  GlobalCoordinator gc(2, 1, co);
+  // per granting round until it crosses the convergence threshold.
+  GlobalCoordinator gc(2, 1);
   ControlFabric f(ControlFabricOptions{}, 3, 1);
   std::vector<double> deltas;
   std::uint64_t last_epoch = 0;
@@ -242,7 +240,8 @@ TEST(CtrlCoordinator, ConvergesGeometricallyOnStaticWorkload) {
   for (std::size_t i = 1; i < deltas.size(); ++i) {
     // Exact (1 - alpha) contraction, up to rounding in the target's
     // floor-reserve arithmetic.
-    EXPECT_NEAR(deltas[i] / deltas[i - 1], 1.0 - co.alpha, 1e-12);
+    EXPECT_NEAR(deltas[i] / deltas[i - 1], 1.0 - GlobalCoordinator::kAlpha,
+                1e-12);
   }
   EXPECT_TRUE(gc.converged());
   EXPECT_NEAR(gc.slices()[0][0], 0.75, 5e-3);
@@ -254,7 +253,7 @@ TEST(CtrlCoordinator, ConvergesGeometricallyOnStaticWorkload) {
 }
 
 TEST(CtrlCoordinator, EpochAndSlicesSurviveCrashRestart) {
-  GlobalCoordinator gc(2, 1, CoordinatorOptions{});
+  GlobalCoordinator gc(2, 1);
   ControlFabric f(ControlFabricOptions{}, 3, 1);
   for (int t = 0; t < 5; ++t) {
     CtrlMessage r;
@@ -283,8 +282,7 @@ TEST(CtrlCoordinator, SilentCellKeepsItsSlice) {
   // A partitioned cell's reports stop arriving; its slice must decay only
   // through column normalization (bounded), never be zeroed outright, and
   // never fall below the floor that lets it re-enter later.
-  CoordinatorOptions co;
-  GlobalCoordinator gc(2, 1, co);
+  GlobalCoordinator gc(2, 1);
   ControlFabric f(ControlFabricOptions{}, 3, 1);
   for (int t = 0; t < 10; ++t) {
     CtrlMessage r;
@@ -296,7 +294,7 @@ TEST(CtrlCoordinator, SilentCellKeepsItsSlice) {
     gc.tick(static_cast<double>(t), f);
   }
   EXPECT_GT(gc.slices()[1][0], gc.slices()[0][0]);
-  EXPECT_GE(gc.slices()[0][0], co.min_slice);
+  EXPECT_GE(gc.slices()[0][0], GlobalCoordinator::kMinSlice);
   EXPECT_GT(gc.slices()[0][0], 0.1) << "silent cell must not be starved";
 }
 
@@ -304,7 +302,7 @@ TEST(CtrlCoordinator, ReGrantsWhenAReportEchoesAnOlderEpoch) {
   // Grants flow only when the slice matrix moves, so a dropped grant would
   // be lost forever without anti-entropy: a load report echoing an epoch
   // behind the coordinator's must trigger a targeted re-grant.
-  GlobalCoordinator gc(2, 1, CoordinatorOptions{});
+  GlobalCoordinator gc(2, 1);
   ControlFabric f(ControlFabricOptions{}, 3, 1);
   for (int t = 0; t < 12; ++t) {
     for (int from = 1; from <= 2; ++from) {
@@ -433,15 +431,15 @@ TEST(CtrlCell, StaleGrantDiscountsUsableCapacity) {
   EXPECT_DOUBLE_EQ(seen_peaks[0][0], full[0]);
   EXPECT_DOUBLE_EQ(seen_peaks[0][1], full[1]);
 
-  // Past fresh_for the grant goes stale: the cell keeps operating but only
-  // trusts stale_discount of the granted capacity.
+  // Past the freshness window the grant goes stale: the cell keeps
+  // operating but only trusts kStaleDiscount of the granted capacity.
   cc.tick(6.0, bw, alive, f);
   EXPECT_TRUE(cc.stale());
   EXPECT_EQ(cc.stale_transitions(), 1u);
   EXPECT_TRUE(audit_has_cause(audit, AuditCause::kStalePrice));
   ASSERT_EQ(seen_peaks.size(), 2u);
-  EXPECT_DOUBLE_EQ(seen_peaks[1][0], opts.stale_discount * full[0]);
-  EXPECT_DOUBLE_EQ(seen_peaks[1][1], opts.stale_discount * full[1]);
+  EXPECT_DOUBLE_EQ(seen_peaks[1][0], CellController::kStaleDiscount * full[0]);
+  EXPECT_DOUBLE_EQ(seen_peaks[1][1], CellController::kStaleDiscount * full[1]);
 
   // A fresh grant clears the staleness and restores the full slice.
   CtrlMessage g;
@@ -457,6 +455,64 @@ TEST(CtrlCell, StaleGrantDiscountsUsableCapacity) {
   ASSERT_EQ(seen_peaks.size(), 3u);
   EXPECT_DOUBLE_EQ(seen_peaks[2][0], full[0]);
   EXPECT_DOUBLE_EQ(seen_peaks[2][1], full[1]);
+}
+
+TEST(CtrlCell, SliceMovesWithinTheHysteresisBandDoNotReSolve) {
+  // Single-cell topology: the assumed split grants the full servers, so the
+  // grants below move server 0's slice away from 1.0.
+  const ProblemInstance inst(clusters::small_lab());
+  DecisionAuditLog audit;
+  CellController cc(inst, 0, stub_cell_opts(), &audit);
+  ControlFabric f(ControlFabricOptions{}, 2, 1);
+  const double bw = inst.topology().cell(0).bandwidth;
+  const std::vector<bool> alive = {true, true};
+  cc.tick(0.0, bw, alive, f);
+  ASSERT_EQ(cc.local_solves(), 1u);
+
+  const double h = CellController::kSliceHysteresis;
+  CtrlMessage g;
+  g.type = CtrlMsgType::kSliceGrant;
+  g.from = 0;
+  g.to = 1;
+  g.epoch = 1;
+  g.sent_at = 0.5;
+  g.payload = {1.0 - 0.9 * h, 1.0};
+  cc.receive(g, 0.5);
+  cc.tick(1.0, bw, alive, f);
+  EXPECT_EQ(cc.adopted_epoch(), 1u);
+  EXPECT_EQ(cc.local_solves(), 1u) << "a move inside the band is noise";
+
+  // Measured against the adopted grant, not the solved one.
+  g.epoch = 2;
+  g.sent_at = 1.5;
+  g.payload = {1.0 - 2.0 * h, 1.0};
+  cc.receive(g, 1.5);
+  cc.tick(2.0, bw, alive, f);
+  EXPECT_EQ(cc.adopted_epoch(), 2u);
+  EXPECT_EQ(cc.local_solves(), 2u) << "a move past the band re-solves";
+}
+
+TEST(CtrlCell, UplinkDriftWithinTheHysteresisBandDoesNotReSolve) {
+  const ProblemInstance inst(clusters::small_lab());
+  DecisionAuditLog audit;
+  CellController cc(inst, 0, stub_cell_opts(), &audit);
+  ControlFabric f(ControlFabricOptions{}, 2, 1);
+  const double bw = inst.topology().cell(0).bandwidth;
+  const std::vector<bool> alive = {true, true};
+  cc.tick(0.0, bw, alive, f);
+  ASSERT_EQ(cc.local_solves(), 1u);
+
+  const double h = CellController::kBandwidthHysteresis;
+  cc.tick(0.5, bw * (1.0 + 0.95 * h), alive, f);
+  cc.tick(1.0, bw * (1.0 - 0.95 * h), alive, f);
+  EXPECT_EQ(cc.local_solves(), 1u) << "drift inside the band is noise";
+
+  cc.tick(1.5, bw * (1.0 + 1.05 * h), alive, f);
+  EXPECT_EQ(cc.local_solves(), 2u) << "drift past the band re-solves";
+  EXPECT_TRUE(audit_has_cause(audit, AuditCause::kResolve));
+  // The new solve re-anchors the band on the uplink it used.
+  cc.tick(2.0, bw * (1.0 + 1.05 * h) * (1.0 + 0.95 * h), alive, f);
+  EXPECT_EQ(cc.local_solves(), 2u);
 }
 
 TEST(CtrlCell, HeartbeatOnAdoptedEpochKeepsPricesFresh) {
@@ -492,8 +548,8 @@ TEST(CtrlCell, HeartbeatOnAdoptedEpochKeepsPricesFresh) {
   EXPECT_EQ(cc.stale_transitions(), 0u);
 
   // A heartbeat announcing a NEWER epoch means we missed a grant — it must
-  // NOT refresh, and silence past fresh_for from the last anchor goes
-  // stale as usual.
+  // NOT refresh, and silence past the freshness window from the last anchor
+  // goes stale as usual.
   CtrlMessage ahead = hb;
   ahead.epoch = 2;
   ahead.sent_at = 7.0;

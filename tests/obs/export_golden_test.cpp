@@ -44,6 +44,7 @@
 #include "sim/simulator.hpp"
 #include "util/assert.hpp"
 #include "util/json.hpp"
+#include "util/table.hpp"
 
 namespace scalpel {
 namespace {
@@ -242,6 +243,15 @@ TEST(ExportGolden, OnlineControllerRun) {
               0x48b2980056b25a0bull);
   expect_hash("audit", ctl.audit_log().to_json().dump_pretty(),
               0x3733ec7bcd93d0feull);
+  // DecisionAuditLog::write frames the pinned pretty document plus a
+  // newline, or the table's CSV.
+  const auto audit_write = [&](const std::string& p) {
+    return ctl.audit_log().write(p);
+  };
+  EXPECT_EQ(file_bytes("online.audit.json", audit_write),
+            ctl.audit_log().to_json().dump_pretty() + "\n");
+  EXPECT_EQ(file_bytes("online.audit.csv", audit_write),
+            ctl.audit_log().to_table().to_csv());
 }
 
 // ---------------------------------------------------------------------------

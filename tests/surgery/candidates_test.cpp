@@ -50,7 +50,7 @@ TEST_P(CandidateModelTest, CandidatesAreValidAndOrdered) {
   double prev_depth = 0.0;
   for (const auto& c : cands) {
     EXPECT_GT(c.depth_fraction, prev_depth);
-    EXPECT_LE(c.depth_fraction, opts.max_depth);
+    EXPECT_LE(c.depth_fraction, kMaxExitDepth);
     EXPECT_GT(c.head_flops, 0);
     // Head input must match the attach activation.
     EXPECT_EQ(c.head.node(0).out_shape, g.node(c.attach).out_shape);
