@@ -46,6 +46,25 @@ const ProblemInstance& campus() {
   return instance;
 }
 
+// The campus instance with non-uniform input difficulty: devices alternate
+// hard-heavy and easy-skewed task streams, so the surgery DP integrates a
+// skewed difficulty CDF instead of the uniform one.
+const ProblemInstance& mixed_difficulty_campus() {
+  static const ProblemInstance instance([] {
+    const ClusterTopology topo = campus_topology();
+    ClusterTopology mixed;
+    for (const auto& c : topo.cells()) mixed.add_cell(c);
+    for (const auto& s : topo.servers()) mixed.add_server(s);
+    for (Device d : topo.devices()) {
+      d.difficulty = DifficultyModel::preset(d.id % 2 == 0 ? "hard_heavy"
+                                                           : "bimodal_easy");
+      mixed.add_device(d);
+    }
+    return mixed;
+  }());
+  return instance;
+}
+
 // The reproduction benches' solve budget.
 JointOptions bench_budget() {
   JointOptions o;
@@ -134,6 +153,17 @@ TEST(JointGolden, QuantizedUpload) {
   o.enable_quantized_upload = true;
   expect_golden(solve(campus(), o),
                 {17012955573726749447ull, 14258553, 3});
+}
+
+TEST(JointGolden, ExitsDisabled) {
+  JointOptions o;
+  o.enable_exits = false;
+  expect_golden(solve(campus(), o), {3193232548303322234ull, 17805, 3});
+}
+
+TEST(JointGolden, MixedDifficulty) {
+  expect_golden(solve(mixed_difficulty_campus(), JointOptions{}),
+                {17009932163625988484ull, 8905821, 4});
 }
 
 TEST(JointGolden, SurgeryDisabled) {
