@@ -25,7 +25,10 @@ struct ExitSettingResult {
   ExitStats stats;
   double expected_latency = 0.0;
   bool feasible = false;  // false if no setting meets the accuracy floor
-  std::size_t evaluations = 0;  // configurations examined (for scalability plots)
+  /// Configurations examined (for scalability plots). A logical count: a
+  /// result forked off a shared DP prefix (dp_exit_setting_forked) includes
+  /// the prefix's evaluations, exactly as a run from scratch would.
+  std::size_t evaluations = 0;
 };
 
 /// Exhaustive search over subsets x theta grid — exponential; the optimality
@@ -79,5 +82,18 @@ ExitSettingResult dp_exit_setting_costs(
     const Graph& backbone, const std::vector<ExitCandidate>& candidates,
     const AccuracyModel& acc, const ExitCostTable& costs,
     const ExitSettingOptions& opts);
+
+/// The generalized DP over several cost tables that agree on a prefix.
+/// Candidate i's DP step reads only segment[i] and head[i], so the DP runs
+/// once under `shared` and, on reaching candidate prefix[j], forks a copy
+/// of its state that finishes under forks[j]. forks[j] must be bit-equal to
+/// `shared` on candidates [0, prefix[j]) (segments and heads; its tail is
+/// free). Returns forks.size() + 1 results: [0] for `shared`, [j + 1] for
+/// forks[j], each exactly what dp_exit_setting_costs returns for that table.
+std::vector<ExitSettingResult> dp_exit_setting_forked(
+    const Graph& backbone, const std::vector<ExitCandidate>& candidates,
+    const AccuracyModel& acc, const ExitCostTable& shared,
+    const std::vector<ExitCostTable>& forks,
+    const std::vector<std::size_t>& prefix, const ExitSettingOptions& opts);
 
 }  // namespace scalpel
