@@ -49,7 +49,10 @@ struct JointReport {
   std::size_t iterations = 0;
   std::vector<double> objective_history;  // mean latency after each round
   double solve_seconds = 0.0;
-  std::size_t surgery_evaluations = 0;    // DP/exhaustive configs examined
+  /// Exit-setting DP configurations examined: a logical count, as if each
+  /// cut's DP ran from scratch, so it includes the device-only prefix the
+  /// forked DP shares across cuts.
+  std::size_t surgery_evaluations = 0;
 };
 
 /// The paper's contribution: jointly choose, for every device, its model
@@ -60,7 +63,8 @@ struct JointReport {
 /// Structure: alternating optimization. The surgery step solves, per device,
 /// a generalized exit-setting DP over every clean cut, pricing backbone
 /// segments on the side of the cut they execute and charging the upload to
-/// tasks crossing it. The allocation step re-splits cell bandwidth by the
+/// tasks crossing it; the cuts share one DP run over their device-side
+/// prefix. The allocation step re-splits cell bandwidth by the
 /// square-root rule, re-assigns servers by best-response dynamics over a
 /// Kleinrock-shared queueing model, and re-derives compute shares. Rounds
 /// repeat until the objective stalls.
