@@ -15,7 +15,9 @@
 #                      and solver us/solve against the committed
 #                      BENCH_simcore.json (>15% fails), then gate the
 #                      observability overhead (<2% hooks/steady-state)
-#   ./ci.sh chaos    — distributed-control slice: the full ctrl suite, the
+#   ./ci.sh chaos    — controller-failover slice: the full ctrl suite, the
+#                      online controller and joint golden cases (both
+#                      controllers share core/failover's solve path), the
 #                      distributed-plane shard bit-identity and fuzz
 #                      scenarios, and a CLI convergence + failover smoke
 #                      (coordinator crashes mid-run, audit log must export)
@@ -137,12 +139,15 @@ shard_slice() {
   "$BUILD_DIR/tests/test_sim" --gtest_filter='Trace.ShardedRingOverflowReportsDrops'
 }
 
-# Distributed-control slice: every src/ctrl unit/replay test, the
-# distributed-plane bit-identity and shard-invariance checks, then a CLI
-# run where the coordinator crashes on an MTBF process over a lossy fabric
-# and the audit log must come out parseable.
+# Controller-failover slice: every src/ctrl unit/replay test, the online
+# controller's tests and the joint goldens (the two controllers reduce,
+# solve and fit through the same core/failover code), the distributed-plane
+# bit-identity and shard-invariance checks, then a CLI run where the
+# coordinator crashes on an MTBF process over a lossy fabric and the audit
+# log must come out parseable.
 chaos_slice() {
   "$BUILD_DIR/tests/test_ctrl"
+  "$BUILD_DIR/tests/test_core" --gtest_filter='Online*:JointGolden.*'
   "$BUILD_DIR/tests/test_shard" \
     --gtest_filter='ShardEquivalence.DistributedControlPlaneBitIdentical:ShardFuzz.DistributedPlaneIsShardCountInvariant'
   ctest --test-dir "$BUILD_DIR" --output-on-failure \

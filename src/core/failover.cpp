@@ -1,5 +1,6 @@
 #include "core/failover.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -11,6 +12,79 @@
 
 namespace scalpel {
 namespace failover {
+
+Decision solve(const Solver& solver, const ProblemInstance& instance,
+               const JointOptions& joint) {
+  if (solver) return solver(instance, joint);
+  return JointOptimizer(joint).optimize(instance);
+}
+
+ProblemInstance reduce(const ProblemInstance& instance,
+                       const std::vector<Cell>& cells,
+                       const std::vector<double>& scale) {
+  const auto& topo = instance.topology();
+  ClusterTopology sub;
+  for (const Cell& c : cells) sub.add_cell(c);
+  for (Device d : topo.devices()) {
+    const auto it = std::find_if(cells.begin(), cells.end(),
+                                 [&](const Cell& c) { return c.id == d.cell; });
+    if (it == cells.end()) continue;
+    d.cell = static_cast<CellId>(it - cells.begin());
+    sub.add_device(std::move(d));
+  }
+  for (EdgeServer s : topo.servers()) {
+    const double phi = scale[static_cast<std::size_t>(s.id)];
+    if (phi <= 0.0) continue;
+    s.compute = s.compute.scaled(phi);
+    sub.add_server(std::move(s));
+  }
+  return ProblemInstance(sub);
+}
+
+void lift(Decision& d, const std::vector<double>& scale) {
+  std::vector<ServerId> kept;
+  for (std::size_t s = 0; s < scale.size(); ++s) {
+    if (scale[s] > 0.0) kept.push_back(static_cast<ServerId>(s));
+  }
+  for (auto& dd : d.per_device) {
+    if (dd.plan.device_only) continue;
+    SCALPEL_REQUIRE(
+        dd.server >= 0 && static_cast<std::size_t>(dd.server) < kept.size(),
+        "solver returned an out-of-range server");
+    dd.server = kept[static_cast<std::size_t>(dd.server)];
+  }
+}
+
+void fit_to_capacity(const ClusterTopology& topology, Decision& d) {
+  std::vector<double> share(topology.servers().size(), 0.0);
+  std::vector<double> grant(topology.cells().size(), 0.0);
+  for (std::size_t i = 0; i < d.per_device.size(); ++i) {
+    const auto& dd = d.per_device[i];
+    if (dd.plan.device_only) continue;
+    share[static_cast<std::size_t>(dd.server)] += dd.compute_share;
+    grant[static_cast<std::size_t>(
+        topology.device(static_cast<DeviceId>(i)).cell)] += dd.bandwidth;
+  }
+  for (std::size_t i = 0; i < d.per_device.size(); ++i) {
+    auto& dd = d.per_device[i];
+    if (dd.plan.device_only) continue;
+    const double s = share[static_cast<std::size_t>(dd.server)];
+    if (s > 1.0) dd.compute_share /= s;
+    const CellId cell = topology.device(static_cast<DeviceId>(i)).cell;
+    const double cap = topology.cell(cell).bandwidth;
+    const double g = grant[static_cast<std::size_t>(cell)];
+    if (g > cap) dd.bandwidth *= cap / g;
+  }
+}
+
+void append_liveness_flips(std::string& detail, const std::vector<bool>& before,
+                           const std::vector<bool>& after) {
+  for (std::size_t s = 0; s < after.size(); ++s) {
+    if (after[s] == before[s]) continue;
+    if (!detail.empty()) detail += ", ";
+    detail += "server " + std::to_string(s) + (after[s] ? " up" : " down");
+  }
+}
 
 GuardedOutcome guarded_attempt(const ProblemInstance& instance,
                                const std::vector<bool>& alive,
@@ -96,55 +170,8 @@ Decision remap_dead_servers(const ProblemInstance& instance,
     dd.server = best;
   }
   // Refugees may oversubscribe their new server, and the plan's grants were
-  // sized for the bandwidth at its solve — renormalize both to current
-  // capacity so the repaired plan passes the same validation as a solve.
-  std::vector<double> share(topo.servers().size(), 0.0);
-  std::vector<double> grant(topo.cells().size(), 0.0);
-  for (std::size_t i = 0; i < d.per_device.size(); ++i) {
-    const auto& dd = d.per_device[i];
-    if (dd.plan.device_only) continue;
-    share[static_cast<std::size_t>(dd.server)] += dd.compute_share;
-    grant[static_cast<std::size_t>(
-        topo.device(static_cast<DeviceId>(i)).cell)] += dd.bandwidth;
-  }
-  for (std::size_t i = 0; i < d.per_device.size(); ++i) {
-    auto& dd = d.per_device[i];
-    if (dd.plan.device_only) continue;
-    const double s = share[static_cast<std::size_t>(dd.server)];
-    if (s > 1.0) dd.compute_share /= s;
-    const auto cell = static_cast<std::size_t>(
-        topo.device(static_cast<DeviceId>(i)).cell);
-    const double cap = topo.cell(static_cast<CellId>(cell)).bandwidth;
-    if (grant[cell] > cap) dd.bandwidth *= cap / grant[cell];
-  }
-  evaluate_decision(instance, d);
-  return d;
-}
-
-Decision solve_excluding_dead(
-    const ProblemInstance& instance, const std::vector<bool>& alive,
-    const std::function<Decision(const ProblemInstance&)>& run) {
-  const auto& topo = instance.topology();
-  ClusterTopology reduced;
-  for (const auto& c : topo.cells()) reduced.add_cell(c);
-  for (const auto& d : topo.devices()) reduced.add_device(d);
-  std::vector<ServerId> live_ids;
-  for (const auto& s : topo.servers()) {
-    if (!alive[static_cast<std::size_t>(s.id)]) continue;
-    live_ids.push_back(s.id);
-    reduced.add_server(s);
-  }
-  const ProblemInstance sub(reduced);
-  Decision d = run(sub);
-  for (auto& dd : d.per_device) {
-    if (dd.plan.device_only) continue;
-    SCALPEL_REQUIRE(dd.server >= 0 && static_cast<std::size_t>(dd.server) <
-                                          live_ids.size(),
-                    "solver returned an out-of-range server");
-    dd.server = live_ids[static_cast<std::size_t>(dd.server)];
-  }
-  // Re-evaluate against the full instance so predictions and the grant
-  // validation refer to the real server ids.
+  // sized for the bandwidth at its solve.
+  fit_to_capacity(topo, d);
   evaluate_decision(instance, d);
   return d;
 }

@@ -6,17 +6,53 @@
 
 #include "core/decision.hpp"
 #include "core/instance.hpp"
+#include "core/joint.hpp"
 #include "core/validate.hpp"
 #include "obs/audit.hpp"
 
 namespace scalpel {
 namespace failover {
 
-/// The watchdog/fallback machinery PR 8 built into OnlineController, hoisted
-/// into free functions so every control loop — the centralized controller
-/// and each distributed CellController — guards its solves the same way.
-/// None of these touch controller state; callers keep their own counters,
-/// audit records, and backoff windows.
+/// The solve path both control loops share — the centralized
+/// OnlineController and each distributed CellController: the solver seam,
+/// the sub-problem reduction and its lift back to global server ids, the
+/// capacity fit, the watchdog guard, and the last-good -> remap ->
+/// device-only fallback chain. None of these touch controller state;
+/// callers keep their own incumbent, counters, audit records, backoff
+/// windows and fallback policy.
+
+/// The controllers' solver seam: when set, replaces JointOptimizer for every
+/// solve (tests inject throwing, slow or garbage solvers through it).
+using Solver =
+    std::function<Decision(const ProblemInstance&, const JointOptions&)>;
+
+/// Runs `solver` when set, else JointOptimizer(joint).
+Decision solve(const Solver& solver, const ProblemInstance& instance,
+               const JointOptions& joint);
+
+/// The sub-problem a controller solves: `cells` with their believed uplinks
+/// (ids compacted to 0..k-1 in the given order), the devices of those cells
+/// in global id order, and every server whose `scale` entry is positive,
+/// its compute scaled by that entry (`scaled(1.0)` is exact). Server ids are
+/// compacted in global order; lift() maps them back.
+ProblemInstance reduce(const ProblemInstance& instance,
+                       const std::vector<Cell>& cells,
+                       const std::vector<double>& scale);
+
+/// Maps the server ids of a decision solved on reduce()'s sub-problem back
+/// to global ids, given the same per-server `scale`.
+void lift(Decision& d, const std::vector<double>& scale);
+
+/// Squeezes an offloading plan into physical capacity: per-server share sums
+/// above 1 are divided down and per-cell grant sums above the cell's uplink
+/// are scaled down, proportionally. A plan within capacity is untouched.
+void fit_to_capacity(const ClusterTopology& topology, Decision& d);
+
+/// Appends "server N up/down" for every server whose liveness differs
+/// between `before` and `after`, joined with ", " (also to a non-empty
+/// `detail`): the audit text of a liveness flip.
+void append_liveness_flips(std::string& detail, const std::vector<bool>& before,
+                           const std::vector<bool>& after);
 
 /// Outcome of one guarded solve attempt. When !ok, `decision` is untouched
 /// garbage — callers must not adopt it — and fail_cause/fail_detail carry
@@ -42,20 +78,11 @@ Decision device_only_fallback(const ProblemInstance& instance);
 
 /// Cheap plan repair: devices pointing at dead/invalid servers move to the
 /// live server with the smallest path RTT (device-only when none is left),
-/// then per-server shares and per-cell grants are renormalized to fit
-/// current capacity so the repaired plan passes the same validation as a
-/// fresh solve.
+/// then the plan is fit to capacity so the repaired plan passes the same
+/// validation as a fresh solve.
 Decision remap_dead_servers(const ProblemInstance& instance,
                             const Decision& base,
                             const std::vector<bool>& alive);
-
-/// Rebuilds the topology with only the live servers (ids compacted to
-/// 0..k-1), solves via `run` on the reduced instance, then maps the chosen
-/// server ids back and re-evaluates against the full instance. `run` is the
-/// caller's solver entry point (real optimizer or test seam).
-Decision solve_excluding_dead(
-    const ProblemInstance& instance, const std::vector<bool>& alive,
-    const std::function<Decision(const ProblemInstance&)>& run);
 
 /// Result of walking the last-good -> remap -> device-only fallback chain.
 struct FallbackOutcome {

@@ -5,8 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <string>
-#include <unordered_map>
+#include <utility>
 
 #include "core/objective.hpp"
 #include "profile/latency_model.hpp"
@@ -427,19 +426,7 @@ Decision JointOptimizer::optimize(const ProblemInstance& instance,
     std::int64_t up_bytes = 0;
     std::vector<double> s_cond;  // per server
   };
-  auto plan_signature = [](const SurgeryPlan& p) {
-    std::string s = p.device_only ? "L" : "O";
-    s += std::to_string(p.partition_after);
-    s += p.quantize_upload ? "q" : "f";
-    for (const auto& e : p.policy.exits) {
-      s += ':';
-      s += std::to_string(e.candidate);
-      s += '@';
-      s += std::to_string(e.theta);
-    }
-    return s;
-  };
-  std::vector<std::unordered_map<std::string, AllocStats>> alloc_cache(n);
+  std::vector<std::vector<std::pair<SurgeryPlan, AllocStats>>> alloc_cache(n);
 
   Decision best;
   best.scheme = "joint";
@@ -527,7 +514,9 @@ Decision JointOptimizer::optimize(const ProblemInstance& instance,
         const auto id = static_cast<DeviceId>(i);
         const auto& dev = topo.device(id);
         auto& cache = alloc_cache[i];
-        auto it = cache.find(plan_signature(plans[i]));
+        auto it = std::find_if(cache.begin(), cache.end(), [&](const auto& e) {
+          return e.first == plans[i];
+        });
         if (it == cache.end()) {
           AllocStats st;
           st.s_cond.resize(m, 0.0);
@@ -551,7 +540,7 @@ Decision JointOptimizer::optimize(const ProblemInstance& instance,
                                      pm.breakdown().offload_prob
                                : 0.0;
           }
-          it = cache.emplace(plan_signature(plans[i]), std::move(st)).first;
+          it = cache.emplace(cache.end(), plans[i], std::move(st));
         }
         p_off[i] = it->second.p_off;
         up_bytes[i] = it->second.up_bytes;

@@ -1,10 +1,8 @@
 #include "core/online.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <exception>
 #include <string>
 
 #include "core/failover.hpp"
@@ -217,11 +215,6 @@ OnlineController::OnlineController(const ClusterTopology& topology,
                                   alive_.size());
 }
 
-Decision OnlineController::run_solver(const ProblemInstance& sub) const {
-  if (opts_.solver) return opts_.solver(sub, opts_.joint);
-  return JointOptimizer(opts_.joint).optimize(sub);
-}
-
 bool OnlineController::guarded_solve(bool liveness_changed) {
   const RobustnessOptions& ro = opts_.robustness;
 
@@ -230,19 +223,22 @@ bool OnlineController::guarded_solve(bool liveness_changed) {
   // when the watchdog accepts the output.
   failover::GuardedOutcome outcome = failover::guarded_attempt(
       instance_, alive_, ro.solve_budget_seconds, [&]() -> Decision {
-        bool any_alive = false;
-        bool all_alive = true;
-        for (bool a : alive_) {
-          any_alive = any_alive || a;
-          all_alive = all_alive && a;
+        if (std::find(alive_.begin(), alive_.end(), true) == alive_.end()) {
+          return failover::device_only_fallback(instance_);
         }
-        if (!any_alive) return failover::device_only_fallback(instance_);
-        if (!all_alive) {
-          return failover::solve_excluding_dead(
-              instance_, alive_,
-              [&](const ProblemInstance& sub) { return run_solver(sub); });
+        if (std::find(alive_.begin(), alive_.end(), false) == alive_.end()) {
+          return failover::solve(opts_.solver, instance_, opts_.joint);
         }
-        return run_solver(instance_);
+        // Dead servers drop out of the sub-problem; the lifted plan is
+        // re-evaluated on the full instance under the real server ids.
+        const std::vector<double> scale(alive_.begin(), alive_.end());
+        Decision d = failover::solve(
+            opts_.solver,
+            failover::reduce(instance_, instance_.topology().cells(), scale),
+            opts_.joint);
+        failover::lift(d, scale);
+        evaluate_decision(instance_, d);
+        return d;
       });
   if (outcome.ok) {
     decision_ = std::move(outcome.decision);
@@ -340,14 +336,7 @@ bool OnlineController::observe(const Observation& raw) {
     --backoff_remaining_;
     alive_ = o.server_alive;
   } else {
-    if (liveness_changed) {
-      for (std::size_t s = 0; s < o.server_alive.size(); ++s) {
-        if (o.server_alive[s] == solved_alive_[s]) continue;
-        if (!detail.empty()) detail += ", ";
-        detail += "server " + std::to_string(s) +
-                  (o.server_alive[s] ? " up" : " down");
-      }
-    }
+    failover::append_liveness_flips(detail, solved_alive_, o.server_alive);
     // Adopt the believed conditions and re-solve under the watchdog.
     auto& mutable_topo = instance_.mutable_topology();
     for (std::size_t c = 0; c < o.cell_bandwidth.size(); ++c) {

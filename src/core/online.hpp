@@ -1,11 +1,11 @@
 #pragma once
 
-#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "core/admission.hpp"
+#include "core/failover.hpp"
 #include "core/joint.hpp"
 #include "core/observation.hpp"
 #include "core/telemetry.hpp"
@@ -95,11 +95,9 @@ class OnlineController {
     JointOptions joint;
     OverloadControlOptions overload;
     RobustnessOptions robustness;
-    /// Test seam: when set, replaces JointOptimizer for every solve
-    /// (including reduced-topology failover solves). Lets tests inject
-    /// throwing, slow, or garbage solvers to drive the watchdog.
-    std::function<Decision(const ProblemInstance&, const JointOptions&)>
-        solver;
+    /// Solver seam for every solve, reduced-topology failover solves
+    /// included; tests drive the watchdog through it.
+    failover::Solver solver;
   };
 
   explicit OnlineController(const ClusterTopology& topology);
@@ -162,7 +160,6 @@ class OnlineController {
   void register_sources(TimeSeriesRecorder& recorder);
 
  private:
-  Decision run_solver(const ProblemInstance& sub) const;
   /// One watchdog-guarded solve via failover::guarded_attempt (try/catch,
   /// wall-clock budget, validate_plan); picks device-only / reduced-topology
   /// / full solve by liveness. On failure records the failure

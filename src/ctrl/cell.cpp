@@ -55,11 +55,6 @@ double CellController::slice_mean() const {
   return sum / static_cast<double>(slice_.size());
 }
 
-Decision CellController::run_solver(const ProblemInstance& sub) const {
-  if (opts_.solver) return opts_.solver(sub, opts_.joint);
-  return JointOptimizer(opts_.joint).optimize(sub);
-}
-
 void CellController::receive(const CtrlMessage& msg, double now) {
   if (msg.from != 0) return;
   last_coord_seen_ = now;
@@ -148,46 +143,29 @@ bool CellController::repair_local(const std::vector<bool>& server_alive) {
   return changed;
 }
 
-bool CellController::local_solve(double now, AuditCause cause,
-                                 std::string detail) {
-  (void)now;
+bool CellController::local_solve(AuditCause cause, std::string detail) {
   ++local_solves_;
-  const auto& topo = global_->topology();
+  // Per server, the capacity share the sub-problem gets: the trusted slice,
+  // at most the whole server; 0 leaves a dead or sliceless server out.
   const double discount = stale_ ? kStaleDiscount : 1.0;
-  std::vector<double> usable(num_servers_, 0.0);
+  std::vector<double> scale(num_servers_, 0.0);
+  bool any_server = false;
   for (std::size_t s = 0; s < num_servers_; ++s) {
-    usable[s] = slice_[s] * discount;
+    const double usable = slice_[s] * discount;
+    if ((!solved_alive_.empty() && !solved_alive_[s]) || usable <= 1e-9) {
+      continue;
+    }
+    scale[s] = std::min(1.0, usable);
+    any_server = true;
   }
   const std::vector<DeviceDecision> previous = local_;
   const bool had_plan = has_plan_;
-
-  // Live servers with a usable slice, compacted into the sub-topology.
-  std::vector<ServerId> live_ids;
-  ClusterTopology reduced;
-  Cell c = topo.cell(cell_);
-  c.bandwidth = observed_bw_;
-  reduced.add_cell(c);
-  for (DeviceId d : members_) {
-    Device dev = topo.device(d);
-    dev.cell = 0;
-    reduced.add_device(dev);
-  }
-  for (const auto& s : topo.servers()) {
-    const auto si = static_cast<std::size_t>(s.id);
-    if (!solved_alive_.empty() && !solved_alive_[si]) continue;
-    if (usable[si] <= 1e-9) continue;
-    EdgeServer scaled = s;
-    scaled.compute = s.compute.scaled(std::min(1.0, usable[si]));
-    reduced.add_server(scaled);
-    live_ids.push_back(s.id);
-  }
 
   auto adopt = [&](std::vector<DeviceDecision> fresh, AuditCause why,
                    std::string why_detail) {
     local_ = std::move(fresh);
     has_plan_ = true;
     solved_bw_ = observed_bw_;
-    solved_slice_ = slice_;
     append_log();
     bool changed = !had_plan || local_.size() != previous.size();
     if (!changed) {
@@ -216,17 +194,19 @@ bool CellController::local_solve(double now, AuditCause cause,
     return changed;
   };
 
-  if (live_ids.empty()) {
+  if (!any_server) {
     // No live server with a usable slice: the whole cell runs device-only.
     std::vector<DeviceDecision> down(members_.size());
     for (auto& dd : down) dd.plan.device_only = true;
     return adopt(std::move(down), cause, detail + "; no usable server");
   }
 
-  const ProblemInstance sub(reduced);
+  Cell uplink = global_->topology().cell(cell_);
+  uplink.bandwidth = observed_bw_;
+  const ProblemInstance sub = failover::reduce(*global_, {uplink}, scale);
   failover::GuardedOutcome outcome = failover::guarded_attempt(
       sub, /*alive=*/{}, kSolveBudgetSeconds,
-      [&] { return run_solver(sub); });
+      [&] { return failover::solve(opts_.solver, sub, opts_.joint); });
 
   if (outcome.ok) {
     // Map the sub-space decision back to global ids and global share space.
@@ -234,7 +214,8 @@ bool CellController::local_solve(double now, AuditCause cause,
     // percent of slack that the global evaluator does not), and bandwidth
     // sums to the observed uplink, so the merged plan can never trip the
     // global capacity checks.
-    std::vector<double> share_sum(live_ids.size(), 0.0);
+    failover::lift(outcome.decision, scale);
+    std::vector<double> share_sum(num_servers_, 0.0);
     double bw_sum = 0.0;
     for (const auto& dd : outcome.decision.per_device) {
       if (dd.plan.device_only) continue;
@@ -250,13 +231,10 @@ bool CellController::local_solve(double now, AuditCause cause,
         fresh[j].plan = dd.plan;
         continue;
       }
-      const auto local_server = static_cast<std::size_t>(dd.server);
+      const auto s = static_cast<std::size_t>(dd.server);
       const double sigma_scale =
-          share_sum[local_server] > 1.0 ? 1.0 / share_sum[local_server] : 1.0;
-      dd.server = live_ids[local_server];
-      dd.compute_share = dd.compute_share * sigma_scale *
-                         std::min(1.0, usable[static_cast<std::size_t>(
-                                           dd.server)]);
+          share_sum[s] > 1.0 ? 1.0 / share_sum[s] : 1.0;
+      dd.compute_share = dd.compute_share * sigma_scale * scale[s];
       dd.bandwidth *= bw_scale;
       fresh[j] = std::move(dd);
     }
@@ -330,12 +308,7 @@ bool CellController::tick(double now, double cell_bandwidth,
   std::string detail;
   if (liveness_flip) {
     pending_solve_ = true;
-    for (std::size_t s = 0; s < server_alive.size(); ++s) {
-      if (server_alive[s] == solved_alive_[s]) continue;
-      if (!detail.empty()) detail += ", ";
-      detail +=
-          "server " + std::to_string(s) + (server_alive[s] ? " up" : " down");
-    }
+    failover::append_liveness_flips(detail, solved_alive_, server_alive);
   } else if (has_plan_ && solved_bw_ > 0.0 &&
              std::abs(observed_bw_ / solved_bw_ - 1.0) > kBandwidthHysteresis) {
     pending_solve_ = true;
@@ -361,7 +334,7 @@ bool CellController::tick(double now, double cell_bandwidth,
                              : "slice/conditions moved";
     }
     solved_alive_ = server_alive;
-    changed = local_solve(now, cause, std::move(detail));
+    changed = local_solve(cause, std::move(detail));
   } else {
     solved_alive_ = server_alive;
   }
@@ -406,7 +379,6 @@ void CellController::crash() {
   has_plan_ = false;
   local_.clear();
   solved_bw_ = 0.0;
-  solved_slice_.clear();
   solved_alive_.clear();
   next_report_ = 0.0;
   pending_solve_ = false;

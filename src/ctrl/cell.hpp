@@ -1,10 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
+#include "core/failover.hpp"
 #include "core/instance.hpp"
 #include "core/joint.hpp"
 #include "ctrl/fabric.hpp"
@@ -14,8 +14,8 @@ namespace scalpel {
 
 struct CellControllerOptions {
   JointOptions joint;
-  /// Test seam: replaces JointOptimizer for the cell's local solves.
-  std::function<Decision(const ProblemInstance&, const JointOptions&)> solver;
+  /// Solver seam for the cell's local solves.
+  failover::Solver solver;
 };
 
 /// One cell's controller in the distributed plane: solves the joint
@@ -26,7 +26,7 @@ struct CellControllerOptions {
 /// share sigma*phi of the full server under GPS, so the merged global plan
 /// is feasible whenever every cell's local plan is.
 ///
-/// Robustness contract: every local solve runs under the PR 8 watchdog
+/// Robustness contract: every local solve runs under the failover watchdog
 /// (failover::guarded_attempt) and a last-good -> device-only fallback
 /// chain, so the cell's devices always have a routable plan; coordinator
 /// silence beyond the heartbeat timeout flips the cell into audited local
@@ -110,11 +110,10 @@ class CellController {
     bool has_plan = false;
   };
 
-  Decision run_solver(const ProblemInstance& sub) const;
   /// Guarded local solve on the scaled sub-topology; adopts on success,
   /// walks the per-cell fallback chain on failure. Returns true when
   /// local_ changed.
-  bool local_solve(double now, AuditCause cause, std::string detail);
+  bool local_solve(AuditCause cause, std::string detail);
   /// Members pointing at dead or zero-slice servers drop to device-only
   /// (the kept-last-good repair step of the fallback chain).
   bool repair_local(const std::vector<bool>& server_alive);
@@ -140,7 +139,6 @@ class CellController {
   std::vector<DeviceDecision> local_;
   double observed_bw_ = 0.0;
   double solved_bw_ = 0.0;
-  std::vector<double> solved_slice_;
   std::vector<bool> solved_alive_;
   double next_report_ = 0.0;
   bool pending_solve_ = false;

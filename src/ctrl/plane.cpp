@@ -1,7 +1,6 @@
 #include "ctrl/plane.hpp"
 
-#include <algorithm>
-
+#include "core/failover.hpp"
 #include "core/objective.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
@@ -76,7 +75,7 @@ void DistributedControlPlane::route(const CtrlMessage& msg, double now) {
   }
 }
 
-void DistributedControlPlane::merge(const Observation& o) {
+void DistributedControlPlane::merge() {
   const auto& topo = instance_.topology();
   const std::size_t n = topo.devices().size();
   if (merged_.per_device.size() != n) {
@@ -96,28 +95,9 @@ void DistributedControlPlane::merge(const Observation& o) {
   // but a split-brain mix of epochs (cell A on epoch 5's row, partitioned
   // cell B still on epoch 3's) can make per-server sums exceed 1. The
   // actuator squeezes shares proportionally — the same thing GPS weights
-  // would do physically — so the merged plan always evaluates cleanly.
-  std::vector<double> share(topo.servers().size(), 0.0);
-  std::vector<double> grant(topo.cells().size(), 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& dd = merged_.per_device[i];
-    if (dd.plan.device_only) continue;
-    share[static_cast<std::size_t>(dd.server)] += dd.compute_share;
-    grant[static_cast<std::size_t>(
-        topo.device(static_cast<DeviceId>(i)).cell)] += dd.bandwidth;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    auto& dd = merged_.per_device[i];
-    if (dd.plan.device_only) continue;
-    const double s = share[static_cast<std::size_t>(dd.server)];
-    if (s > 1.0) dd.compute_share /= s;
-    const auto cell = static_cast<std::size_t>(
-        topo.device(static_cast<DeviceId>(i)).cell);
-    const double cap = cell < o.cell_bandwidth.size()
-                           ? o.cell_bandwidth[cell]
-                           : topo.cell(static_cast<CellId>(cell)).bandwidth;
-    if (grant[cell] > cap) dd.bandwidth *= cap / grant[cell];
-  }
+  // would do physically — so the merged plan always evaluates cleanly. The
+  // uplinks are the observed ones: tick() wrote them into the topology.
+  failover::fit_to_capacity(topo, merged_);
   evaluate_decision(instance_, merged_);
   merged_valid_ = true;
 }
@@ -153,7 +133,7 @@ ControlAction DistributedControlPlane::tick(const Observation& o) {
 
   ControlAction action;
   if (changed || !merged_valid_) {
-    merge(o);
+    merge();
     ++plan_changes_;
     action.decision = merged_;
   }

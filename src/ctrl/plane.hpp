@@ -101,7 +101,7 @@ class DistributedControlPlane {
  private:
   void apply_liveness(double now);
   void route(const CtrlMessage& msg, double now);
-  void merge(const Observation& o);
+  void merge();
 
   DistributedPlaneOptions opts_;
   ProblemInstance instance_;

@@ -16,6 +16,7 @@
 #include "baselines/baselines.hpp"
 #include "core/failover.hpp"
 #include "core/joint.hpp"
+#include "core/objective.hpp"
 #include "core/serialize.hpp"
 #include "edge/builders.hpp"
 #include "sim/runner.hpp"
@@ -86,19 +87,8 @@ JointOptions light_budget() {
 // and every server scaled to an equal one-in-six capacity slice.
 ProblemInstance cell_sub_instance() {
   const auto& topo = campus().topology();
-  ClusterTopology reduced;
-  reduced.add_cell(topo.cell(0));
-  for (const DeviceId d : topo.devices_in_cell(0)) {
-    Device dev = topo.device(d);
-    dev.cell = 0;
-    reduced.add_device(dev);
-  }
-  for (const auto& s : topo.servers()) {
-    EdgeServer scaled = s;
-    scaled.compute = s.compute.scaled(1.0 / 6.0);
-    reduced.add_server(scaled);
-  }
-  return ProblemInstance(reduced);
+  const std::vector<double> slice(topo.servers().size(), 1.0 / 6.0);
+  return failover::reduce(campus(), {topo.cell(0)}, slice);
 }
 
 struct Golden {
@@ -174,13 +164,18 @@ TEST(JointGolden, SurgeryDisabled) {
 }
 
 TEST(JointGolden, BenchBudgetExcludingDeadServer) {
-  std::vector<bool> alive(campus().topology().servers().size(), true);
-  alive[2] = false;
+  // Server 2 is dead: the online controller's reduction leaves it out, and
+  // the lifted plan is evaluated on the full instance.
+  std::vector<double> scale(campus().topology().servers().size(), 1.0);
+  scale[2] = 0.0;
   JointReport report;
-  const Decision d = failover::solve_excluding_dead(
-      campus(), alive, [&](const ProblemInstance& sub) {
-        return JointOptimizer(bench_budget()).optimize(sub, &report);
-      });
+  Decision d = JointOptimizer(bench_budget())
+                   .optimize(failover::reduce(campus(),
+                                              campus().topology().cells(),
+                                              scale),
+                             &report);
+  failover::lift(d, scale);
+  evaluate_decision(campus(), d);
   expect_golden(golden_of(d, report),
                 {9476720235548454660ull, 7304687, 3});
 }
