@@ -10,8 +10,10 @@
 namespace scalpel {
 
 /// Comparison schemes from the evaluation. Each produces a Decision through
-/// the same types and is scored by the same evaluator/simulator as the joint
-/// optimizer, so differences are attributable to the scheme alone.
+/// the same types, allocates its fixed plans through the joint optimizer's
+/// allocation rules (core/objective's fixed-plan path), and is scored by the
+/// same evaluator/simulator, so differences are attributable to the scheme
+/// alone.
 namespace baselines {
 
 /// Everything runs on the device; no exits, no offloading.

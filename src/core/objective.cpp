@@ -1,21 +1,18 @@
 #include "core/objective.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
 #include "profile/latency_model.hpp"
 #include "sched/queueing.hpp"
+#include "surgery/partition.hpp"
 #include "util/assert.hpp"
 
 namespace scalpel {
-namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// PlanModel for a decision: full-speed server profile; the compute share
-/// enters through the queueing term, not the profile.
-PlanModel make_plan_model(const ProblemInstance& instance, DeviceId id,
-                          const DeviceDecision& decision) {
+PlanModel build_plan_model(const ProblemInstance& instance, DeviceId id,
+                           const DeviceDecision& decision) {
   const auto& dev = instance.topology().device(id);
   const auto& bundle = instance.bundle_for(id);
   LinkSpec link;
@@ -38,6 +35,10 @@ PlanModel make_plan_model(const ProblemInstance& instance, DeviceId id,
                    bundle.accuracy, dev.compute, server.compute, link,
                    dev.difficulty);
 }
+
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Per-stage expected sojourns of the tandem network (see objective.hpp).
 /// Returns false (and leaves outputs +inf) when any stage is unstable.
@@ -80,16 +81,109 @@ bool stage_times(const ProblemInstance& instance, DeviceId id,
 
 }  // namespace
 
-PlanModel build_plan_model(const ProblemInstance& instance, DeviceId id,
-                           const DeviceDecision& decision) {
-  return make_plan_model(instance, id, decision);
+OffloadStats offload_stats(const ProblemInstance& instance, DeviceId id,
+                           const SurgeryPlan& plan) {
+  OffloadStats st;
+  if (plan.device_only) return st;
+  const std::size_t m = instance.topology().servers().size();
+  st.server_time.resize(m, 0.0);
+  DeviceDecision dd;
+  dd.plan = plan;
+  dd.compute_share = 1.0;
+  dd.bandwidth = 1.0;  // placeholder: none of the statistics reads the link
+  for (std::size_t j = 0; j < m; ++j) {
+    dd.server = static_cast<ServerId>(j);
+    const PlanBreakdown b = build_plan_model(instance, id, dd).breakdown();
+    if (j == 0) {
+      st.offload_prob = b.offload_prob;
+      st.upload_bytes = b.upload_bytes;
+    }
+    st.server_time[j] =
+        b.offload_prob > 0.0 ? b.expected_server_time / b.offload_prob : 0.0;
+  }
+  return st;
+}
+
+double negotiated_bandwidth(const ProblemInstance& instance, DeviceId id,
+                            double granted, std::int64_t upload_bytes) {
+  const auto& dev = instance.topology().device(id);
+  const double stability_bw =
+      1.25 * dev.arrival_rate * static_cast<double>(upload_bytes);
+  return std::min(std::max(granted, stability_bw),
+                  instance.topology().cell(dev.cell).bandwidth);
+}
+
+std::vector<double> equal_uplink_split(const ClusterTopology& topo,
+                                       const std::vector<bool>& offloads) {
+  std::vector<std::size_t> count(topo.cells().size(), 0);
+  for (const auto& dev : topo.devices()) {
+    if (offloads[static_cast<std::size_t>(dev.id)]) {
+      ++count[static_cast<std::size_t>(dev.cell)];
+    }
+  }
+  std::vector<double> bw(offloads.size(), 0.0);
+  for (const auto& dev : topo.devices()) {
+    const auto i = static_cast<std::size_t>(dev.id);
+    if (offloads[i]) {
+      bw[i] = topo.cell(dev.cell).bandwidth /
+              static_cast<double>(count[static_cast<std::size_t>(dev.cell)]);
+    }
+  }
+  return bw;
+}
+
+OffloadingProblem offloading_problem(const ProblemInstance& instance,
+                                     const std::vector<std::size_t>& rows,
+                                     const std::vector<OffloadStats>& stats,
+                                     const std::vector<double>& bandwidth) {
+  const auto& topo = instance.topology();
+  const std::size_t m = topo.servers().size();
+  OffloadingProblem prob;
+  prob.capacity.assign(m, 1.0);
+  for (const std::size_t i : rows) {
+    const auto id = static_cast<DeviceId>(i);
+    const OffloadStats& st = stats[i];
+    prob.rate.push_back(topo.device(id).arrival_rate * st.offload_prob);
+    std::vector<double> base(m, 0.0);
+    std::vector<double> work(m, 0.0);
+    for (std::size_t j = 0; j < m; ++j) {
+      base[j] = transfer_latency(st.upload_bytes, bandwidth[i],
+                                 topo.path_rtt(id, static_cast<ServerId>(j)));
+      work[j] = std::max(st.server_time[j], 1e-9);
+    }
+    prob.base_latency.push_back(std::move(base));
+    prob.work.push_back(std::move(work));
+  }
+  return prob;
+}
+
+std::vector<double> clamped_shares(const OffloadingProblem& prob,
+                                   const std::vector<int>& server_of) {
+  std::vector<double> shares = kleinrock_shares(prob, server_of);
+  for (double& s : shares) s = std::clamp(s, 1e-9, 1.0);
+  return shares;
+}
+
+SurgeryPlan partition_plan(const ProblemInstance& instance, DeviceId id,
+                           ServerId server, double share, double bandwidth) {
+  const auto& topo = instance.topology();
+  LinkSpec link;
+  link.bandwidth = bandwidth;
+  link.rtt = topo.path_rtt(id, server);
+  const auto choice = optimal_partition(
+      instance.bundle_for(id).graph, topo.device(id).compute,
+      topo.server(server).compute.scaled(std::min(1.0, share)), link);
+  SurgeryPlan plan;
+  plan.device_only = choice.device_only;
+  plan.partition_after = choice.device_only ? 0 : choice.cut_after;
+  return plan;
 }
 
 DevicePrediction evaluate_device(const ProblemInstance& instance, DeviceId id,
                                  const DeviceDecision& decision,
                                  const EvalOptions& opts) {
   const auto& dev = instance.topology().device(id);
-  const PlanModel pm = make_plan_model(instance, id, decision);
+  const PlanModel pm = build_plan_model(instance, id, decision);
   const auto& b = pm.breakdown();
 
   DevicePrediction pred;
@@ -169,7 +263,7 @@ double predicted_deadline_satisfaction(const ProblemInstance& instance,
       continue;
     }
     const auto& dd = decision.per_device[i];
-    const PlanModel pm = make_plan_model(instance, id, dd);
+    const PlanModel pm = build_plan_model(instance, id, dd);
     const auto& b = pm.breakdown();
     StageTimes st;
     if (!stage_times(instance, id, dd, b, /*queueing_on=*/true, &st)) {

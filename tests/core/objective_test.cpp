@@ -6,6 +6,7 @@
 
 #include "edge/builders.hpp"
 #include "profile/latency_model.hpp"
+#include "surgery/difficulty.hpp"
 #include "sched/queueing.hpp"
 #include "util/assert.hpp"
 #include "util/units.hpp"
@@ -227,6 +228,80 @@ TEST(Objective, TighterDeadlineLowersSatisfaction) {
   evaluate_decision(it, d2);
   EXPECT_GE(predicted_deadline_satisfaction(il, d),
             predicted_deadline_satisfaction(it, d2));
+}
+
+// The small lab with every device on one skewed difficulty model.
+ClusterTopology lab_with_difficulty(const std::string& preset) {
+  const ClusterTopology lab = clusters::small_lab();
+  ClusterTopology t;
+  for (const auto& c : lab.cells()) t.add_cell(c);
+  for (const auto& s : lab.servers()) t.add_server(s);
+  for (Device d : lab.devices()) {
+    d.difficulty = DifficultyModel::preset(preset);
+    t.add_device(d);
+  }
+  return t;
+}
+
+// The allocation statistics are read from the evaluator's own PlanModel, so
+// a skewed difficulty model moves them exactly as it moves the breakdown
+// the evaluator scores, on every server and whatever the uplink.
+TEST(FixedPlanAllocation, StatsMatchBuildPlanModelUnderDifficulty) {
+  for (const std::string preset : {"hard_heavy", "bimodal_easy"}) {
+    SCOPED_TRACE(preset);
+    const ProblemInstance instance(lab_with_difficulty(preset));
+    const auto& topo = instance.topology();
+    for (const auto& dev : topo.devices()) {
+      const auto& bundle = instance.bundle_for(dev.id);
+      // Deepest clean cut with the shallowest exit enabled on the device.
+      SurgeryPlan plan;
+      plan.partition_after = bundle.graph.clean_cuts().back().after;
+      ASSERT_LT(bundle.candidates.front().attach, plan.partition_after);
+      plan.policy.exits = {ExitChoice{0, 0.3}};
+
+      const OffloadStats st = offload_stats(instance, dev.id, plan);
+      ASSERT_EQ(st.server_time.size(), topo.servers().size());
+      for (const auto& server : topo.servers()) {
+        DeviceDecision dd;
+        dd.plan = plan;
+        dd.server = server.id;
+        dd.compute_share = 1.0;
+        dd.bandwidth = mbps(20.0);
+        const PlanBreakdown b =
+            build_plan_model(instance, dev.id, dd).breakdown();
+        EXPECT_EQ(st.offload_prob, b.offload_prob);
+        EXPECT_EQ(st.upload_bytes, b.upload_bytes);
+        EXPECT_EQ(st.server_time[static_cast<std::size_t>(server.id)],
+                  b.expected_server_time / b.offload_prob);
+      }
+      // Under the uniform CDF the same plan offloads a different share.
+      const PlanModel uniform(bundle.graph, bundle.candidates, plan,
+                              bundle.accuracy, dev.compute,
+                              topo.server(0).compute, LinkSpec{1.0, 0.0});
+      EXPECT_NE(st.offload_prob, uniform.breakdown().offload_prob);
+    }
+  }
+}
+
+TEST(FixedPlanAllocation, EqualUplinkSplitCountsOffloadersPerCell) {
+  clusters::CampusOptions o;
+  o.num_devices = 12;
+  o.num_servers = 2;
+  o.devices_per_cell = 4;
+  const ClusterTopology topo = clusters::campus(o);
+  std::vector<bool> offloads(topo.devices().size());
+  for (std::size_t i = 0; i < offloads.size(); ++i) offloads[i] = i % 3 != 0;
+  const auto bw = equal_uplink_split(topo, offloads);
+  for (const auto& cell : topo.cells()) {
+    double offloaders = 0.0;
+    for (const DeviceId d : topo.devices_in_cell(cell.id)) {
+      offloaders += offloads[static_cast<std::size_t>(d)] ? 1.0 : 0.0;
+    }
+    for (const DeviceId d : topo.devices_in_cell(cell.id)) {
+      const auto i = static_cast<std::size_t>(d);
+      EXPECT_EQ(bw[i], offloads[i] ? cell.bandwidth / offloaders : 0.0);
+    }
+  }
 }
 
 }  // namespace
