@@ -76,24 +76,6 @@ const char* ctrl_span_name(CtrlSpanEvent event) {
   return "unknown";
 }
 
-void CtrlTracer::reset(std::size_t capacity) {
-  capacity_ = capacity;
-  ring_.assign(capacity, CtrlSpan{});
-  head_ = 0;
-  size_ = 0;
-  dropped_ = 0;
-}
-
-std::vector<CtrlSpan> CtrlTracer::snapshot() const {
-  std::vector<CtrlSpan> out;
-  out.reserve(size_);
-  const std::size_t start = size_ < capacity_ ? 0 : head_;
-  for (std::size_t i = 0; i < size_; ++i) {
-    out.push_back(ring_[(start + i) % capacity_]);
-  }
-  return out;
-}
-
 Json ctrl_spans_to_chrome_events(const std::vector<CtrlSpan>& spans) {
   JsonWriter w;
   w.begin_array();

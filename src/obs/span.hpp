@@ -60,45 +60,8 @@ struct CtrlSpan {
   }
 };
 
-/// Bounded span recorder, ring-buffered exactly like TaskTracer: disabled
-/// (capacity 0) every record() is a single predictable branch; enabled, it
-/// writes into a preallocated ring and overwrites oldest-first once full.
-class CtrlTracer {
- public:
-  CtrlTracer() = default;  // disabled
-  explicit CtrlTracer(std::size_t capacity) { reset(capacity); }
-
-  /// Re-arms the tracer with a new capacity (0 disables); clears all spans.
-  void reset(std::size_t capacity);
-
-  bool enabled() const { return capacity_ != 0; }
-  std::size_t capacity() const { return capacity_; }
-  std::size_t size() const { return size_; }
-  /// Spans overwritten because the ring was full.
-  std::uint64_t dropped() const { return dropped_; }
-  std::uint64_t recorded() const { return size_ + dropped_; }
-
-  void record(const CtrlSpan& span) {
-    if (capacity_ == 0) return;  // disabled: the whole hot path is this branch
-    ring_[head_] = span;
-    head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
-    if (size_ < capacity_) {
-      ++size_;
-    } else {
-      ++dropped_;
-    }
-  }
-
-  /// Spans in recording order, oldest first (allocates; not for hot paths).
-  std::vector<CtrlSpan> snapshot() const;
-
- private:
-  std::vector<CtrlSpan> ring_;
-  std::size_t capacity_ = 0;
-  std::size_t head_ = 0;  // next write position
-  std::size_t size_ = 0;
-  std::uint64_t dropped_ = 0;
-};
+/// Bounded span recorder: the same ring as TaskTracer, over CtrlSpan.
+using CtrlTracer = EventRing<CtrlSpan>;
 
 /// The pid control-plane spans render under in Chrome trace JSON — a lane of
 /// its own, far above any device id, so one timeline shows task lifecycles

@@ -58,25 +58,6 @@ const char* trace_stage_name(TraceStage stage) {
   return "unknown";
 }
 
-void TaskTracer::reset(std::size_t capacity) {
-  capacity_ = capacity;
-  ring_.assign(capacity, TraceEvent{});
-  head_ = 0;
-  size_ = 0;
-  dropped_ = 0;
-}
-
-std::vector<TraceEvent> TaskTracer::snapshot() const {
-  std::vector<TraceEvent> out;
-  out.reserve(size_);
-  // Oldest event first: once wrapped, it sits at head_ (the next overwrite).
-  const std::size_t start = size_ < capacity_ ? 0 : head_;
-  for (std::size_t i = 0; i < size_; ++i) {
-    out.push_back(ring_[(start + i) % capacity_]);
-  }
-  return out;
-}
-
 void write_chrome_event(JsonWriter& w, const TraceEvent& ev) {
   // Compute and upload phases render as B/E duration pairs named after the
   // stage; everything else is a thread-scoped instant.

@@ -54,39 +54,40 @@ struct TraceEvent {
   }
 };
 
-/// Bounded per-run event recorder. Disabled (capacity 0) it is a single
-/// predictable branch per record() call — cheap enough to leave the
-/// instrumentation hooks compiled into the simulator hot path. Enabled, it
-/// writes into a ring buffer preallocated at construction: recording never
-/// allocates, and once full the oldest events are overwritten (dropped()
-/// reports how many were lost, so exporters can flag truncated traces).
-class TaskTracer {
+/// Bounded recorder of one POD record type, shared by the task and the
+/// control-plane tracers. Disabled (capacity 0) it is a single predictable
+/// branch per record() call — cheap enough to leave the instrumentation
+/// hooks compiled into the hot paths. Enabled, it writes into a ring
+/// buffer preallocated at reset: recording never allocates, and once full
+/// the oldest records are overwritten (dropped() reports how many were
+/// lost, so exporters can flag truncated traces).
+template <class Record>
+class EventRing {
  public:
-  TaskTracer() = default;  // disabled
-  explicit TaskTracer(std::size_t capacity) { reset(capacity); }
+  EventRing() = default;  // disabled
+  explicit EventRing(std::size_t capacity) { reset(capacity); }
 
-  /// Re-arms the tracer with a new capacity (0 disables); clears all events.
-  void reset(std::size_t capacity);
+  /// Re-arms the ring with a new capacity (0 disables); clears all records.
+  void reset(std::size_t capacity) {
+    capacity_ = capacity;
+    ring_.assign(capacity, Record{});
+    head_ = 0;
+    size_ = 0;
+    dropped_ = 0;
+  }
 
   bool enabled() const { return capacity_ != 0; }
   std::size_t capacity() const { return capacity_; }
-  /// Events currently held (<= capacity).
+  /// Records currently held (<= capacity).
   std::size_t size() const { return size_; }
-  /// Events overwritten because the ring was full.
+  /// Records overwritten because the ring was full.
   std::uint64_t dropped() const { return dropped_; }
   /// Total record() calls accepted (size() + dropped()).
   std::uint64_t recorded() const { return size_ + dropped_; }
 
-  void record(double time, std::uint64_t task, std::int32_t device,
-              std::int32_t server, TraceEventType type, std::uint8_t arg = 0) {
+  void record(const Record& r) {
     if (capacity_ == 0) return;  // disabled: the whole hot path is this branch
-    TraceEvent& slot = ring_[head_];
-    slot.time = time;
-    slot.task = task;
-    slot.device = device;
-    slot.server = server;
-    slot.type = type;
-    slot.arg = arg;
+    ring_[head_] = r;
     head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
     if (size_ < capacity_) {
       ++size_;
@@ -95,15 +96,39 @@ class TaskTracer {
     }
   }
 
-  /// Events in recording order, oldest first (allocates; not for hot paths).
-  std::vector<TraceEvent> snapshot() const;
+  /// Records in recording order, oldest first (allocates; not for hot
+  /// paths).
+  std::vector<Record> snapshot() const {
+    std::vector<Record> out;
+    out.reserve(size_);
+    // Oldest record first: once wrapped, it sits at head_ (the next
+    // overwrite).
+    const std::size_t start = size_ < capacity_ ? 0 : head_;
+    for (std::size_t i = 0; i < size_; ++i) {
+      out.push_back(ring_[(start + i) % capacity_]);
+    }
+    return out;
+  }
 
  private:
-  std::vector<TraceEvent> ring_;
+  std::vector<Record> ring_;
   std::size_t capacity_ = 0;
   std::size_t head_ = 0;  // next write position
   std::size_t size_ = 0;
   std::uint64_t dropped_ = 0;
+};
+
+/// Per-run task lifecycle recorder: the shared ring over TraceEvent, plus
+/// the field-wise record() the simulator's hooks call.
+class TaskTracer : public EventRing<TraceEvent> {
+ public:
+  using EventRing::EventRing;
+  using EventRing::record;
+
+  void record(double time, std::uint64_t task, std::int32_t device,
+              std::int32_t server, TraceEventType type, std::uint8_t arg = 0) {
+    record(TraceEvent{time, task, device, server, type, arg});
+  }
 };
 
 /// Chrome trace-event JSON (the `chrome://tracing` / Perfetto format):
