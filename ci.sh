@@ -2,6 +2,7 @@
 # Tiered CI entry point (see README "Testing"):
 #   ./ci.sh          — warnings-as-errors build + fast test tier (every push)
 #                      plus a one-seed slice of the shard determinism matrix
+#                      and a smoke run of benches F7, F8 and F15
 #   ./ci.sh full     — same build + the full suite including slow DES tests
 #   ./ci.sh asan     — ASan+UBSan build (halt on first report) + fast tier
 #   ./ci.sh ubsan    — UBSan-only build (halt on first report) + fast tier
@@ -129,6 +130,18 @@ obs_smoke() {
   fi
 }
 
+# Bench smoke: three reproduction benches run to completion. Together they
+# reach every baseline scheme, small_exhaustive (F7's optimality gap), both
+# joint ablations (F8) and non-uniform input difficulty (F15), which no
+# other tier runs end to end. Tables go to /dev/null; a failed requirement
+# or a crash fails the tier.
+bench_smoke() {
+  local b
+  for b in bench_f7_scalability bench_f8_ablation bench_f15_difficulty; do
+    "$BUILD_DIR/bench/$b" > /dev/null
+  done
+}
+
 # One-seed slice of the shard×thread determinism matrix: every scenario
 # shape, both plan unit tests and the sharded trace drop accounting, seed
 # index 0 only. Fast enough for every push; the full four-seed matrix
@@ -169,6 +182,7 @@ case "$TIER" in
     shard_slice
     trace_smoke
     obs_smoke
+    bench_smoke
     ;;
   tsan)
     # The sharded engine's only concurrency is inside the epoch barriers;
