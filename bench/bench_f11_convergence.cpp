@@ -3,6 +3,7 @@
 // point, social cost vs greedy, and (small instances) vs the exact optimum.
 
 #include "bench_common.hpp"
+#include "oracles/oracles.hpp"
 #include "sched/offloading.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"

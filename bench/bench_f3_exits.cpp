@@ -5,6 +5,7 @@
 
 #include "bench_common.hpp"
 #include "nn/models.hpp"
+#include "oracles/oracles.hpp"
 #include "surgery/exit_setting.hpp"
 
 using namespace scalpel;

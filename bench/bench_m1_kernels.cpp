@@ -7,6 +7,7 @@
 #include "nn/executor.hpp"
 #include "nn/kernels.hpp"
 #include "nn/models.hpp"
+#include "oracles/oracles.hpp"
 #include "surgery/exit_setting.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"

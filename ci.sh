@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tiered CI entry point (see README "Testing"):
 #   ./ci.sh          — warnings-as-errors build + fast test tier (every push)
-#                      plus a one-seed slice of the shard determinism matrix
-#                      and a smoke run of benches F7, F8 and F15
+#                      plus a one-seed slice of the shard determinism matrix,
+#                      a smoke run of benches F7, F8 and F15, and a guard
+#                      that no test oracle is defined under src/
 #   ./ci.sh full     — same build + the full suite including slow DES tests
 #   ./ci.sh asan     — ASan+UBSan build (halt on first report) + fast tier
 #   ./ci.sh ubsan    — UBSan-only build (halt on first report) + fast tier
@@ -130,6 +131,18 @@ obs_smoke() {
   fi
 }
 
+# The four test oracles live in tests/oracles (scalpel_oracles, outside
+# scalpel::all) so no production path can reach them; fail if one of them
+# is named under src/ again.
+oracle_guard() {
+  if grep -rnwE \
+      'BinaryHeapEventQueue|exhaustive_exit_setting|greedy_exit_setting|exhaustive_offloading' \
+      src; then
+    echo "test oracles belong in tests/oracles, not src/" >&2
+    return 1
+  fi
+}
+
 # Bench smoke: three reproduction benches run to completion. Together they
 # reach every baseline scheme, small_exhaustive (F7's optimality gap), both
 # joint ablations (F8) and non-uniform input difficulty (F15), which no
@@ -178,6 +191,7 @@ chaos_slice() {
 
 case "$TIER" in
   fast|asan|ubsan)
+    oracle_guard
     ctest --test-dir "$BUILD_DIR" -L fast --output-on-failure -j "$JOBS"
     shard_slice
     trace_smoke

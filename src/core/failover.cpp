@@ -38,7 +38,7 @@ ProblemInstance reduce(const ProblemInstance& instance,
     s.compute = s.compute.scaled(phi);
     sub.add_server(std::move(s));
   }
-  return ProblemInstance(sub);
+  return ProblemInstance(sub, instance);
 }
 
 void lift(Decision& d, const std::vector<double>& scale) {

@@ -18,8 +18,8 @@ namespace failover {
 /// the sub-problem reduction and its lift back to global server ids, the
 /// capacity fit, the watchdog guard, and the last-good -> remap ->
 /// device-only fallback chain. None of these touch controller state;
-/// callers keep their own incumbent, counters, audit records, backoff
-/// windows and fallback policy.
+/// callers keep their own incumbent, counters, audit records and fallback
+/// policy.
 
 /// The controllers' solver seam: when set, replaces JointOptimizer for every
 /// solve (tests inject throwing, slow or garbage solvers through it).
@@ -34,7 +34,8 @@ Decision solve(const Solver& solver, const ProblemInstance& instance,
 /// (ids compacted to 0..k-1 in the given order), the devices of those cells
 /// in global id order, and every server whose `scale` entry is positive,
 /// its compute scaled by that entry (`scaled(1.0)` is exact). Server ids are
-/// compacted in global order; lift() maps them back.
+/// compacted in global order; lift() maps them back. The sub-problem
+/// shares `instance`'s model bundles instead of rebuilding them.
 ProblemInstance reduce(const ProblemInstance& instance,
                        const std::vector<Cell>& cells,
                        const std::vector<double>& scale);

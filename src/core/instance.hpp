@@ -21,13 +21,18 @@ struct ModelBundle {
 
 /// A fully materialized optimization problem: the cluster plus, for every
 /// distinct model name referenced by a device, its backbone graph, exit
-/// candidates, and accuracy model. Bundles are shared across devices running
-/// the same model (graphs can be large).
+/// candidates, and accuracy model. Bundles are immutable and shared across
+/// devices running the same model (graphs can be large), and across
+/// instances built from a parent.
 class ProblemInstance {
  public:
   /// Builds bundles from the model-zoo names referenced in `topology`.
   /// The topology is copied.
   explicit ProblemInstance(const ClusterTopology& topology);
+  /// Same, but reuses `parent`'s bundle for every model it has, so a
+  /// sub-problem (failover::reduce) rebuilds no graph or exit candidates.
+  ProblemInstance(const ClusterTopology& topology,
+                  const ProblemInstance& parent);
 
   const ClusterTopology& topology() const { return topology_; }
   ClusterTopology& mutable_topology() { return topology_; }
@@ -36,8 +41,11 @@ class ProblemInstance {
   const ModelBundle& bundle_by_model(const std::string& model_name) const;
 
  private:
+  ProblemInstance(const ClusterTopology& topology,
+                  const ProblemInstance* parent);
+
   ClusterTopology topology_;
-  std::map<std::string, std::unique_ptr<ModelBundle>> bundles_;
+  std::map<std::string, std::shared_ptr<const ModelBundle>> bundles_;
 };
 
 }  // namespace scalpel

@@ -50,16 +50,11 @@ struct StageTimes {
 
 bool stage_times(const ProblemInstance& instance, DeviceId id,
                  const DeviceDecision& decision, const PlanBreakdown& b,
-                 bool queueing_on, StageTimes* out) {
+                 StageTimes* out) {
   const auto& dev = instance.topology().device(id);
   // Stage 1: device M/G/1.
-  if (queueing_on) {
-    out->device = queueing::mg1_sojourn(dev.arrival_rate,
-                                        b.expected_device_time,
-                                        b.device_time_m2);
-  } else {
-    out->device = b.expected_device_time;
-  }
+  out->device = queueing::mg1_sojourn(dev.arrival_rate, b.expected_device_time,
+                                      b.device_time_m2);
   if (!std::isfinite(out->device)) return false;
   if (decision.plan.device_only || b.offload_prob <= 0.0) return true;
 
@@ -68,14 +63,13 @@ bool stage_times(const ProblemInstance& instance, DeviceId id,
   // Stage 2: upload M/D/1 on the granted bandwidth.
   const double s_up =
       static_cast<double>(b.upload_bytes) / decision.bandwidth;
-  out->upload =
-      (queueing_on ? queueing::md1_sojourn(lambda_off, s_up) : s_up) + rtt;
+  out->upload = queueing::md1_sojourn(lambda_off, s_up) + rtt;
   if (!std::isfinite(out->upload)) return false;
   // Stage 3: server M/G/1 on the compute-share slice.
   const double m1 = b.server_time_cond_m1 / decision.compute_share;
   const double m2 = b.server_time_cond_m2 /
                     (decision.compute_share * decision.compute_share);
-  out->server = queueing_on ? queueing::mg1_sojourn(lambda_off, m1, m2) : m1;
+  out->server = queueing::mg1_sojourn(lambda_off, m1, m2);
   return std::isfinite(out->server);
 }
 
@@ -180,8 +174,7 @@ SurgeryPlan partition_plan(const ProblemInstance& instance, DeviceId id,
 }
 
 DevicePrediction evaluate_device(const ProblemInstance& instance, DeviceId id,
-                                 const DeviceDecision& decision,
-                                 const EvalOptions& opts) {
+                                 const DeviceDecision& decision) {
   const auto& dev = instance.topology().device(id);
   const PlanModel pm = build_plan_model(instance, id, decision);
   const auto& b = pm.breakdown();
@@ -192,7 +185,7 @@ DevicePrediction evaluate_device(const ProblemInstance& instance, DeviceId id,
   pred.meets_accuracy = b.expected_accuracy >= dev.min_accuracy - 1e-9;
 
   StageTimes st;
-  if (!stage_times(instance, id, decision, b, opts.queueing, &st)) {
+  if (!stage_times(instance, id, decision, b, &st)) {
     pred.stable = false;
     pred.expected_latency = kInf;
     return pred;
@@ -202,8 +195,7 @@ DevicePrediction evaluate_device(const ProblemInstance& instance, DeviceId id,
   return pred;
 }
 
-void evaluate_decision(const ProblemInstance& instance, Decision& decision,
-                       const EvalOptions& opts) {
+void evaluate_decision(const ProblemInstance& instance, Decision& decision) {
   const auto& topo = instance.topology();
   SCALPEL_REQUIRE(decision.per_device.size() == topo.devices().size(),
                   "decision must cover every device");
@@ -237,7 +229,7 @@ void evaluate_decision(const ProblemInstance& instance, Decision& decision,
   for (std::size_t i = 0; i < decision.per_device.size(); ++i) {
     const auto id = static_cast<DeviceId>(i);
     decision.predicted[i] =
-        evaluate_device(instance, id, decision.per_device[i], opts);
+        evaluate_device(instance, id, decision.per_device[i]);
     const double rate = topo.device(id).arrival_rate;
     weighted += rate * decision.predicted[i].expected_latency;
     total_rate += rate;
@@ -266,7 +258,7 @@ double predicted_deadline_satisfaction(const ProblemInstance& instance,
     const PlanModel pm = build_plan_model(instance, id, dd);
     const auto& b = pm.breakdown();
     StageTimes st;
-    if (!stage_times(instance, id, dd, b, /*queueing_on=*/true, &st)) {
+    if (!stage_times(instance, id, dd, b, &st)) {
       continue;  // unstable: never meets
     }
     // Mean queueing waits (beyond own service) at the first two stages; the

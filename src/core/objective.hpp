@@ -28,15 +28,8 @@ namespace scalpel {
 /// latency) — this is what forces the joint optimizer to surger models
 /// deeper (smaller uploads, less server work) under load instead of
 /// oversubscribing resources. The DES (src/sim) validates the approximation.
-struct EvalOptions {
-  /// Disable the queueing term (pure service times) — used by unit tests
-  /// validating against PlanModel directly.
-  bool queueing = true;
-};
-
 DevicePrediction evaluate_device(const ProblemInstance& instance, DeviceId id,
-                                 const DeviceDecision& decision,
-                                 const EvalOptions& opts = {});
+                                 const DeviceDecision& decision);
 
 /// The PlanModel the evaluator reasons with for one device decision
 /// (full-speed server profile; shares enter via the queueing terms). Shared
@@ -98,8 +91,7 @@ SurgeryPlan partition_plan(const ProblemInstance& instance, DeviceId id,
 /// Fills decision.predicted and decision.mean_latency. Also validates the
 /// resource grants: per-cell bandwidth sums and per-server share sums must
 /// not exceed capacity (tolerance 1e-6); violations throw.
-void evaluate_decision(const ProblemInstance& instance, Decision& decision,
-                       const EvalOptions& opts = {});
+void evaluate_decision(const ProblemInstance& instance, Decision& decision);
 
 /// Rate-weighted deadline-satisfaction estimate for a decision, using the
 /// exponential-tail approximation on the queueing part and deterministic

@@ -216,13 +216,12 @@ OnlineController::OnlineController(const ClusterTopology& topology,
 }
 
 bool OnlineController::guarded_solve(bool liveness_changed) {
-  const RobustnessOptions& ro = opts_.robustness;
-
   // The solve closure never touches controller state, so a failed attempt
   // needs no restore — decision_ and the solved-state anchors only advance
   // when the watchdog accepts the output.
   failover::GuardedOutcome outcome = failover::guarded_attempt(
-      instance_, alive_, ro.solve_budget_seconds, [&]() -> Decision {
+      instance_, alive_, opts_.robustness.solve_budget_seconds,
+      [&]() -> Decision {
         if (std::find(alive_.begin(), alive_.end(), true) == alive_.end()) {
           return failover::device_only_fallback(instance_);
         }
@@ -247,9 +246,6 @@ bool OnlineController::guarded_solve(bool liveness_changed) {
     }
     solved_alive_ = alive_;
     solved_ = true;
-    // Explicit reset: any accepted solve — drift, failover, or initial —
-    // clears the watchdog backoff so one bad window cannot linger.
-    backoff_remaining_ = 0;
     return true;
   }
 
@@ -261,7 +257,6 @@ bool OnlineController::guarded_solve(bool liveness_changed) {
   audit_commit(audit_open(outcome.fail_cause, outcome.fail_detail));
 
   ++fallbacks_;
-  backoff_remaining_ = ro.solver_backoff_windows;
   AuditRecord fb = audit_open(AuditCause::kFallbackApplied, "");
   failover::FallbackOutcome fallen = failover::fallback_chain(
       instance_, alive_, solved_ ? &decision_ : nullptr);
@@ -271,7 +266,7 @@ bool OnlineController::guarded_solve(bool liveness_changed) {
   if (!fallen.kept_previous) decision_ = std::move(fallen.decision);
   solved_ = true;
   // A handled failover must not re-trigger every window; stale bandwidth
-  // anchors stay, so drift re-attempts a real solve once backoff clears.
+  // anchors stay, so the next drift window re-attempts a real solve.
   if (liveness_changed) solved_alive_ = alive_;
   audit_commit(std::move(fb));
   return changed;
@@ -329,11 +324,6 @@ bool OnlineController::observe(const Observation& raw) {
   }
   const bool liveness_changed = o.server_alive != solved_alive_;
   if (!drifted && !liveness_changed) {
-    alive_ = o.server_alive;
-  } else if (!liveness_changed && backoff_remaining_ > 0) {
-    // Watchdog backoff: a recent solve failed; don't hammer a broken solver
-    // over a soft signal. (Liveness flips bypass backoff — a crash is hard.)
-    --backoff_remaining_;
     alive_ = o.server_alive;
   } else {
     failover::append_liveness_flips(detail, solved_alive_, o.server_alive);

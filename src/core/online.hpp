@@ -83,9 +83,6 @@ class OnlineController {
     /// cooperative cancellation, so the check is post-hoc: a solve that
     /// overran is discarded and the fallback chain engages. inf disables.
     double solve_budget_seconds = std::numeric_limits<double>::infinity();
-    /// After a watchdog trip, skip this many bandwidth-drift re-solves
-    /// (liveness flips always re-solve — a crash is a hard signal).
-    std::size_t solver_backoff_windows = 0;
   };
 
   struct Options {
@@ -198,7 +195,6 @@ class OnlineController {
   std::size_t solver_timeouts_ = 0;
   std::size_t plans_rejected_ = 0;
   std::size_t fallbacks_ = 0;
-  std::size_t backoff_remaining_ = 0;  // drift re-solves to skip
 
   // Overload-control state.
   std::vector<LadderRung> ladder_;

@@ -7,6 +7,15 @@
 
 namespace scalpel {
 
+namespace {
+
+/// After this many *consecutive* outlier rejections the sanitizer
+/// capitulates: the world really changed, accept the reading and restart
+/// the reference window.
+constexpr std::size_t kDistrustLimit = 3;
+
+}  // namespace
+
 std::string SanitizeReport::summary() const {
   char buf[96];
   std::snprintf(buf, sizeof(buf), "stale=%zu outlier=%zu deferred=%zu flap=%zu",
@@ -22,8 +31,6 @@ TelemetrySanitizer::TelemetrySanitizer(SanitizerOptions opts,
   SCALPEL_REQUIRE(opts_.max_age > 0.0, "sanitizer max_age must be positive");
   SCALPEL_REQUIRE(opts_.outlier_band >= 0.0,
                   "sanitizer outlier band must be non-negative");
-  SCALPEL_REQUIRE(opts_.ewma_alpha >= 0.0 && opts_.ewma_alpha <= 1.0,
-                  "sanitizer ewma_alpha must be in [0, 1]");
   SCALPEL_REQUIRE(opts_.median_window >= 1,
                   "sanitizer median window must be at least 1");
   SCALPEL_REQUIRE(opts_.confirm_windows >= 1,
@@ -36,12 +43,10 @@ TelemetrySanitizer::TelemetrySanitizer(SanitizerOptions opts,
 
 bool TelemetrySanitizer::detector_ready(const CellState& st) const {
   if (opts_.outlier_band <= 0.0) return false;
-  if (opts_.ewma_alpha > 0.0) return st.ewma_ready;
   return st.window.size() >= opts_.median_window;
 }
 
 double TelemetrySanitizer::reference(const CellState& st) const {
-  if (opts_.ewma_alpha > 0.0) return st.ewma;
   std::vector<double> sorted(st.window.begin(), st.window.end());
   auto mid = sorted.begin() + static_cast<std::ptrdiff_t>(sorted.size() / 2);
   std::nth_element(sorted.begin(), mid, sorted.end());
@@ -91,15 +96,14 @@ SanitizeReport TelemetrySanitizer::apply(Observation& o) {
       const double ref = reference(st);
       if (ref > 0.0 && std::abs(v - ref) > opts_.outlier_band * ref) {
         ++st.distrust;
-        if (st.distrust <= opts_.distrust_limit) {
+        if (st.distrust <= kDistrustLimit) {
           o.cell_bandwidth[c] = st.has_good ? st.last_good : ref;
           ++report.outliers_rejected;
           continue;
         }
-        // Capitulate: distrust_limit consecutive "outliers" is a level
+        // Capitulate: kDistrustLimit consecutive "outliers" is a level
         // shift, not noise. Accept and rebuild the reference from scratch.
         st.window.clear();
-        st.ewma_ready = false;
       }
     }
     st.distrust = 0;
@@ -107,12 +111,6 @@ SanitizeReport TelemetrySanitizer::apply(Observation& o) {
     st.has_good = true;
     st.window.push_back(v);
     while (st.window.size() > opts_.median_window) st.window.pop_front();
-    if (opts_.ewma_alpha > 0.0) {
-      st.ewma = st.ewma_ready
-                    ? opts_.ewma_alpha * v + (1.0 - opts_.ewma_alpha) * st.ewma
-                    : v;
-      st.ewma_ready = true;
-    }
   }
 
   for (std::size_t s = 0; s < servers_.size(); ++s) {

@@ -32,13 +32,6 @@ struct SanitizerOptions {
   /// Rolling-median window (samples) for the outlier reference; the
   /// detector stays off until the window is full.
   std::size_t median_window = 5;
-  /// EWMA smoothing factor; > 0 switches the outlier reference from the
-  /// rolling median to an exponentially weighted moving average.
-  double ewma_alpha = 0.0;
-  /// After this many *consecutive* outlier rejections the sanitizer
-  /// capitulates: the world really changed, accept the reading and restart
-  /// the reference window.
-  std::size_t distrust_limit = 3;
   /// Consecutive fresh observations of the opposite liveness state required
   /// before a flip is believed. 1 = believe immediately (pre-hardening
   /// behavior); 2+ filters one-tick misreads at the cost of one extra
@@ -73,8 +66,8 @@ struct SanitizeReport {
 
 /// Stateful filter between raw telemetry and the controller's believed
 /// cluster state: holds last-good values across stale windows, rejects
-/// bandwidth outliers against a rolling median/EWMA (with capitulation after
-/// distrust_limit consecutive rejections), debounces liveness flips, and
+/// bandwidth outliers against a rolling median (with capitulation after
+/// kDistrustLimit consecutive rejections), debounces liveness flips, and
 /// freezes flapping servers so a blinking reading cannot thrash the plan.
 /// apply() mutates the observation in place toward the believed state.
 class TelemetrySanitizer {
@@ -95,8 +88,6 @@ class TelemetrySanitizer {
  private:
   struct CellState {
     std::deque<double> window;  // accepted samples, newest last
-    double ewma = 0.0;
-    bool ewma_ready = false;
     std::size_t distrust = 0;  // consecutive rejections
     double last_good = 0.0;
     bool has_good = false;

@@ -76,24 +76,10 @@ const char* ctrl_span_name(CtrlSpanEvent event) {
   return "unknown";
 }
 
-Json ctrl_spans_to_chrome_events(const std::vector<CtrlSpan>& spans) {
-  JsonWriter w;
-  w.begin_array();
-  for (const auto& sp : spans) write_chrome_span(w, sp);
-  w.end_array();
-  return Json::parse(w.take());
-}
-
 Json merged_trace_to_chrome_json(const TaskTracer& tasks,
                                  const CtrlTracer& spans) {
-  return merged_trace_to_chrome_json(tasks.snapshot(), tasks.dropped(), spans);
-}
-
-Json merged_trace_to_chrome_json(const std::vector<TraceEvent>& tasks,
-                                 std::uint64_t dropped_tasks,
-                                 const CtrlTracer& spans) {
   JsonWriter w;
-  write_merged_doc(w, tasks, dropped_tasks, spans);
+  write_merged_doc(w, tasks.snapshot(), tasks.dropped(), spans);
   return Json::parse(w.take());
 }
 

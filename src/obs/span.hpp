@@ -68,21 +68,13 @@ using CtrlTracer = EventRing<CtrlSpan>;
 /// per device next to the control-plane message flow.
 constexpr std::int64_t kCtrlChromePid = 1 << 20;
 
-/// Chrome trace-event fragments for control-plane spans: instant events on
-/// pid=kCtrlChromePid / tid=corr, each carrying corr, epoch, price, from,
-/// to, msg type, and span event in args. Returned as a bare event array.
-/// Like trace_to_chrome_json(), these DOM forms parse the streamed layout.
-Json ctrl_spans_to_chrome_events(const std::vector<CtrlSpan>& spans);
-
 /// One merged Chrome trace document: task lifecycle events and control-plane
-/// spans on the shared sim-time clock (µs). droppedEvents / droppedSpans
-/// carry the two rings' overwrite counts so truncation is detectable.
+/// spans on the shared sim-time clock (µs). Spans are instant events on
+/// pid=kCtrlChromePid / tid=corr, each carrying corr, epoch, price, from,
+/// to, msg type, and span event in args. droppedEvents / droppedSpans carry
+/// the two rings' overwrite counts so truncation is detectable. This DOM
+/// form parses the text write_merged_trace streams.
 Json merged_trace_to_chrome_json(const TaskTracer& tasks,
-                                 const CtrlTracer& spans);
-/// Same document from an already-merged task stream (e.g.
-/// ShardedSimulator::trace_events()) and its ring drop count.
-Json merged_trace_to_chrome_json(const std::vector<TraceEvent>& tasks,
-                                 std::uint64_t dropped_tasks,
                                  const CtrlTracer& spans);
 /// Streams the merged document, pretty-printed, straight to `path` without
 /// building it; returns false (and logs) on I/O failure.

@@ -16,18 +16,6 @@ namespace {
 constexpr std::size_t kNumEventTypes =
     static_cast<std::size_t>(TraceEventType::kComplete) + 1;
 
-/// The Chrome trace document of trace_to_chrome_json(), streamed into `w`.
-void write_task_doc(JsonWriter& w, const std::vector<TraceEvent>& events,
-                    std::uint64_t dropped) {
-  w.begin_object();
-  w.key("displayTimeUnit").value("ms");
-  w.key("traceEvents").begin_array();
-  for (const auto& ev : events) write_chrome_event(w, ev);
-  w.end_array();
-  w.key("droppedEvents").value(static_cast<double>(dropped));
-  w.end_object();
-}
-
 }  // namespace
 
 const char* trace_event_name(TraceEventType type) {
@@ -95,15 +83,15 @@ void write_chrome_event(JsonWriter& w, const TraceEvent& ev) {
   w.end_object();
 }
 
-Json trace_to_chrome_json(const std::vector<TraceEvent>& events,
-                          std::uint64_t dropped) {
-  JsonWriter w;
-  write_task_doc(w, events, dropped);
-  return Json::parse(w.take());
-}
-
-Json trace_to_chrome_json(const TaskTracer& tracer) {
-  return trace_to_chrome_json(tracer.snapshot(), tracer.dropped());
+void write_task_doc(JsonWriter& w, const std::vector<TraceEvent>& events,
+                    std::uint64_t dropped) {
+  w.begin_object();
+  w.key("displayTimeUnit").value("ms");
+  w.key("traceEvents").begin_array();
+  for (const auto& ev : events) write_chrome_event(w, ev);
+  w.end_array();
+  w.key("droppedEvents").value(static_cast<double>(dropped));
+  w.end_object();
 }
 
 bool write_trace(const TaskTracer& tracer, const std::string& path) {

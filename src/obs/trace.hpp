@@ -5,7 +5,6 @@
 #include <vector>
 
 namespace scalpel {
-class Json;
 class JsonWriter;
 
 /// Per-task lifecycle event kinds recorded by the TaskTracer. One simulated
@@ -137,11 +136,10 @@ class TaskTracer : public EventRing<TraceEvent> {
 /// event. Timestamps are microseconds of sim time. `droppedEvents` carries
 /// how many events the recording rings overwrote, so a truncated trace is
 /// detectable (ShardedSimulator::trace_dropped() for a merged trace).
-/// The layout is streamed (write_trace writes it straight to a file); these
-/// DOM forms parse the streamed text back.
-Json trace_to_chrome_json(const std::vector<TraceEvent>& events,
-                          std::uint64_t dropped);
-Json trace_to_chrome_json(const TaskTracer& tracer);
+/// This is the one writer of the document: write_trace streams it to a
+/// file, and Json::parse of its text gives the DOM.
+void write_task_doc(JsonWriter& w, const std::vector<TraceEvent>& events,
+                    std::uint64_t dropped);
 
 /// Streams one task event as its Chrome trace-event object; the task-only
 /// and the merged trace documents both list their task events through it.

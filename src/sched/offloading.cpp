@@ -214,34 +214,4 @@ std::vector<double> kleinrock_shares(const OffloadingProblem& p,
   return out;
 }
 
-OffloadingSolution exhaustive_offloading(const OffloadingProblem& p) {
-  p.validate();
-  const std::size_t n = p.num_devices();
-  const std::size_t m = p.num_servers();
-  double combos = 1.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    combos *= static_cast<double>(m);
-    SCALPEL_REQUIRE(combos <= 2e7,
-                    "exhaustive offloading limited to small instances");
-  }
-  std::vector<int> assign(n, 0);
-  std::vector<int> best = assign;
-  double best_cost = kInf;
-  for (;;) {
-    const double cost = evaluate_assignment(p, assign, nullptr);
-    if (cost < best_cost) {
-      best_cost = cost;
-      best = assign;
-    }
-    // Odometer increment.
-    std::size_t k = 0;
-    while (k < n && ++assign[k] == static_cast<int>(m)) {
-      assign[k] = 0;
-      ++k;
-    }
-    if (k == n) break;
-  }
-  return finalize(p, std::move(best), 0, true);
-}
-
 }  // namespace scalpel

@@ -17,9 +17,12 @@ struct OffloadingProblem {
   std::vector<std::vector<double>> base_latency;
   /// rate[i]: offloaded-task arrival rate of device i (tasks/s).
   std::vector<double> rate;
-  /// work[i][j]: expected server FLOPs per offloaded task of device i on j.
+  /// work[i][j]: expected full-speed server time (seconds) per offloaded
+  /// task of device i on j, conditional on the task offloading.
   std::vector<std::vector<double>> work;
-  /// capacity[j]: effective FLOP/s of server j.
+  /// capacity[j]: server j's speed in units of full speed, so a device
+  /// granted all of server j is served at rate capacity[j] / work[i][j].
+  /// Every caller builds unit-capacity servers (1.0).
   std::vector<double> capacity;
 
   std::size_t num_devices() const { return rate.size(); }
@@ -47,10 +50,6 @@ OffloadingSolution greedy_offloading(const OffloadingProblem& p);
 
 /// Asynchronous best-response dynamics from the greedy start.
 OffloadingSolution best_response_offloading(const OffloadingProblem& p);
-
-/// Exact optimum by enumeration — O(servers^devices); reference for tests
-/// and the small instances of the convergence bench.
-OffloadingSolution exhaustive_offloading(const OffloadingProblem& p);
 
 /// Per-device share of its assigned server's capacity under the Kleinrock
 /// split (fractions in (0, 1]; sum per server <= 1). Devices on an

@@ -7,13 +7,6 @@
 
 namespace scalpel {
 
-SimEvent BinaryHeapEventQueue::pop_min() {
-  SCALPEL_REQUIRE(!heap_.empty(), "pop from empty event queue");
-  SimEvent out = heap_.top();
-  heap_.pop();
-  return out;
-}
-
 void CalendarEventQueue::init(std::size_t nbuckets, double width) {
   buckets_.assign(nbuckets, {});
   min_day_.assign(nbuckets, kNoDay);

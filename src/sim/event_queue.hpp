@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 namespace scalpel {
@@ -28,37 +27,13 @@ inline bool sim_event_before(const SimEvent& x, const SimEvent& y) {
   return x.time != y.time ? x.time < y.time : x.seq < y.seq;
 }
 
-/// Reference implementation: std::priority_queue over (time, seq). A test
-/// oracle only — event_queue_test and the integration fuzz hold the
-/// calendar queue's pop order to it; the engine never uses it.
-class BinaryHeapEventQueue {
- public:
-  /// Same interface and seq assignment as EventQueue::push, so an oracle
-  /// fed the same pushes must pop the same sequence.
-  void push(double time, std::uint32_t kind, std::int32_t a, std::uint64_t b) {
-    heap_.push(SimEvent{time, seq_++, kind, a, b});
-  }
-  SimEvent pop_min();
-  bool empty() const { return heap_.empty(); }
-  std::size_t size() const { return heap_.size(); }
-
- private:
-  struct Later {
-    bool operator()(const SimEvent& x, const SimEvent& y) const {
-      return sim_event_before(y, x);
-    }
-  };
-  std::priority_queue<SimEvent, std::vector<SimEvent>, Later> heap_;
-  std::uint64_t seq_ = 0;
-};
-
 /// Calendar queue (Brown 1988): a ring of time buckets of width `width_`
 /// seconds, scanned in time order. push is O(1); pop scans the current
 /// "day" bucket and, with the resize policy holding mean occupancy near one
 /// event per bucket, is O(1) amortized — versus O(log n) heap sift-downs
 /// with poor locality. Pop order is exactly min (time, seq) — the order of
-/// the BinaryHeapEventQueue oracle (enforced by event_queue_test and the
-/// fuzz oracle in the integration suite).
+/// the binary-heap oracle that event_queue_test and the integration fuzz
+/// hold it to.
 ///
 /// The width is re-estimated at every resize from the sim-time gap between
 /// recently popped events (the rate the event horizon actually advances at),

@@ -339,11 +339,11 @@ struct ShardCore final : FluidSink {
     if (g->options_.burst_factor > 0.0) {
       SCALPEL_REQUIRE(g->options_.burst_factor < 1.0,
                       "burst_factor must be in [0, 1)");
+      constexpr double kBurstHold = 2.0;  // mean state holding time, seconds
       while (now >= cd.burst_state_until) {
         cd.burst_high = !cd.burst_high;
-        cd.burst_state_until =
-            std::max(now, cd.burst_state_until) +
-            rng.exponential(1.0 / g->options_.burst_hold);
+        cd.burst_state_until = std::max(now, cd.burst_state_until) +
+                               rng.exponential(1.0 / kBurstHold);
       }
       rate *= cd.burst_high ? (1.0 + g->options_.burst_factor)
                             : (1.0 - g->options_.burst_factor);
@@ -1161,6 +1161,19 @@ void ShardedSimulator::on_link_down(CellId c, double bt) {
   }
 }
 
+std::vector<std::size_t> ShardedSimulator::queue_depths() const {
+  // Server-stage depth is scattered across the server shards' chains; sum
+  // it per device (integer adds, so chain order is irrelevant).
+  std::vector<std::size_t> depth(devices_.size(), 0);
+  for (const auto& core : cores_) core->add_server_depth(depth);
+  for (std::size_t i = 0; i < devices_.size(); ++i) {
+    const auto& cd = devices_[i];
+    depth[i] += cd.device_backlog + cd.upload_queue.size() +
+                (cd.uploading_task != kNoTask ? 1 : 0);
+  }
+  return depth;
+}
+
 void ShardedSimulator::controller_tick(double bt) {
   Observation o;
   o.time = bt;
@@ -1173,20 +1186,12 @@ void ShardedSimulator::controller_tick(double bt) {
   // depth across the device's whole pipeline. These are controller-side
   // estimates, not cluster telemetry — the channel model does not touch them.
   const double span = std::max(bt - last_controller_tick_, 1e-12);
-  // Server-stage depth is scattered across the server shards' chains; sum
-  // it per device first (integer adds, so chain order is irrelevant).
-  std::vector<std::size_t> server_depth(devices_.size(), 0);
-  for (const auto& core : cores_) core->add_server_depth(server_depth);
+  const std::vector<std::size_t> depth = queue_depths();
   o.offered_rate.assign(devices_.size(), 0.0);
   o.queue_depth.assign(devices_.size(), 0.0);
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     o.offered_rate[i] = static_cast<double>(arrivals_since_tick_[i]) / span;
-    const auto& cd = devices_[i];
-    o.queue_depth[i] = static_cast<double>(cd.device_backlog +
-                                           cd.upload_queue.size() +
-                                           (cd.uploading_task != kNoTask ? 1
-                                                                         : 0) +
-                                           server_depth[i]);
+    o.queue_depth[i] = static_cast<double>(depth[i]);
   }
   // Serial phase only: one channel sample per tick, in tick order — the
   // identical draw sequence for any shard/thread count.
@@ -1240,8 +1245,8 @@ void ShardedSimulator::serial_phase(const EpochBarrier& b) {
 
 void ShardedSimulator::obs_sample(double bt) {
   // Counter sums and the live-task count are integers, so per-core addition
-  // order cannot perturb them; queue depth is the controller tick's integer
-  // computation. The resulting EngineSample is shard-count-invariant.
+  // order cannot perturb them; so is the queue depth. The resulting
+  // EngineSample is shard-count-invariant.
   EngineSample s;
   s.time = bt;
   std::size_t live = 0;
@@ -1256,16 +1261,9 @@ void ShardedSimulator::obs_sample(double bt) {
     live += core->tasks.live();
   }
   s.in_flight = static_cast<double>(live);
-  std::vector<std::size_t> server_depth(devices_.size(), 0);
-  for (const auto& core : cores_) core->add_server_depth(server_depth);
-  double depth = 0.0;
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    const auto& cd = devices_[i];
-    depth += static_cast<double>(cd.device_backlog + cd.upload_queue.size() +
-                                 (cd.uploading_task != kNoTask ? 1 : 0) +
-                                 server_depth[i]);
-  }
-  s.queue_depth = depth;
+  std::size_t depth = 0;
+  for (const std::size_t d : queue_depths()) depth += d;
+  s.queue_depth = static_cast<double>(depth);
   options_.recorder->sample(s);
   if (options_.slo != nullptr) options_.slo->evaluate();
 }

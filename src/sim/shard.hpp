@@ -127,6 +127,10 @@ class ShardedSimulator {
   /// Global fluid slot -> resource; slots are [0, #cells) cell uplinks, then
   /// servers — the same layout kFluidWake events carry in `a`.
   FluidResource* fluid_at(std::size_t slot);
+  /// Tasks in each device's pipeline: device backlog, upload queue and
+  /// in-flight upload, and server chains (queued or serving). The load
+  /// signal of both the controller tick and the obs sample.
+  std::vector<std::size_t> queue_depths() const;
   void controller_tick(double bt);
   /// Observability sample — runs last at an obs barrier.
   void obs_sample(double bt);

@@ -160,10 +160,9 @@ class Simulator {
     double control_interval = 0.0;  // 0 disables
     /// Markov-modulated arrival burstiness in [0, 1): each device flips
     /// between a high state (rate x (1+f)) and a low state (rate x (1-f))
-    /// with exponential holding times of mean burst_hold seconds. 0 keeps
-    /// plain Poisson arrivals (and identical RNG streams).
+    /// with exponential holding times of mean 2 s. 0 keeps plain Poisson
+    /// arrivals (and identical RNG streams).
     double burst_factor = 0.0;
-    double burst_hold = 2.0;
     /// Hard-failure script and in-flight-task policy (empty = no faults).
     FaultOptions faults;
     /// Bounded queues + shedding policy (defaults leave behavior unchanged).

@@ -4,17 +4,12 @@
 
 namespace scalpel {
 
-Graph make_exit_head(const Shape& attach_shape, std::int64_t num_classes,
-                     ExitHeadStyle style) {
+Graph make_exit_head(const Shape& attach_shape, std::int64_t num_classes) {
   SCALPEL_REQUIRE(num_classes > 0, "exit head needs positive class count");
   Graph head("exit_head");
   const NodeId in = head.add(LayerSpec::input(attach_shape));
   NodeId cur = in;
   if (attach_shape.rank() == 3) {
-    if (style == ExitHeadStyle::kConv) {
-      cur = head.add(LayerSpec::conv(128, 3, 1, 1, "head_conv"), {cur});
-      cur = head.add(LayerSpec::relu("head_relu"), {cur});
-    }
     cur = head.add(LayerSpec::global_avgpool("head_gavg"), {cur});
   } else {
     SCALPEL_REQUIRE(attach_shape.rank() == 1,
@@ -41,14 +36,11 @@ std::vector<ExitCandidate> find_exit_candidates(
     ExitCandidate c;
     c.attach = cut.after;
     c.depth_fraction = depth;
-    c.head = make_exit_head(shape, opts.num_classes, opts.head_style);
+    c.head = make_exit_head(shape, opts.num_classes);
     c.head_flops = c.head.total_flops();
-    if (opts.head_style == ExitHeadStyle::kConv && shape.rank() == 3) {
-      c.accuracy_bonus = 0.015;
-    }
     out.push_back(std::move(c));
     last_depth = depth;
-    if (out.size() >= opts.max_candidates) break;
+    if (out.size() >= kMaxExitCandidates) break;
   }
   return out;
 }

@@ -51,8 +51,7 @@ ExitStats evaluate_policy(const Graph& backbone,
     stats.fire_prob[i] = fire;
     acc_sum += fire * std::min(acc.selective_ceiling,
                                acc.conditional_accuracy(cand.depth_fraction,
-                                                        choice.theta) +
-                                   cand.accuracy_bonus);
+                                                        choice.theta));
     covered = new_covered;
     reach -= fire;
   }

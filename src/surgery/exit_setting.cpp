@@ -11,128 +11,6 @@
 #include "util/assert.hpp"
 
 namespace scalpel {
-namespace {
-
-ExitSettingResult make_result(const Graph& backbone,
-                              const std::vector<ExitCandidate>& candidates,
-                              const AccuracyModel& acc,
-                              const ComputeProfile& profile,
-                              const DifficultyModel& difficulty,
-                              ExitPolicy policy, std::size_t evaluations) {
-  ExitSettingResult r;
-  r.policy = std::move(policy);
-  r.stats = evaluate_policy(backbone, candidates, r.policy, acc, difficulty);
-  r.expected_latency = expected_policy_latency(backbone, candidates, r.policy,
-                                               r.stats, profile);
-  r.feasible = true;
-  r.evaluations = evaluations;
-  return r;
-}
-
-}  // namespace
-
-ExitSettingResult exhaustive_exit_setting(
-    const Graph& backbone, const std::vector<ExitCandidate>& candidates,
-    const AccuracyModel& acc, const ComputeProfile& profile,
-    const ExitSettingOptions& opts) {
-  ExitPolicy best;
-  double best_latency = std::numeric_limits<double>::infinity();
-  bool found = false;
-  std::size_t evaluations = 0;
-
-  ExitPolicy current;
-  // Depth-first enumeration: at each candidate, either skip it or enable it
-  // with each theta in the grid.
-  auto recurse = [&](auto&& self, std::size_t idx) -> void {
-    ++evaluations;
-    const ExitStats stats =
-        evaluate_policy(backbone, candidates, current, acc, opts.difficulty);
-    if (stats.expected_accuracy >= opts.min_accuracy) {
-      const double latency = expected_policy_latency(backbone, candidates,
-                                                     current, stats, profile);
-      if (latency < best_latency) {
-        best_latency = latency;
-        best = current;
-        found = true;
-      }
-    }
-    if (idx >= candidates.size() || current.exits.size() >= opts.max_exits) {
-      return;
-    }
-    for (std::size_t c = idx; c < candidates.size(); ++c) {
-      for (double theta : opts.theta_grid) {
-        current.exits.push_back(ExitChoice{c, theta});
-        self(self, c + 1);
-        current.exits.pop_back();
-      }
-    }
-  };
-  recurse(recurse, 0);
-
-  if (!found) {
-    ExitSettingResult r;
-    r.evaluations = evaluations;
-    return r;
-  }
-  auto r = make_result(backbone, candidates, acc, profile, opts.difficulty,
-                       std::move(best), evaluations);
-  return r;
-}
-
-ExitSettingResult greedy_exit_setting(
-    const Graph& backbone, const std::vector<ExitCandidate>& candidates,
-    const AccuracyModel& acc, const ComputeProfile& profile,
-    const ExitSettingOptions& opts) {
-  std::size_t evaluations = 0;
-  auto eval = [&](const ExitPolicy& p, double* latency) {
-    ++evaluations;
-    const ExitStats stats =
-        evaluate_policy(backbone, candidates, p, acc, opts.difficulty);
-    *latency = expected_policy_latency(backbone, candidates, p, stats,
-                                       profile);
-    return stats.expected_accuracy >= opts.min_accuracy;
-  };
-
-  ExitPolicy policy;  // empty = vanilla model
-  double policy_latency = 0.0;
-  const bool base_feasible = eval(policy, &policy_latency);
-  if (!base_feasible) {
-    // The vanilla model itself violates the floor (min_accuracy > a_max):
-    // no exit setting can fix that.
-    ExitSettingResult r;
-    r.evaluations = evaluations;
-    return r;
-  }
-
-  while (policy.exits.size() < opts.max_exits) {
-    ExitPolicy best_next = policy;
-    double best_latency = policy_latency;
-    for (std::size_t c = 0; c < candidates.size(); ++c) {
-      const bool used =
-          std::any_of(policy.exits.begin(), policy.exits.end(),
-                      [c](const ExitChoice& e) { return e.candidate == c; });
-      if (used) continue;
-      for (double theta : opts.theta_grid) {
-        ExitPolicy trial = policy;
-        // Insert keeping depth order.
-        auto it = std::find_if(
-            trial.exits.begin(), trial.exits.end(),
-            [c](const ExitChoice& e) { return e.candidate > c; });
-        trial.exits.insert(it, ExitChoice{c, theta});
-        double latency = 0.0;
-        if (eval(trial, &latency) && latency < best_latency) {
-          best_latency = latency;
-          best_next = std::move(trial);
-        }
-      }
-    }
-    if (best_latency >= policy_latency) break;  // no improving addition
-    policy = std::move(best_next);
-    policy_latency = best_latency;
-  }
-  return make_result(backbone, candidates, acc, profile, opts.difficulty,
-                     std::move(policy), evaluations);
-}
 
 double policy_cost(const std::vector<ExitCandidate>& candidates,
                    const ExitPolicy& policy, const ExitStats& stats,
@@ -233,11 +111,9 @@ class ExitDp {
       for (std::size_t t = 0; t < thetas_; ++t) {
         const double theta = opts.theta_grid[t];
         theta_limit_[i * thetas_ + t] = cap * (1.0 - theta);
-        theta_correct_[i * thetas_ + t] =
-            std::min(acc.selective_ceiling,
-                     acc.conditional_accuracy(candidates[i].depth_fraction,
-                                              theta) +
-                         candidates[i].accuracy_bonus);
+        theta_correct_[i * thetas_ + t] = std::min(
+            acc.selective_ceiling,
+            acc.conditional_accuracy(candidates[i].depth_fraction, theta));
       }
     }
   }

@@ -31,19 +31,6 @@ struct ExitSettingResult {
   std::size_t evaluations = 0;
 };
 
-/// Exhaustive search over subsets x theta grid — exponential; the optimality
-/// reference used in tests and in the scalability bench's small instances.
-ExitSettingResult exhaustive_exit_setting(
-    const Graph& backbone, const std::vector<ExitCandidate>& candidates,
-    const AccuracyModel& acc, const ComputeProfile& profile,
-    const ExitSettingOptions& opts);
-
-/// Greedy marginal-improvement construction — fast, no optimality guarantee.
-ExitSettingResult greedy_exit_setting(
-    const Graph& backbone, const std::vector<ExitCandidate>& candidates,
-    const AccuracyModel& acc, const ComputeProfile& profile,
-    const ExitSettingOptions& opts);
-
 /// Coverage-discretized dynamic program (the paper-style "exit setting
 /// algorithm with lower time complexity"). Exploits that once the covered
 /// difficulty mass entering a candidate is known, the candidate's latency and

@@ -88,8 +88,7 @@ PlanModel::PlanModel(const Graph& backbone,
     row.offloaded = crossed;
     row.correct_prob = std::min(
         acc.selective_ceiling,
-        acc.conditional_accuracy(cand.depth_fraction, choice.theta) +
-            cand.accuracy_bonus);
+        acc.conditional_accuracy(cand.depth_fraction, choice.theta));
     if (row.offloaded && plan_.quantize_upload) {
       row.correct_prob = std::max(0.0, row.correct_prob - acc.int8_penalty);
     }

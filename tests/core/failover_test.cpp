@@ -72,6 +72,20 @@ TEST(Failover, ReduceKeepsOneCellAndScalesTheUsableServers) {
   EXPECT_ANY_THROW(failover::lift(out_of_range, scale));
 }
 
+TEST(Failover, ReduceSharesTheParentsModelBundles) {
+  const ProblemInstance inst(four_server_campus());
+  const auto& topo = inst.topology();
+  const ProblemInstance sub =
+      failover::reduce(inst, {topo.cell(1)}, {1.0, 0.0, 1.0, 1.0});
+  const std::vector<DeviceId> members = topo.devices_in_cell(1);
+  ASSERT_EQ(sub.topology().devices().size(), members.size());
+  for (std::size_t j = 0; j < members.size(); ++j) {
+    EXPECT_EQ(&sub.bundle_for(static_cast<DeviceId>(j)),
+              &inst.bundle_for(members[j]))
+        << "device " << members[j];
+  }
+}
+
 TEST(Failover, FitToCapacitySqueezesAnOversubscribedPlan) {
   const ClusterTopology topo = four_server_campus();
   Decision d;

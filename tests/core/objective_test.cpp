@@ -46,35 +46,33 @@ TEST(Instance, BundlesBuiltPerModel) {
 
 TEST(Objective, DeviceOnlyNoQueueingMatchesPlanModel) {
   Fixture f;
-  EvalOptions opts;
-  opts.queueing = false;
-  const auto pred =
-      evaluate_device(f.instance, 3, local_decision(), opts);  // jetson
+  // The queueing-free latency of a device-only plan is its PlanModel's
+  // expected device time (jetson).
+  const auto pred = evaluate_device(f.instance, 3, local_decision());
+  const auto b = build_plan_model(f.instance, 3, local_decision()).breakdown();
   const auto& bundle = f.instance.bundle_for(3);
   const double expect = LatencyModel::graph_latency(
       bundle.graph, f.topo.device(3).compute);
-  EXPECT_NEAR(pred.expected_latency, expect, 1e-9);
+  EXPECT_NEAR(b.expected_device_time, expect, 1e-9);
+  EXPECT_EQ(b.offload_prob, 0.0);
   EXPECT_EQ(pred.offload_prob, 0.0);
   EXPECT_TRUE(pred.stable);
 }
 
 TEST(Objective, QueueingInflatesLatency) {
   Fixture f;
-  EvalOptions with;
-  EvalOptions without;
-  without.queueing = false;
   const auto dd = local_decision();
-  const auto a = evaluate_device(f.instance, 3, dd, with);
-  const auto b = evaluate_device(f.instance, 3, dd, without);
+  const auto a = evaluate_device(f.instance, 3, dd);
+  const auto b = build_plan_model(f.instance, 3, dd).breakdown();
   ASSERT_TRUE(a.stable);
-  EXPECT_GT(a.expected_latency, b.expected_latency);
+  EXPECT_GT(a.expected_latency, b.expected_device_time);
 }
 
 TEST(Objective, OverloadedDeviceIsUnstable) {
   Fixture f;
   // cam0 (iot_camera, mobilenet, 2 tasks/s) cannot run locally: service time
   // ~1s at rate 2/s.
-  const auto pred = evaluate_device(f.instance, 0, local_decision(), {});
+  const auto pred = evaluate_device(f.instance, 0, local_decision());
   EXPECT_FALSE(pred.stable);
   EXPECT_TRUE(std::isinf(pred.expected_latency));
 }
@@ -83,21 +81,21 @@ TEST(Objective, StarvedBandwidthIsUnstable) {
   Fixture f;
   // Uploading 600 KB per task at 2/s over 1 Mbps cannot drain.
   const auto pred = evaluate_device(
-      f.instance, 0, offload_decision(1, 0.5, mbps(1.0)), {});
+      f.instance, 0, offload_decision(1, 0.5, mbps(1.0)));
   EXPECT_FALSE(pred.stable);
 }
 
 TEST(Objective, TinyComputeShareIsUnstable) {
   Fixture f;
   const auto pred = evaluate_device(
-      f.instance, 0, offload_decision(1, 1e-6, mbps(40.0)), {});
+      f.instance, 0, offload_decision(1, 1e-6, mbps(40.0)));
   EXPECT_FALSE(pred.stable);
 }
 
 TEST(Objective, ReasonableOffloadIsStable) {
   Fixture f;
   const auto pred = evaluate_device(
-      f.instance, 0, offload_decision(1, 0.5, mbps(40.0)), {});
+      f.instance, 0, offload_decision(1, 0.5, mbps(40.0)));
   EXPECT_TRUE(pred.stable);
   EXPECT_GT(pred.expected_latency, 0.0);
   EXPECT_NEAR(pred.offload_prob, 1.0, 1e-12);
@@ -108,7 +106,7 @@ TEST(Objective, MoreBandwidthNeverHurts) {
   double prev = std::numeric_limits<double>::infinity();
   for (double mb : {10.0, 20.0, 40.0, 79.0}) {
     const auto pred = evaluate_device(
-        f.instance, 0, offload_decision(1, 0.5, mbps(mb)), {});
+        f.instance, 0, offload_decision(1, 0.5, mbps(mb)));
     if (pred.stable) {
       EXPECT_LE(pred.expected_latency, prev + 1e-12) << mb;
       prev = pred.expected_latency;
@@ -122,7 +120,7 @@ TEST(Objective, MoreComputeShareNeverHurts) {
   double prev = std::numeric_limits<double>::infinity();
   for (double share : {0.1, 0.3, 0.6, 1.0}) {
     const auto pred = evaluate_device(
-        f.instance, 2, offload_decision(1, share, mbps(40.0)), {});
+        f.instance, 2, offload_decision(1, share, mbps(40.0)));
     if (pred.stable) {
       EXPECT_LE(pred.expected_latency, prev + 1e-12) << share;
       prev = pred.expected_latency;
@@ -179,7 +177,7 @@ TEST(Objective, AccuracyFloorFlagged) {
   EdgeServer s = topo.server(0);
   strict.add_server(s);
   const ProblemInstance inst(strict);
-  const auto pred = evaluate_device(inst, 0, local_decision(), {});
+  const auto pred = evaluate_device(inst, 0, local_decision());
   EXPECT_FALSE(pred.meets_accuracy);
 }
 

@@ -388,10 +388,9 @@ TEST(OnlineRobust, GarbagePlanIsRejectedBeforeAdoption) {
   EXPECT_TRUE(audit_has_cause(ctl.audit_log(), AuditCause::kPlanRejected));
 }
 
-TEST(OnlineRobust, BackoffSkipsDriftResolvesButNotFailovers) {
+TEST(OnlineRobust, BrokenSolverRetriedEachDriftWindowAndFailoverRepairs) {
   int calls = 0;
   auto o = fast_opts();
-  o.robustness.solver_backoff_windows = 2;
   o.solver = [&](const ProblemInstance& inst, const JointOptions& jo) {
     if (++calls > 1) throw std::runtime_error("still broken");
     return JointOptimizer(jo).optimize(inst);
@@ -403,18 +402,15 @@ TEST(OnlineRobust, BackoffSkipsDriftResolvesButNotFailovers) {
   EXPECT_FALSE(observe(ctl, {base * 1.5}));  // trips the watchdog
   ASSERT_EQ(calls, 2);
 
-  // Two backoff windows: persistent drift must not hammer the broken
-  // solver (the bandwidth anchor stays stale, so drift keeps signaling).
+  // The bandwidth anchor stays stale after a failed solve, so persistent
+  // drift re-attempts the solve in every window.
   EXPECT_FALSE(observe(ctl, {base * 2.0}));
   EXPECT_FALSE(observe(ctl, {base * 2.0}));
-  EXPECT_EQ(calls, 2) << "backoff windows must skip the solver entirely";
+  EXPECT_EQ(calls, 4);
+  EXPECT_EQ(ctl.fallbacks(), 3u);
 
-  EXPECT_FALSE(observe(ctl, {base * 2.0}));  // backoff exhausted: retry
-  EXPECT_EQ(calls, 3);
-
-  // A liveness flip is a hard signal: it re-solves through any backoff.
-  // Kill a server the current plan actually uses, so the (still throwing)
-  // solver forces the fallback chain to repair the plan.
+  // A liveness flip on a server the current plan uses: the (still
+  // throwing) solver forces the fallback chain to repair the plan.
   int used = -1;
   for (const auto& dd : ctl.decision().per_device) {
     if (!dd.plan.device_only) {
@@ -426,7 +422,7 @@ TEST(OnlineRobust, BackoffSkipsDriftResolvesButNotFailovers) {
   std::vector<bool> alive = {true, true};
   alive[static_cast<std::size_t>(used)] = false;
   EXPECT_TRUE(observe(ctl, {base * 2.0}, alive));
-  EXPECT_EQ(calls, 4);
+  EXPECT_EQ(calls, 5);
   EXPECT_EQ(ctl.failovers(), 1u);
   // Nothing may still point at the dead server.
   for (const auto& dd : ctl.decision().per_device) {
@@ -434,67 +430,6 @@ TEST(OnlineRobust, BackoffSkipsDriftResolvesButNotFailovers) {
       EXPECT_NE(dd.server, used);
     }
   }
-}
-
-TEST(OnlineRobust, BackoffResetsAfterAcceptedSolve) {
-  // Regression: an accepted solve — here the liveness-flip failover — must
-  // clear any pending backoff windows, not leave them smoldering to swallow
-  // the next legitimate drift re-solve.
-  int calls = 0;
-  auto o = fast_opts();
-  o.robustness.solver_backoff_windows = 3;
-  o.solver = [&](const ProblemInstance& inst, const JointOptions& jo) {
-    if (++calls == 2) throw std::runtime_error("one bad solve");
-    return JointOptimizer(jo).optimize(inst);
-  };
-  OnlineController ctl(clusters::small_lab(), o);
-  ctl.decision();
-  const double base = lab_bw()[0];
-
-  EXPECT_FALSE(observe(ctl, {base * 1.5}));  // trips the watchdog, backoff = 3
-  ASSERT_EQ(calls, 2);
-  EXPECT_FALSE(observe(ctl, {base * 2.0}));  // skipped, backoff decays to 2
-  ASSERT_EQ(calls, 2);
-
-  // A liveness flip punches through the backoff and succeeds...
-  EXPECT_TRUE(observe(ctl, {base * 2.0}, {true, false}));
-  ASSERT_EQ(calls, 3);
-
-  // ...so the next drift window must reach the solver immediately. If the
-  // backoff survived the accepted solve, this observe would be skipped.
-  EXPECT_TRUE(observe(ctl, {base * 4.0}, {true, false}));
-  EXPECT_EQ(calls, 4);
-  EXPECT_EQ(ctl.fallbacks(), 1u);
-}
-
-TEST(OnlineRobust, QuietWindowsDoNotConsumeBackoff) {
-  // Backoff counts *drift* windows (windows that would have re-solved), not
-  // wall-clock observations: a calm window leaves the budget untouched.
-  int calls = 0;
-  auto o = fast_opts();
-  o.robustness.solver_backoff_windows = 1;
-  o.solver = [&](const ProblemInstance& inst, const JointOptions& jo) {
-    if (++calls == 2) throw std::runtime_error("one bad solve");
-    return JointOptimizer(jo).optimize(inst);
-  };
-  OnlineController ctl(clusters::small_lab(), o);
-  ctl.decision();
-  const double base = lab_bw()[0];
-
-  EXPECT_FALSE(observe(ctl, {base * 1.5}));  // trips the watchdog, backoff = 1
-  ASSERT_EQ(calls, 2);
-
-  // Calm windows (within hysteresis of the stale anchor): no decay.
-  EXPECT_FALSE(observe(ctl, {base}));
-  EXPECT_FALSE(observe(ctl, {base}));
-  ASSERT_EQ(calls, 2);
-
-  // First drift window is skipped (consumes the one backoff window)...
-  EXPECT_FALSE(observe(ctl, {base * 2.0}));
-  ASSERT_EQ(calls, 2);
-  // ...the second one retries the solver.
-  EXPECT_TRUE(observe(ctl, {base * 2.0}));
-  EXPECT_EQ(calls, 3);
 }
 
 TEST(OnlineRobust, FallbackNeverLeavesTasksUnroutable) {

@@ -12,6 +12,7 @@
 #include "core/objective.hpp"
 #include "core/serialize.hpp"
 #include "edge/builders.hpp"
+#include "oracles/oracles.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/runner.hpp"
 #include "sim/simulator.hpp"

@@ -24,6 +24,13 @@
 namespace scalpel {
 namespace {
 
+/// The Chrome task trace document: write_task_doc's text, parsed.
+Json task_doc(const std::vector<TraceEvent>& events, std::uint64_t dropped) {
+  JsonWriter w;
+  write_task_doc(w, events, dropped);
+  return Json::parse(w.take());
+}
+
 TraceEvent ev(double t, std::uint64_t task, TraceEventType type,
               std::uint8_t arg = 0) {
   TraceEvent e;
@@ -80,7 +87,7 @@ TEST(TraceExport, ChromeJsonRoundTripsThroughParser) {
                       static_cast<std::uint8_t>(TraceStage::kDevice)));
   events.push_back(ev(0.005, 7, TraceEventType::kComplete));
 
-  const Json doc = trace_to_chrome_json(events, 0);
+  const Json doc = task_doc(events, 0);
   const Json parsed = Json::parse(doc.dump_pretty());
   const Json& arr = parsed.at("traceEvents");
   ASSERT_EQ(arr.size(), 4u);
@@ -100,7 +107,7 @@ TEST(TraceExport, TracerOverloadReportsDrops) {
   TaskTracer tracer(1);
   tracer.record(0.0, 0, 0, -1, TraceEventType::kArrive);
   tracer.record(1.0, 1, 0, -1, TraceEventType::kArrive);
-  const Json doc = Json::parse(trace_to_chrome_json(tracer).dump());
+  const Json doc = task_doc(tracer.snapshot(), tracer.dropped());
   EXPECT_EQ(doc.at("droppedEvents").as_int(), 1);
   EXPECT_EQ(doc.at("traceEvents").size(), 1u);
 }
@@ -561,7 +568,12 @@ TEST(CtrlSpans, ChromeEventsCarryCausalIdentityAndCounts) {
   spans.push_back(span(0.040, 42, CtrlSpanEvent::kDelivered));
   spans.push_back(span(0.040, 42, CtrlSpanEvent::kAdopted));
 
-  const Json arr = Json::parse(ctrl_spans_to_chrome_events(spans).dump());
+  CtrlTracer ring(8);
+  for (const auto& sp : spans) ring.record(sp);
+  // With no task events, the merged document's events are the spans alone.
+  const Json doc = Json::parse(
+      merged_trace_to_chrome_json(TaskTracer{}, ring).dump());
+  const Json& arr = doc.at("traceEvents");
   ASSERT_EQ(arr.size(), 5u);
   // All events of one causal chain share pid=kCtrlChromePid and tid=corr,
   // so Chrome renders mint -> drop -> re-grant -> adopt as one lane.

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "oracles/oracles.hpp"
 #include "sched/queueing.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"

@@ -6,6 +6,7 @@
 #include <limits>
 #include <vector>
 
+#include "oracles/oracles.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/objective.hpp"
@@ -125,12 +126,16 @@ TEST(Simulator, UnloadedOffloadPipelineMatchesDeterministicSum) {
   Simulator sim(inst, d, fast_run(2000.0, 5));
   const auto m = sim.run();
   ASSERT_GT(m.completed, 30u);
-  DeviceDecision dd = d.per_device[0];
-  EvalOptions no_q;
-  no_q.queueing = false;
-  const auto pred = evaluate_device(inst, 0, dd, no_q);
-  EXPECT_NEAR(m.latency.mean(), pred.expected_latency,
-              pred.expected_latency * 0.05);
+  // Queueing-free prediction: the PlanModel's service times on the grants.
+  const DeviceDecision& dd = d.per_device[0];
+  const auto b = build_plan_model(inst, 0, dd).breakdown();
+  const double predicted =
+      b.expected_device_time +
+      b.offload_prob *
+          (static_cast<double>(b.upload_bytes) / dd.bandwidth +
+           topo.path_rtt(0, dd.server) +
+           b.server_time_cond_m1 / dd.compute_share);
+  EXPECT_NEAR(m.latency.mean(), predicted, predicted * 0.05);
   EXPECT_NEAR(m.offload_fraction, 1.0, 1e-12);
 }
 
@@ -278,10 +283,10 @@ TEST(Simulator, BurstinessGrowsTheTail) {
   const double rate = 0.7 / service;
   const ProblemInstance inst(single_device(rate));
   const auto d = local_decision(inst);
-  Simulator::Options plain = fast_run(1500.0 * service, 53);
+  // Bursts hold each state for 2 s on average: run for many of them.
+  Simulator::Options plain = fast_run(std::max(1500.0 * service, 80.0), 53);
   Simulator::Options bursty = plain;
   bursty.burst_factor = 0.9;
-  bursty.burst_hold = 40.0 * service;
   Simulator sa(inst, d, plain);
   Simulator sb(inst, d, bursty);
   const auto ma = sa.run();

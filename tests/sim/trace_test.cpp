@@ -178,7 +178,9 @@ TEST(Trace, ShardedRingOverflowReportsDrops) {
   const std::vector<TraceEvent> kept = tiny.trace_events();
   EXPECT_GT(tiny.trace_dropped(), 0u);
   EXPECT_EQ(kept.size() + tiny.trace_dropped(), recorded);
-  const Json doc = trace_to_chrome_json(kept, tiny.trace_dropped());
+  JsonWriter w;
+  write_task_doc(w, kept, tiny.trace_dropped());
+  const Json doc = Json::parse(w.take());
   EXPECT_EQ(static_cast<std::uint64_t>(doc.at("droppedEvents").as_int()),
             tiny.trace_dropped());
 }

@@ -1,7 +1,5 @@
 #include "surgery/exit_candidates.hpp"
 
-#include "surgery/exit_policy.hpp"
-
 #include <gtest/gtest.h>
 
 #include "nn/executor.hpp"
@@ -87,54 +85,13 @@ INSTANTIATE_TEST_SUITE_P(Zoo, CandidateModelTest,
                                            "resnet18", "mobilenet_v1",
                                            "tiny_cnn"));
 
-TEST(ExitHead, ConvStyleCostsMoreAndBoostsAccuracy) {
-  const auto g = models::tiny_cnn();
-  ExitCandidateOptions light;
-  light.num_classes = 10;
-  light.min_spacing = 0.0;
-  ExitCandidateOptions conv = light;
-  conv.head_style = ExitHeadStyle::kConv;
-  const auto lc = find_exit_candidates(g, light);
-  const auto cc = find_exit_candidates(g, conv);
-  ASSERT_EQ(lc.size(), cc.size());
-  for (std::size_t i = 0; i < lc.size(); ++i) {
-    EXPECT_GT(cc[i].head_flops, lc[i].head_flops);
-    EXPECT_GT(cc[i].accuracy_bonus, lc[i].accuracy_bonus);
-    EXPECT_EQ(lc[i].accuracy_bonus, 0.0);
-  }
-}
-
-TEST(ExitHead, ConvStyleExecutesToDistribution) {
-  const auto head = make_exit_head(Shape{16, 4, 4}, 10, ExitHeadStyle::kConv);
-  const Executor ex(head, 9);
-  Rng rng(2);
-  const auto out = ex.run(Tensor::randn(Shape{16, 4, 4}, rng));
-  EXPECT_NEAR(out.sum(), 1.0, 1e-5);
-}
-
-TEST(ExitHead, ConvBonusRaisesPolicyAccuracy) {
-  const auto g = models::tiny_cnn();
-  const auto acc = AccuracyModel::for_model("tiny_cnn");
-  ExitCandidateOptions light;
-  light.num_classes = 10;
-  light.min_spacing = 0.0;
-  ExitCandidateOptions conv = light;
-  conv.head_style = ExitHeadStyle::kConv;
-  const auto lc = find_exit_candidates(g, light);
-  const auto cc = find_exit_candidates(g, conv);
-  ExitPolicy p;
-  p.exits = {{0, 0.2}};
-  const auto sl = evaluate_policy(g, lc, p, acc);
-  const auto sc = evaluate_policy(g, cc, p, acc);
-  EXPECT_GT(sc.expected_accuracy, sl.expected_accuracy);
-}
-
 TEST(Candidates, MaxCandidatesHonored) {
+  // vgg16 has more spaced clean cuts than the cap: the shallowest eight win.
   const auto g = models::vgg16();
   ExitCandidateOptions opts;
-  opts.max_candidates = 3;
   opts.min_spacing = 0.0;
-  EXPECT_LE(find_exit_candidates(g, opts).size(), 3u);
+  const auto cands = find_exit_candidates(g, opts);
+  EXPECT_EQ(cands.size(), kMaxExitCandidates);
 }
 
 TEST(Candidates, NoCandidateAtZeroDepth) {

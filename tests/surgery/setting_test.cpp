@@ -7,6 +7,7 @@
 #include <string>
 
 #include "nn/models.hpp"
+#include "oracles/oracles.hpp"
 #include "profile/compute_profile.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -27,8 +28,9 @@ struct Fixture {
     ExitCandidateOptions opts;
     opts.num_classes = 10;
     opts.min_spacing = 0.0;
-    opts.max_candidates = max_cands;
+    // Candidates come in depth order, so truncation keeps the shallowest.
     cands = find_exit_candidates(g, opts);
+    if (cands.size() > max_cands) cands.resize(max_cands);
   }
 };
 
