@@ -3,8 +3,8 @@
 // burst-and-recover trace stresses the runtime controller. Compared schemes:
 //   unprotected   — unbounded queues, no control (the seed behaviour)
 //   shed-only     — bounded queues + deadline-expiry shedding, no controller
-//   throttle-only — static admission gate from the cluster-level fixed-point
-//                   throttle plan (full-accuracy plans, traffic refused)
+//   throttle-only — static admission gate from admission::propose_throttle
+//                   (full-accuracy plans, traffic refused)
 //   ladder        — online controller walking a precomputed surgery-based
 //                   degradation ladder, admission gate only as last resort
 // All schemes see the identical arrival seed, so gaps are attributable to
@@ -70,8 +70,7 @@ Row run_scheme(const ProblemInstance& instance, const Decision& d,
     return {scheme, Simulator(instance, d, opts).run()};
   }
   if (scheme == "throttle-only") {
-    const auto plan = admission::propose_throttle_fixed_point(instance, d,
-                                                              0.9);
+    const auto plan = admission::propose_throttle(instance, d, 0.9);
     std::vector<double> gate;
     const auto& topo = instance.topology();
     for (std::size_t i = 0; i < plan.admitted_rate.size(); ++i) {

@@ -131,12 +131,12 @@ obs_smoke() {
   fi
 }
 
-# The four test oracles live in tests/oracles (scalpel_oracles, outside
-# scalpel::all) so no production path can reach them; fail if one of them
-# is named under src/ again.
+# The test oracles and reference objectives live in tests/oracles
+# (scalpel_oracles, outside scalpel::all) so no production path can reach
+# them; fail if one of them is named under src/ again.
 oracle_guard() {
   if grep -rnwE \
-      'BinaryHeapEventQueue|exhaustive_exit_setting|greedy_exit_setting|exhaustive_offloading' \
+      'BinaryHeapEventQueue|exhaustive_exit_setting|greedy_exit_setting|exhaustive_offloading|inverse_cost|mean_sojourn|mm1_wait' \
       src; then
     echo "test oracles belong in tests/oracles, not src/" >&2
     return 1

@@ -357,8 +357,7 @@ int cmd_admission(const std::map<std::string, std::string>& flags) {
 
   std::printf("admission report for scheme=%s (headroom %.2f)\n\n",
               decision.scheme.c_str(), headroom);
-  const auto plan =
-      admission::propose_throttle_fixed_point(instance, decision, headroom);
+  const auto plan = admission::propose_throttle(instance, decision, headroom);
   Table load({"device", "offered /s", "sustainable /s", "admitted /s",
               "admit frac"});
   for (std::size_t i = 0; i < decision.per_device.size(); ++i) {
@@ -375,9 +374,8 @@ int cmd_admission(const std::map<std::string, std::string>& flags) {
                              3)});
   }
   std::printf("%s\n", load.to_string().c_str());
-  std::printf("throttle plan: %s (fixed point in %zu iteration%s)\n\n",
-              plan.throttled ? "throttled" : "all load admitted",
-              plan.iterations, plan.iterations == 1 ? "" : "s");
+  std::printf("throttle plan: %s\n\n",
+              plan.throttled ? "throttled" : "all load admitted");
 
   LadderOptions lo;
   lo.rungs = static_cast<std::size_t>(size_flag(flags, "rungs", 4, 1, 64));

@@ -16,9 +16,10 @@ namespace admission {
 
 /// Largest arrival rate (tasks/s) device `id` can sustain under `decision`
 /// with every stage of its pipeline stable, holding the other devices'
-/// grants fixed. Found by bisection on the three-stage stability conditions;
-/// +inf when the device never offloads work it cannot drain (e.g. a
-/// device-only plan with near-zero service time).
+/// grants fixed. Every stage's utilization is linear in the rate, so this is
+/// a closed form: headroom / (per-task load of the most loaded stage). It
+/// reads no arrival rate, so it does not depend on the offered load. +inf
+/// when no stage carries any load.
 double max_sustainable_rate(const ProblemInstance& instance, DeviceId id,
                             const DeviceDecision& decision,
                             double utilization_headroom = 0.95);
@@ -30,8 +31,6 @@ struct ThrottlePlan {
   double admitted_fraction = 1.0;
   /// True if any device had to be throttled.
   bool throttled = false;
-  /// Refinement rounds performed (1 for the one-shot propose_throttle).
-  std::size_t iterations = 1;
 };
 
 /// Uniform-headroom throttling: every unstable device's rate is reduced to
@@ -41,24 +40,6 @@ struct ThrottlePlan {
 ThrottlePlan propose_throttle(const ProblemInstance& instance,
                               const Decision& decision,
                               double utilization_headroom = 0.9);
-
-/// Cluster-level fixed point of propose_throttle: re-evaluates every
-/// device's sustainable rate on the topology implied by the previous
-/// iterate's admitted rates and tightens until the plan stops changing (or
-/// `max_iters`). Under the current per-device stability model the bounds do
-/// not depend on the other devices' rates, so the fixed point lands after
-/// one refinement round — the iteration is the contract that keeps the plan
-/// stable if cross-device coupling ever enters the model, and tests assert
-/// the result is a true fixed point (idempotent, evaluator-stable).
-ThrottlePlan propose_throttle_fixed_point(const ProblemInstance& instance,
-                                          const Decision& decision,
-                                          double utilization_headroom = 0.9,
-                                          std::size_t max_iters = 8);
-
-/// Applies a throttle plan to a copy of the topology (scaling arrival
-/// rates), for re-optimization or simulation of the throttled system.
-ClusterTopology throttled_topology(const ProblemInstance& instance,
-                                   const ThrottlePlan& plan);
 
 }  // namespace admission
 }  // namespace scalpel

@@ -13,7 +13,6 @@
 #include "sched/queueing.hpp"
 #include "sched/shares.hpp"
 #include "util/assert.hpp"
-#include "util/log.hpp"
 #include "util/thread_pool.hpp"
 
 namespace scalpel {

@@ -119,11 +119,6 @@ double FaultSchedule::server_availability(std::int32_t server,
   return availability(FaultTarget::Server, server, horizon);
 }
 
-double FaultSchedule::link_availability(std::int32_t cell,
-                                        double horizon) const {
-  return availability(FaultTarget::Link, cell, horizon);
-}
-
 FaultSchedule FaultSchedule::merged(const FaultSchedule& other) const {
   std::vector<FaultEvent> all = events_;
   all.insert(all.end(), other.events_.begin(), other.events_.end());

@@ -76,9 +76,8 @@ class FaultSchedule {
   bool server_up(std::int32_t server, double t) const;
   bool link_up(std::int32_t cell, double t) const;
 
-  /// Fraction of [0, horizon] the target is up.
+  /// Fraction of [0, horizon] the server is up.
   double server_availability(std::int32_t server, double horizon) const;
-  double link_availability(std::int32_t cell, double horizon) const;
 
   /// Union of two scripts (events re-sorted by time).
   FaultSchedule merged(const FaultSchedule& other) const;

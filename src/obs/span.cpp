@@ -2,7 +2,6 @@
 
 #include "util/assert.hpp"
 #include "util/json.hpp"
-#include "util/table.hpp"
 
 namespace scalpel {
 
@@ -88,20 +87,6 @@ bool write_merged_trace(const std::string& path, const TaskTracer& tasks,
   return write_json_file(path, [&](JsonWriter& w) {
     write_merged_doc(w, tasks.snapshot(), tasks.dropped(), spans);
   });
-}
-
-Table ctrl_spans_to_table(const std::vector<CtrlSpan>& spans) {
-  Table t({"time_s", "corr", "epoch", "price", "from", "to", "msg", "span"});
-  for (const auto& sp : spans) {
-    t.add_row({Table::num(sp.time, 6),
-               Table::num(static_cast<std::int64_t>(sp.corr)),
-               Table::num(static_cast<std::int64_t>(sp.epoch)),
-               Table::num(sp.price, 6),
-               Table::num(static_cast<std::int64_t>(sp.from)),
-               Table::num(static_cast<std::int64_t>(sp.to)),
-               ctrl_msg_type_name(sp.msg), ctrl_span_name(sp.event)});
-  }
-  return t;
 }
 
 std::vector<std::size_t> ctrl_span_counts(const std::vector<CtrlSpan>& spans) {

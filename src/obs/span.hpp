@@ -8,7 +8,6 @@
 
 namespace scalpel {
 class Json;
-class Table;
 
 /// Lifecycle stations a control-plane message (or the grant it carries)
 /// passes through. One send records kSent exactly once and then exactly one
@@ -80,10 +79,6 @@ Json merged_trace_to_chrome_json(const TaskTracer& tasks,
 /// building it; returns false (and logs) on I/O failure.
 bool write_merged_trace(const std::string& path, const TaskTracer& tasks,
                         const CtrlTracer& spans);
-
-/// Flat tabular view (time_s, corr, epoch, price, from, to, msg, event) for
-/// CSV export.
-Table ctrl_spans_to_table(const std::vector<CtrlSpan>& spans);
 
 /// Per-event counts of a span stream (index by CtrlSpanEvent).
 std::vector<std::size_t> ctrl_span_counts(const std::vector<CtrlSpan>& spans);

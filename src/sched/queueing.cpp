@@ -16,19 +16,6 @@ double mm1_sojourn(double lambda, double mu) {
   return 1.0 / (mu - lambda);
 }
 
-double mm1_wait(double lambda, double mu) {
-  SCALPEL_REQUIRE(lambda >= 0.0 && mu > 0.0, "invalid M/M/1 rates");
-  if (lambda >= mu) return kInf;
-  const double rho = lambda / mu;
-  return rho / (mu - lambda);
-}
-
-double mm1_sojourn_tail(double lambda, double mu, double t) {
-  SCALPEL_REQUIRE(t >= 0.0, "tail time must be non-negative");
-  if (lambda >= mu) return 1.0;
-  return std::exp(-(mu - lambda) * t);
-}
-
 double mg1_sojourn(double lambda, double m1, double m2) {
   SCALPEL_REQUIRE(lambda >= 0.0 && m1 >= 0.0 && m2 >= 0.0,
                   "invalid M/G/1 parameters");
@@ -72,27 +59,6 @@ std::vector<double> kleinrock(const std::vector<double>& lambda,
     }
   }
   return out;
-}
-
-double mean_sojourn(const std::vector<double>& lambda,
-                    const std::vector<double>& work,
-                    const std::vector<double>& capacity_split) {
-  SCALPEL_REQUIRE(lambda.size() == work.size() &&
-                      lambda.size() == capacity_split.size(),
-                  "mean_sojourn arity mismatch");
-  double total_rate = 0.0;
-  double weighted = 0.0;
-  for (std::size_t i = 0; i < lambda.size(); ++i) {
-    if (lambda[i] <= 0.0) continue;
-    total_rate += lambda[i];
-    if (capacity_split[i] <= 0.0) return kInf;
-    const double mu = capacity_split[i] / work[i];
-    const double w = mm1_sojourn(lambda[i], mu);
-    if (!std::isfinite(w)) return kInf;
-    weighted += lambda[i] * w;
-  }
-  if (total_rate <= 0.0) return 0.0;
-  return weighted / total_rate;
 }
 
 }  // namespace scalpel::queueing

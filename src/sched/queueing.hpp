@@ -14,12 +14,6 @@ namespace queueing {
 /// (lambda >= mu). lambda, mu in tasks/s.
 double mm1_sojourn(double lambda, double mu);
 
-/// Mean waiting time only.
-double mm1_wait(double lambda, double mu);
-
-/// P(sojourn > t) for M/M/1 (exponential tail) — used by deadline analysis.
-double mm1_sojourn_tail(double lambda, double mu, double t);
-
 /// Pollaczek-Khinchine mean sojourn of an M/G/1 queue with service moments
 /// E[S] = m1, E[S^2] = m2; +inf if unstable (lambda * m1 >= 1).
 double mg1_sojourn(double lambda, double m1, double m2);
@@ -37,12 +31,6 @@ double md1_sojourn(double lambda, double s);
 /// zero capacity.
 std::vector<double> kleinrock(const std::vector<double>& lambda,
                               const std::vector<double>& work, double capacity);
-
-/// Rate-weighted mean sojourn for a given capacity split (+inf if any class
-/// is unstable). Companion evaluator for kleinrock.
-double mean_sojourn(const std::vector<double>& lambda,
-                    const std::vector<double>& work,
-                    const std::vector<double>& capacity_split);
 
 }  // namespace queueing
 }  // namespace scalpel

@@ -1,7 +1,6 @@
 #include "sched/shares.hpp"
 
 #include <cmath>
-#include <limits>
 
 #include "util/assert.hpp"
 
@@ -55,55 +54,6 @@ std::vector<double> proportional(const std::vector<double>& demands,
     out[i] = capacity * demands[i] / total;
   }
   return out;
-}
-
-std::vector<double> max_min_fair(const std::vector<double>& caps,
-                                 double capacity) {
-  SCALPEL_REQUIRE(!caps.empty(), "max_min_fair needs classes");
-  SCALPEL_REQUIRE(capacity > 0.0, "capacity must be positive");
-  for (double c : caps) {
-    SCALPEL_REQUIRE(c >= 0.0, "caps must be non-negative");
-  }
-  std::vector<double> alloc(caps.size(), 0.0);
-  std::vector<bool> frozen(caps.size(), false);
-  double remaining = capacity;
-  std::size_t active = caps.size();
-  // Progressive filling: raise the common level; freeze classes at their
-  // caps and redistribute the freed capacity.
-  while (active > 0 && remaining > 1e-15) {
-    const double level = remaining / static_cast<double>(active);
-    bool any_frozen = false;
-    for (std::size_t i = 0; i < caps.size(); ++i) {
-      if (frozen[i]) continue;
-      if (caps[i] - alloc[i] <= level) {
-        remaining -= caps[i] - alloc[i];
-        alloc[i] = caps[i];
-        frozen[i] = true;
-        --active;
-        any_frozen = true;
-      }
-    }
-    if (!any_frozen) {
-      for (std::size_t i = 0; i < caps.size(); ++i) {
-        if (!frozen[i]) alloc[i] += level;
-      }
-      remaining = 0.0;
-    }
-  }
-  return alloc;
-}
-
-double inverse_cost(const std::vector<double>& demands,
-                    const std::vector<double>& alloc) {
-  SCALPEL_REQUIRE(demands.size() == alloc.size(),
-                  "inverse_cost arity mismatch");
-  double cost = 0.0;
-  for (std::size_t i = 0; i < demands.size(); ++i) {
-    if (demands[i] <= 0.0) continue;
-    if (alloc[i] <= 0.0) return std::numeric_limits<double>::infinity();
-    cost += demands[i] / alloc[i];
-  }
-  return cost;
 }
 
 }  // namespace scalpel::shares

@@ -24,17 +24,5 @@ std::vector<double> equal_split(const std::vector<double>& demands,
 std::vector<double> proportional(const std::vector<double>& demands,
                                  double capacity);
 
-/// Max-min fairness with per-class caps: water-fill capacity so every class
-/// gets min(cap_i, fair level); classes capped below the level return their
-/// surplus to the others. The classic bandwidth-sharing policy, provided as
-/// a comparison point to the latency-optimal sqrt rule.
-std::vector<double> max_min_fair(const std::vector<double>& caps,
-                                 double capacity);
-
-/// Objective the sqrt rule minimizes: sum_i demands[i] / alloc[i]
-/// (+inf if any positive-demand class has a zero share).
-double inverse_cost(const std::vector<double>& demands,
-                    const std::vector<double>& alloc);
-
 }  // namespace shares
 }  // namespace scalpel

@@ -44,8 +44,6 @@ struct ReplicatedMetrics {
   /// trace is the bit-identical stream the replication's seed produces,
   /// regardless of thread or shard count.
   std::vector<std::vector<TraceEvent>> traces;
-
-  Summary latency_summary() const { return summarize(mean_latency); }
 };
 
 /// Fans N independent replications of one (instance, decision) scenario out

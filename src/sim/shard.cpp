@@ -10,7 +10,6 @@
 #include "sim/fluid.hpp"
 #include "sim/task_pool.hpp"
 #include "util/assert.hpp"
-#include "util/log.hpp"
 
 namespace scalpel {
 namespace {
@@ -806,7 +805,6 @@ struct ShardCore final : FluidSink {
       SCALPEL_REQUIRE(ev.time >= now - 1e-9, "event time went backwards");
       now = std::max(now, ev.time);
       last_event_time = now;
-      set_log_sim_time(now);  // log lines carry the event-loop clock
       ++events_processed;
       dispatch(ev);
     }
@@ -1211,7 +1209,6 @@ void ShardedSimulator::serial_phase(const EpochBarrier& b) {
     core->now = b.time;  // serial work runs on the barrier clock
     core->serial_mode = true;
   }
-  set_log_sim_time(b.time);
   // Fixed order at a barrier: envelopes only schedule (no observable
   // effect ordering), then fault events, then bandwidth change-points, then
   // the controller tick, then the obs sample.
@@ -1428,7 +1425,6 @@ SimMetrics ShardedSimulator::run() {
                     "cross-shard envelope created after the final barrier");
   }
 
-  clear_log_sim_time();
   // Several shards logged their records; account for them in the merged
   // order (one shard already accounted for every record as it happened).
   if (cores_.size() > 1) {

@@ -1,166 +1,11 @@
 #include "util/log.hpp"
 
-#include <atomic>
-#include <cctype>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <ctime>
-#include <mutex>
 
 namespace scalpel {
-namespace {
 
-std::atomic<LogLevel> g_level{LogLevel::kInfo};
-std::once_flag g_env_once;
-std::mutex g_mutex;
-LogCapture* g_capture = nullptr;        // guarded by g_mutex
-thread_local double t_sim_time = -1.0;  // < 0 means "not in a simulation"
-
-void load_level_from_env() {
-  const char* env = std::getenv("SCALPEL_LOG_LEVEL");
-  if (!env) return;
-  LogLevel level;
-  if (parse_log_level(env, &level)) {
-    g_level.store(level, std::memory_order_relaxed);
-  } else {
-    std::fprintf(stderr,
-                 "[scalpel warn] ignoring unrecognized SCALPEL_LOG_LEVEL=%s "
-                 "(expected debug|info|warn|error|off or 0-4)\n",
-                 env);
-  }
-}
-
-LogLevel effective_level() {
-  std::call_once(g_env_once, load_level_from_env);
-  return g_level.load(std::memory_order_relaxed);
-}
-
-/// "HH:MM:SS.mmm" local wall time, for correlating logs across processes.
-std::string wall_stamp() {
-  const auto now = std::chrono::system_clock::now();
-  const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                      now.time_since_epoch())
-                      .count() %
-                  1000;
-  const std::time_t t = std::chrono::system_clock::to_time_t(now);
-  std::tm tm{};
-#if defined(_WIN32)
-  localtime_s(&tm, &t);
-#else
-  localtime_r(&t, &tm);
-#endif
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%02d:%02d:%02d.%03d", tm.tm_hour,
-                tm.tm_min, tm.tm_sec, static_cast<int>(ms));
-  return buf;
-}
-
-void emit(LogLevel level, const char* tag, const std::string& msg) {
-  if (level < effective_level()) return;
-  std::string suffix;
-  if (t_sim_time >= 0.0) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), " t=%.3fs", t_sim_time);
-    suffix = buf;
-  }
-  const std::lock_guard<std::mutex> lock(g_mutex);
-  if (g_capture) {
-    // Wall time omitted so captured lines are assertable byte-for-byte.
-    detail_log_capture_append("[scalpel " + std::string(tag) + suffix + "] " +
-                              msg);
-    return;
-  }
-  std::fprintf(stderr, "[scalpel %s %s%s] %s\n", tag, wall_stamp().c_str(),
-               suffix.c_str(), msg.c_str());
-}
-
-}  // namespace
-
-void detail_log_capture_append(const std::string& line) {
-  LogCapture* cap = g_capture;  // caller holds g_mutex
-  if (cap->size_ < cap->capacity_) {
-    cap->ring_[cap->head_] = line;
-    ++cap->size_;
-  } else {
-    cap->ring_[cap->head_] = line;
-    ++cap->dropped_;
-  }
-  cap->head_ = cap->head_ + 1 == cap->capacity_ ? 0 : cap->head_ + 1;
-}
-
-bool parse_log_level(const std::string& text, LogLevel* out) {
-  std::string lower;
-  for (char c : text) {
-    lower.push_back(
-        static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  }
-  if (lower == "debug" || lower == "0") *out = LogLevel::kDebug;
-  else if (lower == "info" || lower == "1") *out = LogLevel::kInfo;
-  else if (lower == "warn" || lower == "warning" || lower == "2")
-    *out = LogLevel::kWarn;
-  else if (lower == "error" || lower == "3") *out = LogLevel::kError;
-  else if (lower == "off" || lower == "none" || lower == "4")
-    *out = LogLevel::kOff;
-  else return false;
-  return true;
-}
-
-void set_log_level(LogLevel level) {
-  std::call_once(g_env_once, [] {});  // explicit setting beats the env var
-  g_level.store(level, std::memory_order_relaxed);
-}
-
-LogLevel log_level() { return effective_level(); }
-
-void set_log_sim_time(double now) { t_sim_time = now; }
-void clear_log_sim_time() { t_sim_time = -1.0; }
-
-void log_debug(const std::string& msg) { emit(LogLevel::kDebug, "debug", msg); }
-void log_info(const std::string& msg) { emit(LogLevel::kInfo, "info", msg); }
-void log_warn(const std::string& msg) { emit(LogLevel::kWarn, "warn", msg); }
-void log_error(const std::string& msg) { emit(LogLevel::kError, "error", msg); }
-
-LogCapture::LogCapture(std::size_t capacity)
-    : ring_(capacity ? capacity : 1), capacity_(capacity ? capacity : 1) {
-  const std::lock_guard<std::mutex> lock(g_mutex);
-  previous_ = g_capture;
-  g_capture = this;
-}
-
-LogCapture::~LogCapture() {
-  const std::lock_guard<std::mutex> lock(g_mutex);
-  g_capture = previous_;
-}
-
-std::vector<std::string> LogCapture::entries() const {
-  const std::lock_guard<std::mutex> lock(g_mutex);
-  std::vector<std::string> out;
-  out.reserve(size_);
-  const std::size_t start = size_ < capacity_ ? 0 : head_;
-  for (std::size_t i = 0; i < size_; ++i) {
-    out.push_back(ring_[(start + i) % capacity_]);
-  }
-  return out;
-}
-
-std::uint64_t LogCapture::dropped() const {
-  const std::lock_guard<std::mutex> lock(g_mutex);
-  return dropped_;
-}
-
-bool LogCapture::contains(const std::string& needle) const {
-  for (const auto& line : entries()) {
-    if (line.find(needle) != std::string::npos) return true;
-  }
-  return false;
-}
-
-void LogCapture::clear() {
-  const std::lock_guard<std::mutex> lock(g_mutex);
-  head_ = 0;
-  size_ = 0;
-  dropped_ = 0;
+void log_warn(const std::string& msg) {
+  std::fprintf(stderr, "[scalpel warn] %s\n", msg.c_str());
 }
 
 }  // namespace scalpel

@@ -1,67 +1,12 @@
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
 #include <string>
-#include <vector>
 
 namespace scalpel {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
-
-/// Process-wide minimum level; defaults to kInfo, or to the value of the
-/// SCALPEL_LOG_LEVEL environment variable when set (one of debug, info,
-/// warn, error, off — case-insensitive — or the numeric levels 0-4; read
-/// once at first use). set_log_level() overrides the environment.
-/// Thread-safe.
-void set_log_level(LogLevel level);
-LogLevel log_level();
-
-/// Parses a level name/number as accepted by SCALPEL_LOG_LEVEL; returns
-/// false (leaving `out` untouched) on unrecognized input.
-bool parse_log_level(const std::string& text, LogLevel* out);
-
-/// Simulation clock shown in log lines as "t=<seconds>s". Thread-local so
-/// parallel replications each stamp their own clock; negative clears it
-/// (wall-clock-only lines). Simulators set this as their event loop
-/// advances.
-void set_log_sim_time(double now);
-void clear_log_sim_time();
-
-void log_debug(const std::string& msg);
-void log_info(const std::string& msg);
+/// Writes one "[scalpel warn] <msg>" line to stderr. The exporters call it
+/// when an output file cannot be opened. Thread-safe: the line goes out in
+/// one stdio call, which holds the stream's lock.
 void log_warn(const std::string& msg);
-void log_error(const std::string& msg);
-
-void detail_log_capture_append(const std::string& line);
-
-/// RAII test helper: while alive, log lines at or above the current level
-/// land in a bounded ring buffer instead of stderr (formatted exactly as
-/// they would have printed, minus the wall timestamp so assertions are
-/// reproducible). Captures nest; the innermost active capture wins.
-class LogCapture {
- public:
-  explicit LogCapture(std::size_t capacity = 256);
-  ~LogCapture();
-  LogCapture(const LogCapture&) = delete;
-  LogCapture& operator=(const LogCapture&) = delete;
-
-  /// Captured lines, oldest first (at most `capacity`).
-  std::vector<std::string> entries() const;
-  /// Lines overwritten because the ring was full.
-  std::uint64_t dropped() const;
-  /// True if any captured line contains `needle`.
-  bool contains(const std::string& needle) const;
-  void clear();
-
- private:
-  friend void detail_log_capture_append(const std::string& line);
-  std::vector<std::string> ring_;
-  std::size_t capacity_;
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
-  std::uint64_t dropped_ = 0;
-  LogCapture* previous_ = nullptr;
-};
 
 }  // namespace scalpel

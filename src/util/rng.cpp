@@ -88,24 +88,6 @@ double Rng::lognormal_mean_cov(double mean, double cov) {
   return std::exp(normal(mu, std::sqrt(sigma2)));
 }
 
-std::int64_t Rng::poisson(double mean) {
-  SCALPEL_REQUIRE(mean >= 0.0, "poisson mean must be non-negative");
-  if (mean == 0.0) return 0;
-  if (mean < 64.0) {
-    const double limit = std::exp(-mean);
-    std::int64_t k = 0;
-    double p = 1.0;
-    do {
-      ++k;
-      p *= uniform();
-    } while (p > limit);
-    return k - 1;
-  }
-  // Normal approximation with continuity correction for large means.
-  const double x = normal(mean, std::sqrt(mean));
-  return x < 0.0 ? 0 : static_cast<std::int64_t>(x + 0.5);
-}
-
 std::size_t Rng::categorical(const std::vector<double>& weights) {
   SCALPEL_REQUIRE(!weights.empty(), "categorical needs at least one weight");
   double total = 0.0;
@@ -138,24 +120,6 @@ std::uint64_t Rng::substream_seed(std::uint64_t seed,
 
 Rng Rng::substream(std::uint64_t stream_id) const {
   return Rng(substream_seed(seed_, stream_id));
-}
-
-void Rng::jump() {
-  // Jump polynomial published with xoshiro256**: equivalent to 2^128 calls
-  // to next_u64().
-  static constexpr std::uint64_t kJump[] = {
-      0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL, 0xa9582618e03fc9aaULL,
-      0x39abdc4529b1661cULL};
-  std::array<std::uint64_t, 4> acc{};
-  for (std::uint64_t word : kJump) {
-    for (int b = 0; b < 64; ++b) {
-      if (word & (1ULL << b)) {
-        for (std::size_t i = 0; i < acc.size(); ++i) acc[i] ^= state_[i];
-      }
-      next_u64();
-    }
-  }
-  state_ = acc;
 }
 
 }  // namespace scalpel

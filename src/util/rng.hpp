@@ -36,21 +36,8 @@ class Rng {
   /// variation. Handy for heterogeneity knobs ("server speeds with CoV 0.4").
   double lognormal_mean_cov(double mean, double cov);
 
-  /// Poisson-distributed count (Knuth for small mean, normal approx above 64).
-  std::int64_t poisson(double mean);
-
   /// Sample an index according to non-negative weights (at least one > 0).
   std::size_t categorical(const std::vector<double>& weights);
-
-  /// Fisher-Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& v) {
-    for (std::size_t i = v.size(); i > 1; --i) {
-      const auto j = static_cast<std::size_t>(
-          uniform_int(0, static_cast<std::int64_t>(i) - 1));
-      std::swap(v[i - 1], v[j]);
-    }
-  }
 
   /// Derive an independent child stream (for per-entity randomness).
   /// Consumes one draw from this stream, so the result depends on how many
@@ -69,13 +56,8 @@ class Rng {
 
   /// Independent stream `stream_id` derived from this generator's
   /// *construction seed* (not its current state): r.substream(k) is the same
-  /// generator no matter how much r has been used or jumped.
+  /// generator no matter how much r has been used.
   Rng substream(std::uint64_t stream_id) const;
-
-  /// Advance 2^128 steps (the xoshiro256** jump polynomial): partitions one
-  /// stream into non-overlapping blocks of 2^128 draws for callers that
-  /// prefer jumping over reseeding.
-  void jump();
 
   /// The seed this generator was constructed with (substream derivation key).
   std::uint64_t seed() const { return seed_; }

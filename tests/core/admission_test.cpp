@@ -32,6 +32,17 @@ ClusterTopology one_device(double rate) {
   return t;
 }
 
+/// The topology with every device's arrival rate set to its admitted rate.
+ClusterTopology with_admitted_rates(const ProblemInstance& inst,
+                                    const admission::ThrottlePlan& plan) {
+  ClusterTopology topo = inst.topology();
+  for (std::size_t i = 0; i < plan.admitted_rate.size(); ++i) {
+    topo.set_device_arrival_rate(static_cast<DeviceId>(i),
+                                 plan.admitted_rate[i]);
+  }
+  return topo;
+}
+
 TEST(Admission, LocalRateBoundMatchesServiceTime) {
   const ProblemInstance inst(one_device(1.0));
   DeviceDecision dd;
@@ -87,8 +98,7 @@ TEST(Admission, ThrottleRestoresStability) {
   EXPECT_LT(plan.admitted_fraction, 1.0);
   EXPECT_GT(plan.admitted_fraction, 0.0);
 
-  const ProblemInstance throttled(
-      admission::throttled_topology(inst, plan));
+  const ProblemInstance throttled(with_admitted_rates(inst, plan));
   Decision again;
   again.per_device = local.per_device;
   evaluate_decision(throttled, again);
@@ -107,30 +117,8 @@ TEST(Admission, StableSystemIsNotThrottled) {
   EXPECT_NEAR(plan.admitted_fraction, 1.0, 1e-9);
 }
 
-TEST(Admission, FixedPointConvergesFast) {
-  // Under the current rate-independent stability bounds the cluster-level
-  // fixed point must land after one refinement round, and must agree with
-  // the one-shot proposal.
-  const ProblemInstance inst(clusters::small_lab());
-  Decision local;
-  local.per_device.resize(4);
-  for (auto& dd : local.per_device) dd.plan.device_only = true;
-  evaluate_decision(inst, local);
-  ASSERT_FALSE(std::isfinite(local.mean_latency));
-
-  const auto fp = admission::propose_throttle_fixed_point(inst, local, 0.9);
-  EXPECT_TRUE(fp.throttled);
-  EXPECT_LE(fp.iterations, 2u);
-  const auto one = admission::propose_throttle(inst, local, 0.9);
-  ASSERT_EQ(fp.admitted_rate.size(), one.admitted_rate.size());
-  for (std::size_t i = 0; i < fp.admitted_rate.size(); ++i) {
-    EXPECT_NEAR(fp.admitted_rate[i], one.admitted_rate[i],
-                1e-9 * (1.0 + one.admitted_rate[i]));
-  }
-}
-
-TEST(Admission, FixedPointIsIdempotent) {
-  // The fixed-point plan, applied to the topology, needs no further
+TEST(Admission, ThrottledRatesNeedNoFurtherThrottle) {
+  // The throttle plan, applied to the topology, needs no further
   // throttling — the evaluator agrees it is stable.
   const ProblemInstance inst(clusters::small_lab());
   Decision local;
@@ -138,15 +126,14 @@ TEST(Admission, FixedPointIsIdempotent) {
   for (auto& dd : local.per_device) dd.plan.device_only = true;
   evaluate_decision(inst, local);
 
-  const auto fp = admission::propose_throttle_fixed_point(inst, local, 0.9);
-  const ProblemInstance throttled(admission::throttled_topology(inst, fp));
+  const auto plan = admission::propose_throttle(inst, local, 0.9);
+  const ProblemInstance throttled(with_admitted_rates(inst, plan));
   Decision again;
   again.per_device = local.per_device;
   evaluate_decision(throttled, again);
   EXPECT_TRUE(std::isfinite(again.mean_latency));
 
-  const auto re = admission::propose_throttle_fixed_point(throttled, again,
-                                                          0.9);
+  const auto re = admission::propose_throttle(throttled, again, 0.9);
   EXPECT_FALSE(re.throttled);
   EXPECT_NEAR(re.admitted_fraction, 1.0, 1e-9);
 }

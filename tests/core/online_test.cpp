@@ -285,8 +285,7 @@ TEST(Online, SustainableRatesSurviveFailover) {
         ctl.instance(), static_cast<DeviceId>(i), d.per_device[i], 0.95);
     EXPECT_GT(rate, 0.0);
   }
-  const auto plan =
-      admission::propose_throttle_fixed_point(ctl.instance(), d, 0.9);
+  const auto plan = admission::propose_throttle(ctl.instance(), d, 0.9);
   for (const double r : plan.admitted_rate) {
     EXPECT_TRUE(std::isfinite(r));
     EXPECT_GT(r, 0.0);
@@ -308,8 +307,7 @@ TEST(Online, AllDeadFallbackKeepsAdmissionFinite) {
     EXPECT_TRUE(std::isfinite(rate));
     EXPECT_GT(rate, 0.0);
   }
-  const auto plan =
-      admission::propose_throttle_fixed_point(ctl.instance(), d, 0.9);
+  const auto plan = admission::propose_throttle(ctl.instance(), d, 0.9);
   EXPECT_TRUE(plan.throttled);  // small_lab overloads some device on-device
   for (const double r : plan.admitted_rate) {
     EXPECT_TRUE(std::isfinite(r));

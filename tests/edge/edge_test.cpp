@@ -232,8 +232,8 @@ TEST(FaultSchedule, AvailabilityIntegratesDowntime) {
 }
 
 TEST(FaultSchedule, ZeroDurationOutageIsInvisibleToAvailability) {
-  const auto s = FaultSchedule::link_outage(0, 5.0, 5.0);
-  EXPECT_NEAR(s.link_availability(0, 10.0), 1.0, 1e-12);
+  const auto s = FaultSchedule::server_crash(0, 5.0, 5.0);
+  EXPECT_NEAR(s.server_availability(0, 10.0), 1.0, 1e-12);
   // The momentary down state is still observable at the instant itself.
   EXPECT_EQ(s.events().size(), 2u);
 }

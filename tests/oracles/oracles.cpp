@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "sched/queueing.hpp"
 #include "util/assert.hpp"
 
 namespace scalpel {
@@ -171,6 +172,48 @@ OffloadingSolution exhaustive_offloading(const OffloadingProblem& p) {
   s.converged = true;
   s.feasible = std::isfinite(s.social_cost);
   return s;
+}
+
+double shares::inverse_cost(const std::vector<double>& demands,
+                            const std::vector<double>& alloc) {
+  SCALPEL_REQUIRE(demands.size() == alloc.size(),
+                  "inverse_cost arity mismatch");
+  double cost = 0.0;
+  for (std::size_t i = 0; i < demands.size(); ++i) {
+    if (demands[i] <= 0.0) continue;
+    if (alloc[i] <= 0.0) return std::numeric_limits<double>::infinity();
+    cost += demands[i] / alloc[i];
+  }
+  return cost;
+}
+
+double queueing::mm1_wait(double lambda, double mu) {
+  SCALPEL_REQUIRE(lambda >= 0.0 && mu > 0.0, "invalid M/M/1 rates");
+  if (lambda >= mu) return std::numeric_limits<double>::infinity();
+  const double rho = lambda / mu;
+  return rho / (mu - lambda);
+}
+
+double queueing::mean_sojourn(const std::vector<double>& lambda,
+                              const std::vector<double>& work,
+                              const std::vector<double>& capacity_split) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  SCALPEL_REQUIRE(lambda.size() == work.size() &&
+                      lambda.size() == capacity_split.size(),
+                  "mean_sojourn arity mismatch");
+  double total_rate = 0.0;
+  double weighted = 0.0;
+  for (std::size_t i = 0; i < lambda.size(); ++i) {
+    if (lambda[i] <= 0.0) continue;
+    total_rate += lambda[i];
+    if (capacity_split[i] <= 0.0) return kInf;
+    const double mu = capacity_split[i] / work[i];
+    const double w = mm1_sojourn(lambda[i], mu);
+    if (!std::isfinite(w)) return kInf;
+    weighted += lambda[i] * w;
+  }
+  if (total_rate <= 0.0) return 0.0;
+  return weighted / total_rate;
 }
 
 }  // namespace scalpel

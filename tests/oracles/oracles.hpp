@@ -3,8 +3,10 @@
 // Reference implementations the production code is checked against. None
 // of these runs in the engine, the solver or the CLI: the event-queue tests
 // and the integration fuzz hold the calendar queue's pop order to the heap,
-// and the exit-setting and offloading tests (and benches F3, M1 and F11)
-// measure the DP and the best-response dynamics against exhaustive search.
+// the exit-setting and offloading tests (and benches F3, M1 and F11)
+// measure the DP and the best-response dynamics against exhaustive search,
+// and the sqrt-rule, Kleinrock and M/D/1 property tests compare against the
+// objectives and closed forms at the end of this file.
 
 #include <cstddef>
 #include <cstdint>
@@ -56,4 +58,26 @@ ExitSettingResult greedy_exit_setting(
 /// O(servers^devices).
 OffloadingSolution exhaustive_offloading(const OffloadingProblem& p);
 
+namespace shares {
+
+/// Objective the sqrt rule minimizes: sum_i demands[i] / alloc[i]
+/// (+inf if any positive-demand class has a zero share).
+double inverse_cost(const std::vector<double>& demands,
+                    const std::vector<double>& alloc);
+
+}  // namespace shares
+
+namespace queueing {
+
+/// Mean waiting time (sojourn minus service) of an M/M/1 queue; +inf if
+/// unstable (lambda >= mu).
+double mm1_wait(double lambda, double mu);
+
+/// Rate-weighted M/M/1 mean sojourn of a capacity split (+inf if any class
+/// is unstable): the objective kleinrock minimizes.
+double mean_sojourn(const std::vector<double>& lambda,
+                    const std::vector<double>& work,
+                    const std::vector<double>& capacity_split);
+
+}  // namespace queueing
 }  // namespace scalpel

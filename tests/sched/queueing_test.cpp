@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "oracles/oracles.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -22,15 +23,6 @@ TEST(Mm1, WaitPlusServiceEqualsSojourn) {
   const double mu = 7.0;
   EXPECT_NEAR(queueing::mm1_wait(lambda, mu) + 1.0 / mu,
               queueing::mm1_sojourn(lambda, mu), 1e-12);
-}
-
-TEST(Mm1, TailIsExponential) {
-  const double lambda = 1.0;
-  const double mu = 3.0;
-  EXPECT_NEAR(queueing::mm1_sojourn_tail(lambda, mu, 0.0), 1.0, 1e-12);
-  EXPECT_NEAR(queueing::mm1_sojourn_tail(lambda, mu, 0.5),
-              std::exp(-1.0), 1e-12);
-  EXPECT_EQ(queueing::mm1_sojourn_tail(5.0, 5.0, 1.0), 1.0);  // unstable
 }
 
 TEST(Mg1, ReducesToMm1ForExponentialService) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "oracles/oracles.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -68,60 +69,6 @@ TEST(Shares, SqrtRuleOptimalityProperty) {
           << "trial " << trial << " grid point " << g;
     }
   }
-}
-
-TEST(Shares, MaxMinFairUncappedSplitsEqually) {
-  const auto a = shares::max_min_fair({100.0, 100.0, 100.0}, 9.0);
-  for (double v : a) EXPECT_NEAR(v, 3.0, 1e-12);
-}
-
-TEST(Shares, MaxMinFairRespectsCapsAndRedistributes) {
-  // Class 0 capped at 1; its surplus flows to the others.
-  const auto a = shares::max_min_fair({1.0, 100.0, 100.0}, 9.0);
-  EXPECT_NEAR(a[0], 1.0, 1e-12);
-  EXPECT_NEAR(a[1], 4.0, 1e-12);
-  EXPECT_NEAR(a[2], 4.0, 1e-12);
-}
-
-TEST(Shares, MaxMinFairCapacityExceedsDemand) {
-  const auto a = shares::max_min_fair({1.0, 2.0}, 10.0);
-  EXPECT_NEAR(a[0], 1.0, 1e-12);
-  EXPECT_NEAR(a[1], 2.0, 1e-12);
-}
-
-TEST(Shares, MaxMinFairConservesCapacityWhenSaturated) {
-  Rng rng(13);
-  for (int trial = 0; trial < 10; ++trial) {
-    std::vector<double> caps;
-    double total_cap = 0.0;
-    for (int i = 0; i < 5; ++i) {
-      caps.push_back(rng.uniform(0.5, 5.0));
-      total_cap += caps.back();
-    }
-    const double capacity = total_cap * 0.7;  // demand exceeds capacity
-    const auto a = shares::max_min_fair(caps, capacity);
-    double sum = 0.0;
-    for (std::size_t i = 0; i < caps.size(); ++i) {
-      ASSERT_LE(a[i], caps[i] + 1e-9);
-      sum += a[i];
-    }
-    EXPECT_NEAR(sum, capacity, 1e-9);
-    // Max-min property: any class below its cap gets at least as much as
-    // every other class (no one below cap is starved relative to others).
-    for (std::size_t i = 0; i < caps.size(); ++i) {
-      if (a[i] < caps[i] - 1e-9) {
-        for (std::size_t j = 0; j < caps.size(); ++j) {
-          ASSERT_GE(a[i], a[j] - 1e-9);
-        }
-      }
-    }
-  }
-}
-
-TEST(Shares, MaxMinFairValidates) {
-  EXPECT_THROW(shares::max_min_fair({}, 1.0), ContractViolation);
-  EXPECT_THROW(shares::max_min_fair({1.0}, 0.0), ContractViolation);
-  EXPECT_THROW(shares::max_min_fair({-1.0}, 1.0), ContractViolation);
 }
 
 TEST(Shares, SqrtRuleBeatsEqualAndProportionalOnSkewedDemands) {

@@ -173,7 +173,7 @@ TEST(ScenarioRunner, SummaryShapesMatchReplicationCount) {
   const ProblemInstance inst(single_device(4.0));
   const auto m =
       ScenarioRunner(inst, local_decision(inst), runner_opts(8, 0)).run();
-  const Summary s = m.latency_summary();
+  const Summary s = summarize(m.mean_latency);
   EXPECT_EQ(s.n, 8u);
   EXPECT_GT(s.mean, 0.0);
   EXPECT_GT(s.ci95, 0.0);

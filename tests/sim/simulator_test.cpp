@@ -426,7 +426,7 @@ TEST(Simulator, ReplicatedCiCoversQueueingTheory) {
   ASSERT_GT(m.completed, 5000u);
 
   const double predicted = queueing::md1_sojourn(rate, service);
-  const Summary lat = m.latency_summary();
+  const Summary lat = summarize(m.mean_latency);
   EXPECT_TRUE(lat.covers(predicted))
       << "95% CI [" << lat.mean - lat.ci95 << ", " << lat.mean + lat.ci95
       << "] misses the M/D/1 prediction " << predicted;

@@ -1,106 +1,16 @@
-// Logging satellite: level parsing (the SCALPEL_LOG_LEVEL grammar), the
-// thread-local sim-time stamp, and the ring-buffered LogCapture test helper.
-
 #include "util/log.hpp"
 
 #include <gtest/gtest.h>
 
-#include <string>
-
 namespace scalpel {
 namespace {
 
-/// Restores the global level on scope exit so tests don't leak state.
-struct LevelGuard {
-  LogLevel saved = log_level();
-  ~LevelGuard() { set_log_level(saved); }
-};
-
-TEST(LogLevelParse, AcceptsNamesCaseInsensitive) {
-  LogLevel l = LogLevel::kOff;
-  EXPECT_TRUE(parse_log_level("debug", &l));
-  EXPECT_EQ(l, LogLevel::kDebug);
-  EXPECT_TRUE(parse_log_level("WARN", &l));
-  EXPECT_EQ(l, LogLevel::kWarn);
-  EXPECT_TRUE(parse_log_level("Warning", &l));
-  EXPECT_EQ(l, LogLevel::kWarn);
-  EXPECT_TRUE(parse_log_level("none", &l));
-  EXPECT_EQ(l, LogLevel::kOff);
-}
-
-TEST(LogLevelParse, AcceptsNumericLevels) {
-  LogLevel l = LogLevel::kOff;
-  EXPECT_TRUE(parse_log_level("0", &l));
-  EXPECT_EQ(l, LogLevel::kDebug);
-  EXPECT_TRUE(parse_log_level("3", &l));
-  EXPECT_EQ(l, LogLevel::kError);
-}
-
-TEST(LogLevelParse, RejectsGarbageLeavingOutputUntouched) {
-  LogLevel l = LogLevel::kWarn;
-  EXPECT_FALSE(parse_log_level("loud", &l));
-  EXPECT_FALSE(parse_log_level("", &l));
-  EXPECT_FALSE(parse_log_level("5", &l));
-  EXPECT_EQ(l, LogLevel::kWarn);
-}
-
-TEST(LogCapture, CapturesFormattedLinesInsteadOfStderr) {
-  LevelGuard guard;
-  set_log_level(LogLevel::kInfo);
-  LogCapture cap;
-  log_info("hello from the test");
-  log_debug("below the level; not recorded");
-  const auto lines = cap.entries();
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_EQ(lines[0], "[scalpel info] hello from the test");
-  EXPECT_TRUE(cap.contains("hello"));
-  EXPECT_FALSE(cap.contains("not recorded"));
-}
-
-TEST(LogCapture, SimTimeStampAppearsWhileSet) {
-  LevelGuard guard;
-  set_log_level(LogLevel::kInfo);
-  LogCapture cap;
-  set_log_sim_time(12.25);
-  log_warn("queue full");
-  clear_log_sim_time();
-  log_warn("after the run");
-  const auto lines = cap.entries();
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(lines[0], "[scalpel warn t=12.250s] queue full");
-  EXPECT_EQ(lines[1], "[scalpel warn] after the run");
-}
-
-TEST(LogCapture, RingOverflowKeepsNewest) {
-  LevelGuard guard;
-  set_log_level(LogLevel::kInfo);
-  LogCapture cap(2);
-  log_info("one");
-  log_info("two");
-  log_info("three");
-  const auto lines = cap.entries();
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(cap.dropped(), 1u);
-  EXPECT_TRUE(cap.contains("two"));
-  EXPECT_TRUE(cap.contains("three"));
-  EXPECT_FALSE(cap.contains("one"));
-  cap.clear();
-  EXPECT_TRUE(cap.entries().empty());
-  EXPECT_EQ(cap.dropped(), 0u);
-}
-
-TEST(LogCapture, InnermostCaptureWinsAndRestores) {
-  LevelGuard guard;
-  set_log_level(LogLevel::kInfo);
-  LogCapture outer;
-  {
-    LogCapture inner;
-    log_info("inner message");
-    EXPECT_TRUE(inner.contains("inner message"));
-  }
-  EXPECT_FALSE(outer.contains("inner message"));
-  log_info("outer message");
-  EXPECT_TRUE(outer.contains("outer message"));
+TEST(Log, WarnWritesOneTaggedLineToStderr) {
+  ::testing::internal::CaptureStderr();
+  log_warn("could not open JSON output file: /no/such/dir/x.json");
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "[scalpel warn] could not open JSON output file: "
+            "/no/such/dir/x.json\n");
 }
 
 }  // namespace
