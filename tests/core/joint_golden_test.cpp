@@ -1,7 +1,9 @@
 // Golden decisions of the joint optimizer and of every baseline on the
-// pinned campus instance (48 devices, 6 servers, cluster seed 7). Each case
-// hashes the serialized Decision (FNV-1a over the JSON dump, doubles printed
-// at %.17g); joint cases also pin the JointReport counters. A change meant to be a pure speed change must leave
+// pinned campus instance (48 devices, 6 servers, cluster seed 7), every
+// baseline on a 2,000-device tiled city, and the serialized bytes of two
+// topologies. Each decision case hashes the serialized Decision (FNV-1a over
+// the JSON dump, doubles printed at %.17g); joint cases also pin the
+// JointReport counters. A change meant to be a pure speed change must leave
 // every value here unchanged; a change that moves a plan on purpose
 // re-freezes them and says why.
 
@@ -243,10 +245,59 @@ TEST(BaselineGolden, MixedDifficultyCampus) {
   }
 }
 
+// A tiled city at the metro sweep's rates (perf/simcore_bench.cpp): 2,000
+// devices in 100-device cells, 20 distinct (model, compute class) pairs.
+// Most devices share a compiled PlanModel with many others, so this pins the
+// evaluator on inputs that repeat.
+const ProblemInstance& tiled_city() {
+  static const ProblemInstance instance([] {
+    clusters::CampusOptions o;
+    o.num_devices = 2000;
+    o.num_servers = 32;
+    o.devices_per_cell = 100;
+    o.cell_rtt = 10e-3;
+    o.mean_arrival_rate = 0.05;
+    o.deadline = 0.0;
+    o.seed = 7;
+    return clusters::campus(o);
+  }());
+  return instance;
+}
+
+constexpr std::uint64_t kTiledCityGoldens[] = {
+    16257750399425707454ull,  // device_only
+    1090124966815825390ull,   // edge_only
+    4830891618879790370ull,   // neurosurgeon
+    11465725421441604810ull,  // local_multi_exit
+    15351630626992106321ull,  // random
+};
+
+TEST(BaselineGolden, TiledCity) {
+  const std::vector<std::string> schemes = baselines::names();
+  ASSERT_EQ(schemes.size(), std::size(kTiledCityGoldens));
+  for (std::size_t k = 0; k < schemes.size(); ++k) {
+    SCOPED_TRACE(schemes[k]);
+    EXPECT_EQ(decision_hash(baselines::by_name(tiled_city(), schemes[k])),
+              kTiledCityGoldens[k]);
+  }
+}
+
 TEST(BaselineGolden, SmallExhaustiveSmallLab) {
   const ProblemInstance lab(clusters::small_lab());
   EXPECT_EQ(decision_hash(baselines::small_exhaustive(lab)),
             9115249898802603509ull);
+}
+
+// The exact bytes a topology serializes to: compute profiles (efficiency
+// tables included), energy profiles, cells and servers.
+TEST(TopologyGolden, SmallLab) {
+  EXPECT_EQ(fnv1a(serialize::to_json(clusters::small_lab()).dump()),
+            15558590917965072384ull);
+}
+
+TEST(TopologyGolden, Campus) {
+  EXPECT_EQ(fnv1a(serialize::to_json(campus_topology()).dump()),
+            15908068088100929264ull);
 }
 
 // The surgery step fans out on ThreadPool::shared(). These reach it from
