@@ -17,7 +17,7 @@ int main() {
     const auto p = profiles::by_name(name);
     dev.add_row({name, Table::num(p.peak_flops / 1e9, 0),
                  Table::num(p.mem_bw / 1e9, 1),
-                 Table::num(p.efficiency.at(LayerKind::kConv), 2),
+                 Table::num(p.efficiency[LayerKind::kConv], 2),
                  Table::num(p.layer_overhead * 1e6, 0)});
   }
   std::printf("%s\n", dev.to_string().c_str());

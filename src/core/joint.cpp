@@ -309,12 +309,9 @@ Decision JointOptimizer::optimize(const ProblemInstance& instance,
   const std::size_t n = topo.devices().size();
   const std::size_t m = topo.servers().size();
 
-  // Per-solve lookups, resolved once: each device's model bundle and each
-  // cell's members in device order.
-  std::vector<const ModelBundle*> bundle(n);
+  // Each cell's members in device order.
   std::vector<std::vector<DeviceId>> cell_members(topo.cells().size());
   for (const auto& dev : topo.devices()) {
-    bundle[static_cast<std::size_t>(dev.id)] = &instance.bundle_for(dev.id);
     cell_members[static_cast<std::size_t>(dev.cell)].push_back(dev.id);
   }
 
@@ -378,8 +375,9 @@ Decision JointOptimizer::optimize(const ProblemInstance& instance,
   if (opts_.enable_surgery) {
     for (std::size_t i = 0; i < n; ++i) {
       const auto id = static_cast<DeviceId>(i);
-      device_cuts[i] = candidate_cuts(bundle[i]->graph, /*max_cuts=*/16);
-      device_costs[i] = profile_costs(bundle[i]->graph, bundle[i]->candidates,
+      const ModelBundle& bundle = instance.bundle_for(id);
+      device_cuts[i] = candidate_cuts(bundle.graph, /*max_cuts=*/16);
+      device_costs[i] = profile_costs(bundle.graph, bundle.candidates,
                                       topo.device(id).compute);
     }
   }
@@ -425,8 +423,9 @@ Decision JointOptimizer::optimize(const ProblemInstance& instance,
       auto improve = [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {
           const auto id = static_cast<DeviceId>(i);
+          const ModelBundle& bundle = instance.bundle_for(id);
           const auto outcome =
-              best_surgery(instance, id, *bundle[i], server_of[i], share[i],
+              best_surgery(instance, id, bundle, server_of[i], share[i],
                            bandwidth[i], device_cuts[i], device_costs[i],
                            opts_);
           evals[i] = outcome.evaluations;
@@ -445,7 +444,7 @@ Decision JointOptimizer::optimize(const ProblemInstance& instance,
             // terms.
             current.bandwidth = negotiated_bandwidth(
                 instance, id, std::max(bandwidth[i], 1.0),
-                wire_bytes(bundle[i]->graph.node(current.plan.partition_after)
+                wire_bytes(bundle.graph.node(current.plan.partition_after)
                                .out_shape.bytes(),
                            current.plan.quantize_upload));
           }

@@ -13,16 +13,20 @@ Json profile_to_json(const ComputeProfile& p) {
   j.set("peak_flops", Json::number(p.peak_flops));
   j.set("mem_bw", Json::number(p.mem_bw));
   j.set("layer_overhead", Json::number(p.layer_overhead));
+  // Only the calibrated kinds: the rest read back as the default.
   Json eff = Json::object();
-  for (const auto& [kind, value] : p.efficiency) {
-    eff.set(layer_kind_name(kind), Json::number(value));
+  for (std::size_t k = 0; k < kLayerKindCount; ++k) {
+    const auto kind = static_cast<LayerKind>(k);
+    if (p.efficiency[kind] != EfficiencyTable::kDefault) {
+      eff.set(layer_kind_name(kind), Json::number(p.efficiency[kind]));
+    }
   }
   j.set("efficiency", std::move(eff));
   return j;
 }
 
 LayerKind kind_from_name(const std::string& name) {
-  for (int k = 0; k <= static_cast<int>(LayerKind::kSoftmax); ++k) {
+  for (std::size_t k = 0; k < kLayerKindCount; ++k) {
     const auto kind = static_cast<LayerKind>(k);
     if (name == layer_kind_name(kind)) return kind;
   }

@@ -90,25 +90,30 @@ ClusterTopology campus(const CampusOptions& opts) {
   const std::vector<EnergyProfile> energy_classes = {
       profiles::energy_iot(), profiles::energy_iot(),
       profiles::energy_phone(), profiles::energy_jetson()};
+  const std::vector<double> class_weights = {0.35, 0.25, 0.25, 0.15};
   // Latency-sensitive inference workloads typical of the motivating apps.
   const std::vector<std::string> workloads = {"mobilenet_v1", "resnet18",
                                               "alexnet", "vgg16", "tiny_yolo"};
+  const std::vector<double> workload_weights = {0.30, 0.25, 0.15, 0.15, 0.15};
+  // Clamp the accuracy floor to what the workload's model can actually
+  // deliver (tiny_yolo's mAP-style ceiling sits below typical classifier
+  // floors); a floor above a_max would be inherently infeasible.
+  std::vector<double> workload_floor;
+  for (const auto& w : workloads) {
+    workload_floor.push_back(std::min(
+        opts.min_accuracy, AccuracyModel::for_model(w).a_max * 0.95));
+  }
 
+  t.reserve_devices(opts.num_devices);
   for (std::size_t i = 0; i < opts.num_devices; ++i) {
-    const auto cls = rng.categorical({0.35, 0.25, 0.25, 0.15});
-    const auto wl = rng.categorical({0.30, 0.25, 0.15, 0.15, 0.15});
+    const auto cls = rng.categorical(class_weights);
+    const auto wl = rng.categorical(workload_weights);
     const auto cell = static_cast<CellId>(i / opts.devices_per_cell);
     const double rate =
         opts.mean_arrival_rate * rng.lognormal_mean_cov(1.0, 0.3);
-    // Clamp the accuracy floor to what the workload's model can actually
-    // deliver (tiny_yolo's mAP-style ceiling sits below typical classifier
-    // floors); a floor above a_max would be inherently infeasible.
-    const double ceiling =
-        AccuracyModel::for_model(workloads[wl]).a_max * 0.95;
-    const double floor = std::min(opts.min_accuracy, ceiling);
     t.add_device(make_device(
         "dev" + std::to_string(i), device_classes[cls], energy_classes[cls],
-        cell, workloads[wl], rate, opts.deadline, floor));
+        cell, workloads[wl], rate, opts.deadline, workload_floor[wl]));
   }
 
   for (std::size_t s = 0; s < opts.num_servers; ++s) {

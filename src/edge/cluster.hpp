@@ -51,6 +51,9 @@ struct EdgeServer {
 class ClusterTopology {
  public:
   DeviceId add_device(Device d);
+  /// Capacity for `n` devices, so a builder's add_device calls never grow
+  /// the device vector.
+  void reserve_devices(std::size_t n) { devices_.reserve(n); }
   ServerId add_server(EdgeServer s);
   CellId add_cell(Cell c);
 

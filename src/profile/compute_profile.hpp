@@ -1,11 +1,32 @@
 #pragma once
 
-#include <map>
+#include <array>
 #include <string>
 
 #include "nn/layer.hpp"
 
 namespace scalpel {
+
+/// Fraction of peak FLOP/s each layer kind reaches, in (0, 1]: one entry per
+/// LayerKind, kDefault for the kinds a profile does not calibrate. A flat
+/// table, so copying a profile allocates nothing.
+struct EfficiencyTable {
+  static constexpr double kDefault = 0.3;
+
+  std::array<double, kLayerKindCount> values = [] {
+    std::array<double, kLayerKindCount> v{};
+    v.fill(kDefault);
+    return v;
+  }();
+
+  double& operator[](LayerKind kind) {
+    return values[static_cast<std::size_t>(kind)];
+  }
+  double operator[](LayerKind kind) const {
+    return values[static_cast<std::size_t>(kind)];
+  }
+  bool operator==(const EfficiencyTable&) const = default;
+};
 
 /// Capability description of one compute unit (an end device or one edge
 /// server). Calibrated against public device benchmarks; the latency model is
@@ -17,10 +38,12 @@ struct ComputeProfile {
   double peak_flops = 0.0;    // FLOP/s at full allocation
   double mem_bw = 0.0;        // bytes/s
   double layer_overhead = 0.0;  // fixed per-layer dispatch cost (seconds)
-  std::map<LayerKind, double> efficiency;  // fraction of peak, (0, 1]
+  EfficiencyTable efficiency;
 
-  /// Effective FLOP/s for a layer kind (peak * efficiency; default 0.3).
-  double effective_flops(LayerKind kind) const;
+  /// Effective FLOP/s for a layer kind (peak * efficiency).
+  double effective_flops(LayerKind kind) const {
+    return peak_flops * efficiency[kind];
+  }
 
   /// A scaled copy (capability share x in (0, 1]); models a server slice
   /// granted to one task class. Memory bandwidth scales with the share too —

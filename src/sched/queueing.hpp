@@ -22,10 +22,14 @@ double mg1_sojourn(double lambda, double m1, double m2);
 /// every task of a device ships the same activation payload.
 double md1_sojourn(double lambda, double s);
 
-/// Kleinrock capacity assignment: split a server's capacity F (FLOP/s)
-/// across classes with arrival rate lambda_i (tasks/s) and work w_i
-/// (FLOP/task) to minimize the rate-weighted mean sojourn
+/// Kleinrock capacity assignment: split a resource's capacity F across
+/// classes with arrival rate lambda_i (tasks/s) and work w_i per task to
+/// minimize the rate-weighted mean sojourn
 ///   sum_i lambda_i * 1 / (c_i / w_i - lambda_i).
+/// F and w_i share one unit of work, F counting it per second. The joint
+/// optimizer's uplink split passes bytes per task and the cell's bytes/s;
+/// sched/offloading passes full-speed server seconds per task on a
+/// unit-capacity server.
 /// Returns per-class capacities c_i summing to F, or an empty vector if the
 /// load is infeasible (sum lambda_i * w_i >= F). Classes with zero rate get
 /// zero capacity.

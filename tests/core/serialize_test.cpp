@@ -50,7 +50,7 @@ TEST(Serialize, TopologyRoundTripPreservesEverything) {
     EXPECT_DOUBLE_EQ(a.deadline, b.deadline);
     EXPECT_DOUBLE_EQ(a.min_accuracy, b.min_accuracy);
     EXPECT_DOUBLE_EQ(a.compute.peak_flops, b.compute.peak_flops);
-    EXPECT_EQ(a.compute.efficiency.size(), b.compute.efficiency.size());
+    EXPECT_EQ(a.compute.efficiency, b.compute.efficiency);
     EXPECT_DOUBLE_EQ(a.energy.p_active, b.energy.p_active);
   }
   for (std::size_t i = 0; i < topo.servers().size(); ++i) {

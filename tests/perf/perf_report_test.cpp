@@ -1,7 +1,7 @@
 // Golden-baseline coverage for the perf harness: the BENCH_simcore report
 // schema (one code path produces it; this suite pins what it must contain),
 // the regression gate (including the fail-on-2x-slowdown self-test the CI
-// tier relies on), and the allocation hook.
+// tier relies on), the allocation hook, and an allocation-count regression.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "edge/builders.hpp"
 #include "perf/alloc_hook.hpp"
 #include "perf/baseline.hpp"
 #include "perf/build_info.hpp"
@@ -308,6 +309,25 @@ TEST(AllocHook, ReportIncludesAllocsPerEvent) {
   // The whole point of the pooled inner loop: steady state well under one
   // allocation per event (warm-start growth amortizes to noise).
   EXPECT_LT(ape, 1.0);
+}
+
+// Copying a topology costs a fixed number of allocations (its three
+// vectors), not one per device: a device's compute profile is a flat table.
+TEST(AllocHook, TopologyCopyDoesNotAllocatePerDevice) {
+  ASSERT_TRUE(perf::alloc_hook_linked());
+  auto copy_allocs = [](std::size_t devices) {
+    clusters::CampusOptions o;
+    o.num_devices = devices;
+    o.num_servers = 32;
+    o.devices_per_cell = 100;
+    const ClusterTopology topo = clusters::campus(o);
+    const std::uint64_t before = perf::alloc_count();
+    const ClusterTopology copy = topo;
+    const std::uint64_t allocs = perf::alloc_count() - before;
+    EXPECT_EQ(copy.devices().size(), devices);
+    return allocs;
+  };
+  EXPECT_EQ(copy_allocs(100), copy_allocs(2000));
 }
 
 TEST(Harness, MinOfRepsIsMinimum) {
