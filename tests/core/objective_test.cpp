@@ -41,7 +41,9 @@ TEST(Instance, BundlesBuiltPerModel) {
     EXPECT_EQ(b.graph.name(), dev.model);
     EXPECT_FALSE(b.candidates.empty());
   }
-  EXPECT_THROW(f.instance.bundle_by_model("nope"), ContractViolation);
+  EXPECT_THROW(f.instance.bundle_for(
+                   static_cast<DeviceId>(f.topo.devices().size())),
+               ContractViolation);
 }
 
 TEST(Objective, DeviceOnlyNoQueueingMatchesPlanModel) {
