@@ -37,15 +37,11 @@ int main() {
     copts.joint = bench::joint_opts();
     OnlineController controller(topo, copts);
     if (adaptive) {
-      sim.set_controller([&](const Observation& o) {
-        Observation links;  // liveness and bandwidth only: no load signals
-        links.cell_bandwidth = o.cell_bandwidth;
-        links.server_alive = o.server_alive;
-        ControlAction a;
-        if (controller.observe(links)) {
-          ++reopts;
-          a.decision = controller.decision();
-        }
+      sim.set_controller([&, tick = controller.callback()](Observation o) {
+        o.offered_rate.clear();  // liveness and bandwidth only: no load signals
+        o.queue_depth.clear();
+        ControlAction a = tick(o);
+        if (a.decision) ++reopts;
         return a;
       });
     }

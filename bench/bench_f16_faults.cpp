@@ -47,13 +47,10 @@ Row run_scheme_under_faults(const ProblemInstance& instance,
   copts.joint = bench::joint_opts();
   OnlineController controller(topo, copts);
   if (online) {
-    sim.set_controller([&](const Observation& o) {
-      Observation links;  // liveness and bandwidth only: no load signals
-      links.cell_bandwidth = o.cell_bandwidth;
-      links.server_alive = o.server_alive;
-      ControlAction a;
-      if (controller.observe(links)) a.decision = controller.decision();
-      return a;
+    sim.set_controller([tick = controller.callback()](Observation o) {
+      o.offered_rate.clear();  // liveness and bandwidth only: no load signals
+      o.queue_depth.clear();
+      return tick(o);
     });
   }
   return Row{scheme, sim.run(), online ? controller.failovers() : 0};

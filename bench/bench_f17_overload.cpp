@@ -90,14 +90,7 @@ Row run_scheme(const ProblemInstance& instance, const Decision& d,
     // the static baselines is the ladder + last-resort gate.
     OnlineController ctl(deployed_topo, controller_opts());
     Simulator sim(instance, ctl.decision(), opts);
-    sim.set_controller([&](const Observation& o) {
-      ControlAction a;
-      if (ctl.observe(o)) {
-        a.decision = ctl.decision();
-        a.admit_fraction = ctl.admit_fraction();
-      }
-      return a;
-    });
+    sim.set_controller(ctl.callback());
     Row r{scheme, sim.run()};
     r.degradations = ctl.degradations();
     r.final_rung = ctl.current_rung();
@@ -227,15 +220,10 @@ int main() {
   opts.recorder = &rec;
   Simulator sim(instance, ctl.decision(), opts);
   std::vector<std::pair<double, std::size_t>> rung_trace;
-  sim.set_controller([&](const Observation& o) {
-    ControlAction a;
-    const bool changed = ctl.observe(o);
+  sim.set_controller([&, tick = ctl.callback()](const Observation& o) {
+    ControlAction a = tick(o);
     if (rung_trace.empty() || rung_trace.back().second != ctl.current_rung()) {
       rung_trace.emplace_back(o.time, ctl.current_rung());
-    }
-    if (changed) {
-      a.decision = ctl.decision();
-      a.admit_fraction = ctl.admit_fraction();
     }
     return a;
   });

@@ -82,14 +82,7 @@ Row run_scheme(const ProblemInstance& instance, const ClusterTopology& topo,
   OnlineController controller(topo, copts);
   Simulator sim(instance, initial, opts);
   if (online) {
-    sim.set_controller([&controller](const Observation& o) {
-      ControlAction a;
-      if (controller.observe(o)) {
-        a.decision = controller.decision();
-        a.admit_fraction = controller.admit_fraction();
-      }
-      return a;
-    });
+    sim.set_controller(controller.callback());
   }
 
   Row r;

@@ -2,8 +2,9 @@
 # Tiered CI entry point (see README "Testing"):
 #   ./ci.sh          — warnings-as-errors build + fast test tier (every push)
 #                      plus a one-seed slice of the shard determinism matrix,
-#                      a smoke run of benches F7, F8 and F15, and a guard
-#                      that no test oracle is defined under src/
+#                      a smoke run of benches F7, F8 and F15, and guards
+#                      that no test oracle is defined under src/ and that
+#                      src/core and src/ctrl include nothing from src/sim
 #   ./ci.sh full     — same build + the full suite including slow DES tests
 #   ./ci.sh asan     — ASan+UBSan build (halt on first report) + fast tier
 #   ./ci.sh ubsan    — UBSan-only build (halt on first report) + fast tier
@@ -133,12 +134,23 @@ obs_smoke() {
 
 # The test oracles and reference objectives live in tests/oracles
 # (scalpel_oracles, outside scalpel::all) so no production path can reach
-# them; fail if one of them is named under src/ again.
+# them; fail if one of them is named under src/ again. `proportional` is
+# matched as a call or declaration only: comments use the plain word.
 oracle_guard() {
   if grep -rnwE \
-      'BinaryHeapEventQueue|exhaustive_exit_setting|greedy_exit_setting|exhaustive_offloading|inverse_cost|mean_sojourn|mm1_wait' \
-      src; then
+      'BinaryHeapEventQueue|exhaustive_exit_setting|greedy_exit_setting|exhaustive_offloading|inverse_cost|mean_sojourn|mm1_wait|window_base_row' \
+      src || grep -rnE '\bproportional\(' src; then
     echo "test oracles belong in tests/oracles, not src/" >&2
+    return 1
+  fi
+}
+
+# Layering: the controller seam (ControlAction, ObservingController) lives
+# in core/observation.hpp, so neither the controllers (src/core, src/ctrl)
+# nor anything they include may reach into the engine.
+layering_guard() {
+  if grep -rnE '#include "sim/' src/core src/ctrl; then
+    echo "src/core and src/ctrl must not include sim/ headers" >&2
     return 1
   fi
 }
@@ -192,6 +204,7 @@ chaos_slice() {
 case "$TIER" in
   fast|asan|ubsan)
     oracle_guard
+    layering_guard
     ctest --test-dir "$BUILD_DIR" -L fast --output-on-failure -j "$JOBS"
     shard_slice
     trace_smoke

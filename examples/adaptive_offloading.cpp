@@ -59,15 +59,11 @@ int main() {
     OnlineController controller(topo, copts);
     std::vector<double> reopts;
     if (adaptive) {
-      sim.set_controller([&](const Observation& o) {
-        Observation links;  // liveness and bandwidth only: no load signals
-        links.cell_bandwidth = o.cell_bandwidth;
-        links.server_alive = o.server_alive;
-        ControlAction a;
-        if (controller.observe(links)) {
-          reopts.push_back(o.time);
-          a.decision = controller.decision();
-        }
+      sim.set_controller([&, tick = controller.callback()](Observation o) {
+        o.offered_rate.clear();  // liveness and bandwidth only: no load signals
+        o.queue_depth.clear();
+        ControlAction a = tick(o);
+        if (a.decision) reopts.push_back(o.time);
         return a;
       });
     }

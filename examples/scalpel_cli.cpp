@@ -453,14 +453,7 @@ int cmd_trace(const std::map<std::string, std::string>& flags) {
 
   Simulator sim(instance, decision, opts);
   if (with_controller) {
-    sim.set_controller([&](const Observation& o) {
-      ControlAction a;
-      if (ctl.observe(o)) {  // o.time advances the audit clock
-        a.decision = ctl.decision();
-        a.admit_fraction = ctl.admit_fraction();
-      }
-      return a;
-    });
+    sim.set_controller(ctl.callback());  // o.time advances the audit clock
   }
   const auto m = sim.run();
 

@@ -1,6 +1,10 @@
 #pragma once
 
+#include <functional>
+#include <optional>
 #include <vector>
+
+#include "core/decision.hpp"
 
 namespace scalpel {
 
@@ -27,5 +31,23 @@ struct Observation {
   std::vector<double> bw_age;
   std::vector<bool> alive_fresh;
 };
+
+/// What a controller tick asks of the engine: optionally swap the
+/// deployment plan, optionally (re)set the per-device admission gate — the
+/// probability in [0, 1] that a new arrival is admitted (an empty vector
+/// clears the gate). Refused arrivals are shed and count as deadline misses.
+struct ControlAction {
+  std::optional<Decision> decision;
+  std::optional<std::vector<double>> admit_fraction;
+};
+
+/// The one controller seam. The engine calls it at every control tick with
+/// the (possibly impaired) per-cell bandwidths and server liveness, the
+/// per-device offered rate (arrivals/s since the last tick) and queue depth
+/// (device backlog + upload + server queues), plus the telemetry-freshness
+/// fields; the returned action may swap the plan and drive the admission
+/// gate. OnlineController::callback() and
+/// DistributedControlPlane::callback() both produce one.
+using ObservingController = std::function<ControlAction(const Observation&)>;
 
 }  // namespace scalpel

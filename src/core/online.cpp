@@ -347,6 +347,17 @@ bool OnlineController::observe(const Observation& raw) {
   return observe_load(o, changed);
 }
 
+ObservingController OnlineController::callback() {
+  return [this](const Observation& o) {
+    ControlAction a;
+    if (observe(o)) {
+      a.decision = decision();
+      a.admit_fraction = admit_fraction();
+    }
+    return a;
+  };
+}
+
 void OnlineController::rebuild_ladder() {
   ladder_ = build_degradation_ladder(instance_, decision_,
                                      opts_.overload.ladder, opts_.joint);

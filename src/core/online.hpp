@@ -119,6 +119,12 @@ class OnlineController {
   /// true when the active decision or gate changed.
   bool observe(const Observation& o);
 
+  /// Adapter for ShardedSimulator::set_controller: observes every tick and
+  /// returns decision() and admit_fraction() together when observe()
+  /// reports a change, an empty action otherwise. Captures `this`, so the
+  /// controller must outlive the run.
+  ObservingController callback();
+
   std::size_t reoptimizations() const { return reoptimizations_; }
   /// Liveness-triggered re-optimizations (subset of reoptimizations()).
   std::size_t failovers() const { return failovers_; }
@@ -145,7 +151,7 @@ class OnlineController {
   const ProblemInstance& instance() const { return instance_; }
 
   /// Flight recorder of every decision change (solve, failover, rung walk,
-  /// gate). Call audit_log().advance_time(now) before observe() so records
+  /// gate). observe() advances its clock to Observation::time, so records
   /// carry sim time; export with to_json()/to_table().
   DecisionAuditLog& audit_log() { return audit_; }
   const DecisionAuditLog& audit_log() const { return audit_; }

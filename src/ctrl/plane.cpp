@@ -140,7 +140,7 @@ ControlAction DistributedControlPlane::tick(const Observation& o) {
   return action;
 }
 
-Simulator::ObservingController DistributedControlPlane::callback() {
+ObservingController DistributedControlPlane::callback() {
   return [this](const Observation& o) { return tick(o); };
 }
 

@@ -4,12 +4,12 @@
 #include <vector>
 
 #include "core/instance.hpp"
+#include "core/observation.hpp"
 #include "ctrl/cell.hpp"
 #include "ctrl/coordinator.hpp"
 #include "ctrl/fabric.hpp"
 #include "edge/dynamics.hpp"
 #include "obs/audit.hpp"
-#include "sim/simulator.hpp"
 
 namespace scalpel {
 class MetricsRegistry;
@@ -56,8 +56,9 @@ class DistributedControlPlane {
   /// decisions changed (and on the first tick), nothing otherwise.
   ControlAction tick(const Observation& o);
 
-  /// Adapter for Simulator/ShardedSimulator::set_controller.
-  Simulator::ObservingController callback();
+  /// Adapter for ShardedSimulator::set_controller: tick() on every call.
+  /// Captures `this`, so the plane must outlive the run.
+  ObservingController callback();
 
   const Decision& merged() const { return merged_; }
   const ProblemInstance& instance() const { return instance_; }

@@ -34,7 +34,7 @@ struct SloSpec {
 
 /// Multi-window burn-rate alerting evaluated over a TimeSeriesRecorder.
 /// evaluate() is called by the engine right after every recorder sample; it
-/// recomputes each spec's per-window burn rates from window_delta() and
+/// recomputes each spec's per-window burn rates from delta_from() and
 /// flips the spec's alert state when ALL windows sit at or above their
 /// thresholds (and back when any window recedes). Transitions append
 /// kSloBurnStart / kSloBurnStop records to the attached DecisionAuditLog, so

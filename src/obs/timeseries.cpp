@@ -108,33 +108,6 @@ double TimeSeriesRecorder::last_time() const {
   return row_ptr(size_ - 1)[0];
 }
 
-std::size_t TimeSeriesRecorder::window_base_row(double window) const {
-  if (size_ == 0) return kNoBaseRow;
-  const double cutoff = row_ptr(size_ - 1)[0] - window;
-  // Newest retained row with time <= cutoff; absent (window reaches past the
-  // series) the baseline is the run-start value 0. Sample times are
-  // nondecreasing, so binary-search for the first row past the cutoff —
-  // evaluate() calls this on every sample, and a linear scan over the
-  // retained rows would make sampling cost grow with the window span. The
-  // ring index is unwrapped with a compare-subtract rather than row_ptr's
-  // modulo: this loop runs ~10 probes per sample in steady state.
-  const std::size_t ncols = columns_.size();
-  const std::size_t start = size_ < capacity_ ? 0 : head_;
-  std::size_t lo = 0;
-  std::size_t hi = size_;  // first row with time > cutoff
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    std::size_t idx = start + mid;
-    if (idx >= capacity_) idx -= capacity_;
-    if (data_[idx * ncols] <= cutoff) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo == 0 ? kNoBaseRow : lo - 1;
-}
-
 double TimeSeriesRecorder::delta_from(std::size_t base_row,
                                       std::size_t col) const {
   if (size_ == 0) return 0.0;
@@ -142,11 +115,6 @@ double TimeSeriesRecorder::delta_from(std::size_t base_row,
                   "TimeSeriesRecorder: column out of range");
   const double base = base_row == kNoBaseRow ? 0.0 : row_ptr(base_row)[col];
   return row_ptr(size_ - 1)[col] - base;
-}
-
-double TimeSeriesRecorder::window_delta(std::size_t col, double window) const {
-  if (size_ == 0) return 0.0;
-  return delta_from(window_base_row(window), col);
 }
 
 std::size_t TimeSeriesRecorder::window_base_row_from(std::uint64_t* cursor,

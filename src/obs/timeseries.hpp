@@ -43,7 +43,7 @@ class TimeSeriesRecorder {
 
   /// Registers a caller-polled column, sampled after the built-in engine
   /// columns in registration order. Counter columns are expected to be
-  /// cumulative and non-decreasing (window_delta() differences them);
+  /// cumulative and non-decreasing (delta_from() differences them);
   /// gauge columns are instantaneous. Must be called before the first
   /// sample() — the column set freezes when storage is laid out.
   void register_gauge(std::string name, std::function<double()> fn);
@@ -59,7 +59,7 @@ class TimeSeriesRecorder {
   /// Column names in storage order ("time" first, then the built-in engine
   /// columns, then registered sources).
   const std::vector<std::string>& columns() const { return columns_; }
-  /// True for columns holding cumulative counts (window_delta applies).
+  /// True for columns holding cumulative counts (delta_from applies).
   const std::vector<bool>& cumulative() const { return cumulative_; }
   std::size_t column_index(const std::string& name) const;  // REQUIREs found
 
@@ -67,28 +67,21 @@ class TimeSeriesRecorder {
   double value(std::size_t row, std::size_t col) const;
   double last_time() const;
 
-  /// Delta of a cumulative column across the trailing `window` seconds:
-  /// value at the newest sample minus the value at the newest sample with
-  /// time <= last_time() - window (run-start baseline 0 when the window
-  /// covers the whole retained series). Returns 0 with no samples.
-  double window_delta(std::size_t col, double window) const;
-
   /// Baseline row for a trailing window: the newest retained row with
   /// time <= last_time() - window, or kNoBaseRow when the window reaches
   /// past the retained series (run-start baseline 0). Lets callers reading
-  /// several columns over the same window search once and difference many —
-  /// SloMonitor::evaluate runs on every sample, so the search cost matters.
+  /// several columns over the same window find the row once and difference
+  /// many. `cursor` is an absolute sample ordinal (survives ring eviction;
+  /// start at 0) that only ever moves forward, so a periodic caller
+  /// (SloMonitor evaluates on every sample) pays O(1) adjacent probes in
+  /// steady state instead of a search whose scattered row reads miss cache
+  /// on every call.
   static constexpr std::size_t kNoBaseRow = static_cast<std::size_t>(-1);
-  std::size_t window_base_row(double window) const;
-  /// last-row value of `col` minus its value at `base_row` (kNoBaseRow -> 0).
-  double delta_from(std::size_t base_row, std::size_t col) const;
-  /// Cursor-advancing variant for periodic callers (SloMonitor evaluates on
-  /// every sample): `cursor` is an absolute sample ordinal (survives ring
-  /// eviction; start at 0) that only ever moves forward, so steady-state
-  /// cost is O(1) adjacent probes instead of a binary search whose scattered
-  /// row reads miss cache on every call. Same result as window_base_row.
   std::size_t window_base_row_from(std::uint64_t* cursor,
                                    double window) const;
+  /// last-row value of `col` minus its value at `base_row` (kNoBaseRow -> 0):
+  /// the delta of a cumulative column across the window `base_row` opens.
+  double delta_from(std::size_t base_row, std::size_t col) const;
 
   void clear();  // drops rows and the column layout; keeps sources
 

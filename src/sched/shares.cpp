@@ -44,16 +44,4 @@ std::vector<double> equal_split(const std::vector<double>& demands,
   return out;
 }
 
-std::vector<double> proportional(const std::vector<double>& demands,
-                                 double capacity) {
-  check_inputs(demands, capacity);
-  double total = 0.0;
-  for (double w : demands) total += w;
-  std::vector<double> out(demands.size(), 0.0);
-  for (std::size_t i = 0; i < demands.size(); ++i) {
-    out[i] = capacity * demands[i] / total;
-  }
-  return out;
-}
-
 }  // namespace scalpel::shares

@@ -20,9 +20,5 @@ std::vector<double> sqrt_rule(const std::vector<double>& demands,
 std::vector<double> equal_split(const std::vector<double>& demands,
                                 double capacity);
 
-/// c_i ∝ w_i.
-std::vector<double> proportional(const std::vector<double>& demands,
-                                 double capacity);
-
 }  // namespace shares
 }  // namespace scalpel

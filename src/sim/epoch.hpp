@@ -4,14 +4,14 @@
 #include <limits>
 #include <vector>
 
-#include "surgery/plan.hpp"
+#include "sim/task_pool.hpp"
 
 namespace scalpel {
 
 /// A task migrating from its device's shard to its target server's shard at
-/// an epoch barrier: the full structure-of-arrays row of the task, plus the
-/// absolute time its kServerArrive fires in the receiving shard. POD so the
-/// outbox/inbox exchange is a memcpy-class operation.
+/// an epoch barrier: the task's whole row, plus the absolute time its
+/// kServerArrive fires in the receiving shard. POD so the outbox/inbox
+/// exchange is a memcpy-class operation.
 ///
 /// Envelopes exist because the upload drain happens where the device lives
 /// while the server stage happens where the server lives. Conservative
@@ -21,18 +21,7 @@ namespace scalpel {
 /// barrier ending epoch k — by which time it has been delivered.
 struct TaskEnvelope {
   double arrive_time = 0.0;  // upload drain + rtt (absolute sim seconds)
-  std::uint64_t id = 0;
-  double arrival = 0.0;
-  double difficulty = 0.0;
-  double rtt = 0.0;
-  double bw_weight = 0.0;
-  double cpu_weight = 0.0;
-  double device_done = 0.0;
-  TaskPhases phases;
-  std::int32_t device = -1;
-  std::int32_t server = -1;
-  std::uint16_t retries = 0;
-  std::uint8_t flags = 0;
+  TaskRow row;
 };
 
 /// Kind of one order-sensitive accounting record. Integer counters merge by

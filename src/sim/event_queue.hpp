@@ -50,7 +50,6 @@ class CalendarEventQueue {
   SimEvent pop_min();
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
-  std::size_t bucket_count() const { return buckets_.size(); }
 
  private:
   static constexpr std::size_t kMinBuckets = 16;

@@ -38,7 +38,6 @@ class FluidResource {
   void add_job(double now, double demand, double weight, std::uint64_t tag);
 
   bool idle() const { return jobs_.empty(); }
-  std::size_t active_jobs() const { return jobs_.size(); }
 
   /// Absolute time of the earliest completion; +inf when idle.
   double next_completion() const;

@@ -41,13 +41,12 @@ ReplicatedMetrics ScenarioRunner::run() const {
   std::vector<std::vector<TraceEvent>> traces(tracing ? n : 0);
 
   auto run_one = [&](std::size_t r) {
-    Simulator::Options o = options_.sim;
+    ShardedSimulator::Options o = options_.sim;
     o.seed = replication_seed(options_.sim.seed, r);
     ShardOptions sopts;
     sopts.shards = options_.shards;  // ShardPlan turns 0 into 1
     sopts.threads = options_.shard_threads;
     ShardedSimulator sim(*instance_, decision_, o, sopts);
-    if (options_.configure) options_.configure(sim, r);
     results[r] = std::make_unique<SimMetrics>(sim.run());
     if (tracing) traces[r] = sim.trace_events();
   };

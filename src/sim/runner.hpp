@@ -1,12 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "obs/trace.hpp"
 #include "sim/shard.hpp"
-#include "sim/simulator.hpp"
 #include "util/stats.hpp"
 
 namespace scalpel {
@@ -61,7 +59,7 @@ class ScenarioRunner {
     /// replication substreams from, not the seed any replication runs with.
     /// Its borrowed `recorder` and `slo` must be null unless replications
     /// is 1: one sink cannot take the samples of several runs.
-    Simulator::Options sim;
+    ShardedSimulator::Options sim;
     /// Reject replications whose post-warmup completion count is zero
     /// instead of silently aggregating empty Samples (the classic
     /// short-horizon footgun).
@@ -75,12 +73,6 @@ class ScenarioRunner {
     /// replications, so per-replication threading only pays off when
     /// replications < cores.
     std::size_t shard_threads = 1;
-    /// Per-replication setup hook, called after construction and before
-    /// run() with the replication id — the place to attach controllers,
-    /// traces, or an admission gate. Must be thread-safe across
-    /// replications (it runs on the fan-out workers) and deterministic in
-    /// the replication id for reproducible aggregates.
-    std::function<void(ShardedSimulator&, std::size_t)> configure;
   };
 
   ScenarioRunner(const ProblemInstance& instance, Decision decision,

@@ -14,6 +14,25 @@
 namespace scalpel {
 namespace {
 
+// Substream tag for the telemetry channel's RNG, derived from the run seed
+// with Rng::substream_seed — NOT drawn from the master stream, so attaching
+// a channel never perturbs the device/admission streams.
+constexpr std::uint64_t kTelemetryStreamTag = 0x54454c454d455452ull;  // "TELEMETR"
+
+/// The run's telemetry channel: nullptr when `opts` is pass-through, else a
+/// channel seeded from a dedicated substream of the run seed, independent
+/// of the device and admission streams.
+std::unique_ptr<TelemetryChannel> make_telemetry_channel(
+    const TelemetryChannelOptions& opts, const ClusterTopology& topo,
+    std::uint64_t seed) {
+  if (opts.pass_through()) return nullptr;
+  std::vector<double> initial_bw;
+  for (const auto& c : topo.cells()) initial_bw.push_back(c.bandwidth);
+  return std::make_unique<TelemetryChannel>(
+      opts, std::move(initial_bw), topo.servers().size(),
+      Rng::substream_seed(seed, kTelemetryStreamTag));
+}
+
 // FluidSink tag layout: stage in the top bit, task index below. Stage 0 is
 // an uplink transfer, stage 1 a server execution.
 constexpr std::uint64_t kServerStageBit = 1ull << 32;
@@ -560,22 +579,7 @@ struct ShardCore final : FluidSink {
         // owns. Fault locally instead — one event, like kServerArrive.
         schedule(t_arrive, Ev::kOffloadFault, -1, task);
       } else {
-        TaskEnvelope env;
-        env.arrive_time = t_arrive;
-        env.id = tasks.id[task];
-        env.arrival = tasks.arrival[task];
-        env.difficulty = tasks.difficulty[task];
-        env.rtt = tasks.rtt[task];
-        env.bw_weight = tasks.bw_weight[task];
-        env.cpu_weight = tasks.cpu_weight[task];
-        env.device_done = tasks.device_done[task];
-        env.phases = tasks.phases[task];
-        env.device = dev;
-        env.server = srv;
-        env.retries = tasks.retries[task];
-        env.flags = tasks.flags[task];
-        outbox.push_back(env);
-        tasks.release(task);
+        outbox.push_back(TaskEnvelope{t_arrive, tasks.take(task)});
       }
       g->devices_[static_cast<std::size_t>(dev)].uploading_task = kNoTask;
       advance_upload_queue(dev);
@@ -822,7 +826,7 @@ FluidResource* ShardedSimulator::fluid_at(std::size_t slot) {
 
 ShardedSimulator::ShardedSimulator(const ProblemInstance& instance,
                                    Decision decision,
-                                   Simulator::Options options,
+                                   Options options,
                                    ShardOptions shard_options)
     : instance_(&instance), decision_(std::move(decision)),
       options_(std::move(options)), shard_options_(shard_options) {
@@ -927,8 +931,7 @@ void ShardedSimulator::set_cell_trace(CellId cell, BandwidthTrace trace) {
   traces_[static_cast<std::size_t>(cell)] = std::move(trace);
 }
 
-void ShardedSimulator::set_controller(
-    Simulator::ObservingController controller) {
+void ShardedSimulator::set_controller(ObservingController controller) {
   SCALPEL_REQUIRE(options_.control_interval > 0.0,
                   "controller needs control_interval > 0");
   controller_ = std::move(controller);
@@ -1025,25 +1028,13 @@ void ShardedSimulator::deliver_envelopes() {
             [](const TaskEnvelope& x, const TaskEnvelope& y) {
               return x.arrive_time != y.arrive_time
                          ? x.arrive_time < y.arrive_time
-                         : x.id < y.id;
+                         : x.row.id < y.row.id;
             });
   for (const auto& env : all) {
     ShardCore& v =
         *cores_[static_cast<std::size_t>(
-            plan_.server_shard[static_cast<std::size_t>(env.server)])];
-    const TaskIndex t = v.tasks.acquire();
-    v.tasks.id[t] = env.id;
-    v.tasks.arrival[t] = env.arrival;
-    v.tasks.difficulty[t] = env.difficulty;
-    v.tasks.rtt[t] = env.rtt;
-    v.tasks.bw_weight[t] = env.bw_weight;
-    v.tasks.cpu_weight[t] = env.cpu_weight;
-    v.tasks.device_done[t] = env.device_done;
-    v.tasks.phases[t] = env.phases;
-    v.tasks.device[t] = env.device;
-    v.tasks.server[t] = env.server;
-    v.tasks.retries[t] = env.retries;
-    v.tasks.flags[t] = env.flags;
+            plan_.server_shard[static_cast<std::size_t>(env.row.server)])];
+    const TaskIndex t = v.tasks.put(env.row);
     v.schedule(env.arrive_time, ShardCore::Ev::kServerArrive, -1, t);
   }
 }
@@ -1051,22 +1042,7 @@ void ShardedSimulator::deliver_envelopes() {
 TaskIndex ShardedSimulator::migrate_task(ShardCore& from, ShardCore& to,
                                          TaskIndex task) {
   if (&from == &to) return task;
-  const TaskIndex t = to.tasks.acquire();
-  to.tasks.id[t] = from.tasks.id[task];
-  to.tasks.arrival[t] = from.tasks.arrival[task];
-  to.tasks.difficulty[t] = from.tasks.difficulty[task];
-  to.tasks.rtt[t] = from.tasks.rtt[task];
-  to.tasks.bw_weight[t] = from.tasks.bw_weight[task];
-  to.tasks.cpu_weight[t] = from.tasks.cpu_weight[task];
-  to.tasks.device_done[t] = from.tasks.device_done[task];
-  to.tasks.upload_done[t] = from.tasks.upload_done[task];
-  to.tasks.phases[t] = from.tasks.phases[task];
-  to.tasks.device[t] = from.tasks.device[task];
-  to.tasks.server[t] = from.tasks.server[task];
-  to.tasks.retries[t] = from.tasks.retries[task];
-  to.tasks.flags[t] = from.tasks.flags[task];
-  from.tasks.release(task);
-  return t;
+  return to.tasks.put(from.tasks.take(task));
 }
 
 void ShardedSimulator::serial_handle_fault(ShardCore& owner, TaskIndex task) {
@@ -1466,11 +1442,6 @@ std::uint64_t ShardedSimulator::trace_dropped() const {
   std::uint64_t dropped = serial_ring_.dropped();
   for (const auto& core : cores_) dropped += core->tracer.dropped();
   return dropped;
-}
-
-const TaskTracer& ShardedSimulator::one_shard_tracer() const {
-  SCALPEL_REQUIRE(cores_.size() == 1, "the run has more than one trace ring");
-  return cores_.front()->tracer;
 }
 
 }  // namespace scalpel

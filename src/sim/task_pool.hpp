@@ -14,6 +14,25 @@ namespace scalpel {
 using TaskIndex = std::uint32_t;
 constexpr TaskIndex kNoTask = 0xffffffffu;
 
+/// One task's whole record, as one value: what a TaskEnvelope carries
+/// across shards and what ShardedSimulator::migrate_task moves between
+/// pools (TaskPool::take / TaskPool::put).
+struct TaskRow {
+  std::uint64_t id = 0;
+  double arrival = 0.0;
+  double difficulty = 0.0;
+  double rtt = 0.0;
+  double bw_weight = 0.0;
+  double cpu_weight = 0.0;
+  double device_done = 0.0;
+  double upload_done = 0.0;
+  TaskPhases phases;
+  std::int32_t device = -1;
+  std::int32_t server = -1;
+  std::uint16_t retries = 0;
+  std::uint8_t flags = 0;
+};
+
 /// Structure-of-arrays pool of in-flight task records. Replaces the former
 /// per-arrival std::make_shared<Task>: acquiring a slot is a free-list pop
 /// (amortized zero allocations in steady state), releasing recycles it, and
@@ -73,6 +92,35 @@ class TaskPool {
     SCALPEL_REQUIRE(live_ > 0, "task pool release without a live task");
     free_.push_back(t);
     --live_;
+  }
+
+  /// Copies slot t's row out and releases the slot.
+  TaskRow take(TaskIndex t) {
+    const TaskRow row{id[t], arrival[t], difficulty[t], rtt[t],
+                      bw_weight[t], cpu_weight[t], device_done[t],
+                      upload_done[t], phases[t], device[t], server[t],
+                      retries[t], flags[t]};
+    release(t);
+    return row;
+  }
+
+  /// Acquires a slot holding `row`.
+  TaskIndex put(const TaskRow& row) {
+    const TaskIndex t = acquire();
+    id[t] = row.id;
+    arrival[t] = row.arrival;
+    difficulty[t] = row.difficulty;
+    rtt[t] = row.rtt;
+    bw_weight[t] = row.bw_weight;
+    cpu_weight[t] = row.cpu_weight;
+    device_done[t] = row.device_done;
+    upload_done[t] = row.upload_done;
+    phases[t] = row.phases;
+    device[t] = row.device;
+    server[t] = row.server;
+    retries[t] = row.retries;
+    flags[t] = row.flags;
+    return t;
   }
 
   /// Live (acquired, unreleased) tasks.

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <future>
 #include <iterator>
 #include <string>
 #include <thread>
@@ -22,7 +23,7 @@
 #include "core/objective.hpp"
 #include "core/serialize.hpp"
 #include "edge/builders.hpp"
-#include "sim/runner.hpp"
+#include "util/thread_pool.hpp"
 
 namespace scalpel {
 namespace {
@@ -303,19 +304,16 @@ TEST(TopologyGolden, Campus) {
 // The surgery step fans out on ThreadPool::shared(). These reach it from
 // another pool's workers and from several threads at once; every solve must
 // still produce the golden result.
-TEST(JointGoldenConcurrency, FromRunnerReplications) {
-  constexpr std::size_t kReplications = 4;
-  std::vector<Golden> got(kReplications, Golden{0, 0, 0});
-  ScenarioRunner::Options o;
-  o.replications = kReplications;
-  o.threads = 4;
-  o.sim.horizon = 2.0;
-  o.sim.warmup = 0.0;
-  o.require_completions = false;
-  o.configure = [&](ShardedSimulator&, std::size_t r) {
-    got[r] = solve(campus(), light_budget());
-  };
-  ScenarioRunner(campus(), baselines::device_only(campus()), o).run();
+TEST(JointGoldenConcurrency, FromPoolWorkers) {
+  constexpr std::size_t kSolves = 4;
+  std::vector<Golden> got(kSolves, Golden{0, 0, 0});
+  ThreadPool pool(kSolves);
+  std::vector<std::future<void>> done;
+  for (std::size_t r = 0; r < kSolves; ++r) {
+    done.push_back(
+        pool.submit([&got, r] { got[r] = solve(campus(), light_budget()); }));
+  }
+  for (auto& f : done) f.get();
   for (const Golden& g : got) expect_golden(g, kLightCampus);
 }
 

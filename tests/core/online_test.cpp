@@ -8,8 +8,10 @@
 #include <utility>
 #include <vector>
 
+#include "core/serialize.hpp"
 #include "edge/builders.hpp"
 #include "util/assert.hpp"
+#include "util/json.hpp"
 #include "util/units.hpp"
 
 namespace scalpel {
@@ -520,6 +522,53 @@ TEST(Online, UnchangedLivenessDoesNotResolve) {
   const auto n = ctl.reoptimizations();
   EXPECT_FALSE(observe(ctl, bw, {false, true}));
   EXPECT_EQ(ctl.reoptimizations(), n);
+}
+
+// The engine adapter forwards the decision and the gate together, and only
+// on the windows observe() reports as a change.
+TEST(OnlineControllerCallback, ForwardsOnlyOnChange) {
+  OnlineController ctl(clusters::small_lab(), overload_opts());
+  const ObservingController tick = ctl.callback();
+  const std::vector<double> flood(4, 1e4);
+  const std::vector<double> zeros(4, 0.0);
+  auto window = [](std::vector<double> bw, std::vector<double> offered) {
+    Observation o;
+    o.cell_bandwidth = std::move(bw);
+    o.server_alive = {true, true};
+    o.offered_rate = std::move(offered);
+    o.queue_depth = std::vector<double>(4, 0.0);
+    return o;
+  };
+  auto same_plan = [&ctl](const ControlAction& a) {
+    return serialize::to_json(*a.decision).dump() ==
+           serialize::to_json(ctl.decision()).dump();
+  };
+  tick(window(lab_bw(), zeros));  // first solve and ladder
+
+  const ControlAction unchanged = tick(window(lab_bw(), zeros));
+  EXPECT_FALSE(unchanged.decision.has_value());
+  EXPECT_FALSE(unchanged.admit_fraction.has_value());
+
+  // A re-solve forwards the new plan together with the (open) gate.
+  const std::size_t resolves = ctl.reoptimizations();
+  const ControlAction resolved = tick(window({lab_bw()[0] * 0.4}, zeros));
+  EXPECT_EQ(ctl.reoptimizations(), resolves + 1);
+  ASSERT_TRUE(resolved.decision.has_value());
+  ASSERT_TRUE(resolved.admit_fraction.has_value());
+  EXPECT_TRUE(same_plan(resolved));
+  EXPECT_TRUE(resolved.admit_fraction->empty());
+
+  // Sustained overload walks the ladder down to the gate; the window that
+  // engages the gate forwards it with the bottom rung's plan.
+  ControlAction gated;
+  for (std::size_t w = 0; w < 16 && ctl.admit_fraction().empty(); ++w) {
+    gated = tick(window({lab_bw()[0] * 0.4}, flood));
+  }
+  ASSERT_FALSE(ctl.admit_fraction().empty());
+  ASSERT_TRUE(gated.decision.has_value());
+  ASSERT_TRUE(gated.admit_fraction.has_value());
+  EXPECT_TRUE(same_plan(gated));
+  EXPECT_EQ(*gated.admit_fraction, ctl.admit_fraction());
 }
 
 }  // namespace

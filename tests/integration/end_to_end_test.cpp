@@ -132,13 +132,10 @@ TEST(EndToEnd, OnlineAdaptationBeatsStaticUnderBandwidthDrop) {
   aopts.control_interval = 5.0;
   Simulator adaptive_sim(inst, static_decision, aopts);
   adaptive_sim.set_cell_trace(0, trace);
-  adaptive_sim.set_controller([&](const Observation& o) {
-    Observation links;  // liveness and bandwidth only: no load signals
-    links.cell_bandwidth = o.cell_bandwidth;
-    links.server_alive = o.server_alive;
-    ControlAction a;
-    if (controller.observe(links)) a.decision = controller.decision();
-    return a;
+  adaptive_sim.set_controller([tick = controller.callback()](Observation o) {
+    o.offered_rate.clear();  // liveness and bandwidth only: no load signals
+    o.queue_depth.clear();
+    return tick(o);
   });
   const auto adaptive_m = adaptive_sim.run();
 

@@ -218,15 +218,7 @@ TEST(ExportGolden, OnlineControllerRun) {
                                                           {19.0, bw}})
                                        : BandwidthTrace::constant(bw));
   }
-  sim.set_controller([&](const Observation& obs) {
-    ctl.audit_log().advance_time(obs.time);
-    ControlAction a;
-    if (ctl.observe(obs)) {
-      a.decision = ctl.decision();
-      a.admit_fraction = ctl.admit_fraction();
-    }
-    return a;
-  });
+  sim.set_controller(ctl.callback());
   const SimMetrics metrics = sim.run();
 
   const TaskTracer& trace = sim.trace();

@@ -18,6 +18,7 @@
 #include "obs/span.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
+#include "oracles/oracles.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
 
@@ -389,10 +390,10 @@ TEST(TimeSeriesRecorder, RingEvictsOldestAndWindowDeltaDifferences) {
   const std::size_t done = rec.column_index("sim.completed");
   // Trailing 2 s window: newest (60 at t=6) minus the newest row with
   // time <= 4 (40 at t=4).
-  EXPECT_DOUBLE_EQ(rec.window_delta(done, 2.0), 20.0);
+  EXPECT_DOUBLE_EQ(rec.delta_from(window_base_row(rec, 2.0), done), 20.0);
   // Window covering more than the retained series falls back to the
   // run-start baseline of 0.
-  EXPECT_DOUBLE_EQ(rec.window_delta(done, 100.0), 60.0);
+  EXPECT_DOUBLE_EQ(rec.delta_from(window_base_row(rec, 100.0), done), 60.0);
 }
 
 TEST(TimeSeriesRecorder, CursorBaseRowMatchesSearchEverywhere) {
@@ -407,7 +408,7 @@ TEST(TimeSeriesRecorder, CursorBaseRowMatchesSearchEverywhere) {
     // through ring wrap and eviction of rows the cursor pointed into.
     for (int w = 0; w < 3; ++w) {
       EXPECT_EQ(rec.window_base_row_from(&cursors[w], windows[w]),
-                rec.window_base_row(windows[w]))
+                window_base_row(rec, windows[w]))
           << "sample " << i << " window " << windows[w];
     }
   }

@@ -174,6 +174,39 @@ OffloadingSolution exhaustive_offloading(const OffloadingProblem& p) {
   return s;
 }
 
+std::size_t window_base_row(const TimeSeriesRecorder& rec, double window) {
+  if (rec.empty()) return TimeSeriesRecorder::kNoBaseRow;
+  const double cutoff = rec.last_time() - window;
+  // Sample times are nondecreasing: find the first row past the cutoff.
+  std::size_t lo = 0;
+  std::size_t hi = rec.size();
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (rec.value(mid, 0) <= cutoff) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo == 0 ? TimeSeriesRecorder::kNoBaseRow : lo - 1;
+}
+
+std::vector<double> shares::proportional(const std::vector<double>& demands,
+                                         double capacity) {
+  SCALPEL_REQUIRE(capacity > 0.0, "capacity must be positive");
+  double total = 0.0;
+  for (double w : demands) {
+    SCALPEL_REQUIRE(w >= 0.0, "demands must be non-negative");
+    total += w;
+  }
+  SCALPEL_REQUIRE(total > 0.0, "at least one demand must be positive");
+  std::vector<double> out(demands.size(), 0.0);
+  for (std::size_t i = 0; i < demands.size(); ++i) {
+    out[i] = capacity * demands[i] / total;
+  }
+  return out;
+}
+
 double shares::inverse_cost(const std::vector<double>& demands,
                             const std::vector<double>& alloc) {
   SCALPEL_REQUIRE(demands.size() == alloc.size(),

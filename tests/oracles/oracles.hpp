@@ -5,14 +5,17 @@
 // and the integration fuzz hold the calendar queue's pop order to the heap,
 // the exit-setting and offloading tests (and benches F3, M1 and F11)
 // measure the DP and the best-response dynamics against exhaustive search,
-// and the sqrt-rule, Kleinrock and M/D/1 property tests compare against the
-// objectives and closed forms at the end of this file.
+// the recorder test holds the SLO monitor's cursor search to a binary
+// search, and the sqrt-rule, Kleinrock and M/D/1 property tests compare
+// against the allocators, objectives and closed forms at the end of this
+// file.
 
 #include <cstddef>
 #include <cstdint>
 #include <queue>
 #include <vector>
 
+#include "obs/timeseries.hpp"
 #include "sched/offloading.hpp"
 #include "sim/event_queue.hpp"
 #include "surgery/exit_setting.hpp"
@@ -58,7 +61,17 @@ ExitSettingResult greedy_exit_setting(
 /// O(servers^devices).
 OffloadingSolution exhaustive_offloading(const OffloadingProblem& p);
 
+/// Baseline row of a trailing window by binary search over the sample
+/// times: the newest retained row with time <= rec.last_time() - window, or
+/// TimeSeriesRecorder::kNoBaseRow when the window reaches past the retained
+/// series. The reference for TimeSeriesRecorder::window_base_row_from.
+std::size_t window_base_row(const TimeSeriesRecorder& rec, double window);
+
 namespace shares {
+
+/// c_i ∝ w_i — the allocation the sqrt rule is compared against.
+std::vector<double> proportional(const std::vector<double>& demands,
+                                 double capacity);
 
 /// Objective the sqrt rule minimizes: sum_i demands[i] / alloc[i]
 /// (+inf if any positive-demand class has a zero share).

@@ -219,13 +219,10 @@ TEST(Faults, AllServersDeadDegradesToDeviceOnlyViaController) {
           .merged(FaultSchedule::server_crash(
               1, 20.0, std::numeric_limits<double>::infinity()));
   Simulator sim(inst, initial, opts);
-  sim.set_controller([&](const Observation& o) {
-    Observation links;  // liveness and bandwidth only: no load signals
-    links.cell_bandwidth = o.cell_bandwidth;
-    links.server_alive = o.server_alive;
-    ControlAction a;
-    if (controller.observe(links)) a.decision = controller.decision();
-    return a;
+  sim.set_controller([tick = controller.callback()](Observation o) {
+    o.offered_rate.clear();  // liveness and bandwidth only: no load signals
+    o.queue_depth.clear();
+    return tick(o);
   });
   const auto m = sim.run();
   EXPECT_GE(controller.failovers(), 1u);

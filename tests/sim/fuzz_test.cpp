@@ -174,7 +174,7 @@ TEST(ShardFuzz, ConservationIsShardCountInvariant) {
     // When telemetry rode along, close the loop: a stateless policy keyed
     // off the (possibly impaired) readings, shared across all runs so any
     // divergence in what the channel delivered diverges the counters.
-    Simulator::ObservingController controller;
+    ObservingController controller;
     if (opts.control_interval > 0.0) {
       Decision d_local;
       d_local.scheme = "fuzz-local";

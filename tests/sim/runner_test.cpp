@@ -10,6 +10,7 @@
 #include "obs/timeseries.hpp"
 #include "profile/compute_profile.hpp"
 #include "profile/energy_model.hpp"
+#include "sim/simulator.hpp"
 #include "util/assert.hpp"
 #include "util/units.hpp"
 

@@ -183,7 +183,7 @@ void expect_registries_identical(const MetricsRegistry& a,
 
 struct ShardHooks {
   std::vector<double> admission;
-  Simulator::ObservingController controller;
+  ObservingController controller;
 };
 
 /// Runs the scenario at one shard, then across the full shard x thread
@@ -401,20 +401,9 @@ TEST(ShardEquivalence, HardenedOnlineControllerBitIdentical) {
   opts.telemetry.noise_sigma = 0.25;
   opts.telemetry.flip_prob = 0.15;
 
-  auto observing = [](OnlineController* ctl) {
-    return [ctl](const Observation& o) {
-      ControlAction a;
-      if (ctl->observe(o)) {
-        a.decision = ctl->decision();
-        a.admit_fraction = ctl->admit_fraction();
-      }
-      return a;
-    };
-  };
-
   OnlineController ref_ctl(instance.topology(), copts);
   Simulator ref(instance, d, opts);
-  ref.set_controller(observing(&ref_ctl));
+  ref.set_controller(ref_ctl.callback());
   const SimMetrics ref_m = ref.run();
   const std::vector<TraceEvent> ref_trace =
       reconcile_trace(ref.trace().snapshot());
@@ -431,7 +420,7 @@ TEST(ShardEquivalence, HardenedOnlineControllerBitIdentical) {
       sopts.threads = threads;
       OnlineController ctl(instance.topology(), copts);
       ShardedSimulator sim(instance, d, opts, sopts);
-      sim.set_controller(observing(&ctl));
+      sim.set_controller(ctl.callback());
       const SimMetrics m = sim.run();
       expect_metrics_identical(ref_m, m);
       expect_registries_identical(ref.registry(), sim.registry());

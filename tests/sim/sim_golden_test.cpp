@@ -151,7 +151,7 @@ std::string hex(std::uint64_t v) {
 /// one), the admission gate, the obs sinks, and a digest of whatever the
 /// attachments exported once the run is over.
 struct Attachments {
-  Simulator::ObservingController controller;
+  ObservingController controller;
   std::vector<double> admission;
   TimeSeriesRecorder* recorder = nullptr;
   SloMonitor* slo = nullptr;
@@ -531,14 +531,7 @@ std::vector<Scenario> build_scenarios(const std::string& want) {
       auto ctl =
           std::make_shared<OnlineController>(instance->topology(), copts);
       Attachments a;
-      a.controller = [ctl = ctl.get()](const Observation& o) {
-        ControlAction act;
-        if (ctl->observe(o)) {
-          act.decision = ctl->decision();
-          act.admit_fraction = ctl->admit_fraction();
-        }
-        return act;
-      };
+      a.controller = ctl->callback();
       a.extra = [ctl = ctl.get()] {
         return hash_string(ctl->audit_log().to_json().dump_pretty());
       };

@@ -74,6 +74,46 @@ TEST(TaskPool, LiveTracksAcquireRelease) {
   EXPECT_EQ(pool.capacity(), 10u);
 }
 
+// take() and put() move a whole row: every field survives a trip between
+// two pools, and take() frees the source slot.
+TEST(TaskPool, TakePutMovesEveryField) {
+  TaskPool from;
+  TaskPool to;
+  to.acquire();  // the row lands in a different slot than it left
+  const TaskIndex t = from.acquire();
+  from.id[t] = 77;
+  from.arrival[t] = 1.5;
+  from.difficulty[t] = 0.25;
+  from.rtt[t] = 0.01;
+  from.bw_weight[t] = 2.0;
+  from.cpu_weight[t] = 3.0;
+  from.device_done[t] = 1.75;
+  from.upload_done[t] = 1.9;
+  from.phases[t].server_time = 0.4;
+  from.device[t] = 5;
+  from.server[t] = 2;
+  from.retries[t] = 3;
+  from.flags[t] = TaskPool::kCounted | TaskPool::kFaulted;
+
+  const TaskIndex u = to.put(from.take(t));
+  EXPECT_EQ(from.live(), 0u);
+  EXPECT_EQ(u, 1u);
+  EXPECT_EQ(to.id[u], 77u);
+  EXPECT_EQ(to.arrival[u], 1.5);
+  EXPECT_EQ(to.difficulty[u], 0.25);
+  EXPECT_EQ(to.rtt[u], 0.01);
+  EXPECT_EQ(to.bw_weight[u], 2.0);
+  EXPECT_EQ(to.cpu_weight[u], 3.0);
+  EXPECT_EQ(to.device_done[u], 1.75);
+  EXPECT_EQ(to.upload_done[u], 1.9);
+  EXPECT_EQ(to.phases[u].server_time, 0.4);
+  EXPECT_EQ(to.device[u], 5);
+  EXPECT_EQ(to.server[u], 2);
+  EXPECT_EQ(to.retries[u], 3u);
+  EXPECT_TRUE(to.counted(u));
+  EXPECT_TRUE(to.faulted(u));
+}
+
 TEST(IndexDeque, FifoOrder) {
   IndexDeque q;
   EXPECT_TRUE(q.empty());
