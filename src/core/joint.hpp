@@ -53,6 +53,10 @@ struct JointReport {
   /// cut's DP ran from scratch, so it includes the device-only prefix the
   /// forked DP shares across cuts.
   std::size_t surgery_evaluations = 0;
+  /// Frontier labels the exit-setting DPs folded (ExitSettingResult::labels
+  /// summed over every device and round): the exact work count of the
+  /// surgery step's inner loop, with each shared DP prefix counted once.
+  std::size_t dp_labels = 0;
 };
 
 /// The paper's contribution: jointly choose, for every device, its model

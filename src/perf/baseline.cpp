@@ -72,6 +72,12 @@ void validate_simcore_report(const Json& report) {
   const Json& solver = results.at("solver");
   finite_positive(solver, "best_seconds");
   finite_positive(solver, "us_per_solve");
+  if (solver.contains("dp_labels")) {
+    const double labels = solver.at("dp_labels").as_number();
+    SCALPEL_REQUIRE(std::isfinite(labels) && labels >= 0.0 &&
+                        labels == std::floor(labels),
+                    "dp_labels must be a non-negative count");
+  }
 
   // Sharded-engine section: present iff the workload ran with shards > 0.
   const bool sharded_workload = work.at("shards").as_number() > 0.0;
@@ -113,12 +119,32 @@ GateResult check_regression(const Json& baseline, const Json& candidate,
   validate_simcore_report(candidate);
 
   GateResult r;
+  // The DP's label count is exact and does not depend on the build, so it
+  // gates every candidate, with no tolerance.
+  const Json& base_solver_json = baseline.at("results").at("solver");
+  const Json& cand_solver_json = candidate.at("results").at("solver");
+  bool labels_ok = true;
+  std::string labels_note;
+  if (base_solver_json.contains("dp_labels") &&
+      cand_solver_json.contains("dp_labels")) {
+    r.baseline_dp_labels = base_solver_json.at("dp_labels").as_number();
+    r.candidate_dp_labels = cand_solver_json.at("dp_labels").as_number();
+    labels_ok = r.candidate_dp_labels <= r.baseline_dp_labels;
+    char lbuf[96];
+    std::snprintf(lbuf, sizeof(lbuf), "; solver dp_labels %.0f vs %.0f%s",
+                  r.candidate_dp_labels, r.baseline_dp_labels,
+                  labels_ok ? "" : " (ROSE)");
+    labels_note = lbuf;
+  }
+
   if (candidate.at("build").at("unoptimized").as_bool()) {
-    r.passed = true;
+    r.passed = labels_ok;
     r.skipped = true;
     r.message =
-        "SKIPPED: candidate comes from an unoptimized/sanitizer build; "
-        "its timings are meaningless for regression gating";
+        std::string(labels_ok ? "SKIPPED" : "FAIL") +
+        ": candidate comes from an unoptimized/sanitizer build; "
+        "its timings are meaningless for regression gating" +
+        labels_note;
     return r;
   }
 
@@ -132,17 +158,15 @@ GateResult check_regression(const Json& baseline, const Json& candidate,
   // The solver is mandatory in the schema, so it always gates: the joint
   // optimizer is the other latency-critical loop and regressions there are
   // just as real as DES ones.
-  const double base_solver =
-      baseline.at("results").at("solver").at("us_per_solve").as_number();
-  const double cand_solver =
-      candidate.at("results").at("solver").at("us_per_solve").as_number();
+  const double base_solver = base_solver_json.at("us_per_solve").as_number();
+  const double cand_solver = cand_solver_json.at("us_per_solve").as_number();
   r.ratio_solver = cand_solver / base_solver;
-  r.passed = r.passed && r.ratio_solver <= 1.0 + tolerance;
+  r.passed = r.passed && r.ratio_solver <= 1.0 + tolerance && labels_ok;
   char solver_buf[96];
   std::snprintf(solver_buf, sizeof(solver_buf),
                 "; solver us/solve %.0f vs %.0f (%.2fx)", cand_solver,
                 base_solver, r.ratio_solver);
-  const std::string solver_note = solver_buf;
+  const std::string solver_note = solver_buf + labels_note;
 
   // The sharded loop gates with the same tolerance whenever both sides
   // measured it; a report without the section simply isn't compared.

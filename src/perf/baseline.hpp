@@ -21,6 +21,11 @@ struct GateResult {
   /// requires the solver section) and gated with the same tolerance, so a
   /// joint-optimizer slowdown trips CI just like a DES one.
   double ratio_solver = 0.0;
+  /// The solver's exit-setting DP label counts (JointReport::dp_labels; 0.0
+  /// when either report lacks them). Exact work, so any rise fails the gate,
+  /// in every build.
+  double baseline_dp_labels = 0.0;
+  double candidate_dp_labels = 0.0;
   std::string message;   // one-line human verdict (includes warnings)
 };
 
@@ -33,9 +38,10 @@ void validate_simcore_report(const Json& report);
 
 /// The `ci.sh perf` regression gate: fails when the candidate's DES
 /// ns/event, sharded ns/event, or solver us/solve exceeds the baseline's
-/// by more than `tolerance` (0.15 = +15%). A
-/// candidate marked "unoptimized": true is skipped (passed, with a loud
-/// message) — Debug/sanitizer numbers must never update or fail the
+/// by more than `tolerance` (0.15 = +15%), or when its solver dp_labels
+/// exceeds the baseline's at all. A candidate marked "unoptimized": true
+/// skips the timing comparisons (passed unless dp_labels rose, with a loud
+/// message) — Debug/sanitizer timings must never update or fail the
 /// scoreboard. A CPU-fingerprint mismatch is surfaced in the message but
 /// does not fail the gate by itself.
 GateResult check_regression(const Json& baseline, const Json& candidate,

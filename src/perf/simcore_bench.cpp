@@ -122,9 +122,10 @@ Json run_simcore_bench(const SimcoreBenchConfig& config) {
   jopts.max_iterations = 4;
   jopts.dp_coverage_bins = 60;
   Decision decision;
+  JointReport solve_report;
   const Timing solver_t =
       time_best_of(config.solver_reps, /*warmup_reps=*/1, [&] {
-        decision = JointOptimizer(jopts).optimize(instance);
+        decision = JointOptimizer(jopts).optimize(instance, &solve_report);
       });
   // The same solve on one thread: issued from a worker of the shared pool,
   // the surgery step's parallel_for runs inline. The ratio of the two is the
@@ -240,6 +241,9 @@ Json run_simcore_bench(const SimcoreBenchConfig& config) {
   jsolver.set("pool_threads", Json::number(static_cast<double>(pool.size())));
   jsolver.set("one_thread_us_per_solve",
               Json::number(one_thread_t.best_seconds * 1e6));
+  // Exact work: the labels the surgery DPs folded in one solve.
+  jsolver.set("dp_labels",
+              Json::number(static_cast<double>(solve_report.dp_labels)));
 
   Json jresults = Json::object();
   jresults.set("des", std::move(jdes));

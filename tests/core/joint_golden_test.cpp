@@ -3,9 +3,11 @@
 // baseline on a 2,000-device tiled city, and the serialized bytes of two
 // topologies. Each decision case hashes the serialized Decision (FNV-1a over
 // the JSON dump, doubles printed at %.17g); joint cases also pin the
-// JointReport counters. A change meant to be a pure speed change must leave
-// every value here unchanged; a change that moves a plan on purpose
-// re-freezes them and says why.
+// JointReport counters, including the exit-setting DP's label count. A
+// change meant to be a pure speed change must leave every value here
+// unchanged, and a change to the DP's inner loop must fold exactly the same
+// labels; a change that moves a plan on purpose re-freezes them and says
+// why.
 
 #include <gtest/gtest.h>
 
@@ -99,6 +101,7 @@ struct Golden {
   std::uint64_t hash;
   std::size_t surgery_evaluations;
   std::size_t iterations;
+  std::size_t dp_labels;
 };
 
 // The hash also covers the per-round objective history, so it pins every
@@ -111,7 +114,8 @@ Golden golden_of(const Decision& d, const JointReport& report) {
     std::snprintf(buf, sizeof(buf), ";%a", v);  // exact, and inf-safe
     text += buf;
   }
-  return {fnv1a(text), report.surgery_evaluations, report.iterations};
+  return {fnv1a(text), report.surgery_evaluations, report.iterations,
+          report.dp_labels};
 }
 
 Golden solve(const ProblemInstance& instance, const JointOptions& o) {
@@ -122,42 +126,43 @@ Golden solve(const ProblemInstance& instance, const JointOptions& o) {
 
 // The light budget on the full campus: cheap enough to solve many times
 // under the thread sanitizer.
-constexpr Golden kLightCampus{13318250013171793721ull, 1229083, 2};
+constexpr Golden kLightCampus{13318250013171793721ull, 1229083, 2, 310035};
 
 void expect_golden(const Golden& got, const Golden& want) {
   EXPECT_EQ(got.hash, want.hash);
   EXPECT_EQ(got.surgery_evaluations, want.surgery_evaluations);
   EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.dp_labels, want.dp_labels);
 }
 
 TEST(JointGolden, DefaultOptions) {
   expect_golden(solve(campus(), JointOptions{}),
-                {15217154344397945720ull, 7315232, 3});
+                {15217154344397945720ull, 7315232, 3, 1520510});
 }
 
 TEST(JointGolden, DeadlineSatisfactionObjective) {
   JointOptions o;
   o.objective = JointObjective::kDeadlineSatisfaction;
   expect_golden(solve(campus(), o),
-                {13585879033397713674ull, 9756207, 4});
+                {13585879033397713674ull, 9756207, 4, 2027426});
 }
 
 TEST(JointGolden, QuantizedUpload) {
   JointOptions o;
   o.enable_quantized_upload = true;
   expect_golden(solve(campus(), o),
-                {17012955573726749447ull, 14258553, 3});
+                {17012955573726749447ull, 14258553, 3, 2912667});
 }
 
 TEST(JointGolden, ExitsDisabled) {
   JointOptions o;
   o.enable_exits = false;
-  expect_golden(solve(campus(), o), {3193232548303322234ull, 17805, 3});
+  expect_golden(solve(campus(), o), {3193232548303322234ull, 17805, 3, 7329});
 }
 
 TEST(JointGolden, MixedDifficulty) {
   expect_golden(solve(mixed_difficulty_campus(), JointOptions{}),
-                {10159046179352435637ull, 8893355, 4});
+                {10159046179352435637ull, 8893355, 4, 1797346});
 }
 
 TEST(JointGolden, AllocationDisabled) {
@@ -166,14 +171,14 @@ TEST(JointGolden, AllocationDisabled) {
   JointOptions o;
   o.enable_allocation = false;
   expect_golden(solve(campus(), o),
-                {11249721272230434607ull, 11374051, 6});
+                {11249721272230434607ull, 11374051, 6, 2477565});
 }
 
 TEST(JointGolden, SurgeryDisabled) {
   JointOptions o;
   o.enable_surgery = false;
   expect_golden(solve(campus(), o),
-                {12389468856645519380ull, 0, 2});
+                {12389468856645519380ull, 0, 2, 0});
 }
 
 TEST(JointGolden, BenchBudgetExcludingDeadServer) {
@@ -190,12 +195,12 @@ TEST(JointGolden, BenchBudgetExcludingDeadServer) {
   failover::lift(d, scale);
   evaluate_decision(campus(), d);
   expect_golden(golden_of(d, report),
-                {9476720235548454660ull, 7304687, 3});
+                {9476720235548454660ull, 7304687, 3, 1521465});
 }
 
 TEST(JointGolden, LightBudgetCellSubInstance) {
   expect_golden(solve(cell_sub_instance(), light_budget()),
-                {11221737706401034917ull, 210547, 2});
+                {11221737706401034917ull, 210547, 2, 52115});
 }
 
 TEST(JointGolden, LightBudgetCampus) {
@@ -306,7 +311,7 @@ TEST(TopologyGolden, Campus) {
 // still produce the golden result.
 TEST(JointGoldenConcurrency, FromPoolWorkers) {
   constexpr std::size_t kSolves = 4;
-  std::vector<Golden> got(kSolves, Golden{0, 0, 0});
+  std::vector<Golden> got(kSolves, Golden{0, 0, 0, 0});
   ThreadPool pool(kSolves);
   std::vector<std::future<void>> done;
   for (std::size_t r = 0; r < kSolves; ++r) {
@@ -319,7 +324,7 @@ TEST(JointGoldenConcurrency, FromPoolWorkers) {
 
 TEST(JointGoldenConcurrency, FromConcurrentThreads) {
   constexpr std::size_t kThreads = 4;
-  std::vector<Golden> got(kThreads, Golden{0, 0, 0});
+  std::vector<Golden> got(kThreads, Golden{0, 0, 0, 0});
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back(

@@ -122,6 +122,8 @@ TEST(SimcoreReport, TinyRunProducesValidSchema) {
               1e-6);
   EXPECT_GT(report.at("results").at("solver").at("us_per_solve").as_number(),
             0.0);
+  EXPECT_GT(report.at("results").at("solver").at("dp_labels").as_number(),
+            0.0);
   // Default config includes the sharded section; its presence means the
   // tiny run already cleared the bit-identity REQUIRE inside the bench.
   ASSERT_TRUE(report.at("results").contains("sharded"));
@@ -153,6 +155,8 @@ TEST(SimcoreReport, CommittedBaselineParsesAndValidates) {
   // metro-scale sweep (EXPERIMENTS.md, "P2 metro-scale sharding"): a
   // re-baseline that forgets --shards or --sweep fails here, not later.
   EXPECT_TRUE(baseline.at("results").contains("sharded"));
+  // ...and the solver's exact work, which the gate holds with no tolerance.
+  EXPECT_TRUE(baseline.at("results").at("solver").contains("dp_labels"));
   ASSERT_TRUE(baseline.at("results").contains("metro_sweep"));
   const Json& sweep = baseline.at("results").at("metro_sweep");
   double max_devices = 0.0;
@@ -250,6 +254,44 @@ TEST(RegressionGate, GatesSolverTiming) {
       base, fake_report(100.0, false, "cpu-a", 0.0, 10500.0), 0.15);
   EXPECT_TRUE(good.passed);
   EXPECT_NEAR(good.ratio_solver, 1.05, 1e-12);
+}
+
+// Sets the solver section's dp_labels on a fake report.
+Json with_dp_labels(Json report, double labels) {
+  Json results = report.at("results");
+  Json solver = results.at("solver");
+  solver.set("dp_labels", Json::number(labels));
+  results.set("solver", std::move(solver));
+  report.set("results", std::move(results));
+  return report;
+}
+
+TEST(RegressionGate, FailsOnAnyRiseInDpLabels) {
+  // The label count is exact work: one more label fails the gate, however
+  // fast the timings, and an unoptimized build does not excuse it.
+  const Json base = with_dp_labels(fake_report(100.0, false, "cpu-a"), 1000);
+  const auto same = perf::check_regression(
+      base, with_dp_labels(fake_report(100.0, false, "cpu-a"), 1000), 0.15);
+  EXPECT_TRUE(same.passed);
+  EXPECT_EQ(same.candidate_dp_labels, 1000.0);
+  const auto fewer = perf::check_regression(
+      base, with_dp_labels(fake_report(100.0, false, "cpu-a"), 999), 0.15);
+  EXPECT_TRUE(fewer.passed);
+  const auto more = perf::check_regression(
+      base, with_dp_labels(fake_report(50.0, false, "cpu-a"), 1001), 0.15);
+  EXPECT_FALSE(more.passed);
+  EXPECT_NE(more.message.find("dp_labels"), std::string::npos);
+  const auto debug_more = perf::check_regression(
+      base, with_dp_labels(fake_report(5000.0, true, "cpu-a"), 1001), 0.15);
+  EXPECT_FALSE(debug_more.passed);
+  EXPECT_TRUE(debug_more.skipped);
+  // A side without the count is compared on timings only.
+  EXPECT_TRUE(perf::check_regression(base, fake_report(100.0, false, "cpu-a"),
+                                     0.15)
+                  .passed);
+  EXPECT_THROW(perf::validate_simcore_report(
+                   with_dp_labels(fake_report(100.0, false, "cpu-a"), 2.5)),
+               ContractViolation);
 }
 
 TEST(SimcoreReport, ValidatorEnforcesShardedContract) {
