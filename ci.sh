@@ -138,7 +138,7 @@ obs_smoke() {
 # matched as a call or declaration only: comments use the plain word.
 oracle_guard() {
   if grep -rnwE \
-      'BinaryHeapEventQueue|exhaustive_exit_setting|greedy_exit_setting|exhaustive_offloading|inverse_cost|mean_sojourn|mm1_wait|window_base_row' \
+      'BinaryHeapEventQueue|exhaustive_exit_setting|greedy_exit_setting|linear_pareto_insert|exhaustive_offloading|inverse_cost|mean_sojourn|mm1_wait|window_base_row' \
       src || grep -rnE '\bproportional\(' src; then
     echo "test oracles belong in tests/oracles, not src/" >&2
     return 1

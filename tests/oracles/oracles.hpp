@@ -5,6 +5,7 @@
 // and the integration fuzz hold the calendar queue's pop order to the heap,
 // the exit-setting and offloading tests (and benches F3, M1 and F11)
 // measure the DP and the best-response dynamics against exhaustive search,
+// the staircase test holds the DP's Pareto insert to a linear scan,
 // the recorder test holds the SLO monitor's cursor search to a binary
 // search, and the sqrt-rule, Kleinrock and M/D/1 property tests compare
 // against the allocators, objectives and closed forms at the end of this
@@ -56,6 +57,26 @@ ExitSettingResult greedy_exit_setting(
     const Graph& backbone, const std::vector<ExitCandidate>& candidates,
     const AccuracyModel& acc, const ComputeProfile& profile,
     const ExitSettingOptions& opts);
+
+/// The exit-setting DP's Pareto insert by linear scan over an unordered set,
+/// with the same dominance comparisons: rejects `cand` if a member
+/// dominates it, else evicts the members it dominates and appends it. The
+/// reference for staircase_insert.
+template <class Point>
+bool linear_pareto_insert(std::vector<Point>& set, const Point& cand) {
+  for (const auto& l : set) {
+    if (l.accuracy >= cand.accuracy - 1e-12 &&
+        l.latency <= cand.latency + 1e-12) {
+      return false;  // dominated
+    }
+  }
+  std::erase_if(set, [&](const Point& l) {
+    return cand.accuracy >= l.accuracy - 1e-12 &&
+           cand.latency <= l.latency + 1e-12;
+  });
+  set.push_back(cand);
+  return true;
+}
 
 /// Exact optimum of the server-selection problem by enumeration —
 /// O(servers^devices).
