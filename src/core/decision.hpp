@@ -25,10 +25,14 @@ struct DeviceDecision {
 
 /// Predicted per-device metrics attached to a decision by the evaluator.
 struct DevicePrediction {
-  double expected_latency = 0.0;   // includes M/M/1 queueing at the server
+  /// Includes queueing at all three stages: M/G/1 at the device, M/D/1 on
+  /// the upload and M/G/1 on the server's compute-share slice.
+  double expected_latency = 0.0;
   double expected_accuracy = 0.0;
   double offload_prob = 0.0;
-  bool stable = true;              // server queue stable under this decision
+  /// All three queues (device, upload, server) are stable under this
+  /// decision.
+  bool stable = true;
   bool meets_accuracy = true;
 };
 
