@@ -55,7 +55,10 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
     SCALPEL_REQUIRE(!stop_, "submit on stopped thread pool");
     tasks_.push(std::move(packaged));
   }
-  cv_.notify_one();
+  // A broadcast, not notify_one: glibc before 2.41 can lose a
+  // pthread_cond_signal (sourceware bug 25847), which left a queued task
+  // with every worker asleep and its parallel_for caller blocked for good.
+  cv_.notify_all();
   return future;
 }
 
