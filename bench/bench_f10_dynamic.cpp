@@ -33,7 +33,6 @@ int main() {
     sim.set_cell_trace(0, trace);
     std::size_t reopts = 0;
     OnlineController::Options copts;
-    copts.hysteresis = 0.25;
     copts.joint = bench::joint_opts();
     OnlineController controller(topo, copts);
     if (adaptive) {

@@ -14,7 +14,6 @@ namespace {
 
 OffloadingProblem random_problem(std::size_t n, std::size_t m, Rng& rng) {
   OffloadingProblem p;
-  p.capacity.assign(m, 1.0);
   for (std::size_t i = 0; i < n; ++i) {
     p.rate.push_back(rng.uniform(0.5, 2.0));
     std::vector<double> base;

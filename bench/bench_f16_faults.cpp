@@ -43,7 +43,6 @@ Row run_scheme_under_faults(const ProblemInstance& instance,
 
   Simulator sim(instance, initial, opts);
   OnlineController::Options copts;
-  copts.hysteresis = 0.25;
   copts.joint = bench::joint_opts();
   OnlineController controller(topo, copts);
   if (online) {

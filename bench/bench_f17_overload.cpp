@@ -43,10 +43,6 @@ OverloadOptions bounded_queues() {
 OnlineController::Options controller_opts() {
   OnlineController::Options o;
   o.joint = bench::joint_opts();
-  o.overload.ladder.rungs = 4;
-  o.overload.ladder.accuracy_step = 0.05;
-  o.overload.trigger_windows = 2;
-  o.overload.recovery_windows = 3;
   // One-second observation windows put Poisson noise on the offered-rate
   // estimate; 0.8 keeps recovery responsive without letting single noisy
   // windows break the calm streak.
@@ -102,8 +98,7 @@ Row run_scheme(const ProblemInstance& instance, const Decision& d,
 void print_ladder_profile(const ProblemInstance& instance,
                           const Decision& d) {
   const auto ladder =
-      build_degradation_ladder(instance, d, controller_opts().overload.ladder,
-                               bench::joint_opts());
+      build_degradation_ladder(instance, d, bench::joint_opts());
   std::printf("degradation ladder of the joint plan (capacity = min over "
               "devices of rung/base sustainable rate):\n");
   Table t({"rung", "accuracy floor", "predicted accuracy", "capacity x",

@@ -64,7 +64,6 @@ Row run_scheme(const ProblemInstance& instance, const ClusterTopology& topo,
   if (online) opts.control_interval = 0.5;
 
   OnlineController::Options copts;
-  copts.hysteresis = 0.25;
   copts.joint = bench::joint_opts();
   if (scheme == "hardened online") {
     copts.robustness.sanitizer.max_age = 4.0;
@@ -72,7 +71,6 @@ Row run_scheme(const ProblemInstance& instance, const ClusterTopology& topo,
     copts.robustness.sanitizer.median_window = 5;
     copts.robustness.sanitizer.confirm_windows = 2;
     copts.robustness.sanitizer.flap_threshold = 3;
-    copts.robustness.sanitizer.flap_window = 10;
     copts.robustness.sanitizer.flap_hold = 4;
     copts.robustness.solve_budget_seconds = 0.5;
   }

@@ -2,6 +2,8 @@
 # Tiered CI entry point (see README "Testing"):
 #   ./ci.sh          — warnings-as-errors build + fast test tier (every push)
 #                      plus a one-seed slice of the shard determinism matrix,
+#                      a CLI smoke (optimize, simulate, admission, and a
+#                      flag the command does not read must exit 2),
 #                      a smoke run of benches F7, F8 and F15, and guards
 #                      that no test oracle is defined under src/ and that
 #                      src/core and src/ctrl include nothing from src/sim
@@ -93,6 +95,28 @@ trace_smoke() {
   "$cli" validate-trace --trace "$dir/trace.json" --metrics "$dir/metrics.json"
   json_load_check "$dir/trace.json" "$dir/audit.json" "$dir/metrics.json"
   rm -rf "$dir"
+}
+
+# CLI smoke: optimize, a replicated simulate and the admission report run
+# on the small lab, and a flag the command does not read (here the retired
+# --objective) must exit 2 instead of running with the defaults.
+cli_smoke() {
+  local cli="$BUILD_DIR/examples/scalpel_cli"
+  local dir
+  dir="$(mktemp -d)"
+  "$cli" topology --preset small_lab --out "$dir/topo.json"
+  "$cli" optimize --topology "$dir/topo.json" --out "$dir/dec.json"
+  "$cli" simulate --topology "$dir/topo.json" --decision "$dir/dec.json" \
+    --horizon 20 --reps 2
+  "$cli" admission --topology "$dir/topo.json" --decision "$dir/dec.json"
+  local rc=0
+  "$cli" optimize --topology "$dir/topo.json" --out "$dir/dec2.json" \
+    --objective deadline 2> /dev/null || rc=$?
+  rm -rf "$dir"
+  if [[ "$rc" != 2 ]]; then
+    echo "scalpel_cli optimize --objective: exit $rc, want 2" >&2
+    return 1
+  fi
 }
 
 # Observability pipeline smoke: a lossy-fabric failover run with causal
@@ -207,6 +231,7 @@ case "$TIER" in
     layering_guard
     ctest --test-dir "$BUILD_DIR" -L fast --output-on-failure -j "$JOBS"
     shard_slice
+    cli_smoke
     trace_smoke
     obs_smoke
     bench_smoke

@@ -54,9 +54,7 @@ int main() {
     Simulator sim(instance, initial, opts);
     sim.set_cell_trace(0, trace);
 
-    OnlineController::Options copts;
-    copts.hysteresis = 0.25;
-    OnlineController controller(topo, copts);
+    OnlineController controller(topo);
     std::vector<double> reopts;
     if (adaptive) {
       sim.set_controller([&, tick = controller.callback()](Observation o) {

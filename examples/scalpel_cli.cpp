@@ -10,14 +10,18 @@
 //   scalpel_cli simulate --topology topo.json --decision decision.json
 //       --horizon 60 --reps 16 --threads 8
 //   scalpel_cli admission --topology topo.json [--decision decision.json]
-//       --headroom 0.9 --rungs 4
+//       --headroom 0.9
 //   scalpel_cli trace --topology topo.json --decision decision.json
 //       --overload 2.0 --out trace.json --audit-out audit.json
 //       --metrics-out metrics.json
 //   scalpel_cli validate-trace --trace trace.json --metrics metrics.json
 //   scalpel_cli distributed --topology topo.json --drop 0.2 --coord-mtbf 10
 //   scalpel_cli models
+//
+// Each command accepts only the flags it reads (kCommands); any other flag
+// exits 2 with a one-line error, as a malformed number does.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -26,6 +30,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "baselines/baselines.hpp"
 #include "core/admission.hpp"
@@ -63,14 +68,13 @@ namespace {
                "[--devices N] [--servers M] [--seed S] --out FILE\n"
                "  scalpel_cli optimize --topology FILE "
                "[--scheme joint|device_only|edge_only|neurosurgeon|"
-               "local_multi_exit|random] [--objective latency|deadline] "
-               "--out FILE\n"
+               "local_multi_exit|random] --out FILE\n"
                "  scalpel_cli simulate --topology FILE --decision FILE "
                "[--horizon SECONDS] [--warmup SECONDS] [--seed S] "
-               "[--reps N] [--threads T] [--shards K] "
+               "[--reps N] [--threads T] "
                "[--metrics-out FILE(.json|.csv)]\n"
                "  scalpel_cli admission --topology FILE [--decision FILE] "
-               "[--scheme joint|...] [--headroom H] [--rungs N]\n"
+               "[--scheme joint|...] [--headroom H]\n"
                "  scalpel_cli trace --topology FILE [--decision FILE] "
                "--out FILE(.json|.csv) [--overload F] [--controller on|off] "
                "[--horizon S] [--warmup S] [--seed S] [--capacity N] "
@@ -80,7 +84,7 @@ namespace {
                "  scalpel_cli distributed --topology FILE [--ticks N] "
                "[--delay S] [--jitter S] [--drop P] [--coord-mtbf S] "
                "[--coord-mttr S] [--horizon S] [--seed S] "
-               "[--span-capacity N] [--obs-interval S] "
+               "[--span-capacity N] [--obs-interval S] [--capacity N] "
                "[--audit-out FILE(.json|.csv)] [--trace-out FILE.json] "
                "[--metrics-out FILE(.json|.csv)] "
                "[--timeseries-out FILE(.json|.csv)]\n"
@@ -95,18 +99,29 @@ namespace {
   std::exit(2);
 }
 
-std::map<std::string, std::string> parse_flags(int argc, char** argv,
-                                               int start) {
-  std::map<std::string, std::string> flags;
-  for (int i = start; i < argc; ++i) {
+using Flags = std::map<std::string, std::string>;
+
+// Parses the "--key value" pairs after the command name. A key the command
+// does not read dies with a one-line reason (exit 2) instead of running with
+// the defaults, so a typo or a retired flag never goes unnoticed.
+Flags parse_flags(int argc, char** argv, const std::string& command,
+                  const std::vector<std::string>& accepted) {
+  Flags flags;
+  for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0 || i + 1 >= argc) usage();
-    flags[arg.substr(2)] = argv[++i];
+    const std::string key = arg.substr(2);
+    if (std::find(accepted.begin(), accepted.end(), key) == accepted.end()) {
+      std::fprintf(stderr, "error: --%s: unknown flag for %s\n", key.c_str(),
+                   command.c_str());
+      std::exit(2);
+    }
+    flags[key] = argv[++i];
   }
   return flags;
 }
 
-std::string flag_or(const std::map<std::string, std::string>& flags,
+std::string flag_or(const Flags& flags,
                     const std::string& key, const std::string& fallback) {
   const auto it = flags.find(key);
   return it == flags.end() ? fallback : it->second;
@@ -120,7 +135,7 @@ constexpr std::uint64_t kNoSizeLimit =
     std::numeric_limits<std::uint64_t>::max();
 constexpr double kNoDoubleLimit = std::numeric_limits<double>::infinity();
 
-std::uint64_t size_flag(const std::map<std::string, std::string>& flags,
+std::uint64_t size_flag(const Flags& flags,
                         const std::string& key, std::uint64_t fallback,
                         std::uint64_t min_value,
                         std::uint64_t max_value = kNoSizeLimit) {
@@ -136,7 +151,7 @@ std::uint64_t size_flag(const std::map<std::string, std::string>& flags,
   return value;
 }
 
-double double_flag(const std::map<std::string, std::string>& flags,
+double double_flag(const Flags& flags,
                    const std::string& key, double fallback, double min_value,
                    double max_value = kNoDoubleLimit) {
   const auto it = flags.find(key);
@@ -171,7 +186,7 @@ void write_file(const std::string& path, const std::string& content) {
   out << content;
 }
 
-int cmd_topology(const std::map<std::string, std::string>& flags) {
+int cmd_topology(const Flags& flags) {
   const std::string preset = flag_or(flags, "preset", "small_lab");
   ClusterTopology topo;
   if (preset == "small_lab") {
@@ -197,7 +212,7 @@ int cmd_topology(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int cmd_optimize(const std::map<std::string, std::string>& flags) {
+int cmd_optimize(const Flags& flags) {
   const std::string topo_path = flag_or(flags, "topology", "");
   const std::string out = flag_or(flags, "out", "");
   if (topo_path.empty() || out.empty()) usage();
@@ -208,12 +223,8 @@ int cmd_optimize(const std::map<std::string, std::string>& flags) {
   const std::string scheme = flag_or(flags, "scheme", "joint");
   Decision decision;
   if (scheme == "joint") {
-    JointOptions opts;
-    if (flag_or(flags, "objective", "latency") == "deadline") {
-      opts.objective = JointObjective::kDeadlineSatisfaction;
-    }
     JointReport report;
-    decision = JointOptimizer(opts).optimize(instance, &report);
+    decision = JointOptimizer(JointOptions{}).optimize(instance, &report);
     std::printf("joint solve: %.2fs, %zu rounds\n", report.solve_seconds,
                 report.iterations);
   } else {
@@ -231,7 +242,7 @@ int cmd_optimize(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int cmd_simulate(const std::map<std::string, std::string>& flags) {
+int cmd_simulate(const Flags& flags) {
   const std::string topo_path = flag_or(flags, "topology", "");
   const std::string decision_path = flag_or(flags, "decision", "");
   if (topo_path.empty() || decision_path.empty()) usage();
@@ -248,8 +259,6 @@ int cmd_simulate(const std::map<std::string, std::string>& flags) {
   // absent means "one worker per hardware core".
   const auto threads =
       static_cast<std::size_t>(size_flag(flags, "threads", 0, 1, 4096));
-  const auto shards =
-      static_cast<std::size_t>(size_flag(flags, "shards", 0, 1, 4096));
 
   const auto topo =
       serialize::topology_from_json(Json::parse(read_file(topo_path)));
@@ -260,7 +269,7 @@ int cmd_simulate(const std::map<std::string, std::string>& flags) {
 
   const std::string metrics_out = flag_or(flags, "metrics-out", "");
 
-  if (reps <= 1 && shards == 0) {
+  if (reps <= 1) {
     Simulator sim(instance, decision, opts);
     const auto m = sim.run();
     std::printf("completed=%zu mean=%.2fms p95=%.2fms p99=%.2fms "
@@ -282,7 +291,6 @@ int cmd_simulate(const std::map<std::string, std::string>& flags) {
   ScenarioRunner::Options ro;
   ro.replications = reps;
   ro.threads = threads;
-  ro.shards = shards;
   ro.sim = opts;
   const auto agg = ScenarioRunner(instance, decision, ro).run();
   const auto mean = summarize(agg.mean_latency);
@@ -334,7 +342,7 @@ int cmd_simulate(const std::map<std::string, std::string>& flags) {
 // what the cluster-level throttle plan would admit, and the precomputed
 // surgery-based degradation ladder the online controller would walk under
 // sustained overload.
-int cmd_admission(const std::map<std::string, std::string>& flags) {
+int cmd_admission(const Flags& flags) {
   const std::string topo_path = flag_or(flags, "topology", "");
   if (topo_path.empty()) usage();
   const auto topo =
@@ -377,9 +385,8 @@ int cmd_admission(const std::map<std::string, std::string>& flags) {
   std::printf("throttle plan: %s\n\n",
               plan.throttled ? "throttled" : "all load admitted");
 
-  LadderOptions lo;
-  lo.rungs = static_cast<std::size_t>(size_flag(flags, "rungs", 4, 1, 64));
-  const auto ladder = build_degradation_ladder(instance, decision, lo);
+  const auto ladder =
+      build_degradation_ladder(instance, decision, JointOptions{});
   std::printf("degradation ladder (rung 0 = deployed plan):\n");
   Table lt({"rung", "accuracy floor", "predicted accuracy",
             "min sustainable /s", "quantized uploads"});
@@ -407,7 +414,7 @@ int cmd_admission(const std::map<std::string, std::string>& flags) {
 // multiplies every device's arrival rate while the controller stays anchored
 // to the nominal topology — the F17 setup — so an overload run's rung walk
 // is visible in both the audit log and the event stream.
-int cmd_trace(const std::map<std::string, std::string>& flags) {
+int cmd_trace(const Flags& flags) {
   const std::string topo_path = flag_or(flags, "topology", "");
   const std::string out = flag_or(flags, "out", "");
   if (topo_path.empty() || out.empty()) usage();
@@ -494,7 +501,7 @@ int cmd_trace(const std::map<std::string, std::string>& flags) {
 // the task events) additionally reconciles the span stream against the
 // ctrl.* counters in the metrics file. Exit 0 = PASS; used by ci.sh's fast
 // tier.
-int cmd_validate_trace(const std::map<std::string, std::string>& flags) {
+int cmd_validate_trace(const Flags& flags) {
   const std::string trace_path = flag_or(flags, "trace", "");
   const std::string metrics_path = flag_or(flags, "metrics", "");
   if (trace_path.empty() || metrics_path.empty()) usage();
@@ -635,7 +642,7 @@ int cmd_validate_trace(const std::map<std::string, std::string>& flags) {
 // endpoint itself crashes on an MTBF/MTTR process and the cells fall back to
 // validated local autonomy (part 2). Exercises src/ctrl end to end from the
 // command line; the chaos CI slice smoke-tests it.
-int cmd_distributed(const std::map<std::string, std::string>& flags) {
+int cmd_distributed(const Flags& flags) {
   const std::string topo_path = flag_or(flags, "topology", "");
   if (topo_path.empty()) usage();
   // All numeric flags are validated before any file I/O (same contract as
@@ -810,7 +817,7 @@ int cmd_distributed(const std::map<std::string, std::string>& flags) {
 // -> re-granted via anti-entropy -> adopted, reconstructable per correlation
 // id), the sampled time series, and a metrics file whose ctrl.* section
 // reconciles with the span stream — the triple validate-trace checks.
-int cmd_obs_report(const std::map<std::string, std::string>& flags) {
+int cmd_obs_report(const Flags& flags) {
   const double horizon = double_flag(flags, "horizon", 24.0, 1e-6);
   const std::uint64_t seed = size_flag(flags, "seed", 19, 0);
   const double overload = double_flag(flags, "overload", 1.0, 1e-6, 1e3);
@@ -949,7 +956,7 @@ int cmd_obs_report(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int cmd_models() {
+int cmd_models(const Flags&) {
   for (const auto& name : models::zoo_names()) {
     const auto g = models::by_name(name);
     std::printf("%-14s %3zu layers  %8.2f GFLOPs  %7.2f Mparams  %zu cuts\n",
@@ -961,30 +968,52 @@ int cmd_models() {
   return 0;
 }
 
+// Every command with the flags it reads; parse_flags refuses any other.
+struct Command {
+  const char* name;
+  int (*run)(const Flags&);
+  std::vector<std::string> flags;
+};
+
+const Command kCommands[] = {
+    {"topology", cmd_topology, {"preset", "devices", "servers", "seed", "out"}},
+    {"optimize", cmd_optimize, {"topology", "scheme", "out"}},
+    {"simulate",
+     cmd_simulate,
+     {"topology", "decision", "horizon", "warmup", "seed", "reps", "threads",
+      "metrics-out"}},
+    {"admission", cmd_admission, {"topology", "decision", "scheme", "headroom"}},
+    {"trace",
+     cmd_trace,
+     {"topology", "decision", "out", "overload", "controller", "horizon",
+      "warmup", "seed", "capacity", "audit-out", "metrics-out"}},
+    {"validate-trace", cmd_validate_trace, {"trace", "metrics"}},
+    {"distributed",
+     cmd_distributed,
+     {"topology", "ticks", "delay", "jitter", "drop", "coord-mtbf",
+      "coord-mttr", "horizon", "seed", "span-capacity", "obs-interval",
+      "capacity", "audit-out", "trace-out", "metrics-out", "timeseries-out"}},
+    {"obs-report",
+     cmd_obs_report,
+     {"topology", "horizon", "seed", "overload", "drop", "delay", "jitter",
+      "coord-mtbf", "coord-mttr", "obs-interval", "span-capacity", "capacity",
+      "trace-out", "timeseries-out", "metrics-out", "audit-out"}},
+    {"models", cmd_models, {}},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) usage();
   const std::string cmd = argv[1];
-  try {
-    if (cmd == "topology") return cmd_topology(parse_flags(argc, argv, 2));
-    if (cmd == "optimize") return cmd_optimize(parse_flags(argc, argv, 2));
-    if (cmd == "simulate") return cmd_simulate(parse_flags(argc, argv, 2));
-    if (cmd == "admission") return cmd_admission(parse_flags(argc, argv, 2));
-    if (cmd == "trace") return cmd_trace(parse_flags(argc, argv, 2));
-    if (cmd == "validate-trace") {
-      return cmd_validate_trace(parse_flags(argc, argv, 2));
+  for (const Command& c : kCommands) {
+    if (cmd != c.name) continue;
+    try {
+      return c.run(parse_flags(argc, argv, c.name, c.flags));
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
     }
-    if (cmd == "distributed") {
-      return cmd_distributed(parse_flags(argc, argv, 2));
-    }
-    if (cmd == "obs-report") {
-      return cmd_obs_report(parse_flags(argc, argv, 2));
-    }
-    if (cmd == "models") return cmd_models();
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
   }
   usage();
 }

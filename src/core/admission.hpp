@@ -22,7 +22,7 @@ namespace admission {
 /// when no stage carries any load.
 double max_sustainable_rate(const ProblemInstance& instance, DeviceId id,
                             const DeviceDecision& decision,
-                            double utilization_headroom = 0.95);
+                            double utilization_headroom);
 
 struct ThrottlePlan {
   /// Per-device admitted rate (tasks/s), <= the offered arrival rate.
@@ -39,7 +39,7 @@ struct ThrottlePlan {
 /// coupling is already captured by the decision's grants).
 ThrottlePlan propose_throttle(const ProblemInstance& instance,
                               const Decision& decision,
-                              double utilization_headroom = 0.9);
+                              double utilization_headroom);
 
 }  // namespace admission
 }  // namespace scalpel

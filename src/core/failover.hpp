@@ -21,6 +21,10 @@ namespace failover {
 /// callers keep their own incumbent, counters, audit records and fallback
 /// policy.
 
+/// Both controllers re-solve when an observed uplink drifts from the value
+/// used at their last solve by more than this relative factor.
+inline constexpr double kBandwidthHysteresis = 0.25;
+
 /// The controllers' solver seam: when set, replaces JointOptimizer for every
 /// solve (tests inject throwing, slow or garbage solvers through it).
 using Solver =

@@ -281,23 +281,6 @@ SurgeryOutcome best_surgery(const ProblemInstance& instance, DeviceId id,
   return best;
 }
 
-/// Scalar score the round selection minimizes (lower = better).
-double round_score(const ProblemInstance& instance, const Decision& d,
-                   JointObjective objective) {
-  switch (objective) {
-    case JointObjective::kMeanLatency:
-      return d.mean_latency;
-    case JointObjective::kDeadlineSatisfaction: {
-      // Maximize satisfaction; break ties toward lower (finite) latency.
-      const double sat = predicted_deadline_satisfaction(instance, d);
-      const double latency_tiebreak =
-          std::isfinite(d.mean_latency) ? std::min(d.mean_latency, 1e3) : 1e3;
-      return -sat + 1e-6 * latency_tiebreak;
-    }
-  }
-  return d.mean_latency;
-}
-
 }  // namespace
 
 JointOptimizer::JointOptimizer(JointOptions opts) : opts_(std::move(opts)) {}
@@ -516,16 +499,9 @@ Decision JointOptimizer::optimize(const ProblemInstance& instance,
         }
         if (members.empty()) continue;
         auto split = queueing::kleinrock(lambda_up, bytes_up, cell.bandwidth);
-        if (split.empty()) {
-          const bool any_positive =
-              std::any_of(demand.begin(), demand.end(),
-                          [](double w) { return w > 0.0; });
-          split = any_positive
-                      ? shares::sqrt_rule(demand, cell.bandwidth)
-                      : shares::equal_split(
-                            std::vector<double>(demand.size(), 1.0),
-                            cell.bandwidth);
-        }
+        // kleinrock refuses only when the summed demand reaches the cell's
+        // (positive) bandwidth, so some demand is positive here.
+        if (split.empty()) split = shares::sqrt_rule(demand, cell.bandwidth);
         std::vector<double> granted(split.size());
         double total = 0.0;
         for (std::size_t k = 0; k < split.size(); ++k) {
@@ -590,15 +566,15 @@ Decision JointOptimizer::optimize(const ProblemInstance& instance,
 
     // ---- Evaluate the round.
     Decision d = snapshot();
-    history.push_back(d.mean_latency);
-    const double d_score = round_score(instance, d, opts_.objective);
+    const double latency = d.mean_latency;
+    history.push_back(latency);
     const bool first = best.per_device.empty();
-    if (first || d_score < best_obj) {
+    if (first || latency < best_obj) {
       const double improvement =
           std::isfinite(best_obj) && std::abs(best_obj) > 0.0
-              ? (best_obj - d_score) / std::abs(best_obj)
+              ? (best_obj - latency) / std::abs(best_obj)
               : 1.0;
-      best_obj = d_score;
+      best_obj = latency;
       best = std::move(d);
       if (!first && improvement < kConvergenceTol) break;
     } else if (std::isfinite(best_obj)) {
@@ -618,7 +594,7 @@ Decision JointOptimizer::optimize(const ProblemInstance& instance,
     JointOptions fallback = opts_;
     fallback.enable_surgery = false;
     Decision alt = JointOptimizer(fallback).optimize(instance);
-    if (round_score(instance, alt, opts_.objective) < best_obj) {
+    if (alt.mean_latency < best_obj) {
       alt.scheme = "joint";
       best = std::move(alt);
     }

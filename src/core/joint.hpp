@@ -6,21 +6,9 @@
 
 namespace scalpel {
 
-/// What the optimizer's round selection minimizes.
-enum class JointObjective {
-  /// Rate-weighted expected latency (the default; the paper's headline).
-  kMeanLatency,
-  /// Predicted deadline-satisfaction ratio (maximized) with mean latency as
-  /// the tie-breaker — for SLO-driven deployments. The per-device surgery
-  /// step still proposes by expected latency (a monotone proxy below the
-  /// deadline); the objective decides which alternation round is kept.
-  kDeadlineSatisfaction,
-};
-
 /// Options for the joint optimizer. The two enable_* switches implement the
 /// ablations reported in the evaluation (surgery-only / allocation-only).
 struct JointOptions {
-  JointObjective objective = JointObjective::kMeanLatency;
   /// Alternating (surgery <-> allocation) rounds.
   std::size_t max_iterations = 6;
 
@@ -40,7 +28,7 @@ struct JointOptions {
 
   /// Exit-threshold grid and exit count bound used by the surgery DP.
   std::vector<double> theta_grid = {0.0, 0.15, 0.30, 0.45, 0.60, 0.75};
-  std::size_t max_exits = 3;
+  static constexpr std::size_t max_exits = 3;
   std::size_t dp_coverage_bins = 60;
 };
 

@@ -226,7 +226,6 @@ OffloadingProblem offloading_problem(const ProblemInstance& instance,
   const auto& topo = instance.topology();
   const std::size_t m = topo.servers().size();
   OffloadingProblem prob;
-  prob.capacity.assign(m, 1.0);
   for (const std::size_t i : rows) {
     const auto id = static_cast<DeviceId>(i);
     const OffloadStats& st = stats[i];

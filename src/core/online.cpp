@@ -15,6 +15,11 @@ namespace scalpel {
 
 namespace {
 
+/// Rungs the degradation ladder generates below the base plan.
+constexpr std::size_t kLadderRungs = 4;
+/// Per rung, each device's accuracy floor drops by this much below its base
+/// plan's expected accuracy.
+constexpr double kAccuracyStep = 0.05;
 /// Enable INT8-quantized uploads from this ladder rung down (offloading
 /// plans).
 constexpr std::size_t kQuantizeFrom = 2;
@@ -33,13 +38,11 @@ constexpr double kThrottleHeadroom = 0.9;
 
 std::vector<LadderRung> build_degradation_ladder(
     const ProblemInstance& instance, const Decision& base,
-    const LadderOptions& opts, const JointOptions& joint) {
+    const JointOptions& joint) {
   const auto& topo = instance.topology();
   const std::size_t n = topo.devices().size();
   SCALPEL_REQUIRE(base.per_device.size() == n,
                   "ladder base must cover every device");
-  SCALPEL_REQUIRE(opts.accuracy_step > 0.0,
-                  "ladder accuracy step must be positive");
 
   std::vector<LadderRung> ladder;
   std::vector<double> prev_acc(n);
@@ -63,7 +66,7 @@ std::vector<LadderRung> build_degradation_ladder(
   const std::vector<double> base_acc = prev_acc;
   ladder.push_back(std::move(r0));
 
-  for (std::size_t k = 1; k <= opts.rungs; ++k) {
+  for (std::size_t k = 1; k <= kLadderRungs; ++k) {
     const LadderRung& prev = ladder.back();
     LadderRung rung;
     rung.accuracy_floor = 1.0;
@@ -73,8 +76,7 @@ std::vector<LadderRung> build_degradation_ladder(
       const auto& device = topo.device(id);
       const auto& bundle = instance.bundle_for(id);
       const double floor_k =
-          std::max(0.0, base_acc[i] - static_cast<double>(k) *
-                                          opts.accuracy_step);
+          std::max(0.0, base_acc[i] - static_cast<double>(k) * kAccuracyStep);
       ExitSettingOptions eo;
       eo.min_accuracy = floor_k;
       eo.theta_grid = joint.theta_grid;
@@ -359,8 +361,7 @@ ObservingController OnlineController::callback() {
 }
 
 void OnlineController::rebuild_ladder() {
-  ladder_ = build_degradation_ladder(instance_, decision_,
-                                     opts_.overload.ladder, opts_.joint);
+  ladder_ = build_degradation_ladder(instance_, decision_, opts_.joint);
   if (rung_ >= ladder_.size()) rung_ = ladder_.size() - 1;
   if (rung_ > 0) apply_rung();
 }
@@ -380,7 +381,6 @@ bool OnlineController::observe_load(const Observation& obs, bool changed) {
   // ladder is anchored to the solved plans); first call builds it here.
   if (ladder_.empty()) rebuild_ladder();
 
-  const auto& o = opts_.overload;
   const LadderRung& cur = ladder_[rung_];
   const bool gated = !admit_fraction_.empty();
   // Recovery unwinds in reverse order of escalation — the gate clears
@@ -404,7 +404,8 @@ bool OnlineController::observe_load(const Observation& obs, bool changed) {
       }
       overloaded = true;
     }
-    if (offered_rate[i] > o.recover_margin * target.sustainable[i] ||
+    if (offered_rate[i] >
+            opts_.overload.recover_margin * target.sustainable[i] ||
         queue_depth[i] > 0.5 * kQueueTrigger) {
       calm = false;
     }
@@ -412,7 +413,7 @@ bool OnlineController::observe_load(const Observation& obs, bool changed) {
 
   if (overloaded) {
     calm_streak_ = 0;
-    if (++overload_streak_ >= o.trigger_windows) {
+    if (++overload_streak_ >= kTriggerWindows) {
       overload_streak_ = 0;
       if (rung_ + 1 < ladder_.size()) {
         AuditRecord r = audit_open(AuditCause::kRungDown, std::move(trigger));
@@ -443,10 +444,10 @@ bool OnlineController::observe_load(const Observation& obs, bool changed) {
     }
   } else if (calm) {
     overload_streak_ = 0;
-    if (++calm_streak_ >= o.recovery_windows) {
+    if (++calm_streak_ >= kRecoveryWindows) {
       calm_streak_ = 0;
       const std::string calm_detail =
-          "calm for " + std::to_string(o.recovery_windows) + " windows";
+          "calm for " + std::to_string(kRecoveryWindows) + " windows";
       if (gated) {
         AuditRecord r = audit_open(AuditCause::kThrottleOff, calm_detail);
         admit_fraction_.clear();

@@ -27,26 +27,19 @@ struct LadderRung {
   double accuracy_floor = 0.0;      // min generation floor across devices
 };
 
-struct LadderOptions {
-  /// Rungs generated below the base plan (ladder size <= rungs + 1 after
-  /// deduplication).
-  std::size_t rungs = 4;
-  /// Per rung, each device's accuracy floor drops by this much below its
-  /// base plan's expected accuracy — the ladder deliberately trades the
-  /// configured accuracy floors for liveness under overload.
-  double accuracy_step = 0.05;
-};
-
 /// Precomputes the degradation ladder for a decision: per device and rung,
 /// re-runs the exit-setting DP (surgery/exit_setting) with a progressively
-/// lower accuracy floor — lower thresholds and earlier mandatory exits fall
-/// out of the DP — and, from rung 2 down, quantizes uploads. Partition point,
-/// server, and resource grants stay fixed, so every rung is feasible under
-/// the same allocation. Monotonicity is enforced: a rung never has higher
-/// predicted accuracy or lower sustainable rate than the one above it.
+/// lower accuracy floor — each rung drops it one fixed step further below
+/// the device's base expected accuracy, deliberately trading the configured
+/// floors for liveness under overload; lower thresholds and earlier
+/// mandatory exits fall out of the DP — and, from rung 2 down, quantizes
+/// uploads. Partition point, server, and resource grants stay fixed, so
+/// every rung is feasible under the same allocation. Duplicate rungs are
+/// skipped. Monotonicity is enforced: a rung never has higher predicted
+/// accuracy or lower sustainable rate than the one above it.
 std::vector<LadderRung> build_degradation_ladder(
     const ProblemInstance& instance, const Decision& base,
-    const LadderOptions& opts, const JointOptions& joint = {});
+    const JointOptions& joint);
 
 /// Online re-optimization under bandwidth dynamics and hard failures:
 /// monitors the observed per-cell bandwidth and per-server liveness,
@@ -58,18 +51,18 @@ std::vector<LadderRung> build_degradation_ladder(
 /// device-only deployment rather than failing.
 class OnlineController {
  public:
+  /// Consecutive overloaded observation windows before stepping down.
+  static constexpr std::size_t kTriggerWindows = 2;
+  /// Consecutive calm observation windows before stepping back up.
+  static constexpr std::size_t kRecoveryWindows = 3;
+
   struct OverloadControlOptions {
-    LadderOptions ladder;
     /// The cluster is calm (eligible for recovery) when every device's
     /// offered rate is below this multiple of the *next rung up*'s
     /// sustainable rate — the gap between it and the overload margin (1.0:
     /// offered rate above the current rung's sustainable rate) is the
     /// hysteresis band that prevents rung thrash.
     double recover_margin = 0.7;
-    /// Consecutive overloaded observation windows before stepping down.
-    std::size_t trigger_windows = 2;
-    /// Consecutive calm observation windows before stepping back up.
-    std::size_t recovery_windows = 3;
   };
 
   /// Defenses against imperfect telemetry and a misbehaving solver. Every
@@ -88,7 +81,7 @@ class OnlineController {
   struct Options {
     /// Re-optimize when any cell's bandwidth deviates from the value used at
     /// the last solve by more than this relative factor.
-    double hysteresis = 0.25;
+    double hysteresis = failover::kBandwidthHysteresis;
     JointOptions joint;
     OverloadControlOptions overload;
     RobustnessOptions robustness;

@@ -13,6 +13,9 @@ namespace {
 /// capitulates: the world really changed, accept the reading and restart
 /// the reference window.
 constexpr std::size_t kDistrustLimit = 3;
+/// Liveness transitions count toward flap_threshold while they lie within
+/// this many most recent observations of the server.
+constexpr std::size_t kFlapWindow = 10;
 
 }  // namespace
 
@@ -158,8 +161,7 @@ SanitizeReport TelemetrySanitizer::apply(Observation& o) {
         if (opts_.flap_threshold > 0) {
           st.transitions.push_back(st.observations);
           while (!st.transitions.empty() &&
-                 st.transitions.front() + opts_.flap_window <=
-                     st.observations) {
+                 st.transitions.front() + kFlapWindow <= st.observations) {
             st.transitions.pop_front();
           }
           if (st.transitions.size() >= opts_.flap_threshold) {

@@ -38,15 +38,14 @@ struct SanitizerOptions {
   /// window of failover latency.
   std::size_t confirm_windows = 1;
   /// A server whose believed state transitions >= flap_threshold times
-  /// within the last flap_window observations is "flapping": its believed
-  /// state freezes until the raw readings are *self-consistent* for
+  /// within its last 10 observations is "flapping": its believed state
+  /// freezes until the raw readings are *self-consistent* for
   /// flap_hold consecutive windows, at which point that stable state is
   /// adopted — whichever it is. (Unfreezing only on agreement with the
   /// frozen belief would strand a server frozen "up" through a real
   /// outage.) 0 disables flap suppression.
   std::size_t flap_threshold = 0;
-  std::size_t flap_window = 10;  // observations
-  std::size_t flap_hold = 5;     // self-consistent observations to unfreeze
+  std::size_t flap_hold = 5;  // self-consistent observations to unfreeze
 };
 
 /// What one sanitizer pass did to the raw observation, for audit records

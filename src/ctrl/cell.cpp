@@ -310,7 +310,8 @@ bool CellController::tick(double now, double cell_bandwidth,
     pending_solve_ = true;
     failover::append_liveness_flips(detail, solved_alive_, server_alive);
   } else if (has_plan_ && solved_bw_ > 0.0 &&
-             std::abs(observed_bw_ / solved_bw_ - 1.0) > kBandwidthHysteresis) {
+             std::abs(observed_bw_ / solved_bw_ - 1.0) >
+                 failover::kBandwidthHysteresis) {
     pending_solve_ = true;
     char buf[64];
     std::snprintf(buf, sizeof(buf), "uplink %+.0f%%",

@@ -45,9 +45,6 @@ class CellController {
   /// more than this (absolute) — the distributed analogue of the online
   /// controller's bandwidth hysteresis.
   static constexpr double kSliceHysteresis = 0.02;
-  /// Re-solve when the observed cell uplink drifts from the value used at
-  /// the last local solve by more than this relative factor.
-  static constexpr double kBandwidthHysteresis = 0.25;
 
   CellController(const ProblemInstance& global, CellId cell,
                  CellControllerOptions opts, DecisionAuditLog* audit);

@@ -19,21 +19,18 @@ constexpr double kImprovementEps = 1e-6;
 
 void OffloadingProblem::validate() const {
   SCALPEL_REQUIRE(!rate.empty(), "offloading problem has no devices");
-  SCALPEL_REQUIRE(!capacity.empty(), "offloading problem has no servers");
   SCALPEL_REQUIRE(base_latency.size() == rate.size() &&
                       work.size() == rate.size(),
                   "offloading problem arity mismatch");
+  const std::size_t m = num_servers();
+  SCALPEL_REQUIRE(m > 0, "offloading problem has no servers");
   for (std::size_t i = 0; i < rate.size(); ++i) {
     SCALPEL_REQUIRE(rate[i] > 0.0, "offloaded rates must be positive");
-    SCALPEL_REQUIRE(base_latency[i].size() == capacity.size() &&
-                        work[i].size() == capacity.size(),
+    SCALPEL_REQUIRE(base_latency[i].size() == m && work[i].size() == m,
                     "offloading problem row arity mismatch");
-    for (std::size_t j = 0; j < capacity.size(); ++j) {
+    for (std::size_t j = 0; j < m; ++j) {
       SCALPEL_REQUIRE(work[i][j] > 0.0, "server work must be positive");
     }
-  }
-  for (double c : capacity) {
-    SCALPEL_REQUIRE(c > 0.0, "server capacity must be positive");
   }
 }
 
@@ -61,7 +58,7 @@ double evaluate_assignment(const OffloadingProblem& p,
       lambda.push_back(p.rate[i]);
       work.push_back(p.work[i][j]);
     }
-    const auto split = queueing::kleinrock(lambda, work, p.capacity[j]);
+    const auto split = queueing::kleinrock(lambda, work, 1.0);
     if (split.empty()) return kInf;  // unstable server
     for (std::size_t k = 0; k < members.size(); ++k) {
       const std::size_t i = members[k];
@@ -108,16 +105,16 @@ OffloadingSolution greedy_offloading(const OffloadingProblem& p) {
   });
 
   std::vector<int> assign(n, -1);
-  std::vector<double> load(m, 0.0);  // committed FLOP/s demand
+  std::vector<double> load(m, 0.0);  // committed utilization
   for (std::size_t i : order) {
     double best_cost = kInf;
     int best_j = -1;
     for (std::size_t j = 0; j < m; ++j) {
       if (!std::isfinite(p.base_latency[i][j])) continue;
       const double demand = p.rate[i] * p.work[i][j];
-      if (load[j] + demand >= p.capacity[j]) continue;
+      if (load[j] + demand >= 1.0) continue;
       // Myopic score: base latency + single-class sojourn on the spare.
-      const double mu = (p.capacity[j] - load[j]) / p.work[i][j];
+      const double mu = (1.0 - load[j]) / p.work[i][j];
       const double cost =
           p.base_latency[i][j] + queueing::mm1_sojourn(p.rate[i], mu);
       if (cost < best_cost) {
@@ -126,18 +123,10 @@ OffloadingSolution greedy_offloading(const OffloadingProblem& p) {
       }
     }
     if (best_j < 0) {
-      // No stable placement: dump on the relatively least-loaded server so
-      // the evaluator reports infeasibility coherently.
-      std::size_t fallback = 0;
-      double best_frac = kInf;
-      for (std::size_t j = 0; j < m; ++j) {
-        const double frac = load[j] / p.capacity[j];
-        if (frac < best_frac) {
-          best_frac = frac;
-          fallback = j;
-        }
-      }
-      best_j = static_cast<int>(fallback);
+      // No stable placement: dump on the least-loaded server so the
+      // evaluator reports infeasibility coherently.
+      best_j = static_cast<int>(std::min_element(load.begin(), load.end()) -
+                                load.begin());
     }
     assign[i] = best_j;
     load[static_cast<std::size_t>(best_j)] +=
@@ -205,10 +194,10 @@ std::vector<double> kleinrock_shares(const OffloadingProblem& p,
       lambda.push_back(p.rate[i]);
       work.push_back(p.work[i][j]);
     }
-    const auto split = queueing::kleinrock(lambda, work, p.capacity[j]);
+    const auto split = queueing::kleinrock(lambda, work, 1.0);
     if (split.empty()) continue;  // overloaded: members keep share 0
     for (std::size_t k = 0; k < members.size(); ++k) {
-      out[members[k]] = split[k] / p.capacity[j];
+      out[members[k]] = split[k];
     }
   }
   return out;

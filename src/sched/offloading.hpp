@@ -6,9 +6,10 @@
 namespace scalpel {
 
 /// Server-selection ("offloading") subproblem: each device class must pick
-/// one edge server; a server's capacity is split among its assignees by the
-/// Kleinrock rule, so one device's choice changes everyone's queueing delay.
-/// This is the distributed-offloading component: the best-response dynamics
+/// one edge server; a server's unit capacity (its full speed) is split among
+/// its assignees by the Kleinrock rule, so one device's choice changes
+/// everyone's queueing delay. The server count is the rows' width. This is
+/// the distributed-offloading component: the best-response dynamics
 /// converge to a Nash point whose social cost tests show is near the small-
 /// instance optimum.
 struct OffloadingProblem {
@@ -18,15 +19,14 @@ struct OffloadingProblem {
   /// rate[i]: offloaded-task arrival rate of device i (tasks/s).
   std::vector<double> rate;
   /// work[i][j]: expected full-speed server time (seconds) per offloaded
-  /// task of device i on j, conditional on the task offloading.
+  /// task of device i on j, conditional on the task offloading; a device
+  /// granted all of server j is served at rate 1 / work[i][j].
   std::vector<std::vector<double>> work;
-  /// capacity[j]: server j's speed in units of full speed, so a device
-  /// granted all of server j is served at rate capacity[j] / work[i][j].
-  /// Every caller builds unit-capacity servers (1.0).
-  std::vector<double> capacity;
 
   std::size_t num_devices() const { return rate.size(); }
-  std::size_t num_servers() const { return capacity.size(); }
+  std::size_t num_servers() const {
+    return base_latency.empty() ? 0 : base_latency.front().size();
+  }
   void validate() const;
 };
 

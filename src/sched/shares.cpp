@@ -5,9 +5,9 @@
 #include "util/assert.hpp"
 
 namespace scalpel::shares {
-namespace {
 
-void check_inputs(const std::vector<double>& demands, double capacity) {
+std::vector<double> sqrt_rule(const std::vector<double>& demands,
+                              double capacity) {
   SCALPEL_REQUIRE(!demands.empty(), "share allocation needs demands");
   SCALPEL_REQUIRE(capacity > 0.0, "capacity must be positive");
   bool any = false;
@@ -16,30 +16,11 @@ void check_inputs(const std::vector<double>& demands, double capacity) {
     any = any || w > 0.0;
   }
   SCALPEL_REQUIRE(any, "at least one demand must be positive");
-}
-
-}  // namespace
-
-std::vector<double> sqrt_rule(const std::vector<double>& demands,
-                              double capacity) {
-  check_inputs(demands, capacity);
   double total = 0.0;
   for (double w : demands) total += std::sqrt(w);
   std::vector<double> out(demands.size(), 0.0);
   for (std::size_t i = 0; i < demands.size(); ++i) {
     out[i] = capacity * std::sqrt(demands[i]) / total;
-  }
-  return out;
-}
-
-std::vector<double> equal_split(const std::vector<double>& demands,
-                                double capacity) {
-  check_inputs(demands, capacity);
-  std::size_t active = 0;
-  for (double w : demands) active += (w > 0.0) ? 1 : 0;
-  std::vector<double> out(demands.size(), 0.0);
-  for (std::size_t i = 0; i < demands.size(); ++i) {
-    if (demands[i] > 0.0) out[i] = capacity / static_cast<double>(active);
   }
   return out;
 }

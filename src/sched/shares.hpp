@@ -16,9 +16,5 @@ namespace shares {
 std::vector<double> sqrt_rule(const std::vector<double>& demands,
                               double capacity);
 
-/// Equal split among classes with positive demand.
-std::vector<double> equal_split(const std::vector<double>& demands,
-                                double capacity);
-
 }  // namespace shares
 }  // namespace scalpel

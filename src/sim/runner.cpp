@@ -41,12 +41,9 @@ ReplicatedMetrics ScenarioRunner::run() const {
   std::vector<std::vector<TraceEvent>> traces(tracing ? n : 0);
 
   auto run_one = [&](std::size_t r) {
-    ShardedSimulator::Options o = options_.sim;
+    Simulator::Options o = options_.sim;
     o.seed = replication_seed(options_.sim.seed, r);
-    ShardOptions sopts;
-    sopts.shards = options_.shards;  // ShardPlan turns 0 into 1
-    sopts.threads = options_.shard_threads;
-    ShardedSimulator sim(*instance_, decision_, o, sopts);
+    Simulator sim(*instance_, decision_, o);
     results[r] = std::make_unique<SimMetrics>(sim.run());
     if (tracing) traces[r] = sim.trace_events();
   };

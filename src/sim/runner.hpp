@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "obs/trace.hpp"
-#include "sim/shard.hpp"
+#include "sim/simulator.hpp"
 #include "util/stats.hpp"
 
 namespace scalpel {
@@ -40,12 +40,14 @@ struct ReplicatedMetrics {
   /// Per-replication event traces in reconciled order, indexed by
   /// replication id (empty unless Options::sim.trace_capacity > 0). Each
   /// trace is the bit-identical stream the replication's seed produces,
-  /// regardless of thread or shard count.
+  /// regardless of thread count.
   std::vector<std::vector<TraceEvent>> traces;
 };
 
 /// Fans N independent replications of one (instance, decision) scenario out
-/// across a thread pool. Replication r simulates with the substream seed
+/// across a thread pool, each on the one-shard Simulator (the engine's
+/// outputs do not depend on its shard count, and the fan-out already keeps
+/// every core busy). Replication r simulates with the substream seed
 /// derived from (options.sim.seed, r) — a pure function, so the aggregate is
 /// bit-identical whether the fan-out runs on 1 thread or 64, and any single
 /// replication can be re-run alone for debugging.
@@ -59,20 +61,11 @@ class ScenarioRunner {
     /// replication substreams from, not the seed any replication runs with.
     /// Its borrowed `recorder` and `slo` must be null unless replications
     /// is 1: one sink cannot take the samples of several runs.
-    ShardedSimulator::Options sim;
+    Simulator::Options sim;
     /// Reject replications whose post-warmup completion count is zero
     /// instead of silently aggregating empty Samples (the classic
     /// short-horizon footgun).
     bool require_completions = true;
-    /// Engine shard count of every replication (ShardOptions::shards); 0
-    /// and 1 both mean one shard. Results are bit-identical for any value;
-    /// more shards pay off for metro-scale topologies.
-    std::size_t shards = 0;
-    /// Worker threads inside each replication (ShardOptions::threads).
-    /// Defaults to 1: the fan-out already parallelizes across
-    /// replications, so per-replication threading only pays off when
-    /// replications < cores.
-    std::size_t shard_threads = 1;
   };
 
   ScenarioRunner(const ProblemInstance& instance, Decision decision,

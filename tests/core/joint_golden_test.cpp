@@ -140,13 +140,6 @@ TEST(JointGolden, DefaultOptions) {
                 {15217154344397945720ull, 7315232, 3, 1520510});
 }
 
-TEST(JointGolden, DeadlineSatisfactionObjective) {
-  JointOptions o;
-  o.objective = JointObjective::kDeadlineSatisfaction;
-  expect_golden(solve(campus(), o),
-                {13585879033397713674ull, 9756207, 4, 2027426});
-}
-
 TEST(JointGolden, QuantizedUpload) {
   JointOptions o;
   o.enable_quantized_upload = true;

@@ -172,29 +172,6 @@ TEST(Joint, HandlesOverloadByKeepingWorkLocalOrShedding) {
   }
 }
 
-TEST(Joint, DeadlineObjectiveDoesNotLoseSatisfaction) {
-  // On a deadline-tight cluster, optimizing for deadline satisfaction must
-  // score at least as well on that metric as optimizing for mean latency.
-  clusters::CampusOptions copts;
-  copts.num_devices = 8;
-  copts.num_servers = 2;
-  copts.deadline = 0.12;  // tight
-  copts.seed = 9;
-  const ProblemInstance instance(clusters::campus(copts));
-
-  JointOptions latency_opts = fast_opts();
-  JointOptions deadline_opts = fast_opts();
-  deadline_opts.objective = JointObjective::kDeadlineSatisfaction;
-
-  const auto by_latency = JointOptimizer(latency_opts).optimize(instance);
-  const auto by_deadline = JointOptimizer(deadline_opts).optimize(instance);
-  const double sat_latency =
-      predicted_deadline_satisfaction(instance, by_latency);
-  const double sat_deadline =
-      predicted_deadline_satisfaction(instance, by_deadline);
-  EXPECT_GE(sat_deadline, sat_latency - 1e-9);
-}
-
 TEST(Joint, ReportSolveTimePositive) {
   const ProblemInstance instance(clusters::small_lab());
   JointReport report;

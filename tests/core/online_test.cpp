@@ -151,21 +151,15 @@ TEST(Online, RecoveryRestoresOffloading) {
   EXPECT_GE(ctl.failovers(), 2u);
 }
 
-OnlineController::Options overload_opts() {
-  auto o = fast_opts();
-  o.overload.ladder.rungs = 3;
-  o.overload.ladder.accuracy_step = 0.1;
-  o.overload.trigger_windows = 2;
-  o.overload.recovery_windows = 2;
-  return o;
-}
+constexpr std::size_t kTrigger = OnlineController::kTriggerWindows;
+constexpr std::size_t kRecovery = OnlineController::kRecoveryWindows;
 
 std::vector<double> lab_bw() {
   return {clusters::small_lab().cell(0).bandwidth};
 }
 
 TEST(Online, LadderIsMonotone) {
-  OnlineController ctl(clusters::small_lab(), overload_opts());
+  OnlineController ctl(clusters::small_lab(), fast_opts());
   const std::vector<double> zeros(4, 0.0);
   observe(ctl, lab_bw(), {true, true}, zeros, zeros);
   const auto& ladder = ctl.ladder();
@@ -190,15 +184,16 @@ TEST(Online, LadderIsMonotone) {
 }
 
 TEST(Online, SustainedOverloadWalksDownLadderThenThrottles) {
-  OnlineController ctl(clusters::small_lab(), overload_opts());
+  OnlineController ctl(clusters::small_lab(), fast_opts());
   const std::vector<double> bw = lab_bw();
   const std::vector<double> flood(4, 1e4);
   const std::vector<double> zeros(4, 0.0);
   observe(ctl, bw, {true, true}, zeros, zeros);
   const std::size_t bottom = ctl.ladder().size() - 1;
 
-  // Two overloaded windows per step-down, then two more to engage the gate.
-  for (std::size_t w = 0; w < 2 * (bottom + 1); ++w) {
+  // kTrigger overloaded windows per step-down, then kTrigger more to engage
+  // the gate.
+  for (std::size_t w = 0; w < kTrigger * (bottom + 1); ++w) {
     observe(ctl, bw, {true, true}, flood, zeros);
   }
   EXPECT_EQ(ctl.current_rung(), bottom);
@@ -215,24 +210,25 @@ TEST(Online, SustainedOverloadWalksDownLadderThenThrottles) {
 }
 
 TEST(Online, RecoveryUnwindsGateFirstThenRungs) {
-  OnlineController ctl(clusters::small_lab(), overload_opts());
+  OnlineController ctl(clusters::small_lab(), fast_opts());
   const std::vector<double> bw = lab_bw();
   const std::vector<double> flood(4, 1e4);
   const std::vector<double> zeros(4, 0.0);
   observe(ctl, bw, {true, true}, zeros, zeros);
   const std::size_t bottom = ctl.ladder().size() - 1;
-  for (std::size_t w = 0; w < 2 * (bottom + 1); ++w) {
+  for (std::size_t w = 0; w < kTrigger * (bottom + 1); ++w) {
     observe(ctl, bw, {true, true}, flood, zeros);
   }
   ASSERT_FALSE(ctl.admit_fraction().empty());
 
   // Calm traffic: the gate clears before any rung climbs, then the ladder
   // unwinds one rung per recovery streak until the base plan is back.
-  observe(ctl, bw, {true, true}, zeros, zeros);
-  observe(ctl, bw, {true, true}, zeros, zeros);
+  for (std::size_t w = 0; w < kRecovery; ++w) {
+    observe(ctl, bw, {true, true}, zeros, zeros);
+  }
   EXPECT_TRUE(ctl.admit_fraction().empty());
   EXPECT_EQ(ctl.current_rung(), bottom);
-  for (std::size_t w = 0; w < 2 * bottom; ++w) {
+  for (std::size_t w = 0; w < kRecovery * bottom; ++w) {
     observe(ctl, bw, {true, true}, zeros, zeros);
   }
   EXPECT_EQ(ctl.current_rung(), 0u);
@@ -240,12 +236,12 @@ TEST(Online, RecoveryUnwindsGateFirstThenRungs) {
 }
 
 TEST(Online, BriefSpikesDoNotDegrade) {
-  OnlineController ctl(clusters::small_lab(), overload_opts());
+  OnlineController ctl(clusters::small_lab(), fast_opts());
   const std::vector<double> bw = lab_bw();
   const std::vector<double> flood(4, 1e4);
   const std::vector<double> zeros(4, 0.0);
   observe(ctl, bw, {true, true}, zeros, zeros);
-  // Alternating spike/calm never reaches trigger_windows consecutive hits.
+  // Alternating spike/calm never reaches kTrigger consecutive hits.
   for (int w = 0; w < 6; ++w) {
     observe(ctl, bw, {true, true}, flood, zeros);
     observe(ctl, bw, {true, true}, zeros, zeros);
@@ -255,19 +251,20 @@ TEST(Online, BriefSpikesDoNotDegrade) {
 }
 
 TEST(Online, QueueDepthAloneTriggersDegradation) {
-  OnlineController ctl(clusters::small_lab(), overload_opts());
+  OnlineController ctl(clusters::small_lab(), fast_opts());
   const std::vector<double> bw = lab_bw();
   const std::vector<double> zeros(4, 0.0);
   std::vector<double> deep(4, 0.0);
   deep[0] = 100.0;  // stale rate estimate, but the backlog is undeniable
   observe(ctl, bw, {true, true}, zeros, zeros);
-  observe(ctl, bw, {true, true}, zeros, deep);
-  observe(ctl, bw, {true, true}, zeros, deep);
+  for (std::size_t w = 0; w < kTrigger; ++w) {
+    observe(ctl, bw, {true, true}, zeros, deep);
+  }
   EXPECT_GE(ctl.degradations(), 1u);
 }
 
 TEST(Online, ValidatesOverloadObservationArity) {
-  OnlineController ctl(clusters::small_lab(), overload_opts());
+  OnlineController ctl(clusters::small_lab(), fast_opts());
   const std::vector<double> bw = lab_bw();
   EXPECT_THROW(observe(ctl, bw, {true, true}, {1.0}, {0.0, 0.0, 0.0, 0.0}),
                ContractViolation);
@@ -527,7 +524,7 @@ TEST(Online, UnchangedLivenessDoesNotResolve) {
 // The engine adapter forwards the decision and the gate together, and only
 // on the windows observe() reports as a change.
 TEST(OnlineControllerCallback, ForwardsOnlyOnChange) {
-  OnlineController ctl(clusters::small_lab(), overload_opts());
+  OnlineController ctl(clusters::small_lab(), fast_opts());
   const ObservingController tick = ctl.callback();
   const std::vector<double> flood(4, 1e4);
   const std::vector<double> zeros(4, 0.0);

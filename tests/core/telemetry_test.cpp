@@ -123,7 +123,6 @@ TEST(Sanitizer, ContradictedFlipStreakResets) {
 TEST(Sanitizer, FlappingServerFreezesUntilStable) {
   SanitizerOptions so;
   so.flap_threshold = 2;
-  so.flap_window = 10;
   so.flap_hold = 3;
   TelemetrySanitizer san(so, 0, 1);
 
@@ -161,7 +160,6 @@ TEST(Sanitizer, FlappingServerFreezesUntilStable) {
 TEST(Sanitizer, FrozenWrongBeliefRecoversFromStableTruth) {
   SanitizerOptions so;
   so.flap_threshold = 3;
-  so.flap_window = 10;
   so.flap_hold = 3;
   TelemetrySanitizer san(so, 0, 1);
 

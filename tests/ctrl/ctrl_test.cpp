@@ -502,7 +502,7 @@ TEST(CtrlCell, UplinkDriftWithinTheHysteresisBandDoesNotReSolve) {
   cc.tick(0.0, bw, alive, f);
   ASSERT_EQ(cc.local_solves(), 1u);
 
-  const double h = CellController::kBandwidthHysteresis;
+  const double h = failover::kBandwidthHysteresis;
   cc.tick(0.5, bw * (1.0 + 0.95 * h), alive, f);
   cc.tick(1.0, bw * (1.0 - 0.95 * h), alive, f);
   EXPECT_EQ(cc.local_solves(), 1u) << "drift inside the band is noise";

@@ -15,7 +15,6 @@ namespace {
 /// Random feasible instance: total load comfortably below total capacity.
 OffloadingProblem random_problem(std::size_t n, std::size_t m, Rng& rng) {
   OffloadingProblem p;
-  p.capacity.assign(m, 1.0);
   for (std::size_t i = 0; i < n; ++i) {
     p.rate.push_back(rng.uniform(0.5, 2.0));
     std::vector<double> base;
@@ -33,16 +32,14 @@ OffloadingProblem random_problem(std::size_t n, std::size_t m, Rng& rng) {
 TEST(Offloading, ValidateCatchesArityErrors) {
   OffloadingProblem p;
   EXPECT_THROW(p.validate(), ContractViolation);
-  p.capacity = {1.0};
   p.rate = {1.0};
-  p.base_latency = {{0.1, 0.2}};  // two servers but capacity has one
+  p.base_latency = {{0.1, 0.2}};  // two servers but work has one
   p.work = {{0.1}};
   EXPECT_THROW(p.validate(), ContractViolation);
 }
 
 TEST(Offloading, EvaluateSingleDeviceMatchesClosedForm) {
   OffloadingProblem p;
-  p.capacity = {1.0};
   p.rate = {2.0};
   p.base_latency = {{0.01}};
   p.work = {{0.1}};  // mu = 1/0.1 = 10 with full capacity
@@ -55,7 +52,6 @@ TEST(Offloading, EvaluateSingleDeviceMatchesClosedForm) {
 
 TEST(Offloading, EvaluateDetectsOverload) {
   OffloadingProblem p;
-  p.capacity = {1.0};
   p.rate = {20.0};
   p.base_latency = {{0.01}};
   p.work = {{0.1}};  // load 2.0 > 1
@@ -65,7 +61,6 @@ TEST(Offloading, EvaluateDetectsOverload) {
 
 TEST(Offloading, EvaluateRejectsForbiddenPair) {
   OffloadingProblem p;
-  p.capacity = {1.0, 1.0};
   p.rate = {1.0};
   p.base_latency = {
       {std::numeric_limits<double>::infinity(), 0.01}};
@@ -160,7 +155,6 @@ TEST(Offloading, KleinrockSharesSumWithinServerCapacity) {
 
 TEST(Offloading, KleinrockSharesZeroOnOverload) {
   OffloadingProblem p;
-  p.capacity = {1.0};
   p.rate = {20.0};
   p.base_latency = {{0.0}};
   p.work = {{0.1}};
@@ -169,13 +163,13 @@ TEST(Offloading, KleinrockSharesZeroOnOverload) {
 }
 
 TEST(Offloading, HeavyDeviceGetsFasterServerUnderContention) {
-  // Two servers, one 4x the capacity; the heavy class should end up on the
-  // big one after best-response.
+  // Two servers, one 4x as fast, so every task needs a quarter of the
+  // full-speed time there; the heavy class should end up on the fast one
+  // after best-response.
   OffloadingProblem p;
-  p.capacity = {4.0, 1.0};
   p.rate = {10.0, 0.5};
   p.base_latency = {{0.001, 0.001}, {0.001, 0.001}};
-  p.work = {{0.3, 0.3}, {0.05, 0.05}};
+  p.work = {{0.3 / 4.0, 0.3}, {0.05 / 4.0, 0.05}};
   const auto s = best_response_offloading(p);
   ASSERT_TRUE(s.feasible);
   EXPECT_EQ(s.server_of[0], 0);  // heavy -> big server

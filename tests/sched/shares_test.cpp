@@ -33,13 +33,6 @@ TEST(Shares, InputValidation) {
   EXPECT_THROW(shares::sqrt_rule({0.0, 0.0}, 1.0), ContractViolation);
 }
 
-TEST(Shares, EqualSplitSkipsZeroDemand) {
-  const auto s = shares::equal_split({1.0, 0.0, 5.0}, 10.0);
-  EXPECT_NEAR(s[0], 5.0, 1e-12);
-  EXPECT_EQ(s[1], 0.0);
-  EXPECT_NEAR(s[2], 5.0, 1e-12);
-}
-
 TEST(Shares, ProportionalMatchesWeights) {
   const auto s = shares::proportional({1.0, 3.0}, 8.0);
   EXPECT_NEAR(s[0], 2.0, 1e-12);
@@ -75,8 +68,7 @@ TEST(Shares, SqrtRuleBeatsEqualAndProportionalOnSkewedDemands) {
   const std::vector<double> w = {1.0, 100.0};
   const double cap = 10.0;
   const double sqrt_cost = shares::inverse_cost(w, shares::sqrt_rule(w, cap));
-  const double equal_cost =
-      shares::inverse_cost(w, shares::equal_split(w, cap));
+  const double equal_cost = shares::inverse_cost(w, {cap / 2.0, cap / 2.0});
   const double prop_cost =
       shares::inverse_cost(w, shares::proportional(w, cap));
   EXPECT_LT(sqrt_cost, equal_cost);

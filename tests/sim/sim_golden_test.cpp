@@ -833,7 +833,7 @@ INSTANTIATE_TEST_SUITE_P(Scenarios, SimGoldenTest, ::testing::ValuesIn(kGoldens)
 
 // Replicated fan-outs through ScenarioRunner: one digest over every
 // replication's metrics and reconciled trace, for runner thread counts
-// {1, 4} and engine shard counts {0, 1, 2, 4}.
+// {1, 4}.
 struct RunnerScenario {
   std::string name;
   std::shared_ptr<const ProblemInstance> instance;
@@ -866,12 +866,9 @@ std::vector<RunnerScenario> build_runner_scenarios() {
   return out;
 }
 
-std::uint64_t run_runner(const RunnerScenario& s, std::size_t threads,
-                         std::size_t shards) {
+std::uint64_t run_runner(const RunnerScenario& s, std::size_t threads) {
   ScenarioRunner::Options o = s.opts;
   o.threads = threads;
-  o.shards = shards;
-  o.shard_threads = 2;
   const ReplicatedMetrics agg = ScenarioRunner(*s.instance, s.decision, o).run();
   Fnv h;
   h.u64(agg.arrived);
@@ -910,11 +907,9 @@ TEST_P(SimGoldenRunnerTest, EveryFanOutMatches) {
   }
   ASSERT_NE(s, nullptr) << "unknown runner scenario " << g.name;
   for (const std::size_t threads : {1u, 4u}) {
-    for (const std::size_t shards : {0u, 1u, 2u, 4u}) {
-      const std::uint64_t d = run_runner(*s, threads, shards);
-      EXPECT_EQ(d, g.digest) << g.name << " threads=" << threads
-                             << " shards=" << shards << " is now " << hex(d);
-    }
+    const std::uint64_t d = run_runner(*s, threads);
+    EXPECT_EQ(d, g.digest) << g.name << " threads=" << threads << " is now "
+                           << hex(d);
   }
 }
 
