@@ -1,6 +1,7 @@
 #include "core/online.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -10,6 +11,7 @@
 #include "obs/timeseries.hpp"
 #include "surgery/exit_setting.hpp"
 #include "util/assert.hpp"
+#include "util/thread_pool.hpp"
 
 namespace scalpel {
 
@@ -66,6 +68,38 @@ std::vector<LadderRung> build_degradation_ladder(
   const std::vector<double> base_acc = prev_acc;
   ladder.push_back(std::move(r0));
 
+  // Rung k re-runs device i's device-only exit-setting DP at floor
+  // base_acc[i] - k * kAccuracyStep. The floor is read only when the DP's
+  // frontier is finished, so each device's frontier is built once and
+  // finished at all its rung floors. Devices are independent, so they run
+  // across the shared pool, each thread claiming the next device.
+  const auto rung_floor = [&](std::size_t i, std::size_t k) {
+    return std::max(0.0, base_acc[i] - static_cast<double>(k) * kAccuracyStep);
+  };
+  std::vector<std::vector<ExitSettingResult>> rung_dp(n);
+  std::atomic<std::size_t> next_device{0};
+  auto solve_rungs = [&](std::size_t, std::size_t) {
+    for (std::size_t i; (i = next_device.fetch_add(1)) < n;) {
+      const auto id = static_cast<DeviceId>(i);
+      const auto& device = topo.device(id);
+      const auto& bundle = instance.bundle_for(id);
+      ExitSettingOptions eo;
+      eo.theta_grid = joint.theta_grid;
+      eo.max_exits = joint.max_exits;
+      eo.coverage_bins = joint.dp_coverage_bins;
+      eo.difficulty = device.difficulty;
+      std::vector<double> floors(kLadderRungs);
+      for (std::size_t k = 1; k <= kLadderRungs; ++k) {
+        floors[k - 1] = rung_floor(i, k);
+      }
+      rung_dp[i] = dp_exit_setting_floors(bundle.graph, bundle.candidates,
+                                          bundle.accuracy, device.compute, eo,
+                                          floors);
+    }
+  };
+  ThreadPool& pool = ThreadPool::shared();
+  pool.parallel_for(0, pool.size(), solve_rungs);
+
   for (std::size_t k = 1; k <= kLadderRungs; ++k) {
     const LadderRung& prev = ladder.back();
     LadderRung rung;
@@ -74,18 +108,9 @@ std::vector<LadderRung> build_degradation_ladder(
     for (std::size_t i = 0; i < n; ++i) {
       const auto id = static_cast<DeviceId>(i);
       const auto& device = topo.device(id);
-      const auto& bundle = instance.bundle_for(id);
-      const double floor_k =
-          std::max(0.0, base_acc[i] - static_cast<double>(k) * kAccuracyStep);
-      ExitSettingOptions eo;
-      eo.min_accuracy = floor_k;
-      eo.theta_grid = joint.theta_grid;
-      eo.max_exits = joint.max_exits;
-      eo.coverage_bins = joint.dp_coverage_bins;
-      eo.difficulty = device.difficulty;
+      const double floor_k = rung_floor(i, k);
       SurgeryPlan plan = prev.plans[i];
-      const auto res = dp_exit_setting(bundle.graph, bundle.candidates,
-                                       bundle.accuracy, device.compute, eo);
+      const ExitSettingResult& res = rung_dp[i][k - 1];
       if (res.feasible) plan.policy = res.policy;
       if (!plan.device_only && k >= kQuantizeFrom) {
         plan.quantize_upload = true;

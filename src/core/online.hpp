@@ -37,6 +37,12 @@ struct LadderRung {
 /// every rung is feasible under the same allocation. Duplicate rungs are
 /// skipped. Monotonicity is enforced: a rung never has higher predicted
 /// accuracy or lower sustainable rate than the one above it.
+///
+/// Each device's DP frontier is built once and finished at every rung's
+/// floor (dp_exit_setting_floors), with devices spread across
+/// ThreadPool::shared(). The ladder is bit-identical for any pool size, and
+/// the function may be called from several threads, or from another pool's
+/// workers, at once.
 std::vector<LadderRung> build_degradation_ladder(
     const ProblemInstance& instance, const Decision& base,
     const JointOptions& joint);
