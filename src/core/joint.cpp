@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 #include <utility>
@@ -141,6 +143,11 @@ ExitCostTable build_cost_table(const Graph& graph,
 /// the activation plus the scale word.
 std::int64_t wire_bytes(std::int64_t activation_bytes, bool quantize) {
   return quantize ? activation_bytes / 4 + 4 : activation_bytes;
+}
+
+/// Bit equality (unlike ==, tells -0.0 from 0.0 and matches a NaN).
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
 struct SurgeryOutcome {
@@ -369,6 +376,22 @@ Decision JointOptimizer::optimize(const ProblemInstance& instance,
     }
   }
 
+  // Within one solve, best_surgery for device i is a pure function of its
+  // grant (server, share, bandwidth): the instance, the cuts, the device
+  // costs and the options are fixed. Each device keeps the grant its last
+  // search ran under and that search's outcome, and a round whose grant is
+  // bit-equal reuses the outcome instead of re-running the DP. This happens
+  // mostly for devices that went local (the allocation step leaves their
+  // stale grants alone) and for devices whose allocation did not move.
+  struct SurgeryMemo {
+    bool valid = false;
+    int server = 0;
+    double share = 0.0;
+    double bandwidth = 0.0;
+    SurgeryOutcome outcome;
+  };
+  std::vector<SurgeryMemo> surgery_memo(n);
+
   // The allocation step's plan statistics depend only on the surgery plan,
   // so they are memoized on the plan and reused when the alternation
   // revisits it.
@@ -416,12 +439,20 @@ Decision JointOptimizer::optimize(const ProblemInstance& instance,
         for (std::size_t i; (i = next_device.fetch_add(1)) < n;) {
           const auto id = static_cast<DeviceId>(i);
           const ModelBundle& bundle = instance.bundle_for(id);
-          const auto outcome =
-              best_surgery(instance, id, bundle, server_of[i], share[i],
-                           bandwidth[i], device_cuts[i], device_costs[i],
-                           opts_);
+          SurgeryMemo& memo = surgery_memo[i];
+          if (!memo.valid || memo.server != server_of[i] ||
+              !same_bits(memo.share, share[i]) ||
+              !same_bits(memo.bandwidth, bandwidth[i])) {
+            memo = {true, server_of[i], share[i], bandwidth[i],
+                    best_surgery(instance, id, bundle, server_of[i],
+                                 share[i], bandwidth[i], device_cuts[i],
+                                 device_costs[i], opts_)};
+            // A reused outcome counts its evaluations again (a logical
+            // count), but not the labels its DP folded.
+            labels[i] = memo.outcome.labels;
+          }
+          const SurgeryOutcome& outcome = memo.outcome;
           evals[i] = outcome.evaluations;
-          labels[i] = outcome.labels;
           if (!outcome.feasible) continue;
           if (iter == 0) {
             plans[i] = outcome.plan;

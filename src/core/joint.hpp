@@ -38,12 +38,14 @@ struct JointReport {
   std::vector<double> objective_history;  // mean latency after each round
   double solve_seconds = 0.0;
   /// Exit-setting DP configurations examined: a logical count, as if each
-  /// cut's DP ran from scratch, so it includes the device-only prefix the
-  /// forked DP shares across cuts.
+  /// cut's DP ran from scratch in every round, so it includes the
+  /// device-only prefix the forked DP shares across cuts and the searches
+  /// a round reuses from the last one.
   std::size_t surgery_evaluations = 0;
   /// Frontier labels the exit-setting DPs folded (ExitSettingResult::labels
   /// summed over every device and round): the exact work count of the
-  /// surgery step's inner loop, with each shared DP prefix counted once.
+  /// surgery step's inner loop, with each shared DP prefix counted once and
+  /// a search reused on a bit-equal grant counted not at all.
   std::size_t dp_labels = 0;
 };
 
@@ -56,7 +58,8 @@ struct JointReport {
 /// a generalized exit-setting DP over every clean cut, pricing backbone
 /// segments on the side of the cut they execute and charging the upload to
 /// tasks crossing it; the cuts share one DP run over their device-side
-/// prefix. The allocation step re-splits cell bandwidth by the
+/// prefix, and a device whose grant did not move since its last search
+/// reuses that search. The allocation step re-splits cell bandwidth by the
 /// square-root rule, re-assigns servers by best-response dynamics over a
 /// Kleinrock-shared queueing model, and re-derives compute shares. Rounds
 /// repeat until the objective stalls.
