@@ -36,7 +36,10 @@ class RunningStat {
 /// repo (up to a few million latency samples per run).
 class Samples {
  public:
-  void add(double x) { xs_.push_back(x); }
+  void add(double x) {
+    xs_.push_back(x);
+    sorted_ = false;
+  }
   void reserve(std::size_t n) { xs_.reserve(n); }
   /// Append every sample of `other` (replication fan-in). Merge order does
   /// not affect any statistic except the raw values() ordering.
@@ -60,6 +63,9 @@ class Samples {
   double p95() const { return quantile(0.95); }
   double p99() const { return quantile(0.99); }
 
+  /// The samples in arrival order until a quantile is read: quantile()
+  /// and the pNN() readers sort the values in place, and the order stays
+  /// sorted until the next add() or merge() appends in arrival order.
   const std::vector<double>& values() const { return xs_; }
 
  private:

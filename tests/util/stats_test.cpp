@@ -114,6 +114,18 @@ TEST(Samples, QuantileAfterMoreAdds) {
   EXPECT_DOUBLE_EQ(s.quantile(1.0), 100.0);
 }
 
+TEST(Samples, QuantileAfterAddSeesNewSample) {
+  // A sample added after a quantile read must count in the next one.
+  Samples s;
+  s.add(3.0);
+  s.add(1.0);
+  s.add(2.0);
+  EXPECT_DOUBLE_EQ(s.p50(), 2.0);
+  s.add(0.0);
+  EXPECT_DOUBLE_EQ(s.p50(), 1.5);
+  EXPECT_DOUBLE_EQ(s.min(), 0.0);
+}
+
 TEST(Samples, RejectsEmptyQueries) {
   Samples s;
   EXPECT_THROW(s.mean(), ContractViolation);
