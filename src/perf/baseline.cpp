@@ -72,6 +72,9 @@ void validate_simcore_report(const Json& report) {
   const Json& solver = results.at("solver");
   finite_positive(solver, "best_seconds");
   finite_positive(solver, "us_per_solve");
+  if (solver.contains("ladder_us_per_build")) {
+    finite_positive(solver, "ladder_us_per_build");
+  }
   if (solver.contains("dp_labels")) {
     const double labels = solver.at("dp_labels").as_number();
     SCALPEL_REQUIRE(std::isfinite(labels) && labels >= 0.0 &&
@@ -166,7 +169,23 @@ GateResult check_regression(const Json& baseline, const Json& candidate,
   std::snprintf(solver_buf, sizeof(solver_buf),
                 "; solver us/solve %.0f vs %.0f (%.2fx)", cand_solver,
                 base_solver, r.ratio_solver);
-  const std::string solver_note = solver_buf + labels_note;
+  std::string solver_note = solver_buf;
+  // The ladder gates like the solve whenever both sides measured it.
+  if (base_solver_json.contains("ladder_us_per_build") &&
+      cand_solver_json.contains("ladder_us_per_build")) {
+    const double base_ladder =
+        base_solver_json.at("ladder_us_per_build").as_number();
+    const double cand_ladder =
+        cand_solver_json.at("ladder_us_per_build").as_number();
+    r.ratio_ladder = cand_ladder / base_ladder;
+    r.passed = r.passed && r.ratio_ladder <= 1.0 + tolerance;
+    char ladder_buf[96];
+    std::snprintf(ladder_buf, sizeof(ladder_buf),
+                  "; ladder us/build %.0f vs %.0f (%.2fx)", cand_ladder,
+                  base_ladder, r.ratio_ladder);
+    solver_note += ladder_buf;
+  }
+  solver_note += labels_note;
 
   // The sharded loop gates with the same tolerance whenever both sides
   // measured it; a report without the section simply isn't compared.

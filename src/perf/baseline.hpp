@@ -21,6 +21,9 @@ struct GateResult {
   /// requires the solver section) and gated with the same tolerance, so a
   /// joint-optimizer slowdown trips CI just like a DES one.
   double ratio_solver = 0.0;
+  /// Degradation-ladder comparison on ladder_us_per_build (0.0 when either
+  /// report lacks it); gated with the same tolerance as the solve.
+  double ratio_ladder = 0.0;
   /// The solver's exit-setting DP label counts (JointReport::dp_labels; 0.0
   /// when either report lacks them). Exact work, so any rise fails the gate,
   /// in every build.
@@ -37,7 +40,8 @@ struct GateResult {
 void validate_simcore_report(const Json& report);
 
 /// The `ci.sh perf` regression gate: fails when the candidate's DES
-/// ns/event, sharded ns/event, or solver us/solve exceeds the baseline's
+/// ns/event, sharded ns/event, solver us/solve, or ladder us/build (when
+/// both reports carry it) exceeds the baseline's
 /// by more than `tolerance` (0.15 = +15%), or when its solver dp_labels
 /// exceeds the baseline's at all. A candidate marked "unoptimized": true
 /// skips the timing comparisons (passed unless dp_labels rose, with a loud

@@ -4,6 +4,7 @@
 
 #include "core/joint.hpp"
 #include "core/objective.hpp"
+#include "core/online.hpp"
 #include "edge/builders.hpp"
 #include "perf/alloc_hook.hpp"
 #include "perf/build_info.hpp"
@@ -11,10 +12,14 @@
 #include "sim/shard.hpp"
 #include "sim/simulator.hpp"
 #include "util/assert.hpp"
+#include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
 namespace scalpel::perf {
 namespace {
+
+/// Timed degradation-ladder builds per report (the median is published).
+constexpr std::size_t kLadderReps = 15;
 
 /// Busy-waits for `seconds` inside the timed region (gate self-test only).
 void spin_for(double seconds) {
@@ -136,6 +141,19 @@ Json run_simcore_bench(const SimcoreBenchConfig& config) {
         pool.submit([&] { JointOptimizer(jopts).optimize(instance); }).get();
       });
 
+  // --- Ladder: the online controller's degradation ladder built on the
+  // solved decision, timed as the median of single builds (the ladder is a
+  // few milliseconds, so one build per sample keeps the spread visible).
+  Samples ladder_us;
+  build_degradation_ladder(instance, decision, jopts);  // warmup
+  for (std::size_t r = 0; r < kLadderReps; ++r) {
+    const auto l0 = std::chrono::steady_clock::now();
+    build_degradation_ladder(instance, decision, jopts);
+    ladder_us.add(std::chrono::duration<double, std::micro>(
+                      std::chrono::steady_clock::now() - l0)
+                      .count());
+  }
+
   // --- DES section: repeated identical runs; a fixed seed makes every rep
   // bit-identical, so min-of-reps measures the same work each time.
   SimMetrics metrics;
@@ -241,6 +259,7 @@ Json run_simcore_bench(const SimcoreBenchConfig& config) {
   jsolver.set("pool_threads", Json::number(static_cast<double>(pool.size())));
   jsolver.set("one_thread_us_per_solve",
               Json::number(one_thread_t.best_seconds * 1e6));
+  jsolver.set("ladder_us_per_build", Json::number(ladder_us.p50()));
   // Exact work: the labels the surgery DPs folded in one solve.
   jsolver.set("dp_labels",
               Json::number(static_cast<double>(solve_report.dp_labels)));

@@ -124,6 +124,9 @@ TEST(SimcoreReport, TinyRunProducesValidSchema) {
             0.0);
   EXPECT_GT(report.at("results").at("solver").at("dp_labels").as_number(),
             0.0);
+  EXPECT_GT(
+      report.at("results").at("solver").at("ladder_us_per_build").as_number(),
+      0.0);
   // Default config includes the sharded section; its presence means the
   // tiny run already cleared the bit-identity REQUIRE inside the bench.
   ASSERT_TRUE(report.at("results").contains("sharded"));
@@ -155,8 +158,11 @@ TEST(SimcoreReport, CommittedBaselineParsesAndValidates) {
   // metro-scale sweep (EXPERIMENTS.md, "P2 metro-scale sharding"): a
   // re-baseline that forgets --shards or --sweep fails here, not later.
   EXPECT_TRUE(baseline.at("results").contains("sharded"));
-  // ...and the solver's exact work, which the gate holds with no tolerance.
+  // ...and the solver's exact work, which the gate holds with no tolerance,
+  // and the degradation ladder's build time.
   EXPECT_TRUE(baseline.at("results").at("solver").contains("dp_labels"));
+  EXPECT_TRUE(
+      baseline.at("results").at("solver").contains("ladder_us_per_build"));
   ASSERT_TRUE(baseline.at("results").contains("metro_sweep"));
   const Json& sweep = baseline.at("results").at("metro_sweep");
   double max_devices = 0.0;
@@ -291,6 +297,38 @@ TEST(RegressionGate, FailsOnAnyRiseInDpLabels) {
                   .passed);
   EXPECT_THROW(perf::validate_simcore_report(
                    with_dp_labels(fake_report(100.0, false, "cpu-a"), 2.5)),
+               ContractViolation);
+}
+
+// Sets the solver section's ladder_us_per_build on a fake report.
+Json with_ladder_us(Json report, double us) {
+  Json results = report.at("results");
+  Json solver = results.at("solver");
+  solver.set("ladder_us_per_build", Json::number(us));
+  results.set("solver", std::move(solver));
+  report.set("results", std::move(results));
+  return report;
+}
+
+TEST(RegressionGate, GatesLadderTimingWhenBothSidesHaveIt) {
+  // A ladder slowdown with a steady DES loop and solve fails like a solve
+  // slowdown; a side without the figure is compared on the rest only.
+  const Json base = with_ladder_us(fake_report(100.0, false, "cpu-a"), 3000);
+  const auto bad = perf::check_regression(
+      base, with_ladder_us(fake_report(100.0, false, "cpu-a"), 6000), 0.15);
+  EXPECT_FALSE(bad.passed);
+  EXPECT_NEAR(bad.ratio_ladder, 2.0, 1e-12);
+  EXPECT_NE(bad.message.find("ladder"), std::string::npos);
+  const auto good = perf::check_regression(
+      base, with_ladder_us(fake_report(100.0, false, "cpu-a"), 3300), 0.15);
+  EXPECT_TRUE(good.passed);
+  EXPECT_NEAR(good.ratio_ladder, 1.1, 1e-12);
+  const auto absent = perf::check_regression(
+      base, fake_report(100.0, false, "cpu-a"), 0.15);
+  EXPECT_TRUE(absent.passed);
+  EXPECT_EQ(absent.ratio_ladder, 0.0);
+  EXPECT_THROW(perf::validate_simcore_report(
+                   with_ladder_us(fake_report(100.0, false, "cpu-a"), 0.0)),
                ContractViolation);
 }
 
