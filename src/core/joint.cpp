@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "core/objective.hpp"
-#include "profile/latency_model.hpp"
 #include "sched/offloading.hpp"
 #include "sched/queueing.hpp"
 #include "sched/shares.hpp"
@@ -51,98 +50,18 @@ std::vector<Graph::CutPoint> candidate_cuts(const Graph& graph,
   return out;
 }
 
-/// Per-profile latency cache reused across every cut considered for one
-/// device: per-layer backbone latencies plus each exit head's whole-graph
-/// latency. range() sums the cached values in the same node order as
-/// LatencyModel::range_latency, so cost tables built from the cache are
-/// bit-identical to ones built from scratch — only the repeated roofline
-/// arithmetic per node (the surgery search's dominant cost) is hoisted.
-struct ProfileCosts {
-  std::vector<double> layer;  // index = node id
-  std::vector<double> head;   // index = exit candidate
-
-  double range(NodeId after, NodeId upto) const {
-    double total = 0.0;
-    for (NodeId v = after + 1; v <= upto; ++v) {
-      total += layer[static_cast<std::size_t>(v)];
-    }
-    return total;
-  }
-};
-
-ProfileCosts profile_costs(const Graph& graph,
-                           const std::vector<ExitCandidate>& candidates,
-                           const ComputeProfile& profile) {
-  ProfileCosts c;
-  c.layer = LatencyModel::per_layer(graph, profile);
-  c.head.reserve(candidates.size());
-  for (const auto& cand : candidates) {
-    c.head.push_back(LatencyModel::graph_latency(cand.head, profile));
-  }
-  return c;
-}
-
-/// Builds the generalized exit-setting cost table for a given partition cut:
-/// segments and heads priced on their side of the cut, upload charged to the
-/// segment that crosses it. cut < 0 means device-only. The upload price
-/// includes the M/D/1 queueing inflation at the device's *full* arrival rate
-/// — a conservative bound (exits only thin the offloaded stream) that steers
-/// the DP away from cuts whose uploads cannot be sustained.
-ExitCostTable build_cost_table(const Graph& graph,
-                               const std::vector<ExitCandidate>& candidates,
-                               NodeId cut, std::int64_t cut_bytes,
-                               const ProfileCosts& device,
-                               const ProfileCosts& server_slice,
-                               double bandwidth, double rtt,
-                               double arrival_rate) {
-  const bool device_only = cut < 0;
-  ExitCostTable t;
-  t.segment.resize(candidates.size(), 0.0);
-  t.head.resize(candidates.size(), 0.0);
-  double upload = 0.0;
-  if (!device_only) {
-    const double s_up = static_cast<double>(cut_bytes) / bandwidth;
-    const double inflated = queueing::md1_sojourn(arrival_rate, s_up);
-    // Unsustainable uploads get a large finite penalty (an infinite label
-    // would poison the DP arithmetic when multiplied by a zero reach).
-    upload = (std::isfinite(inflated) ? inflated : 1e9) + rtt;
-  }
-
-  bool crossed = false;
-  auto stretch_cost = [&](NodeId from, NodeId to) {
-    if (device_only || to <= cut) {
-      return device.range(from, to);
-    }
-    // This stretch ends past the cut: charge the upload exactly once, on
-    // the first crossing (including a cut at the stretch's start node).
-    double cost = 0.0;
-    if (from < cut) {
-      cost += device.range(from, cut);
-    }
-    if (!crossed) {
-      cost += upload;
-      crossed = true;
-    }
-    cost += server_slice.range(std::max(from, cut), to);
-    return cost;
-  };
-
-  NodeId prev = 0;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const NodeId attach = candidates[i].attach;
-    t.segment[i] = stretch_cost(prev, attach);
-    const bool head_on_server = !device_only && attach > cut;
-    t.head[i] = head_on_server ? server_slice.head[i] : device.head[i];
-    prev = attach;
-  }
-  t.tail = stretch_cost(prev, graph.output());
-  return t;
-}
-
-/// Bytes a cut ships per offloaded task: quantized uploads carry 1/4 of
-/// the activation plus the scale word.
-std::int64_t wire_bytes(std::int64_t activation_bytes, bool quantize) {
-  return quantize ? activation_bytes / 4 + 4 : activation_bytes;
+/// Price of shipping `bytes` per task over `bandwidth` at the device's
+/// arrival rate: the M/D/1 sojourn on the upload plus the path RTT. The
+/// inflation at the device's *full* arrival rate is a conservative bound
+/// (exits only thin the offloaded stream) that steers the DP away from
+/// cuts whose uploads cannot be sustained.
+double upload_price(std::int64_t bytes, double bandwidth, double rtt,
+                    double arrival_rate) {
+  const double inflated = queueing::md1_sojourn(
+      arrival_rate, static_cast<double>(bytes) / bandwidth);
+  // Unsustainable uploads get a large finite penalty (an infinite label
+  // would poison the DP arithmetic when multiplied by a zero reach).
+  return (std::isfinite(inflated) ? inflated : 1e9) + rtt;
 }
 
 /// Bit equality (unlike ==, tells -0.0 from 0.0 and matches a NaN).
@@ -177,13 +96,7 @@ SurgeryOutcome best_surgery(const ProblemInstance& instance, DeviceId id,
                             const ProfileCosts& dev_costs,
                             const JointOptions& opts) {
   const auto& dev = instance.topology().device(id);
-
-  ExitSettingOptions es;
-  es.min_accuracy = dev.min_accuracy;
-  es.theta_grid = opts.theta_grid;
-  es.max_exits = opts.enable_exits ? opts.max_exits : 0;
-  es.coverage_bins = opts.dp_coverage_bins;
-  es.difficulty = dev.difficulty;
+  const ExitSettingOptions es = exit_setting_options(opts, dev);
 
   // The partitioned options in consider order, each with its cost table and
   // the number of exit candidates at or before its cut.
@@ -204,9 +117,10 @@ SurgeryOutcome best_surgery(const ProblemInstance& instance, DeviceId id,
     // whenever the cell can sustain it in aggregate.
     const double bw = negotiated_bandwidth(instance, id, bandwidth, bytes);
     options.push_back(CutOption{cut.after, bw, quantize});
-    tables.push_back(build_cost_table(bundle.graph, bundle.candidates,
-                                      cut.after, bytes, dev_costs,
-                                      slice_costs, bw, rtt, dev.arrival_rate));
+    tables.push_back(build_cost_table(
+        bundle.graph, bundle.candidates, cut.after,
+        upload_price(bytes, bw, rtt, dev.arrival_rate), dev_costs,
+        slice_costs));
     std::size_t k = 0;
     while (k < bundle.candidates.size() &&
            bundle.candidates[k].attach <= cut.after) {
@@ -231,13 +145,10 @@ SurgeryOutcome best_surgery(const ProblemInstance& instance, DeviceId id,
     }
   }
 
-  // The device-only table (the slice-cost argument is unused for cut < 0).
-  const ExitCostTable device_table =
-      build_cost_table(bundle.graph, bundle.candidates, -1, 0, dev_costs,
-                       dev_costs, 1.0, 0.0, dev.arrival_rate);
+  const ExitCostTable device_table = build_cost_table(
+      bundle.graph, bundle.candidates, -1, 0.0, dev_costs, dev_costs);
   const std::vector<ExitSettingResult> proposals = dp_exit_setting_forked(
-      bundle.graph, bundle.candidates, bundle.accuracy, device_table, tables,
-      prefix, es);
+      bundle.candidates, bundle.accuracy, device_table, tables, prefix, es);
 
   SurgeryOutcome best;
   SurgeryOutcome best_unstable;  // least-bad fallback if nothing is stable
@@ -289,6 +200,17 @@ SurgeryOutcome best_surgery(const ProblemInstance& instance, DeviceId id,
 }
 
 }  // namespace
+
+ExitSettingOptions exit_setting_options(const JointOptions& opts,
+                                        const Device& device) {
+  ExitSettingOptions es;
+  es.min_accuracy = device.min_accuracy;
+  es.theta_grid = opts.theta_grid;
+  es.max_exits = opts.enable_exits ? opts.max_exits : 0;
+  es.coverage_bins = opts.dp_coverage_bins;
+  es.difficulty = device.difficulty;
+  return es;
+}
 
 JointOptimizer::JointOptimizer(JointOptions opts) : opts_(std::move(opts)) {}
 

@@ -32,6 +32,13 @@ struct JointOptions {
   std::size_t dp_coverage_bins = 60;
 };
 
+/// The exit-setting DP settings `opts` gives `device`: its accuracy floor
+/// and input difficulty, the threshold grid, the coverage bins, and
+/// max_exits, or 0 when exits are disabled. The surgery step and the
+/// degradation ladder both take their DP settings from here.
+ExitSettingOptions exit_setting_options(const JointOptions& opts,
+                                        const Device& device);
+
 /// Diagnostics from a solve (drives the scalability/convergence benches).
 struct JointReport {
   std::size_t iterations = 0;

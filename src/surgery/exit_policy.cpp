@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "profile/latency_model.hpp"
 #include "util/assert.hpp"
 
 namespace scalpel {
@@ -23,14 +22,12 @@ void validate_policy(const ExitPolicy& policy,
   }
 }
 
-ExitStats evaluate_policy(const Graph& backbone,
-                          const std::vector<ExitCandidate>& candidates,
+ExitStats evaluate_policy(const std::vector<ExitCandidate>& candidates,
                           const ExitPolicy& policy, const AccuracyModel& acc,
                           const DifficultyModel& difficulty) {
   validate_policy(policy, candidates);
   ExitStats stats;
   stats.fire_prob.resize(policy.exits.size(), 0.0);
-  stats.reach_prob.resize(policy.exits.size(), 0.0);
 
   // Exit i covers difficulties x <= cap(d_i) * (1 - theta_i); a task
   // terminates at the first enabled exit covering its difficulty, so exit
@@ -47,7 +44,6 @@ ExitStats evaluate_policy(const Graph& backbone,
     const double new_covered = std::max(covered, limit);
     const double fire =
         difficulty.cdf(new_covered) - difficulty.cdf(covered);
-    stats.reach_prob[i] = reach;
     stats.fire_prob[i] = fire;
     acc_sum += fire * std::min(acc.selective_ceiling,
                                acc.conditional_accuracy(cand.depth_fraction,
@@ -58,45 +54,7 @@ ExitStats evaluate_policy(const Graph& backbone,
   stats.final_prob = std::max(0.0, reach);
   acc_sum += stats.final_prob * acc.a_max;
   stats.expected_accuracy = acc_sum;
-
-  // Expected executed FLOPs: a task reaching enabled exit i has run the
-  // backbone segment since the previous enabled exit plus exit i's head;
-  // falling through to the end adds the final backbone segment.
-  double flops = 0.0;
-  NodeId prev_attach = 0;  // input node
-  for (std::size_t i = 0; i < policy.exits.size(); ++i) {
-    const auto& cand = candidates[policy.exits[i].candidate];
-    const double segment = static_cast<double>(
-        backbone.range_flops(prev_attach, cand.attach));
-    flops += stats.reach_prob[i] *
-             (segment + static_cast<double>(cand.head_flops));
-    prev_attach = cand.attach;
-  }
-  flops += stats.final_prob * static_cast<double>(backbone.range_flops(
-                                  prev_attach, backbone.output()));
-  stats.expected_flops = flops;
   return stats;
-}
-
-double expected_policy_latency(const Graph& backbone,
-                               const std::vector<ExitCandidate>& candidates,
-                               const ExitPolicy& policy, const ExitStats& stats,
-                               const ComputeProfile& profile) {
-  double latency = 0.0;
-  NodeId prev_attach = 0;
-  for (std::size_t i = 0; i < policy.exits.size(); ++i) {
-    const auto& cand = candidates[policy.exits[i].candidate];
-    const double segment =
-        LatencyModel::range_latency(backbone, prev_attach, cand.attach,
-                                    profile);
-    const double head = LatencyModel::graph_latency(cand.head, profile);
-    latency += stats.reach_prob[i] * (segment + head);
-    prev_attach = cand.attach;
-  }
-  latency += stats.final_prob *
-             LatencyModel::range_latency(backbone, prev_attach,
-                                         backbone.output(), profile);
-  return latency;
 }
 
 }  // namespace scalpel

@@ -3,8 +3,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "nn/graph.hpp"
-#include "profile/compute_profile.hpp"
 #include "surgery/accuracy_model.hpp"
 #include "surgery/difficulty.hpp"
 #include "surgery/exit_candidates.hpp"
@@ -32,14 +30,10 @@ struct ExitPolicy {
 struct ExitStats {
   /// Unconditional probability of terminating at enabled exit i.
   std::vector<double> fire_prob;
-  /// Probability of reaching enabled exit i (before its threshold test).
-  std::vector<double> reach_prob;
   /// Probability of falling through to the backbone's final exit.
   double final_prob = 1.0;
   /// Expected top-1 accuracy across the input distribution.
   double expected_accuracy = 0.0;
-  /// Expected FLOPs actually executed (backbone segments + heads).
-  double expected_flops = 0.0;
 };
 
 /// Validates a policy against the candidate list: indices in range, strictly
@@ -50,17 +44,10 @@ void validate_policy(const ExitPolicy& policy,
 /// Evaluate a policy analytically. Exit i fires on difficulties up to
 /// capability(d_i) * (1 - theta_i) not already absorbed by an earlier exit;
 /// the captured probability mass is that interval's measure under
-/// `difficulty` (Uniform by default).
-ExitStats evaluate_policy(const Graph& backbone,
-                          const std::vector<ExitCandidate>& candidates,
+/// `difficulty` (Uniform by default). The policy's latency is priced by
+/// policy_cost (surgery/cost_table).
+ExitStats evaluate_policy(const std::vector<ExitCandidate>& candidates,
                           const ExitPolicy& policy, const AccuracyModel& acc,
                           const DifficultyModel& difficulty = {});
-
-/// Expected single-machine execution latency of a policy on `profile`
-/// (everything runs in place; no partition, no network).
-double expected_policy_latency(const Graph& backbone,
-                               const std::vector<ExitCandidate>& candidates,
-                               const ExitPolicy& policy, const ExitStats& stats,
-                               const ComputeProfile& profile);
 
 }  // namespace scalpel

@@ -7,34 +7,9 @@
 #include <limits>
 #include <numeric>
 
-#include "profile/latency_model.hpp"
 #include "util/assert.hpp"
 
 namespace scalpel {
-
-double policy_cost(const std::vector<ExitCandidate>& candidates,
-                   const ExitPolicy& policy, const ExitStats& stats,
-                   const ExitCostTable& costs) {
-  SCALPEL_REQUIRE(costs.segment.size() == candidates.size() &&
-                      costs.head.size() == candidates.size(),
-                  "cost table arity mismatch");
-  // reach(candidate c) for candidates between enabled exits equals the reach
-  // of the next enabled exit, so walk candidates accumulating reach.
-  double cost = 0.0;
-  double reach = 1.0;
-  std::size_t enabled_pos = 0;
-  for (std::size_t c = 0; c < candidates.size(); ++c) {
-    cost += reach * costs.segment[c];
-    if (enabled_pos < policy.exits.size() &&
-        policy.exits[enabled_pos].candidate == c) {
-      cost += reach * costs.head[c];
-      reach -= stats.fire_prob[enabled_pos];
-      ++enabled_pos;
-    }
-  }
-  cost += reach * costs.tail;
-  return cost;
-}
 
 namespace {
 
@@ -59,10 +34,9 @@ class ExitDp {
   // latency (staircase_insert).
   using Frontier = std::vector<std::vector<Label>>;
 
-  ExitDp(const Graph& backbone, const std::vector<ExitCandidate>& candidates,
+  ExitDp(const std::vector<ExitCandidate>& candidates,
          const AccuracyModel& acc, const ExitSettingOptions& opts)
-      : backbone_(backbone),
-        candidates_(candidates),
+      : candidates_(candidates),
         acc_(acc),
         opts_(opts),
         bins_(opts.coverage_bins + 1),  // bin b = coverage b/bins
@@ -255,8 +229,7 @@ class ExitDp {
   }
 
   ExitStats evaluate(const ExitPolicy& policy) const {
-    return evaluate_policy(backbone_, candidates_, policy, acc_,
-                           opts_.difficulty);
+    return evaluate_policy(candidates_, policy, acc_, opts_.difficulty);
   }
 
   // Local polish with exact evaluation: the coverage discretization biases
@@ -337,7 +310,6 @@ class ExitDp {
     }
   }
 
-  const Graph& backbone_;
   const std::vector<ExitCandidate>& candidates_;
   const AccuracyModel& acc_;
   const ExitSettingOptions& opts_;
@@ -379,14 +351,19 @@ void require_priceable(const ExitCostTable& t, std::size_t n) {
                   "cost table prices must be finite");
 }
 
-}  // namespace
-
-std::vector<ExitSettingResult> dp_exit_setting_forked(
-    const Graph& backbone, const std::vector<ExitCandidate>& candidates,
-    const AccuracyModel& acc, const ExitCostTable& shared,
-    const std::vector<ExitCostTable>& forks,
-    const std::vector<std::size_t>& prefix, const ExitSettingOptions& opts) {
+// The one DP driver behind every entry point: advances a frontier under
+// `shared`, forks a copy at each prefix[j] that runs on under forks[j] (see
+// dp_exit_setting_forked), and finishes every table at every floor. Returns
+// (forks.size() + 1) * floors.size() results, table-major: [t *
+// floors.size() + f] is table t (0 = `shared`, j + 1 = forks[j]) at
+// floors[f]. Each table's frontier labels go to its first floor's result.
+std::vector<ExitSettingResult> run_dp(
+    const std::vector<ExitCandidate>& candidates, const AccuracyModel& acc,
+    const ExitCostTable& shared, const std::vector<ExitCostTable>& forks,
+    const std::vector<std::size_t>& prefix, const ExitSettingOptions& opts,
+    const std::vector<double>& floors) {
   SCALPEL_REQUIRE(opts.coverage_bins >= 2, "DP needs >= 2 coverage bins");
+  SCALPEL_REQUIRE(!floors.empty(), "the DP needs at least one floor");
   const std::size_t n = candidates.size();
   require_priceable(shared, n);
   SCALPEL_REQUIRE(forks.size() == prefix.size(),
@@ -410,8 +387,17 @@ std::vector<ExitSettingResult> dp_exit_setting_forked(
                      return prefix[a] < prefix[b];
                    });
 
-  ExitDp dp(backbone, candidates, acc, opts);
-  std::vector<ExitSettingResult> results(forks.size() + 1);
+  ExitDp dp(candidates, acc, opts);
+  std::vector<ExitSettingResult> results((forks.size() + 1) * floors.size());
+  const auto finish = [&](const ExitDp::Frontier& frontier,
+                          const ExitCostTable& costs, std::size_t table,
+                          std::size_t evaluations, std::size_t labels) {
+    for (std::size_t f = 0; f < floors.size(); ++f) {
+      results[table * floors.size() + f] =
+          dp.finish(frontier, costs, evaluations, floors[f]);
+    }
+    results[table * floors.size()].labels = labels;
+  };
   ExitDp::Frontier frontier = dp.start();
   ExitDp::Frontier forked;
   std::size_t evaluations = 0;
@@ -428,18 +414,24 @@ std::vector<ExitSettingResult> dp_exit_setting_forked(
       for (std::size_t i = k; i < n; ++i) {
         dp.advance(forked, i, forks[j], fork_evaluations, fork_labels);
       }
-      results[j + 1] =
-          dp.finish(forked, forks[j], fork_evaluations, opts.min_accuracy);
-      results[j + 1].labels = fork_labels;
+      finish(forked, forks[j], j + 1, fork_evaluations, fork_labels);
       dp.truncate_steps(mark);
     }
     if (k == n) break;
     dp.advance(frontier, k, shared, evaluations, labels);
   }
-  results.front() =
-      dp.finish(frontier, shared, evaluations, opts.min_accuracy);
-  results.front().labels = labels;
+  finish(frontier, shared, 0, evaluations, labels);
   return results;
+}
+
+}  // namespace
+
+std::vector<ExitSettingResult> dp_exit_setting_forked(
+    const std::vector<ExitCandidate>& candidates, const AccuracyModel& acc,
+    const ExitCostTable& shared, const std::vector<ExitCostTable>& forks,
+    const std::vector<std::size_t>& prefix, const ExitSettingOptions& opts) {
+  return run_dp(candidates, acc, shared, forks, prefix, opts,
+                {opts.min_accuracy});
 }
 
 ExitSettingResult dp_exit_setting(
@@ -455,44 +447,10 @@ std::vector<ExitSettingResult> dp_exit_setting_floors(
     const Graph& backbone, const std::vector<ExitCandidate>& candidates,
     const AccuracyModel& acc, const ComputeProfile& profile,
     const ExitSettingOptions& opts, const std::vector<double>& floors) {
-  SCALPEL_REQUIRE(opts.coverage_bins >= 2, "DP needs >= 2 coverage bins");
-  SCALPEL_REQUIRE(!floors.empty(), "the DP needs at least one floor");
-  ExitCostTable costs;
-  const std::size_t n = candidates.size();
-  costs.segment.resize(n, 0.0);
-  costs.head.resize(n, 0.0);
-  NodeId prev = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    costs.segment[i] = LatencyModel::range_latency(
-        backbone, prev, candidates[i].attach, profile);
-    costs.head[i] = LatencyModel::graph_latency(candidates[i].head, profile);
-    prev = candidates[i].attach;
-  }
-  costs.tail = LatencyModel::range_latency(
-      backbone, n ? candidates[n - 1].attach : 0, backbone.output(), profile);
-  require_priceable(costs, n);
-
-  ExitDp dp(backbone, candidates, acc, opts);
-  ExitDp::Frontier frontier = dp.start();
-  std::size_t evaluations = 0;
-  std::size_t labels = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    dp.advance(frontier, i, costs, evaluations, labels);
-  }
-  std::vector<ExitSettingResult> results;
-  results.reserve(floors.size());
-  for (const double floor : floors) {
-    ExitSettingResult r = dp.finish(frontier, costs, evaluations, floor);
-    if (r.feasible) {
-      // Report the latency through the standard single-profile evaluator so
-      // callers can compare against exhaustive/greedy results directly.
-      r.expected_latency = expected_policy_latency(backbone, candidates,
-                                                   r.policy, r.stats, profile);
-    }
-    results.push_back(std::move(r));
-  }
-  results.front().labels = labels;
-  return results;
+  const ProfileCosts device = profile_costs(backbone, candidates, profile);
+  return run_dp(candidates, acc,
+                build_cost_table(backbone, candidates, -1, 0.0, device, device),
+                {}, {}, opts, floors);
 }
 
 }  // namespace scalpel

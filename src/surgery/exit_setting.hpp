@@ -4,6 +4,7 @@
 #include <iterator>
 #include <vector>
 
+#include "surgery/cost_table.hpp"
 #include "surgery/exit_policy.hpp"
 
 namespace scalpel {
@@ -25,6 +26,7 @@ struct ExitSettingOptions {
 struct ExitSettingResult {
   ExitPolicy policy;
   ExitStats stats;
+  /// The policy's price under the table the DP ran on (policy_cost).
   double expected_latency = 0.0;
   bool feasible = false;  // false if no setting meets the accuracy floor
   /// Configurations examined (for scalability plots). A logical count: a
@@ -46,7 +48,8 @@ struct ExitSettingResult {
 /// accuracy contributions are independent of earlier choices. Maintains a
 /// Pareto frontier over (accuracy, latency) per (candidate, coverage bin),
 /// each bin's set a latency-sorted staircase (staircase_insert);
-/// near-optimal up to coverage discretization.
+/// near-optimal up to coverage discretization. Prices every stretch on
+/// `profile` (build_cost_table's device-only table).
 ExitSettingResult dp_exit_setting(
     const Graph& backbone, const std::vector<ExitCandidate>& candidates,
     const AccuracyModel& acc, const ComputeProfile& profile,
@@ -105,27 +108,6 @@ bool staircase_insert(std::vector<Point>& set, const Point& cand) {
   return true;
 }
 
-/// Pre-priced per-candidate costs for the generalized DP. The joint
-/// optimizer uses this to price backbone segments on whichever side of the
-/// partition cut they execute, and to charge the upload across the cut to
-/// every task still running there.
-struct ExitCostTable {
-  /// segment[i]: cost of the backbone stretch (candidate i-1, candidate i],
-  /// paid by every task reaching candidate i (includes any upload crossing).
-  std::vector<double> segment;
-  /// head[i]: candidate i's head cost, paid by every task reaching it when
-  /// the exit is enabled.
-  std::vector<double> head;
-  /// Cost of the stretch after the last candidate to the final exit.
-  double tail = 0.0;
-};
-
-/// Expected cost of a policy under a cost table (same integration as
-/// evaluate_policy's latency but with externally supplied prices).
-double policy_cost(const std::vector<ExitCandidate>& candidates,
-                   const ExitPolicy& policy, const ExitStats& stats,
-                   const ExitCostTable& costs);
-
 /// The generalized DP over explicit cost tables that agree on a prefix.
 /// Candidate i's DP step reads only segment[i] and head[i], so the DP runs
 /// once under `shared` and, on reaching candidate prefix[j], forks a copy
@@ -133,12 +115,10 @@ double policy_cost(const std::vector<ExitCandidate>& candidates,
 /// `shared` on candidates [0, prefix[j]) (segments and heads; its tail is
 /// free). Returns forks.size() + 1 results: [0] for `shared`, [j + 1] for
 /// forks[j], each exactly what a call with that table as `shared` and no
-/// forks returns. A result's `expected_latency` is the table cost of its
-/// policy (exact, recomputed).
+/// forks returns.
 std::vector<ExitSettingResult> dp_exit_setting_forked(
-    const Graph& backbone, const std::vector<ExitCandidate>& candidates,
-    const AccuracyModel& acc, const ExitCostTable& shared,
-    const std::vector<ExitCostTable>& forks,
+    const std::vector<ExitCandidate>& candidates, const AccuracyModel& acc,
+    const ExitCostTable& shared, const std::vector<ExitCostTable>& forks,
     const std::vector<std::size_t>& prefix, const ExitSettingOptions& opts);
 
 }  // namespace scalpel

@@ -7,6 +7,10 @@
 
 namespace scalpel {
 
+std::int64_t wire_bytes(std::int64_t activation_bytes, bool quantize) {
+  return quantize ? activation_bytes / 4 + 4 : activation_bytes;
+}
+
 PlanModel::PlanModel(const Graph& backbone,
                      const std::vector<ExitCandidate>& candidates,
                      SurgeryPlan plan, const AccuracyModel& acc,
@@ -19,19 +23,14 @@ PlanModel::PlanModel(const Graph& backbone,
   if (!plan_.device_only) {
     SCALPEL_REQUIRE(backbone.is_clean_cut(cut),
                     "partition_after must be a clean cut");
-    upload_bytes_ = backbone.node(cut).out_shape.bytes();
-    if (plan_.quantize_upload) {
-      // INT8 payload plus the 4-byte scale (see kernels::QuantizedTensor).
-      upload_bytes_ = upload_bytes_ / 4 + 4;
-    }
+    upload_bytes_ =
+        wire_bytes(backbone.node(cut).out_shape.bytes(), plan_.quantize_upload);
   }
 
   // Walk the enabled exits in depth order, accumulating time on whichever
   // side of the cut each segment/head executes.
   double device_acc = 0.0;   // device time accumulated so far along the path
   double server_acc = 0.0;   // server time accumulated past the cut
-  double device_flops_acc = 0.0;
-  double server_flops_acc = 0.0;
   bool crossed = false;
   NodeId prev_attach = 0;
   double covered = 0.0;
@@ -42,23 +41,15 @@ PlanModel::PlanModel(const Graph& backbone,
     if (plan_.device_only || target <= cut) {
       device_acc +=
           LatencyModel::range_latency(backbone, prev_attach, target, device);
-      device_flops_acc +=
-          static_cast<double>(backbone.range_flops(prev_attach, target));
     } else if (prev_attach >= cut) {
       server_acc +=
           LatencyModel::range_latency(backbone, prev_attach, target, server);
-      server_flops_acc +=
-          static_cast<double>(backbone.range_flops(prev_attach, target));
       crossed = true;
     } else {
       device_acc +=
           LatencyModel::range_latency(backbone, prev_attach, cut, device);
-      device_flops_acc +=
-          static_cast<double>(backbone.range_flops(prev_attach, cut));
       server_acc +=
           LatencyModel::range_latency(backbone, cut, target, server);
-      server_flops_acc +=
-          static_cast<double>(backbone.range_flops(cut, target));
       crossed = true;
     }
     prev_attach = target;
@@ -67,24 +58,15 @@ PlanModel::PlanModel(const Graph& backbone,
   for (const auto& choice : plan_.policy.exits) {
     const auto& cand = candidates[choice.candidate];
     advance_to(cand.attach);
-    const bool head_on_server = crossed;
-    const double head_time = LatencyModel::graph_latency(
-        cand.head, head_on_server ? server : device);
     // Heads run for every task *reaching* this exit, so bake the head into
-    // the running accumulator (tasks passing the exit also paid it).
-    if (head_on_server) {
-      server_acc += head_time;
-      server_flops_acc += static_cast<double>(cand.head_flops);
-    } else {
-      device_acc += head_time;
-      device_flops_acc += static_cast<double>(cand.head_flops);
-    }
+    // the running accumulator of its side (tasks passing the exit also paid
+    // it).
+    (crossed ? server_acc : device_acc) +=
+        LatencyModel::graph_latency(cand.head, crossed ? server : device);
     ExitRow row;
     row.limit = acc.capability(cand.depth_fraction) * (1.0 - choice.theta);
     row.device_time = device_acc;
     row.server_time = server_acc;
-    row.device_flops = device_flops_acc;
-    row.server_flops = server_flops_acc;
     row.offloaded = crossed;
     row.correct_prob = std::min(
         acc.selective_ceiling,
@@ -100,8 +82,6 @@ PlanModel::PlanModel(const Graph& backbone,
   final_row.limit = 1.0;
   final_row.device_time = device_acc;
   final_row.server_time = server_acc;
-  final_row.device_flops = device_flops_acc;
-  final_row.server_flops = server_flops_acc;
   final_row.offloaded = crossed;
   final_row.correct_prob = acc.a_max;
   if (final_row.offloaded && plan_.quantize_upload) {
@@ -126,7 +106,6 @@ PlanModel::PlanModel(const Graph& backbone,
         mass * (row.device_time + upload + row.server_time);
     breakdown_.expected_accuracy += mass * row.correct_prob;
     breakdown_.expected_device_time += mass * row.device_time;
-    breakdown_.expected_upload_time += mass * upload;
     breakdown_.expected_server_time += mass * row.server_time;
     breakdown_.device_time_m2 += mass * row.device_time * row.device_time;
     if (row.offloaded) {
@@ -141,15 +120,6 @@ PlanModel::PlanModel(const Graph& backbone,
     breakdown_.server_time_cond_m2 /= breakdown_.offload_prob;
   }
   breakdown_.upload_bytes = plan_.device_only ? 0 : upload_bytes_;
-  prev_limit = 0.0;
-  for (const auto& row : rows_) {
-    const double hi = std::max(prev_limit, std::min(1.0, row.limit));
-    const double mass = difficulty.cdf(hi) - difficulty.cdf(prev_limit);
-    prev_limit = hi;
-    if (mass <= 0.0) continue;
-    breakdown_.expected_device_flops += mass * row.device_flops;
-    breakdown_.expected_server_flops += mass * row.server_flops;
-  }
 }
 
 TaskPhases PlanModel::phases_for(double difficulty) const {

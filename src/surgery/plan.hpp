@@ -25,6 +25,11 @@ struct SurgeryPlan {
   bool operator==(const SurgeryPlan&) const = default;
 };
 
+/// Bytes one offloaded task ships across a cut whose activation is
+/// `activation_bytes`: a quantized upload carries the INT8 payload plus the
+/// 4-byte scale (see kernels::QuantizedTensor).
+std::int64_t wire_bytes(std::int64_t activation_bytes, bool quantize);
+
 /// Expected per-task behaviour of a SurgeryPlan under given device/server
 /// capability and link. All times in seconds.
 struct PlanBreakdown {
@@ -32,11 +37,8 @@ struct PlanBreakdown {
   double expected_accuracy = 0.0;
   double offload_prob = 0.0;         // P(task crosses the cut)
   double expected_device_time = 0.0;
-  double expected_upload_time = 0.0;
   double expected_server_time = 0.0;
-  std::int64_t upload_bytes = 0;     // activation payload at the cut
-  double expected_device_flops = 0.0;
-  double expected_server_flops = 0.0;
+  std::int64_t upload_bytes = 0;     // payload at the cut (wire_bytes)
   /// Second moment of the on-device service time (all tasks) — feeds the
   /// M/G/1 device-queue model.
   double device_time_m2 = 0.0;
@@ -85,8 +87,6 @@ class PlanModel {
     double limit = 0.0;        // difficulty coverage boundary
     double device_time = 0.0;  // total on-device time if exiting here
     double server_time = 0.0;  // server time if exiting here (0 if on-device)
-    double device_flops = 0.0;
-    double server_flops = 0.0;
     bool offloaded = false;
     double correct_prob = 0.0;
   };

@@ -18,17 +18,23 @@ SimEvent BinaryHeapEventQueue::pop_min() {
 
 namespace {
 
-ExitSettingResult make_result(const Graph& backbone,
-                              const std::vector<ExitCandidate>& candidates,
+// The table dp_exit_setting prices with: every stretch on `profile`.
+ExitCostTable device_table(const Graph& backbone,
+                           const std::vector<ExitCandidate>& candidates,
+                           const ComputeProfile& profile) {
+  const ProfileCosts costs = profile_costs(backbone, candidates, profile);
+  return build_cost_table(backbone, candidates, -1, 0.0, costs, costs);
+}
+
+ExitSettingResult make_result(const std::vector<ExitCandidate>& candidates,
                               const AccuracyModel& acc,
-                              const ComputeProfile& profile,
+                              const ExitCostTable& table,
                               const DifficultyModel& difficulty,
                               ExitPolicy policy, std::size_t evaluations) {
   ExitSettingResult r;
   r.policy = std::move(policy);
-  r.stats = evaluate_policy(backbone, candidates, r.policy, acc, difficulty);
-  r.expected_latency = expected_policy_latency(backbone, candidates, r.policy,
-                                               r.stats, profile);
+  r.stats = evaluate_policy(candidates, r.policy, acc, difficulty);
+  r.expected_latency = policy_cost(candidates, r.policy, r.stats, table);
   r.feasible = true;
   r.evaluations = evaluations;
   return r;
@@ -40,6 +46,7 @@ ExitSettingResult exhaustive_exit_setting(
     const Graph& backbone, const std::vector<ExitCandidate>& candidates,
     const AccuracyModel& acc, const ComputeProfile& profile,
     const ExitSettingOptions& opts) {
+  const ExitCostTable table = device_table(backbone, candidates, profile);
   ExitPolicy best;
   double best_latency = std::numeric_limits<double>::infinity();
   bool found = false;
@@ -51,10 +58,9 @@ ExitSettingResult exhaustive_exit_setting(
   auto recurse = [&](auto&& self, std::size_t idx) -> void {
     ++evaluations;
     const ExitStats stats =
-        evaluate_policy(backbone, candidates, current, acc, opts.difficulty);
+        evaluate_policy(candidates, current, acc, opts.difficulty);
     if (stats.expected_accuracy >= opts.min_accuracy) {
-      const double latency = expected_policy_latency(backbone, candidates,
-                                                     current, stats, profile);
+      const double latency = policy_cost(candidates, current, stats, table);
       if (latency < best_latency) {
         best_latency = latency;
         best = current;
@@ -79,22 +85,21 @@ ExitSettingResult exhaustive_exit_setting(
     r.evaluations = evaluations;
     return r;
   }
-  auto r = make_result(backbone, candidates, acc, profile, opts.difficulty,
-                       std::move(best), evaluations);
-  return r;
+  return make_result(candidates, acc, table, opts.difficulty, std::move(best),
+                     evaluations);
 }
 
 ExitSettingResult greedy_exit_setting(
     const Graph& backbone, const std::vector<ExitCandidate>& candidates,
     const AccuracyModel& acc, const ComputeProfile& profile,
     const ExitSettingOptions& opts) {
+  const ExitCostTable table = device_table(backbone, candidates, profile);
   std::size_t evaluations = 0;
   auto eval = [&](const ExitPolicy& p, double* latency) {
     ++evaluations;
     const ExitStats stats =
-        evaluate_policy(backbone, candidates, p, acc, opts.difficulty);
-    *latency = expected_policy_latency(backbone, candidates, p, stats,
-                                       profile);
+        evaluate_policy(candidates, p, acc, opts.difficulty);
+    *latency = policy_cost(candidates, p, stats, table);
     return stats.expected_accuracy >= opts.min_accuracy;
   };
 
@@ -135,7 +140,7 @@ ExitSettingResult greedy_exit_setting(
     policy = std::move(best_next);
     policy_latency = best_latency;
   }
-  return make_result(backbone, candidates, acc, profile, opts.difficulty,
+  return make_result(candidates, acc, table, opts.difficulty,
                      std::move(policy), evaluations);
 }
 

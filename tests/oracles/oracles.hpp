@@ -46,7 +46,9 @@ class BinaryHeapEventQueue {
 };
 
 /// Exhaustive search over subsets x theta grid — exponential; the optimality
-/// reference for the exit-setting DP on small instances.
+/// reference for the exit-setting DP on small instances. Both searches price
+/// a policy as dp_exit_setting does: policy_cost under the device-only cost
+/// table on `profile`.
 ExitSettingResult exhaustive_exit_setting(
     const Graph& backbone, const std::vector<ExitCandidate>& candidates,
     const AccuracyModel& acc, const ComputeProfile& profile,

@@ -179,7 +179,7 @@ TEST(Simulator, ExitHistogramTracksAnalyticFireProbabilities) {
   evaluate_decision(inst, d);
   Simulator sim(inst, d, fast_run(3000.0, 13));
   const auto m = sim.run();
-  const auto stats = evaluate_policy(bundle.graph, bundle.candidates,
+  const auto stats = evaluate_policy(bundle.candidates,
                                      d.per_device[0].plan.policy,
                                      bundle.accuracy);
   ASSERT_GE(m.per_device[0].exit_histogram.size(), 2u);

@@ -91,10 +91,10 @@ TEST(Difficulty, EasyWorkloadFiresExitsMore) {
   Fixture f;
   ExitPolicy p;
   p.exits = {{0, 0.2}};
-  const auto uniform = evaluate_policy(f.g, f.cands, p, f.acc);
-  const auto easy = evaluate_policy(f.g, f.cands, p, f.acc,
+  const auto uniform = evaluate_policy(f.cands, p, f.acc);
+  const auto easy = evaluate_policy(f.cands, p, f.acc,
                                     DifficultyModel::preset("easy_heavy"));
-  const auto hard = evaluate_policy(f.g, f.cands, p, f.acc,
+  const auto hard = evaluate_policy(f.cands, p, f.acc,
                                     DifficultyModel::preset("hard_heavy"));
   EXPECT_GT(easy.fire_prob[0], uniform.fire_prob[0]);
   EXPECT_LT(hard.fire_prob[0], uniform.fire_prob[0]);

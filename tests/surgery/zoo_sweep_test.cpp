@@ -87,9 +87,11 @@ TEST_P(ZooSweepTest, DpExitSettingFeasibleAtRelaxedFloor) {
   ASSERT_TRUE(r.feasible) << GetParam();
   EXPECT_GE(r.stats.expected_accuracy, opts.min_accuracy - 1e-9);
   // Exits must never make the expected latency worse than vanilla.
-  const auto vanilla = evaluate_policy(g_, cands_, {}, acc_);
-  const double vanilla_latency = expected_policy_latency(
-      g_, cands_, {}, vanilla, profiles::raspberry_pi4());
+  const auto vanilla = evaluate_policy(cands_, {}, acc_);
+  const ProfileCosts costs =
+      profile_costs(g_, cands_, profiles::raspberry_pi4());
+  const double vanilla_latency = policy_cost(
+      cands_, {}, vanilla, build_cost_table(g_, cands_, -1, 0.0, costs, costs));
   EXPECT_LE(r.expected_latency, vanilla_latency + 1e-9) << GetParam();
 }
 
