@@ -83,18 +83,13 @@ std::vector<LadderRung> build_degradation_ladder(
       const auto id = static_cast<DeviceId>(i);
       const auto& device = topo.device(id);
       const auto& bundle = instance.bundle_for(id);
-      ExitSettingOptions eo;
-      eo.theta_grid = joint.theta_grid;
-      eo.max_exits = joint.max_exits;
-      eo.coverage_bins = joint.dp_coverage_bins;
-      eo.difficulty = device.difficulty;
       std::vector<double> floors(kLadderRungs);
       for (std::size_t k = 1; k <= kLadderRungs; ++k) {
         floors[k - 1] = rung_floor(i, k);
       }
-      rung_dp[i] = dp_exit_setting_floors(bundle.graph, bundle.candidates,
-                                          bundle.accuracy, device.compute, eo,
-                                          floors);
+      rung_dp[i] = dp_exit_setting_floors(
+          bundle.graph, bundle.candidates, bundle.accuracy, device.compute,
+          exit_setting_options(joint, device), floors);
     }
   };
   ThreadPool& pool = ThreadPool::shared();

@@ -183,6 +183,25 @@ TEST(Online, LadderIsMonotone) {
   EXPECT_GT(gain, 0.0);
 }
 
+// A partition-only controller (enable_exits = false) keeps its rungs
+// partition-only: the ladder's DP takes its exit bound from the same
+// options mapping as the surgery step, so lowering the floor never enables
+// an exit.
+TEST(Online, PartitionOnlyLadderEnablesNoExit) {
+  const ProblemInstance lab(clusters::small_lab());
+  JointOptions o = fast_opts().joint;
+  o.enable_exits = false;
+  const Decision base = JointOptimizer(o).optimize(lab);
+  const std::vector<LadderRung> ladder = build_degradation_ladder(lab, base, o);
+  ASSERT_GE(ladder.size(), 2u);
+  for (std::size_t k = 0; k < ladder.size(); ++k) {
+    for (std::size_t i = 0; i < ladder[k].plans.size(); ++i) {
+      EXPECT_TRUE(ladder[k].plans[i].policy.exits.empty())
+          << "rung " << k << " device " << i;
+    }
+  }
+}
+
 TEST(Online, SustainedOverloadWalksDownLadderThenThrottles) {
   OnlineController ctl(clusters::small_lab(), fast_opts());
   const std::vector<double> bw = lab_bw();
