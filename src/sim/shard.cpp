@@ -1315,7 +1315,7 @@ void ShardedSimulator::finalize_metrics() {
     metrics_.expired += dm.expired;
     metrics_.retried += dm.retries;
     metrics_.resteered += dm.resteered;
-    for (double v : dm.latency.values()) metrics_.latency.add(v);
+    metrics_.latency.merge(dm.latency);
     deadline_met += dm.deadline_met;
     deadline_total += dm.deadline_total;
     acc_sum += dm.accuracy_sum;

@@ -41,8 +41,9 @@ class Samples {
     sorted_ = false;
   }
   void reserve(std::size_t n) { xs_.reserve(n); }
-  /// Append every sample of `other` (replication fan-in). Merge order does
-  /// not affect any statistic except the raw values() ordering.
+  /// Append every sample of `other` (replication and per-device fan-in).
+  /// Merge order does not affect any statistic except the raw values()
+  /// ordering.
   void merge(const Samples& other);
 
   std::size_t count() const { return xs_.size(); }
