@@ -4,7 +4,7 @@
 #                      plus a one-seed slice of the shard determinism matrix,
 #                      a CLI smoke (optimize, simulate, admission, and a
 #                      flag the command does not read must exit 2),
-#                      a smoke run of benches F7, F8 and F15, and guards
+#                      a smoke run of benches F2, F3, F7, F8 and F15, and guards
 #                      that no test oracle is defined under src/ and that
 #                      src/core and src/ctrl include nothing from src/sim
 #   ./ci.sh full     — same build + the full suite including slow DES tests
@@ -179,14 +179,16 @@ layering_guard() {
   fi
 }
 
-# Bench smoke: three reproduction benches run to completion. Together they
-# reach every baseline scheme, small_exhaustive (F7's optimality gap), both
-# joint ablations (F8) and non-uniform input difficulty (F15), which no
-# other tier runs end to end. Tables go to /dev/null; a failed requirement
-# or a crash fails the tier.
+# Bench smoke: five reproduction benches run to completion. Together they
+# reach the profile-priced exit-setting DP beside the partition curve (F2)
+# and the greedy and exhaustive oracles (F3), every baseline scheme,
+# small_exhaustive (F7's optimality gap), both joint ablations (F8) and
+# non-uniform input difficulty (F15), which no other tier runs end to end.
+# Tables go to /dev/null; a failed requirement or a crash fails the tier.
 bench_smoke() {
   local b
-  for b in bench_f7_scalability bench_f8_ablation bench_f15_difficulty; do
+  for b in bench_f2_bandwidth bench_f3_exits bench_f7_scalability \
+      bench_f8_ablation bench_f15_difficulty; do
     "$BUILD_DIR/bench/$b" > /dev/null
   done
 }
