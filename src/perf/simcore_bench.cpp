@@ -1,6 +1,10 @@
 #include "perf/simcore_bench.hpp"
 
 #include <chrono>
+#include <cstddef>
+#include <future>
+#include <latch>
+#include <vector>
 
 #include "core/joint.hpp"
 #include "core/objective.hpp"
@@ -29,6 +33,35 @@ void spin_for(double seconds) {
   while (Clock::now() < until) {
   }
 }
+
+/// Holds every worker of `pool` on a gate for its lifetime, so a
+/// parallel_for issued meanwhile finds no idle worker and runs every chunk
+/// on its calling thread.
+class HeldWorkers {
+ public:
+  explicit HeldWorkers(ThreadPool& pool)
+      : started_(static_cast<std::ptrdiff_t>(pool.size())) {
+    const std::shared_future<void> gate = release_.get_future().share();
+    for (std::size_t w = 0; w < pool.size(); ++w) {
+      holding_.push_back(pool.submit([this, gate] {
+        started_.count_down();
+        gate.wait();
+      }));
+    }
+    started_.wait();
+  }
+  ~HeldWorkers() {
+    release_.set_value();
+    for (auto& f : holding_) f.wait();
+  }
+  HeldWorkers(const HeldWorkers&) = delete;
+  HeldWorkers& operator=(const HeldWorkers&) = delete;
+
+ private:
+  std::latch started_;
+  std::promise<void> release_;
+  std::vector<std::future<void>> holding_;
+};
 
 Simulator::Options sim_options(const SimcoreBenchConfig& c) {
   Simulator::Options o;
@@ -132,14 +165,16 @@ Json run_simcore_bench(const SimcoreBenchConfig& config) {
       time_best_of(config.solver_reps, /*warmup_reps=*/1, [&] {
         decision = JointOptimizer(jopts).optimize(instance, &solve_report);
       });
-  // The same solve on one thread: issued from a worker of the shared pool,
-  // the surgery step's parallel_for runs inline. The ratio of the two is the
-  // solver's parallel speedup at pool_threads.
-  ThreadPool& pool = ThreadPool::shared();
-  const Timing one_thread_t =
-      time_best_of(config.solver_reps, /*warmup_reps=*/0, [&] {
-        pool.submit([&] { JointOptimizer(jopts).optimize(instance); }).get();
-      });
+  // The same solve on one thread: with every worker of the shared pool
+  // held, the surgery step's parallel_for runs all its chunks on this
+  // thread. The ratio of the two is the solver's parallel speedup at
+  // pool_threads.
+  Timing one_thread_t;
+  {
+    const HeldWorkers held(ThreadPool::shared());
+    one_thread_t = time_best_of(config.solver_reps, /*warmup_reps=*/0,
+                                [&] { JointOptimizer(jopts).optimize(instance); });
+  }
 
   // --- Ladder: the online controller's degradation ladder built on the
   // solved decision, timed as the median of single builds (the ladder is a
@@ -256,7 +291,8 @@ Json run_simcore_bench(const SimcoreBenchConfig& config) {
   jsolver.set("reps", Json::number(static_cast<double>(config.solver_reps)));
   jsolver.set("best_seconds", Json::number(solver_t.best_seconds));
   jsolver.set("us_per_solve", Json::number(solver_t.best_seconds * 1e6));
-  jsolver.set("pool_threads", Json::number(static_cast<double>(pool.size())));
+  jsolver.set("pool_threads",
+              Json::number(static_cast<double>(ThreadPool::shared().size())));
   jsolver.set("one_thread_us_per_solve",
               Json::number(one_thread_t.best_seconds * 1e6));
   jsolver.set("ladder_us_per_build", Json::number(ladder_us.p50()));

@@ -1,6 +1,9 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <memory>
 
 #ifdef __linux__
 #include <sched.h>
@@ -10,9 +13,6 @@
 
 namespace scalpel {
 namespace {
-
-// The pool whose worker_loop runs on this thread (nullptr elsewhere).
-thread_local const ThreadPool* tl_worker_of = nullptr;
 
 // CPUs this thread may run on. hardware_concurrency counts every CPU of the
 // machine, even under `taskset` or a container cpuset.
@@ -62,44 +62,79 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
   return future;
 }
 
+namespace {
+
+// One parallel_for call's chunks, claimed in index order by the caller and
+// by the claimer tasks it queued. Claimers hold it by shared_ptr, so one
+// that reaches the queue's front after the call has returned finds every
+// chunk taken and touches nothing else.
+struct ChunkRun {
+  using Fn = std::function<void(std::size_t, std::size_t)>;
+
+  ChunkRun(const Fn& f, std::size_t b, std::size_t e, std::size_t c)
+      : fn(&f), begin(b), end(e), chunk(c),
+        chunks((e - b + c - 1) / c), errors(chunks) {}
+
+  // Runs unclaimed chunks until none is left. `fn` is dereferenced only for
+  // a claimed chunk, and the caller does not return before every claimed
+  // chunk has finished.
+  void run() {
+    for (std::size_t c; (c = next.fetch_add(1)) < chunks;) {
+      const std::size_t lo = begin + c * chunk;
+      std::exception_ptr error;
+      try {
+        (*fn)(lo, std::min(end, lo + chunk));
+      } catch (...) {
+        error = std::current_exception();
+      }
+      const std::lock_guard<std::mutex> lock(mutex);
+      errors[c] = std::move(error);
+      if (++finished == chunks) done.notify_all();
+    }
+  }
+
+  const Fn* fn;
+  const std::size_t begin, end, chunk, chunks;
+  std::atomic<std::size_t> next{0};
+  std::mutex mutex;
+  std::condition_variable done;
+  std::size_t finished = 0;                 // guarded by mutex
+  std::vector<std::exception_ptr> errors;   // per chunk, guarded by mutex
+};
+
+}  // namespace
+
 void ThreadPool::parallel_for(
     std::size_t begin, std::size_t end,
     const std::function<void(std::size_t, std::size_t)>& fn) {
   if (begin >= end) return;
   const std::size_t n = end - begin;
-  const std::size_t chunks = std::min(n, workers_.size());
-  // On one of this pool's workers, queued chunks could wait behind the
-  // very task that blocks on them.
-  if (chunks <= 1 || tl_worker_of == this) {
+  const std::size_t max_chunks = std::min(n, workers_.size());
+  if (max_chunks <= 1) {
     fn(begin, end);
     return;
   }
-  const std::size_t chunk = (n + chunks - 1) / chunks;
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks - 1);
-  std::size_t lo = begin + chunk;  // first chunk runs on the caller
-  for (std::size_t c = 1; c < chunks && lo < end; ++c) {
-    const std::size_t hi = std::min(end, lo + chunk);
-    futures.push_back(submit([&fn, lo, hi] { fn(lo, hi); }));
-    lo = hi;
-  }
-  // An exception (from the caller's chunk or an early future) must not
-  // unwind past the remaining futures: their tasks capture `fn` by
-  // reference into this frame. Drain every future first, then rethrow.
-  std::exception_ptr first_error;
-  try {
-    fn(begin, std::min(end, begin + chunk));
-  } catch (...) {
-    first_error = std::current_exception();
-  }
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
+  const auto run = std::make_shared<ChunkRun>(
+      fn, begin, end, (n + max_chunks - 1) / max_chunks);
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    SCALPEL_REQUIRE(!stop_, "parallel_for on stopped thread pool");
+    for (std::size_t c = 1; c < run->chunks; ++c) {
+      tasks_.emplace([run] { run->run(); });
     }
   }
-  if (first_error) std::rethrow_exception(first_error);
+  cv_.notify_all();  // a broadcast for the reason submit() gives
+  run->run();
+  // Only chunks another thread started can still be running.
+  std::unique_lock<std::mutex> lock(run->mutex);
+  run->done.wait(lock, [&] { return run->finished == run->chunks; });
+  // The exceptions leave the shared state here: a claimer that drops the
+  // last reference to it later must not be the one to free them.
+  const std::vector<std::exception_ptr> errors = std::move(run->errors);
+  lock.unlock();
+  for (const auto& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
 }
 
 ThreadPool& ThreadPool::shared() {
@@ -108,7 +143,6 @@ ThreadPool& ThreadPool::shared() {
 }
 
 void ThreadPool::worker_loop() {
-  tl_worker_of = this;
   for (;;) {
     std::packaged_task<void()> task;
     {

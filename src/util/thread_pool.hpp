@@ -12,10 +12,11 @@
 namespace scalpel {
 
 /// Fixed-size thread pool used by the NN kernels, the replication fan-out,
-/// the sharded engine and the joint optimizer's surgery step. Tasks are
-/// type-erased closures; `parallel_for` provides the common blocked-index
-/// pattern with static chunking (deterministic work assignment, which keeps
-/// kernel timings stable run-to-run).
+/// the sharded engine, the joint optimizer's surgery step, the online
+/// controller's degradation ladder and the distributed plane's cell solves.
+/// Tasks are type-erased closures; `parallel_for` provides the common
+/// blocked-index pattern over fixed chunk boundaries, each chunk claimed by
+/// whichever thread reaches it first.
 class ThreadPool {
  public:
   /// n == 0 means one worker per CPU the constructing thread may run on
@@ -34,12 +35,14 @@ class ThreadPool {
   std::future<void> submit(std::function<void()> task);
 
   /// Calls fn(lo, hi) over contiguous chunks covering [begin, end): at most
-  /// size() chunks, the first on the calling thread and the rest on workers,
-  /// so a pool sized to the CPU count never runs more threads than CPUs.
-  /// Blocks until all chunks finish; every chunk is drained before the first
-  /// exception is rethrown. Re-entrant: a call issued from one of this
-  /// pool's own workers runs fn(begin, end) inline instead of queueing
-  /// behind itself.
+  /// size() chunks of fixed boundaries. The calling thread and up to
+  /// size() - 1 queued claimer tasks each take the next unclaimed chunk, so
+  /// a pool sized to the CPU count never runs more threads than CPUs, and a
+  /// call issued from a busy worker still spreads over idle ones. The caller
+  /// runs every chunk nobody else has started, then waits only for the
+  /// chunks already running elsewhere; it never runs foreign tasks, so
+  /// nested calls cannot deadlock. Once every chunk has finished, the
+  /// lowest-index chunk's exception (if any) is rethrown.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t, std::size_t)>& fn);
 

@@ -380,8 +380,9 @@ TEST(JointGoldenConcurrency, FromConcurrentThreads) {
 }
 
 // The ladder's DPs fan out on ThreadPool::shared() too: built from that
-// pool's own workers (where its fan-out runs inline) and from several
-// threads at once, every ladder must still be the golden one.
+// pool's own workers (where each build's fan-out shares its chunks with
+// whichever workers are idle) and from several threads at once, every
+// ladder must still be the golden one.
 TEST(OnlineLadderGoldenConcurrency, FromPoolWorkers) {
   constexpr std::size_t kBuilds = 4;
   campus_bench_decision();  // solve once, before the builds race

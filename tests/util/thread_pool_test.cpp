@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #ifdef __linux__
@@ -136,9 +141,54 @@ TEST(ThreadPool, ParallelForDrainsEveryChunkBeforeRethrowing) {
   }
 }
 
+TEST(ThreadPool, ParallelForRethrowsTheLowestChunksException) {
+  ThreadPool pool(4);
+  for (int round = 0; round < 20; ++round) {
+    try {
+      pool.parallel_for(0, 4, [](std::size_t lo, std::size_t) {
+        // Chunk 0 throws last, so a first-come rule would pick another.
+        if (lo == 0) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        throw std::runtime_error(std::to_string(lo));
+      });
+      FAIL() << "no exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "0") << round;
+    }
+  }
+}
+
+TEST(ThreadPool, ParallelForFromABusyWorkerSharesChunksWithIdleWorkers) {
+  // Worker A runs a task whose parallel_for has two chunks; worker B is
+  // idle. Each chunk waits for the other to start, so the call completes
+  // only if B runs one chunk while A runs the other. The wait is bounded:
+  // a pool that runs the chunks one after another fails instead of hanging.
+  ThreadPool pool(2);
+  std::mutex mutex;
+  std::condition_variable cv;
+  int arrived = 0;
+  std::atomic<int> met{0};
+  std::set<std::thread::id> threads;
+  pool.submit([&] {
+        pool.parallel_for(0, 2, [&](std::size_t, std::size_t) {
+          std::unique_lock<std::mutex> lock(mutex);
+          threads.insert(std::this_thread::get_id());
+          ++arrived;
+          cv.notify_all();
+          if (cv.wait_for(lock, std::chrono::seconds(10),
+                          [&] { return arrived == 2; })) {
+            ++met;
+          }
+        });
+      })
+      .get();
+  EXPECT_EQ(met, 2);
+  EXPECT_EQ(threads.size(), 2u);
+}
+
 TEST(ThreadPool, NestedParallelForOnSharedPoolCompletes) {
   // One task per worker, each issuing its own parallel_for: with every
-  // worker blocked inside a task, chunks queued behind them would never run.
+  // worker busy, no claimer task runs until its caller has run every chunk
+  // itself, so the call must not wait for chunks nobody started.
   ThreadPool& pool = ThreadPool::shared();
   const std::size_t outer = pool.size();
   const std::size_t inner = 64;
