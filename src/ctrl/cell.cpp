@@ -125,9 +125,10 @@ void CellController::receive(const CtrlMessage& msg, double now) {
   append_log();
 }
 
-bool CellController::repair_local(const std::vector<bool>& server_alive) {
+bool CellController::repair(std::vector<DeviceDecision>& plan,
+                            const std::vector<bool>& server_alive) const {
   bool changed = false;
-  for (auto& dd : local_) {
+  for (auto& dd : plan) {
     if (dd.plan.device_only) continue;
     const bool usable =
         dd.server >= 0 && static_cast<std::size_t>(dd.server) < num_servers_ &&
@@ -143,164 +144,45 @@ bool CellController::repair_local(const std::vector<bool>& server_alive) {
   return changed;
 }
 
-bool CellController::local_solve(AuditCause cause, std::string detail) {
-  ++local_solves_;
-  // Per server, the capacity share the sub-problem gets: the trusted slice,
-  // at most the whole server; 0 leaves a dead or sliceless server out.
-  const double discount = stale_ ? kStaleDiscount : 1.0;
-  std::vector<double> scale(num_servers_, 0.0);
-  bool any_server = false;
-  for (std::size_t s = 0; s < num_servers_; ++s) {
-    const double usable = slice_[s] * discount;
-    if ((!solved_alive_.empty() && !solved_alive_[s]) || usable <= 1e-9) {
-      continue;
-    }
-    scale[s] = std::min(1.0, usable);
-    any_server = true;
-  }
-  const std::vector<DeviceDecision> previous = local_;
-  const bool had_plan = has_plan_;
-
-  auto adopt = [&](std::vector<DeviceDecision> fresh, AuditCause why,
-                   std::string why_detail) {
-    local_ = std::move(fresh);
-    has_plan_ = true;
-    solved_bw_ = observed_bw_;
-    append_log();
-    bool changed = !had_plan || local_.size() != previous.size();
-    if (!changed) {
-      for (std::size_t i = 0; i < local_.size(); ++i) {
-        if (local_[i] != previous[i]) {
-          changed = true;
-          break;
-        }
-      }
-    }
-    if (audit_ != nullptr && changed) {
-      std::size_t offload = 0;
-      for (const auto& dd : local_) {
-        if (!dd.plan.device_only) ++offload;
-      }
-      AuditRecord r;
-      r.cause = why;
-      r.detail = tag() + std::move(why_detail);
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "offload=%zu/%zu epoch=%llu", offload,
-                    local_.size(),
-                    static_cast<unsigned long long>(adopted_epoch_));
-      r.plan_after = buf;
-      audit_->append(std::move(r));
-    }
-    return changed;
-  };
-
-  if (!any_server) {
-    // No live server with a usable slice: the whole cell runs device-only.
-    std::vector<DeviceDecision> down(members_.size());
-    for (auto& dd : down) dd.plan.device_only = true;
-    return adopt(std::move(down), cause, detail + "; no usable server");
-  }
-
-  Cell uplink = global_->topology().cell(cell_);
-  uplink.bandwidth = observed_bw_;
-  const ProblemInstance sub = failover::reduce(*global_, {uplink}, scale);
-  failover::GuardedOutcome outcome = failover::guarded_attempt(
-      sub, /*alive=*/{}, kSolveBudgetSeconds,
-      [&] { return failover::solve(opts_.solver, sub, opts_.joint); });
-
-  if (outcome.ok) {
-    // Map the sub-space decision back to global ids and global share space.
-    // Local share sums are clamped to exactly 1 (validation allows a few
-    // percent of slack that the global evaluator does not), and bandwidth
-    // sums to the observed uplink, so the merged plan can never trip the
-    // global capacity checks.
-    failover::lift(outcome.decision, scale);
-    std::vector<double> share_sum(num_servers_, 0.0);
-    double bw_sum = 0.0;
-    for (const auto& dd : outcome.decision.per_device) {
-      if (dd.plan.device_only) continue;
-      share_sum[static_cast<std::size_t>(dd.server)] += dd.compute_share;
-      bw_sum += dd.bandwidth;
-    }
-    const double bw_scale =
-        bw_sum > observed_bw_ ? observed_bw_ / bw_sum : 1.0;
-    std::vector<DeviceDecision> fresh(members_.size());
-    for (std::size_t j = 0; j < members_.size(); ++j) {
-      DeviceDecision dd = outcome.decision.per_device[j];
-      if (dd.plan.device_only) {
-        fresh[j].plan = dd.plan;
-        continue;
-      }
-      const auto s = static_cast<std::size_t>(dd.server);
-      const double sigma_scale =
-          share_sum[s] > 1.0 ? 1.0 / share_sum[s] : 1.0;
-      dd.compute_share = dd.compute_share * sigma_scale * scale[s];
-      dd.bandwidth *= bw_scale;
-      fresh[j] = std::move(dd);
-    }
-    return adopt(std::move(fresh), cause, std::move(detail));
-  }
-
-  // Per-cell fallback chain: audit the failure, then keep the last-good
-  // local plan (repaired so no member points at a dead or sliceless
-  // server), else degrade the cell to device-only. Either way the cell's
-  // devices stay routable.
-  ++fallbacks_;
-  if (audit_ != nullptr) {
-    AuditRecord r;
-    r.cause = outcome.fail_cause;
-    r.detail = tag() + outcome.fail_detail;
-    audit_->append(std::move(r));
-  }
-  if (had_plan) {
-    const bool repaired = repair_local(
-        solved_alive_.empty() ? std::vector<bool>(num_servers_, true)
-                              : solved_alive_);
-    return adopt(std::move(local_), AuditCause::kFallbackApplied,
-                 repaired ? "kept last-good plan, dead targets device-only"
-                          : "kept last-good plan");
-  }
-  std::vector<DeviceDecision> down(members_.size());
-  for (auto& dd : down) dd.plan.device_only = true;
-  adopt(std::move(down), AuditCause::kFallbackApplied,
-        "degraded cell to device-only");
-  return true;
+void CellController::hold(AuditCause cause, std::string detail) {
+  if (audit_ == nullptr) return;
+  AuditRecord r;
+  r.cause = cause;
+  r.detail = tag() + std::move(detail);
+  held_.push_back(std::move(r));
 }
 
 bool CellController::tick(double now, double cell_bandwidth,
                           const std::vector<bool>& server_alive,
                           ControlFabric& fabric) {
+  begin_tick(now, cell_bandwidth, server_alive);
+  solve_pending();
+  return finish_tick(now, fabric);
+}
+
+bool CellController::begin_tick(double now, double cell_bandwidth,
+                                const std::vector<bool>& server_alive) {
   observed_bw_ = cell_bandwidth;
 
   if (!autonomous_ && now - last_coord_seen_ > kHeartbeatTimeout) {
     autonomous_ = true;
     ++coordinator_losses_;
-    if (audit_ != nullptr) {
-      AuditRecord r;
-      r.cause = AuditCause::kCoordinatorLost;
-      char buf[96];
-      std::snprintf(buf, sizeof(buf),
-                    "no coordinator message for %.1fs (timeout %.1fs)",
-                    now - last_coord_seen_, kHeartbeatTimeout);
-      r.detail = tag() + buf;
-      audit_->append(std::move(r));
-    }
+    char buf[96];
+    std::snprintf(buf, sizeof(buf),
+                  "no coordinator message for %.1fs (timeout %.1fs)",
+                  now - last_coord_seen_, kHeartbeatTimeout);
+    hold(AuditCause::kCoordinatorLost, buf);
   }
   if (!stale_ && now - granted_at_ > kFreshFor) {
     stale_ = true;
     ++stale_transitions_;
     pending_solve_ = true;
-    if (audit_ != nullptr) {
-      AuditRecord r;
-      r.cause = AuditCause::kStalePrice;
-      char buf[128];
-      std::snprintf(buf, sizeof(buf),
-                    "grant epoch %llu age %.1fs > %.1fs; usable slice x%.2f",
-                    static_cast<unsigned long long>(adopted_epoch_),
-                    now - granted_at_, kFreshFor, kStaleDiscount);
-      r.detail = tag() + buf;
-      audit_->append(std::move(r));
-    }
+    char buf[128];
+    std::snprintf(buf, sizeof(buf),
+                  "grant epoch %llu age %.1fs > %.1fs; usable slice x%.2f",
+                  static_cast<unsigned long long>(adopted_epoch_),
+                  now - granted_at_, kFreshFor, kStaleDiscount);
+    hold(AuditCause::kStalePrice, buf);
   }
 
   const bool liveness_flip =
@@ -319,25 +201,60 @@ bool CellController::tick(double now, double cell_bandwidth,
     detail = buf;
   }
   if (!has_plan_) pending_solve_ = true;
+  solved_alive_ = server_alive;
+  if (!pending_solve_) return false;
+
+  pending_solve_ = false;
+  PendingSolve& solve = solve_.emplace();
+  solve.cause = !has_plan_      ? AuditCause::kInitialSolve
+                : liveness_flip ? AuditCause::kFailover
+                : autonomous_   ? AuditCause::kLocalAutonomy
+                                : AuditCause::kResolve;
+  if (detail.empty()) {
+    detail = !has_plan_    ? "first local solve"
+             : autonomous_ ? "validated local plan while partitioned"
+             : stale_      ? "discounted stale slice"
+                           : "slice/conditions moved";
+  }
+  solve.detail = std::move(detail);
+  return true;
+}
+
+void CellController::solve_pending() {
+  if (!solve_) return;
+  PendingSolve& solve = *solve_;
+  ++local_solves_;
+  // Per server, the capacity share the sub-problem gets: the trusted slice,
+  // at most the whole server; 0 leaves a dead or sliceless server out.
+  const double discount = stale_ ? kStaleDiscount : 1.0;
+  solve.scale.assign(num_servers_, 0.0);
+  for (std::size_t s = 0; s < num_servers_; ++s) {
+    const double usable = slice_[s] * discount;
+    if ((!solved_alive_.empty() && !solved_alive_[s]) || usable <= 1e-9) {
+      continue;
+    }
+    solve.scale[s] = std::min(1.0, usable);
+    solve.any_server = true;
+  }
+  if (!solve.any_server) return;
+
+  Cell uplink = global_->topology().cell(cell_);
+  uplink.bandwidth = observed_bw_;
+  const ProblemInstance sub =
+      failover::reduce(*global_, {uplink}, solve.scale);
+  solve.outcome = failover::guarded_attempt(
+      sub, /*alive=*/{}, kSolveBudgetSeconds,
+      [&] { return failover::solve(opts_.solver, sub, opts_.joint); });
+}
+
+bool CellController::finish_tick(double now, ControlFabric& fabric) {
+  for (AuditRecord& r : held_) audit_->append(std::move(r));  // none if null
+  held_.clear();
 
   bool changed = false;
-  if (pending_solve_) {
-    pending_solve_ = false;
-    const AuditCause cause =
-        !has_plan_    ? AuditCause::kInitialSolve
-        : liveness_flip ? AuditCause::kFailover
-        : autonomous_   ? AuditCause::kLocalAutonomy
-                        : AuditCause::kResolve;
-    if (detail.empty()) {
-      detail = !has_plan_    ? "first local solve"
-               : autonomous_ ? "validated local plan while partitioned"
-               : stale_      ? "discounted stale slice"
-                             : "slice/conditions moved";
-    }
-    solved_alive_ = server_alive;
-    changed = local_solve(cause, std::move(detail));
-  } else {
-    solved_alive_ = server_alive;
+  if (solve_) {
+    changed = adopt_solve(std::move(*solve_));
+    solve_.reset();
   }
 
   if (now >= next_report_) {
@@ -356,6 +273,102 @@ bool CellController::tick(double now, double cell_bandwidth,
     fabric.send(std::move(m), now);
   }
   return changed;
+}
+
+bool CellController::adopt(std::vector<DeviceDecision> fresh, AuditCause why,
+                           std::string why_detail) {
+  const bool changed = !has_plan_ || fresh != local_;
+  local_ = std::move(fresh);
+  has_plan_ = true;
+  solved_bw_ = observed_bw_;
+  append_log();
+  if (audit_ != nullptr && changed) {
+    std::size_t offload = 0;
+    for (const auto& dd : local_) {
+      if (!dd.plan.device_only) ++offload;
+    }
+    AuditRecord r;
+    r.cause = why;
+    r.detail = tag() + std::move(why_detail);
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "offload=%zu/%zu epoch=%llu", offload,
+                  local_.size(),
+                  static_cast<unsigned long long>(adopted_epoch_));
+    r.plan_after = buf;
+    audit_->append(std::move(r));
+  }
+  return changed;
+}
+
+bool CellController::adopt_solve(PendingSolve solve) {
+  if (!solve.any_server) {
+    // No live server with a usable slice: the whole cell runs device-only.
+    std::vector<DeviceDecision> down(members_.size());
+    for (auto& dd : down) dd.plan.device_only = true;
+    return adopt(std::move(down), solve.cause,
+                 solve.detail + "; no usable server");
+  }
+
+  if (solve.outcome.ok) {
+    // Map the sub-space decision back to global ids and global share space.
+    // Local share sums are clamped to exactly 1 (validation allows a few
+    // percent of slack that the global evaluator does not), and bandwidth
+    // sums to the observed uplink, so the merged plan can never trip the
+    // global capacity checks.
+    Decision& decision = solve.outcome.decision;
+    const std::vector<double>& scale = solve.scale;
+    failover::lift(decision, scale);
+    std::vector<double> share_sum(num_servers_, 0.0);
+    double bw_sum = 0.0;
+    for (const auto& dd : decision.per_device) {
+      if (dd.plan.device_only) continue;
+      share_sum[static_cast<std::size_t>(dd.server)] += dd.compute_share;
+      bw_sum += dd.bandwidth;
+    }
+    const double bw_scale =
+        bw_sum > observed_bw_ ? observed_bw_ / bw_sum : 1.0;
+    std::vector<DeviceDecision> fresh(members_.size());
+    for (std::size_t j = 0; j < members_.size(); ++j) {
+      DeviceDecision dd = decision.per_device[j];
+      if (dd.plan.device_only) {
+        fresh[j].plan = dd.plan;
+        continue;
+      }
+      const auto s = static_cast<std::size_t>(dd.server);
+      const double sigma_scale =
+          share_sum[s] > 1.0 ? 1.0 / share_sum[s] : 1.0;
+      dd.compute_share = dd.compute_share * sigma_scale * scale[s];
+      dd.bandwidth *= bw_scale;
+      fresh[j] = std::move(dd);
+    }
+    return adopt(std::move(fresh), solve.cause, std::move(solve.detail));
+  }
+
+  // Per-cell fallback chain: audit the failure, then keep the last-good
+  // local plan (repaired so no member points at a dead or sliceless
+  // server), else degrade the cell to device-only. Either way the cell's
+  // devices stay routable.
+  ++fallbacks_;
+  if (audit_ != nullptr) {
+    AuditRecord r;
+    r.cause = solve.outcome.fail_cause;
+    r.detail = tag() + solve.outcome.fail_detail;
+    audit_->append(std::move(r));
+  }
+  if (has_plan_) {
+    std::vector<DeviceDecision> kept = local_;
+    const bool repaired = repair(
+        kept, solved_alive_.empty() ? std::vector<bool>(num_servers_, true)
+                                    : solved_alive_);
+    return adopt(std::move(kept), AuditCause::kFallbackApplied,
+                 repaired ? "kept last-good plan, dead targets device-only"
+                          : "kept last-good plan");
+  }
+  std::vector<DeviceDecision> down(members_.size());
+  for (auto& dd : down) dd.plan.device_only = true;
+  adopt(std::move(down), AuditCause::kFallbackApplied,
+        "degraded cell to device-only");
+  return true;
 }
 
 void CellController::append_log() {

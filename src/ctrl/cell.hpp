@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,7 +15,10 @@ namespace scalpel {
 
 struct CellControllerOptions {
   JointOptions joint;
-  /// Solver seam for the cell's local solves.
+  /// Solver seam for the cell's local solves. When set, the plane calls it
+  /// on the tick's thread, one cell after another in cell order, so a seam
+  /// may keep unsynchronized state; the default solver's solves run side by
+  /// side across ThreadPool::shared().
   failover::Solver solver;
 };
 
@@ -53,11 +57,29 @@ class CellController {
   /// life; kSliceGrant additionally adopts the slice (epoch permitting).
   void receive(const CtrlMessage& msg, double now);
 
-  /// One control window: staleness/liveness checks, local re-solve when
-  /// triggered, load report on cadence. Returns true when the cell's local
-  /// decisions changed.
+  /// One control window: begin_tick(), solve_pending() and finish_tick()
+  /// back to back. Returns true when the cell's local decisions changed.
   bool tick(double now, double cell_bandwidth,
             const std::vector<bool>& server_alive, ControlFabric& fabric);
+
+  /// The tick's three phases. The plane runs every cell's begin_tick in
+  /// cell order, then the cells' solve_pending side by side, then every
+  /// cell's finish_tick in cell order, so the audit log, the spans and the
+  /// fabric's draws come out in the order tick() gives them.
+  ///
+  /// Phase 1: the coordinator-loss, staleness, liveness-flip and bandwidth
+  /// hysteresis checks. Returns true when the cell solves this tick. Its
+  /// audit records are held until finish_tick.
+  bool begin_tick(double now, double cell_bandwidth,
+                  const std::vector<bool>& server_alive);
+  /// Phase 2: the pending guarded local solve, if any. It reads the global
+  /// instance and writes only this cell's state, so different cells may run
+  /// it concurrently (with the default solver; see CellControllerOptions).
+  void solve_pending();
+  /// Phase 3: the held audit records, then adoption of the solved plan or
+  /// the fallback chain, then the load report on cadence. Returns true when
+  /// the cell's local decisions changed.
+  bool finish_tick(double now, ControlFabric& fabric);
 
   /// Crash: volatile state (plan, slice, epoch, anchors) is lost; the state
   /// log survives. While down the cell's devices keep executing the last
@@ -107,13 +129,30 @@ class CellController {
     bool has_plan = false;
   };
 
-  /// Guarded local solve on the scaled sub-topology; adopts on success,
-  /// walks the per-cell fallback chain on failure. Returns true when
+  /// A solve begin_tick scheduled: its audit cause and detail, then what
+  /// solve_pending computed for finish_tick to adopt.
+  struct PendingSolve {
+    AuditCause cause = AuditCause::kResolve;
+    std::string detail;
+    std::vector<double> scale;  // per server; all 0 when none is usable
+    bool any_server = false;
+    failover::GuardedOutcome outcome;
+  };
+
+  /// Adopts the solved plan (lifted to global share space), or walks the
+  /// per-cell fallback chain on failure. Returns true when local_ changed.
+  bool adopt_solve(PendingSolve solve);
+  /// Sets local_ to `fresh` and audits the change. Returns true when
   /// local_ changed.
-  bool local_solve(AuditCause cause, std::string detail);
-  /// Members pointing at dead or zero-slice servers drop to device-only
-  /// (the kept-last-good repair step of the fallback chain).
-  bool repair_local(const std::vector<bool>& server_alive);
+  bool adopt(std::vector<DeviceDecision> fresh, AuditCause why,
+             std::string why_detail);
+  /// Holds a phase-1 audit record (prefixed with tag()) for finish_tick.
+  void hold(AuditCause cause, std::string detail);
+  /// Members of `plan` pointing at dead or zero-slice servers drop to
+  /// device-only (the kept-last-good repair step of the fallback chain).
+  /// Returns true when any did.
+  bool repair(std::vector<DeviceDecision>& plan,
+              const std::vector<bool>& server_alive) const;
   void append_log();
   std::string tag() const;  // "cell k: " audit prefix
 
@@ -139,6 +178,10 @@ class CellController {
   std::vector<bool> solved_alive_;
   double next_report_ = 0.0;
   bool pending_solve_ = false;
+  // Between the tick's phases: phase 1's audit records and the scheduled
+  // solve.
+  std::vector<AuditRecord> held_;
+  std::optional<PendingSolve> solve_;
 
   // Stable state + counters. The corr mint counter is stable on purpose:
   // ids survive crashes, so a post-restart report can never reuse a

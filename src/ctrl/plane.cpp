@@ -1,10 +1,13 @@
 #include "ctrl/plane.hpp"
 
+#include <atomic>
+
 #include "core/failover.hpp"
 #include "core/objective.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
 #include "util/assert.hpp"
+#include "util/thread_pool.hpp"
 
 namespace scalpel {
 
@@ -102,6 +105,25 @@ void DistributedControlPlane::merge() {
   merged_valid_ = true;
 }
 
+void DistributedControlPlane::solve_cells(
+    const std::vector<CellController*>& solving) {
+  // A custom solver seam runs on this thread in cell order (its contract in
+  // CellControllerOptions).
+  if (opts_.cell.solver || solving.size() <= 1) {
+    for (CellController* cell : solving) cell->solve_pending();
+    return;
+  }
+  // Each pool thread claims the next cell: a solve's cost varies with its
+  // cell's models and slice.
+  std::atomic<std::size_t> next_cell{0};
+  ThreadPool& pool = ThreadPool::shared();
+  pool.parallel_for(0, pool.size(), [&](std::size_t, std::size_t) {
+    for (std::size_t i; (i = next_cell.fetch_add(1)) < solving.size();) {
+      solving[i]->solve_pending();
+    }
+  });
+}
+
 ControlAction DistributedControlPlane::tick(const Observation& o) {
   const double now = o.time;
   ++ticks_;
@@ -124,11 +146,21 @@ ControlAction DistributedControlPlane::tick(const Observation& o) {
                                     o.cell_bandwidth[c]);
   }
 
+  // The cells' checks run in cell order and decide which cells solve; the
+  // solves run side by side; adoption, audit records and load reports run
+  // in cell order again.
+  std::vector<CellController*> solving;
+  for (std::size_t k = 0; k < cells_.size(); ++k) {
+    if (!endpoint_up_[1 + k]) continue;
+    if (cells_[k].begin_tick(now, o.cell_bandwidth[k], o.server_alive)) {
+      solving.push_back(&cells_[k]);
+    }
+  }
+  solve_cells(solving);
   bool changed = false;
   for (std::size_t k = 0; k < cells_.size(); ++k) {
     if (!endpoint_up_[1 + k]) continue;
-    changed |= cells_[k].tick(now, o.cell_bandwidth[k], o.server_alive,
-                              fabric_);
+    changed |= cells_[k].finish_tick(now, fabric_);
   }
 
   ControlAction action;

@@ -42,11 +42,16 @@ struct DistributedPlaneOptions {
 /// Per tick: endpoint liveness transitions (crash wipes volatile state and
 /// the victim's in-flight messages; restart replays the endpoint's own
 /// state log), due-message delivery in deterministic (deliver_at, seq)
-/// order, a coordinator round, then cell rounds in index order. Changed
-/// cell plans merge into one global Decision; the merge clamps per-server
-/// global share sums to 1 and per-cell bandwidth sums to observed capacity,
-/// so a split-brain mix of slice epochs can squeeze a cell but never
-/// produce an unroutable or oversubscribed plan.
+/// order, a coordinator round, then the cell rounds in three phases: every
+/// cell's checks in index order, the local solves they schedule side by
+/// side on ThreadPool::shared() (each solve touches only its own cell; a
+/// custom solver seam runs them in index order on the tick's thread), then
+/// every cell's adoption, audit records and load report in index order. So
+/// the audit log, the spans and the fabric's draws do not depend on the
+/// pool. Changed cell plans merge into one global Decision; the merge
+/// clamps per-server global share sums to 1 and per-cell bandwidth sums to
+/// observed capacity, so a split-brain mix of slice epochs can squeeze a
+/// cell but never produce an unroutable or oversubscribed plan.
 class DistributedControlPlane {
  public:
   DistributedControlPlane(const ClusterTopology& topology,
@@ -103,6 +108,8 @@ class DistributedControlPlane {
   void apply_liveness(double now);
   void route(const CtrlMessage& msg, double now);
   void merge();
+  /// Runs the pending solves of the cells begin_tick scheduled.
+  void solve_cells(const std::vector<CellController*>& solving);
 
   DistributedPlaneOptions opts_;
   ProblemInstance instance_;

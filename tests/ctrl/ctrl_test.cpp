@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "edge/builders.hpp"
@@ -820,6 +821,88 @@ TEST(CtrlSpans, LossyFabricSpanStreamReconcilesAndChainsCausally) {
   EXPECT_EQ(plane.plan_changes(), untraced.plan_changes());
   EXPECT_EQ(plane.audit_log().to_json().dump_pretty(),
             untraced.audit_log().to_json().dump_pretty());
+}
+
+TEST(CtrlPlane, ParallelCellSolvesMatchSerial) {
+  // The default solver's cell solves run side by side on the shared pool; a
+  // seam wrapping the same JointOptimizer runs them one by one in cell
+  // order. Over a lossy fabric, a coordinator outage and server flips, both
+  // planes must merge the same decisions on every tick and leave the same
+  // audit log, spans and counters.
+  clusters::CampusOptions copts;
+  copts.num_devices = 48;
+  copts.num_servers = 6;
+  copts.seed = 7;
+  const ClusterTopology topo = clusters::campus(copts);
+  ASSERT_EQ(topo.cells().size(), 6u);
+  DistributedPlaneOptions po;
+  po.cell.joint.max_iterations = 2;
+  po.cell.joint.dp_coverage_bins = 40;
+  po.cell.joint.theta_grid = {0.0, 0.3, 0.6};
+  po.fabric.delay = 0.05;
+  po.fabric.jitter = 0.1;
+  po.fabric.drop_prob = 0.15;
+  po.seed = 5;
+  po.controller_faults = FaultSchedule::server_crash(0, 6.0, 12.0);
+  po.span_capacity = 1u << 14;
+  DistributedControlPlane parallel(topo, po);
+  po.cell.solver = [](const ProblemInstance& sub, const JointOptions& o) {
+    return JointOptimizer(o).optimize(sub);
+  };
+  DistributedControlPlane serial(topo, po);
+
+  std::size_t changes = 0;
+  for (int t = 0; t <= 16; ++t) {
+    Observation o = observe_all_up(t, topo, t % 7 == 4 ? 0.6 : 1.0);
+    if (t >= 3 && t < 5) o.server_alive[2] = false;
+    if (t >= 9 && t < 11) o.server_alive[4] = false;
+    const ControlAction a = parallel.tick(o);
+    const ControlAction b = serial.tick(o);
+    ASSERT_EQ(a.decision.has_value(), b.decision.has_value()) << "t=" << t;
+    if (!a.decision) continue;
+    ++changes;
+    ASSERT_EQ(a.decision->per_device, b.decision->per_device) << "t=" << t;
+  }
+  EXPECT_GT(changes, 3u);
+  EXPECT_GT(parallel.local_solves(), 2 * topo.cells().size());
+  EXPECT_GT(parallel.coordinator_losses(), 0u);
+  EXPECT_EQ(parallel.local_solves(), serial.local_solves());
+  EXPECT_EQ(parallel.audit_log().to_json().dump(),
+            serial.audit_log().to_json().dump());
+  EXPECT_EQ(parallel.ctrl_trace().dropped(), 0u);
+  EXPECT_TRUE(parallel.ctrl_trace().snapshot() ==
+              serial.ctrl_trace().snapshot());
+  MetricsRegistry a_reg;
+  MetricsRegistry b_reg;
+  parallel.publish_metrics(a_reg);
+  serial.publish_metrics(b_reg);
+  EXPECT_EQ(a_reg.to_json().dump(), b_reg.to_json().dump());
+}
+
+TEST(CtrlPlane, CustomSolverSeamRunsOnTheTickThreadInCellOrder) {
+  // Each cell observes a distinct uplink, which its sub-instance carries as
+  // cell 0's bandwidth: the seam's calls name their cells.
+  const ClusterTopology topo = four_cell_campus();
+  std::vector<double> seen_bw;
+  std::vector<std::thread::id> seen_thread;
+  DistributedPlaneOptions po;
+  po.cell.solver = [&](const ProblemInstance& sub, const JointOptions&) {
+    seen_bw.push_back(sub.topology().cell(0).bandwidth);
+    seen_thread.push_back(std::this_thread::get_id());
+    return stub_offload(sub);
+  };
+  DistributedControlPlane plane(topo, po);
+  Observation o = observe_all_up(0.0, topo);
+  for (std::size_t k = 0; k < o.cell_bandwidth.size(); ++k) {
+    o.cell_bandwidth[k] = 1e6 * static_cast<double>(k + 1);
+  }
+  plane.tick(o);
+
+  ASSERT_EQ(seen_bw.size(), topo.cells().size());  // every initial solve
+  for (std::size_t k = 0; k < seen_bw.size(); ++k) {
+    EXPECT_EQ(seen_bw[k], o.cell_bandwidth[k]) << k;
+    EXPECT_EQ(seen_thread[k], std::this_thread::get_id()) << k;
+  }
 }
 
 TEST(CtrlPlane, PublishedMetricsReconcileWithPlaneCounters) {
