@@ -15,6 +15,7 @@
 #   ./ci.sh tsan     — ThreadSanitizer build + fast tier + the FULL
 #                      shard×thread determinism matrix (the barrier and
 #                      envelope hand-off run under the race detector)
+#                      + the chaos slice (parallel cell solves)
 #   ./ci.sh perf     — Release build, run bench_simcore (classic + sharded
 #                      sections and the 10k→1M metro sweep), gate ns/event
 #                      and solver us/solve against the committed
@@ -239,10 +240,14 @@ case "$TIER" in
     bench_smoke
     ;;
   tsan)
-    # The sharded engine's only concurrency is inside the epoch barriers;
-    # tsan gets the whole matrix, fuzzer included.
+    # The sharded engine runs its shards in parallel inside the epoch
+    # barriers, and the solver's surgery step, the online ladder and the
+    # distributed plane's cell solves fan out on the shared pool: tsan gets
+    # the whole matrix, fuzzer included, and the chaos slice, whose CLI
+    # distributed run solves the cells side by side.
     ctest --test-dir "$BUILD_DIR" -L 'fast|shard' --output-on-failure -j "$JOBS"
     trace_smoke
+    chaos_slice
     ;;
   full)
     ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
