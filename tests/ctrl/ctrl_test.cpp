@@ -1,9 +1,10 @@
 // Unit tests for the distributed control plane: the deterministic faulty
 // fabric, the coordinator's tatonnement + epoch log, the per-cell
 // controller's robustness ladder (epoch guard, staleness discount, autonomy,
-// crash/restart replay), and the plane wiring end to end. Every solver here
-// is a stub via the CellControllerOptions::solver seam — these tests pin
-// control-plane *protocol* behavior, not optimizer quality.
+// crash/restart replay), and the plane wiring end to end. Most solvers here
+// are stubs via the CellControllerOptions::solver seam — those tests pin
+// control-plane *protocol* behavior, not optimizer quality. The
+// CtrlGolden case and the parallel-solve check run the default solver.
 
 #include "ctrl/plane.hpp"
 
@@ -11,10 +12,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/serialize.hpp"
 #include "edge/builders.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -877,6 +880,64 @@ TEST(CtrlPlane, ParallelCellSolvesMatchSerial) {
   parallel.publish_metrics(a_reg);
   serial.publish_metrics(b_reg);
   EXPECT_EQ(a_reg.to_json().dump(), b_reg.to_json().dump());
+}
+
+/// 64-bit FNV-1a over the exact bytes of `s`.
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(CtrlGolden, DefaultSolverCampusOnLossyFabric) {
+  // The path perfbench's cells-lossy and the CLI run: no solver seam, so the
+  // cells solve side by side on the shared pool. A 48-device campus over a
+  // lossy fabric, a coordinator outage, one cell controller's crash and
+  // restart, a bandwidth dip and server flips. Pinned: FNV-1a hashes of the
+  // audit log's JSON, the merged Decision and the published ctrl.* registry.
+  // A failure prints the new hash; re-freezing is a behaviour change.
+  clusters::CampusOptions copts;
+  copts.num_devices = 48;
+  copts.num_servers = 6;
+  copts.seed = 7;
+  const ClusterTopology topo = clusters::campus(copts);
+  ASSERT_EQ(topo.cells().size(), 6u);
+  DistributedPlaneOptions po;
+  po.cell.joint.max_iterations = 2;
+  po.cell.joint.dp_coverage_bins = 40;
+  po.cell.joint.theta_grid = {0.0, 0.3, 0.6};
+  po.fabric.delay = 0.05;
+  po.fabric.jitter = 1.5;
+  po.fabric.drop_prob = 0.15;
+  po.seed = 11;
+  po.controller_faults = FaultSchedule::server_crash(0, 6.0, 12.0).merged(
+      FaultSchedule::server_crash(3, 14.0, 17.0));
+  DistributedControlPlane plane(topo, po);
+  ASSERT_FALSE(static_cast<bool>(po.cell.solver));
+
+  for (int t = 0; t <= 22; ++t) {
+    Observation o = observe_all_up(t, topo, t % 7 == 4 ? 0.6 : 1.0);
+    if (t >= 3 && t < 5) o.server_alive[2] = false;
+    if (t >= 9 && t < 11) o.server_alive[4] = false;
+    plane.tick(o);
+  }
+  EXPECT_GT(plane.coordinator_losses(), 0u);
+  EXPECT_TRUE(audit_has_cause(plane.audit_log(), AuditCause::kRejoin));
+  EXPECT_TRUE(audit_has_cause(plane.audit_log(), AuditCause::kEpochRejected));
+  EXPECT_GT(plane.cells()[2].restarts(), 0u);
+
+  MetricsRegistry reg;
+  plane.publish_metrics(reg);
+  const std::uint64_t audit = fnv1a(plane.audit_log().to_json().dump());
+  const std::uint64_t merged = fnv1a(serialize::to_json(plane.merged()).dump());
+  const std::uint64_t registry = fnv1a(reg.to_json().dump());
+  EXPECT_EQ(plane.local_solves(), 75u);
+  EXPECT_EQ(audit, 9418323528883752615ull) << "audit hash " << audit;
+  EXPECT_EQ(merged, 3336479902378732000ull) << "merged hash " << merged;
+  EXPECT_EQ(registry, 4131351370974959383ull) << "registry hash " << registry;
 }
 
 TEST(CtrlPlane, CustomSolverSeamRunsOnTheTickThreadInCellOrder) {
