@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "core/decision.hpp"
 #include "core/instance.hpp"
@@ -10,6 +11,31 @@
 #include "surgery/plan.hpp"
 
 namespace scalpel {
+
+/// A FIFO stage in front of a shared fluid resource: one stream's tasks wait
+/// in `queue` while the stage is busy, so the stream holds at most one fluid
+/// slot and a burst cannot multiply its granted weight. The cell uplink and
+/// the server chains are both one of these.
+struct QueuedStage {
+  IndexDeque queue;
+  bool busy = false;
+  TaskIndex active = kNoTask;  // the task holding the fluid slot
+
+  /// Tasks waiting in or holding the stage.
+  std::size_t depth() const {
+    return queue.size() + (active != kNoTask ? 1 : 0);
+  }
+  /// Empties the stage and returns its tasks: the one in service first, then
+  /// the waiting ones in FIFO order (the order a fault handles them in).
+  std::vector<TaskIndex> drain() {
+    std::vector<TaskIndex> out;
+    if (active != kNoTask) out.push_back(active);
+    while (!queue.empty()) out.push_back(queue.pop_front());
+    active = kNoTask;
+    busy = false;
+    return out;
+  }
+};
 
 /// Per-device compiled state of the event engine: the PlanModel the tasks
 /// sample from plus the decision's resource grants and the device-side
@@ -32,9 +58,7 @@ struct CompiledDevice {
   // MMPP arrival modulation state (used when options.burst_factor > 0).
   bool burst_high = false;
   double burst_state_until = 0.0;
-  IndexDeque upload_queue;
-  bool uploading = false;
-  TaskIndex uploading_task = kNoTask;  // the job occupying the fluid slot
+  QueuedStage upload;  // the device's stream on its cell uplink
   /// Per-device arrival counter; task id = (device << 32) | arrival_seq, a
   /// scheme that is invariant to how devices are partitioned into shards.
   std::uint32_t arrival_seq = 0;

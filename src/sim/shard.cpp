@@ -37,13 +37,9 @@ std::unique_ptr<TelemetryChannel> make_telemetry_channel(
 // an uplink transfer, stage 1 a server execution.
 constexpr std::uint64_t kServerStageBit = 1ull << 32;
 
-inline std::uint64_t upload_tag(TaskIndex t) { return t; }
-inline std::uint64_t server_tag(TaskIndex t) { return kServerStageBit | t; }
-
 /// FIFO serialization chain of one (device, server) stream: a device's
-/// offloaded tasks targeting one server occupy at most one fluid slot on that
-/// server, so a burst cannot multiply its granted weight by queueing several
-/// jobs. Chains are per-(device, server) — not per-device — so streams to
+/// offloaded tasks targeting one server queue behind one fluid slot on that
+/// server. Chains are per-(device, server) — not per-device — so streams to
 /// different servers (possible after an online replan moves the device) never
 /// serialize against each other. A chain lives in its server's shard, so a
 /// device with in-flight tasks to servers in two shards never has two shards
@@ -52,9 +48,7 @@ struct ServerChain {
   DeviceId device = -1;
   ServerId server = -1;
   std::int32_t next = -1;  // next chain of the same device in this shard
-  IndexDeque queue;
-  bool serving = false;
-  TaskIndex serving_task = kNoTask;
+  QueuedStage stage;
 };
 
 /// Whole-run task counters one shard increments; summed into the registry
@@ -248,28 +242,37 @@ struct ShardCore final : FluidSink {
     push_record(r);
   }
 
-  /// The (dev, srv) chain, created on first use. A device targets one
-  /// server at a time, so its list stays one or two entries long.
-  ServerChain& chain_for(DeviceId dev, ServerId srv) {
-    std::int32_t* link = &first_chain[static_cast<std::size_t>(dev)];
-    while (*link >= 0) {
-      ServerChain& chain = chains[static_cast<std::size_t>(*link)];
-      if (chain.server == srv) return chain;
-      link = &chain.next;
+  /// This shard's (dev, srv) chain, or null when none was created yet.
+  ServerChain* find_chain(DeviceId dev, ServerId srv) {
+    for (std::int32_t idx = first_chain[static_cast<std::size_t>(dev)];
+         idx >= 0; idx = chains[static_cast<std::size_t>(idx)].next) {
+      ServerChain& chain = chains[static_cast<std::size_t>(idx)];
+      if (chain.server == srv) return &chain;
     }
-    *link = static_cast<std::int32_t>(chains.size());
+    return nullptr;
+  }
+
+  /// The (dev, srv) chain, created on first use. A device targets one
+  /// server at a time, so its list stays one or two entries long. Creating
+  /// a chain can grow `chains`, so hold no chain or stage reference across
+  /// a call that may create one.
+  ServerChain& chain_for(DeviceId dev, ServerId srv) {
+    if (ServerChain* chain = find_chain(dev, srv)) return *chain;
+    std::int32_t& head = first_chain[static_cast<std::size_t>(dev)];
     ServerChain& chain = chains.emplace_back();
     chain.device = dev;
     chain.server = srv;
+    chain.next = head;
+    head = static_cast<std::int32_t>(chains.size() - 1);
     return chain;
   }
 
-  /// Tasks waiting in or occupying this shard's server chains, per device.
-  void add_server_depth(std::vector<std::size_t>& depth) const {
-    for (const ServerChain& chain : chains) {
-      depth[static_cast<std::size_t>(chain.device)] +=
-          chain.queue.size() + (chain.serving_task != kNoTask ? 1 : 0);
-    }
+  /// `dev`'s queued stage `stage` (kUpload or kServer): its cell uplink
+  /// stream, or its chain to `srv` (created on first use).
+  QueuedStage& stage_of(TraceStage stage, DeviceId dev, ServerId srv) {
+    return stage == TraceStage::kUpload
+               ? g->devices_[static_cast<std::size_t>(dev)].upload
+               : chain_for(dev, srv).stage;
   }
 
   double burst_multiplier() const {
@@ -300,16 +303,24 @@ struct ShardCore final : FluidSink {
     return upload + tasks.rtt[task] + tasks.phases[task].server_time;
   }
 
-  bool enqueue_bounded(IndexDeque& queue, TaskIndex task, std::size_t limit,
-                       bool server_stage) {
+  /// Best-case time `task` still needs from entering `stage` (kUpload or
+  /// kServer) to completing.
+  double stage_remaining(TraceStage stage, TaskIndex task) const {
+    return stage == TraceStage::kUpload ? best_case_offload_remaining(task)
+                                        : tasks.phases[task].server_time;
+  }
+
+  /// Queues `task` behind its busy `stage` within the stage's bound; the
+  /// overload policy picks who a full queue sheds. True when `task` queued.
+  bool enqueue_bounded(IndexDeque& queue, TaskIndex task, TraceStage stage) {
+    const OverloadOptions& ov = g->options_.overload;
+    const std::size_t limit = stage == TraceStage::kUpload
+                                  ? ov.upload_queue_limit
+                                  : ov.server_queue_limit;
     if (limit == 0 || queue.size() < limit) {
       queue.push_back(task);
       return true;
     }
-    auto remaining = [&](TaskIndex t) {
-      return server_stage ? tasks.phases[t].server_time
-                          : best_case_offload_remaining(t);
-    };
     switch (g->options_.overload.policy) {
       case OverloadPolicy::Block:
         shed_task(task, now, false);
@@ -317,7 +328,7 @@ struct ShardCore final : FluidSink {
       case OverloadPolicy::ShedExpired:
         for (std::size_t pos = 0; pos < queue.size(); ++pos) {
           const TaskIndex t = queue.at(pos);
-          if (deadline_expired(t, remaining(t))) {
+          if (deadline_expired(t, stage_remaining(stage, t))) {
             queue.erase_at(pos);
             shed_task(t, now, true);
             queue.push_back(task);
@@ -374,11 +385,7 @@ struct ShardCore final : FluidSink {
     tasks.arrival[task] = now;
     if (now >= g->options_.warmup) tasks.flags[task] |= TaskPool::kCounted;
     tasks.difficulty[task] = device.difficulty.sample(rng);
-    tasks.phases[task] = cd.plan->phases_for(tasks.difficulty[task]);
-    tasks.server[task] = cd.server;
-    tasks.rtt[task] = cd.rtt;
-    tasks.bw_weight[task] = cd.bandwidth;
-    tasks.cpu_weight[task] = cd.share;
+    bind_plan(task, /*resteer=*/false);
 
     ++g->metrics_.per_device[i].arrived;
     ctr.arrived.inc();
@@ -393,6 +400,35 @@ struct ShardCore final : FluidSink {
       return;
     }
 
+    const std::optional<double> start = device_start(task);
+    if (!start) return;
+    const std::size_t limit = g->options_.overload.device_queue_limit;
+    if (limit > 0 && cd.device_backlog >= limit) {
+      shed_task(task, now, false);
+      return;
+    }
+    trace_rec(now, tasks.id[task], dev, -1, TraceEventType::kEnqueue,
+              static_cast<std::uint8_t>(TraceStage::kDevice));
+    run_on_device(task, *start);
+  }
+
+  /// Binds `task` to its device's current plan and grants, or for a resteer
+  /// to the device-only fallback with no grant.
+  void bind_plan(TaskIndex task, bool resteer) {
+    const auto& cd = g->devices_[static_cast<std::size_t>(tasks.device[task])];
+    const PlanModel& plan = resteer && cd.fallback ? *cd.fallback : *cd.plan;
+    tasks.phases[task] = plan.phases_for(tasks.difficulty[task]);
+    tasks.server[task] = resteer ? -1 : cd.server;
+    tasks.rtt[task] = resteer ? 0.0 : cd.rtt;
+    tasks.bw_weight[task] = resteer ? 0.0 : cd.bandwidth;
+    tasks.cpu_weight[task] = resteer ? 0.0 : cd.share;
+  }
+
+  /// When `task` would start on its device's FCFS compute stage, or nothing
+  /// when its best case from there already overruns the deadline (the task
+  /// is then shed as expired).
+  std::optional<double> device_start(TaskIndex task) {
+    const auto& cd = g->devices_[static_cast<std::size_t>(tasks.device[task])];
     const double start = std::max(now, cd.busy_until);
     double best_case = (start - now) + tasks.phases[task].device_time;
     if (tasks.phases[task].offloaded) {
@@ -400,22 +436,20 @@ struct ShardCore final : FluidSink {
     }
     if (deadline_expired(task, best_case)) {
       shed_task(task, now, true);
-      return;
+      return std::nullopt;
     }
+    return start;
+  }
 
-    const std::size_t limit = g->options_.overload.device_queue_limit;
-    if (limit > 0 && cd.device_backlog >= limit) {
-      shed_task(task, now, false);
-      return;
-    }
+  /// Commits `task` to its device's compute stage from `start`.
+  void run_on_device(TaskIndex task, double start) {
+    auto& cd = g->devices_[static_cast<std::size_t>(tasks.device[task])];
     ++cd.device_backlog;
-    trace_rec(now, tasks.id[task], dev, -1, TraceEventType::kEnqueue,
+    cd.busy_until = start + tasks.phases[task].device_time;
+    trace_rec(start, tasks.id[task], tasks.device[task], -1,
+              TraceEventType::kExecStart,
               static_cast<std::uint8_t>(TraceStage::kDevice));
-    trace_rec(start, tasks.id[task], dev, -1, TraceEventType::kExecStart,
-              static_cast<std::uint8_t>(TraceStage::kDevice));
-    const double finish = start + tasks.phases[task].device_time;
-    cd.busy_until = finish;
-    schedule(finish, Ev::kDeviceDone, -1, task);
+    schedule(cd.busy_until, Ev::kDeviceDone, -1, task);
   }
 
   void finish_device_phase(TaskIndex task) {
@@ -429,63 +463,7 @@ struct ShardCore final : FluidSink {
       complete_task(task, now);
       return;
     }
-    start_upload(task);
-  }
-
-  void start_upload(TaskIndex task) {
-    auto& cd = g->devices_[static_cast<std::size_t>(tasks.device[task])];
-    if (deadline_expired(task, best_case_offload_remaining(task))) {
-      shed_task(task, now, true);
-      return;
-    }
-    if (cd.uploading) {
-      if (enqueue_bounded(cd.upload_queue, task,
-                          g->options_.overload.upload_queue_limit, false)) {
-        trace_rec(now, tasks.id[task], tasks.device[task], tasks.server[task],
-                  TraceEventType::kEnqueue,
-                  static_cast<std::uint8_t>(TraceStage::kUpload));
-      }
-      return;
-    }
-    cd.uploading = true;
-    begin_upload_job(task);
-  }
-
-  void advance_upload_queue(DeviceId dev) {
-    auto& cd = g->devices_[static_cast<std::size_t>(dev)];
-    if (cd.upload_queue.empty()) {
-      cd.uploading = false;
-      return;
-    }
-    const TaskIndex next = cd.upload_queue.pop_front();
-    trace_rec(now, tasks.id[next], tasks.device[next], tasks.server[next],
-              TraceEventType::kDispatch,
-              static_cast<std::uint8_t>(TraceStage::kUpload));
-    begin_upload_job(next);
-  }
-
-  void begin_upload_job(TaskIndex task) {
-    const auto& device = topo().device(tasks.device[task]);
-    const auto cell = static_cast<std::size_t>(device.cell);
-    if (!g->link_up_[cell] ||
-        !g->server_up_[static_cast<std::size_t>(tasks.server[task])]) {
-      advance_upload_queue(tasks.device[task]);
-      handle_fault(task);
-      return;
-    }
-    if (deadline_expired(task, best_case_offload_remaining(task))) {
-      advance_upload_queue(tasks.device[task]);
-      shed_task(task, now, true);
-      return;
-    }
-    auto* link = g->cell_links_[cell].get();
-    auto& owner = g->devices_[static_cast<std::size_t>(tasks.device[task])];
-    owner.uploading_task = task;
-    trace_rec(now, tasks.id[task], tasks.device[task], tasks.server[task],
-              TraceEventType::kUploadStart);
-    link->add_job(now, static_cast<double>(tasks.phases[task].upload_bytes),
-                  tasks.bw_weight[task], upload_tag(task));
-    arm_fluid(cell);
+    enter_stage(TraceStage::kUpload, task);
   }
 
   void start_server_phase(TaskIndex task) {
@@ -504,96 +482,112 @@ struct ShardCore final : FluidSink {
       complete_task(task, now);
       return;
     }
-    if (deadline_expired(task, tasks.phases[task].server_time)) {
+    enter_stage(TraceStage::kServer, task);
+  }
+
+  /// Sends `task` into `stage` (kUpload or kServer): shed as expired when
+  /// its best case already overruns the deadline, else started when the
+  /// stage is idle and queued within the stage's bound when it is busy.
+  void enter_stage(TraceStage stage, TaskIndex task) {
+    if (deadline_expired(task, stage_remaining(stage, task))) {
       shed_task(task, now, true);
       return;
     }
-    auto& chain = chain_for(tasks.device[task], tasks.server[task]);
-    if (chain.serving) {
-      if (enqueue_bounded(chain.queue, task,
-                          g->options_.overload.server_queue_limit, true)) {
-        trace_rec(now, tasks.id[task], tasks.device[task], tasks.server[task],
-                  TraceEventType::kEnqueue,
-                  static_cast<std::uint8_t>(TraceStage::kServer));
+    QueuedStage& st = stage_of(stage, tasks.device[task], tasks.server[task]);
+    if (!st.busy) {
+      st.busy = true;
+      begin_job(stage, task);
+      return;
+    }
+    if (enqueue_bounded(st.queue, task, stage)) {
+      trace_rec(now, tasks.id[task], tasks.device[task], tasks.server[task],
+                TraceEventType::kEnqueue, static_cast<std::uint8_t>(stage));
+    }
+  }
+
+  /// Hands the stage's slot to its next waiting task, or idles the stage.
+  void advance_stage(TraceStage stage, DeviceId dev, ServerId srv) {
+    QueuedStage& st = stage_of(stage, dev, srv);
+    if (st.queue.empty()) {
+      st.busy = false;
+      return;
+    }
+    const TaskIndex next = st.queue.pop_front();
+    trace_rec(now, tasks.id[next], tasks.device[next], tasks.server[next],
+              TraceEventType::kDispatch, static_cast<std::uint8_t>(stage));
+    begin_job(stage, next);
+  }
+
+  /// Starts `task`'s job on the stage's fluid resource: the cell uplink, or
+  /// the server. A task whose path is down faults and one that can no
+  /// longer make its deadline expires; either first passes the slot on.
+  void begin_job(TraceStage stage, TaskIndex task) {
+    const DeviceId dev = tasks.device[task];
+    const ServerId srv = tasks.server[task];
+    const bool upload = stage == TraceStage::kUpload;
+    const auto cell = static_cast<std::size_t>(topo().device(dev).cell);
+    const bool live = g->server_up_[static_cast<std::size_t>(srv)] &&
+                      (!upload || g->link_up_[cell]);
+    if (!live || deadline_expired(task, stage_remaining(stage, task))) {
+      advance_stage(stage, dev, srv);
+      if (live) {
+        shed_task(task, now, true);
+      } else {
+        handle_fault(task);
       }
       return;
     }
-    chain.serving = true;
-    begin_server_job(task);
-  }
-
-  void advance_server_chain(DeviceId dev, ServerId server) {
-    auto& chain = chain_for(dev, server);
-    if (chain.queue.empty()) {
-      chain.serving = false;
-      return;
+    stage_of(stage, dev, srv).active = task;
+    const std::size_t slot =
+        upload ? cell : g->cell_links_.size() + static_cast<std::size_t>(srv);
+    if (upload) {
+      trace_rec(now, tasks.id[task], dev, srv, TraceEventType::kUploadStart);
+      g->fluid_at(slot)->add_job(
+          now, static_cast<double>(tasks.phases[task].upload_bytes),
+          tasks.bw_weight[task], task);
+    } else {
+      trace_rec(now, tasks.id[task], dev, srv, TraceEventType::kExecStart,
+                static_cast<std::uint8_t>(TraceStage::kServer));
+      g->fluid_at(slot)->add_job(now, tasks.phases[task].server_time,
+                                 tasks.cpu_weight[task],
+                                 kServerStageBit | task);
     }
-    const TaskIndex next = chain.queue.pop_front();
-    trace_rec(now, tasks.id[next], tasks.device[next], tasks.server[next],
-              TraceEventType::kDispatch,
-              static_cast<std::uint8_t>(TraceStage::kServer));
-    begin_server_job(next);
-  }
-
-  void begin_server_job(TaskIndex task) {
-    if (!g->server_up_[static_cast<std::size_t>(tasks.server[task])]) {
-      advance_server_chain(tasks.device[task], tasks.server[task]);
-      handle_fault(task);
-      return;
-    }
-    if (deadline_expired(task, tasks.phases[task].server_time)) {
-      advance_server_chain(tasks.device[task], tasks.server[task]);
-      shed_task(task, now, true);
-      return;
-    }
-    const auto srv = static_cast<std::size_t>(tasks.server[task]);
-    auto* server = g->servers_[srv].get();
-    auto& owner = chain_for(tasks.device[task], tasks.server[task]);
-    owner.serving_task = task;
-    trace_rec(now, tasks.id[task], tasks.device[task], tasks.server[task],
-              TraceEventType::kExecStart,
-              static_cast<std::uint8_t>(TraceStage::kServer));
-    server->add_job(now, tasks.phases[task].server_time,
-                    tasks.cpu_weight[task], server_tag(task));
-    arm_fluid(g->cell_links_.size() + srv);
+    arm_fluid(slot);
   }
 
   void fluid_job_done(std::uint64_t tag, double at) override {
     const TaskIndex task = static_cast<TaskIndex>(tag & 0xffffffffu);
-    if ((tag & kServerStageBit) == 0) {
-      // Uplink transfer drained.
-      trace_rec(at, tasks.id[task], tasks.device[task], tasks.server[task],
-                TraceEventType::kUploadEnd);
-      const DeviceId dev = tasks.device[task];
-      const ServerId srv = tasks.server[task];
-      const double t_arrive = at + tasks.rtt[task];
-      if (g->plan_.server_shard[static_cast<std::size_t>(srv)] == sid) {
-        schedule(t_arrive, Ev::kServerArrive, -1, task);
-      } else if (t_arrive > g->options_.horizon) {
-        // Same as a dropped same-shard kServerArrive past the horizon: the
-        // task stays in flight, so keep its slot live.
-      } else if (!g->options_.faults.schedule.server_up(srv, t_arrive)) {
-        // The target is scripted down at the arrival instant (liveness only
-        // changes at barriers, all applied before t_arrive's epoch), so the
-        // arrival would fault on the remote shard against a device this shard
-        // owns. Fault locally instead — one event, like kServerArrive.
-        schedule(t_arrive, Ev::kOffloadFault, -1, task);
-      } else {
-        outbox.push_back(TaskEnvelope{t_arrive, tasks.take(task)});
-      }
-      g->devices_[static_cast<std::size_t>(dev)].uploading_task = kNoTask;
-      advance_upload_queue(dev);
-      return;
-    }
-    // Server execution finished.
-    trace_rec(at, tasks.id[task], tasks.device[task], tasks.server[task],
-              TraceEventType::kExecEnd,
-              static_cast<std::uint8_t>(TraceStage::kServer));
+    const TraceStage stage = (tag & kServerStageBit) != 0
+                                 ? TraceStage::kServer
+                                 : TraceStage::kUpload;
     const DeviceId dev = tasks.device[task];
     const ServerId srv = tasks.server[task];
-    chain_for(dev, srv).serving_task = kNoTask;
-    complete_task(task, at);  // releases the pool slot; read fields before
-    advance_server_chain(dev, srv);
+    stage_of(stage, dev, srv).active = kNoTask;
+    if (stage == TraceStage::kServer) {
+      trace_rec(at, tasks.id[task], dev, srv, TraceEventType::kExecEnd,
+                static_cast<std::uint8_t>(TraceStage::kServer));
+      complete_task(task, at);  // releases the pool slot
+      advance_stage(stage, dev, srv);
+      return;
+    }
+    // Uplink transfer drained.
+    trace_rec(at, tasks.id[task], dev, srv, TraceEventType::kUploadEnd);
+    const double t_arrive = at + tasks.rtt[task];
+    if (g->plan_.server_shard[static_cast<std::size_t>(srv)] == sid) {
+      schedule(t_arrive, Ev::kServerArrive, -1, task);
+    } else if (t_arrive > g->options_.horizon) {
+      // Same as a dropped same-shard kServerArrive past the horizon: the
+      // task stays in flight, so keep its slot live.
+    } else if (!g->options_.faults.schedule.server_up(srv, t_arrive)) {
+      // The target is scripted down at the arrival instant (liveness only
+      // changes at barriers, all applied before t_arrive's epoch), so the
+      // arrival would fault on the remote shard against a device this shard
+      // owns. Fault locally instead — one event, like kServerArrive.
+      schedule(t_arrive, Ev::kOffloadFault, -1, task);
+    } else {
+      outbox.push_back(TaskEnvelope{t_arrive, tasks.take(task)});
+    }
+    advance_stage(stage, dev, srv);
   }
 
   void handle_fault(TaskIndex task) {
@@ -603,7 +597,7 @@ struct ShardCore final : FluidSink {
         fail_task(task, now);
         return;
       case FaultPolicy::RetryOnDevice:
-        resteer_local(task);
+        reenter_device(task, /*resteer=*/true);
         return;
       case FaultPolicy::RetryOffload: {
         const auto& f = g->options_.faults;
@@ -629,67 +623,29 @@ struct ShardCore final : FluidSink {
     }
   }
 
-  void resteer_local(TaskIndex task) {
+  /// A faulted task re-enters its device's compute stage: resteered onto
+  /// the device-only fallback, or re-dispatched through the current plan
+  /// once its retry backoff has elapsed.
+  void reenter_device(TaskIndex task, bool resteer) {
     // Mid-epoch faults are always device-local (see start_server_phase); the
     // serial phase migrates cross-shard victims home before calling in here.
     SCALPEL_REQUIRE(
         g->plan_.device_shard[static_cast<std::size_t>(tasks.device[task])] ==
             sid,
-        "resteer on a shard that does not own the device");
-    auto& cd = g->devices_[static_cast<std::size_t>(tasks.device[task])];
-    PlanModel const* fb = cd.fallback ? cd.fallback.get() : cd.plan.get();
-    tasks.phases[task] = fb->phases_for(tasks.difficulty[task]);
-    tasks.server[task] = -1;
-    tasks.rtt[task] = 0.0;
-    tasks.bw_weight[task] = 0.0;
-    tasks.cpu_weight[task] = 0.0;
-    const double start = std::max(now, cd.busy_until);
-    if (deadline_expired(task,
-                         (start - now) + tasks.phases[task].device_time)) {
-      shed_task(task, now, true);
-      return;
+        "fault re-entry on a shard that does not own the device");
+    bind_plan(task, resteer);
+    const std::optional<double> start = device_start(task);
+    if (!start) return;
+    if (resteer) {
+      ctr.resteer.inc();
+      if (tasks.counted(task)) {
+        ++g->metrics_.per_device[static_cast<std::size_t>(tasks.device[task])]
+              .resteered;
+      }
+      trace_rec(now, tasks.id[task], tasks.device[task], -1,
+                TraceEventType::kResteer);
     }
-    ctr.resteer.inc();
-    if (tasks.counted(task)) {
-      ++g->metrics_.per_device[static_cast<std::size_t>(tasks.device[task])]
-            .resteered;
-    }
-    trace_rec(now, tasks.id[task], tasks.device[task], -1,
-              TraceEventType::kResteer);
-    ++cd.device_backlog;
-    cd.busy_until = start + tasks.phases[task].device_time;
-    trace_rec(start, tasks.id[task], tasks.device[task], -1,
-              TraceEventType::kExecStart,
-              static_cast<std::uint8_t>(TraceStage::kDevice));
-    schedule(cd.busy_until, Ev::kDeviceDone, -1, task);
-  }
-
-  void redispatch(TaskIndex task) {
-    SCALPEL_REQUIRE(
-        g->plan_.device_shard[static_cast<std::size_t>(tasks.device[task])] ==
-            sid,
-        "redispatch on a shard that does not own the device");
-    auto& cd = g->devices_[static_cast<std::size_t>(tasks.device[task])];
-    tasks.phases[task] = cd.plan->phases_for(tasks.difficulty[task]);
-    tasks.server[task] = cd.server;
-    tasks.rtt[task] = cd.rtt;
-    tasks.bw_weight[task] = cd.bandwidth;
-    tasks.cpu_weight[task] = cd.share;
-    const double start = std::max(now, cd.busy_until);
-    double best_case = (start - now) + tasks.phases[task].device_time;
-    if (tasks.phases[task].offloaded) {
-      best_case += best_case_offload_remaining(task);
-    }
-    if (deadline_expired(task, best_case)) {
-      shed_task(task, now, true);
-      return;
-    }
-    ++cd.device_backlog;
-    cd.busy_until = start + tasks.phases[task].device_time;
-    trace_rec(start, tasks.id[task], tasks.device[task], -1,
-              TraceEventType::kExecStart,
-              static_cast<std::uint8_t>(TraceStage::kDevice));
-    schedule(cd.busy_until, Ev::kDeviceDone, -1, task);
+    run_on_device(task, *start);
   }
 
   /// Registry-side deadline accounting (shed/fail/miss all count as
@@ -778,7 +734,7 @@ struct ShardCore final : FluidSink {
         start_server_phase(static_cast<TaskIndex>(ev.b));
         return;
       case Ev::kRedispatch:
-        redispatch(static_cast<TaskIndex>(ev.b));
+        reenter_device(static_cast<TaskIndex>(ev.b), /*resteer=*/false);
         return;
       case Ev::kFluidWake: {
         const std::size_t slot = static_cast<std::size_t>(ev.a);
@@ -1091,20 +1047,9 @@ void ShardedSimulator::on_server_down(ServerId s, double bt) {
           plan_.server_shard[static_cast<std::size_t>(s)])];
   // Global device order, so the fault order is shard-count-invariant.
   for (std::size_t i = 0; i < devices_.size(); ++i) {
-    std::int32_t idx = v.first_chain[i];
-    while (idx >= 0 && v.chains[static_cast<std::size_t>(idx)].server != s) {
-      idx = v.chains[static_cast<std::size_t>(idx)].next;
-    }
-    if (idx < 0) continue;
-    ServerChain& chain = v.chains[static_cast<std::size_t>(idx)];
-    std::vector<TaskIndex> victims;
-    if (chain.serving_task != kNoTask) {
-      victims.push_back(chain.serving_task);
-      chain.serving_task = kNoTask;
-    }
-    while (!chain.queue.empty()) victims.push_back(chain.queue.pop_front());
-    chain.serving = false;
-    for (TaskIndex vt : victims) serial_handle_fault(v, vt);
+    ServerChain* chain = v.find_chain(static_cast<DeviceId>(i), s);
+    if (chain == nullptr) continue;
+    for (const TaskIndex vt : chain->stage.drain()) serial_handle_fault(v, vt);
   }
 }
 
@@ -1120,18 +1065,9 @@ void ShardedSimulator::on_link_down(CellId c, double bt) {
     if (instance_->topology().device(static_cast<DeviceId>(i)).cell != c) {
       continue;
     }
-    auto& cd = devices_[i];
-    std::vector<TaskIndex> victims;
-    if (cd.uploading_task != kNoTask) {
-      victims.push_back(cd.uploading_task);
-      cd.uploading_task = kNoTask;
+    for (const TaskIndex vt : devices_[i].upload.drain()) {
+      serial_handle_fault(d, vt);
     }
-    for (std::size_t pos = 0; pos < cd.upload_queue.size(); ++pos) {
-      victims.push_back(cd.upload_queue.at(pos));
-    }
-    cd.upload_queue.clear();
-    cd.uploading = false;
-    for (TaskIndex vt : victims) serial_handle_fault(d, vt);
   }
 }
 
@@ -1139,11 +1075,13 @@ std::vector<std::size_t> ShardedSimulator::queue_depths() const {
   // Server-stage depth is scattered across the server shards' chains; sum
   // it per device (integer adds, so chain order is irrelevant).
   std::vector<std::size_t> depth(devices_.size(), 0);
-  for (const auto& core : cores_) core->add_server_depth(depth);
   for (std::size_t i = 0; i < devices_.size(); ++i) {
-    const auto& cd = devices_[i];
-    depth[i] += cd.device_backlog + cd.upload_queue.size() +
-                (cd.uploading_task != kNoTask ? 1 : 0);
+    depth[i] = devices_[i].device_backlog + devices_[i].upload.depth();
+  }
+  for (const auto& core : cores_) {
+    for (const ServerChain& chain : core->chains) {
+      depth[static_cast<std::size_t>(chain.device)] += chain.stage.depth();
+    }
   }
   return depth;
 }

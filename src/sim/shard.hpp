@@ -172,8 +172,9 @@ struct ShardOptions {
 /// deployment executing a Decision — FCFS device queues, fluid-GPS shared
 /// cell uplinks, fluid-GPS shared servers, Poisson arrivals, per-task
 /// difficulty driving the exits. It validates the analytical objective
-/// (M/M/1-style predictions) and exposes effects the closed form cannot
-/// (work-conserving spare capacity, transient overload, bandwidth dynamics).
+/// (core/objective.hpp: M/G/1 device, M/D/1 upload and M/G/1 server stages)
+/// and exposes effects the closed form cannot (work-conserving spare
+/// capacity, transient overload, bandwidth dynamics).
 ///
 /// The engine is cell-sharded with conservative lookahead. Each shard owns a
 /// contiguous block of cells (devices + cell uplinks) plus a server
@@ -312,9 +313,9 @@ class ShardedSimulator {
   /// Global fluid slot -> resource; slots are [0, #cells) cell uplinks, then
   /// servers — the same layout kFluidWake events carry in `a`.
   FluidResource* fluid_at(std::size_t slot);
-  /// Tasks in each device's pipeline: device backlog, upload queue and
-  /// in-flight upload, and server chains (queued or serving). The load
-  /// signal of both the controller tick and the obs sample.
+  /// Tasks in each device's pipeline: device backlog, then queued or in
+  /// service at its upload stage and its server chains. The load signal of
+  /// both the controller tick and the obs sample.
   std::vector<std::size_t> queue_depths() const;
   void controller_tick(double bt);
   /// Observability sample — runs last at an obs barrier.
