@@ -7,7 +7,7 @@
 
 namespace scalpel {
 
-void CalendarEventQueue::init(std::size_t nbuckets, double width) {
+void EventQueue::init(std::size_t nbuckets, double width) {
   buckets_.assign(nbuckets, {});
   min_day_.assign(nbuckets, kNoDay);
   mask_ = nbuckets - 1;
@@ -19,7 +19,7 @@ void CalendarEventQueue::init(std::size_t nbuckets, double width) {
   last_pop_time_ = 0.0;
 }
 
-void CalendarEventQueue::push(const SimEvent& ev) {
+void EventQueue::push_raw(const SimEvent& ev) {
   SCALPEL_REQUIRE(ev.time >= 0.0 && std::isfinite(ev.time),
                   "event time must be finite and non-negative");
   const std::uint64_t day = day_of(ev.time);
@@ -33,7 +33,7 @@ void CalendarEventQueue::push(const SimEvent& ev) {
   if (size_ > 2 * buckets_.size()) rebucket(buckets_.size() * 2);
 }
 
-SimEvent CalendarEventQueue::take(std::size_t bucket, std::size_t slot) {
+SimEvent EventQueue::take(std::size_t bucket, std::size_t slot) {
   auto& b = buckets_[bucket];
   SimEvent out = b[slot];
   b[slot] = b.back();
@@ -45,8 +45,8 @@ SimEvent CalendarEventQueue::take(std::size_t bucket, std::size_t slot) {
   return out;
 }
 
-void CalendarEventQueue::find_global_min(std::size_t* bucket,
-                                         std::size_t* slot) const {
+void EventQueue::find_global_min(std::size_t* bucket,
+                                 std::size_t* slot) const {
   std::size_t bb = 0;
   std::size_t bs = 0;
   bool found = false;
@@ -65,7 +65,7 @@ void CalendarEventQueue::find_global_min(std::size_t* bucket,
   *slot = bs;
 }
 
-SimEvent CalendarEventQueue::pop_min() {
+SimEvent EventQueue::pop_min() {
   SCALPEL_REQUIRE(size_ > 0, "pop from empty event queue");
   for (std::size_t step = 0; step <= mask_; ++step) {
     const std::size_t idx = cur_day_ & mask_;
@@ -118,7 +118,7 @@ SimEvent CalendarEventQueue::pop_min() {
   return out;
 }
 
-void CalendarEventQueue::rebucket(std::size_t nbuckets) {
+void EventQueue::rebucket(std::size_t nbuckets) {
   // Width estimate: the mean sim-time gap between recently popped events is
   // the rate the frontier advances at; a handful of those gaps per bucket
   // keeps the due bucket short without stranding the scan in empty days.

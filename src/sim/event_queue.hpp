@@ -27,13 +27,14 @@ inline bool sim_event_before(const SimEvent& x, const SimEvent& y) {
   return x.time != y.time ? x.time < y.time : x.seq < y.seq;
 }
 
-/// Calendar queue (Brown 1988): a ring of time buckets of width `width_`
-/// seconds, scanned in time order. push is O(1); pop scans the current
-/// "day" bucket and, with the resize policy holding mean occupancy near one
-/// event per bucket, is O(1) amortized — versus O(log n) heap sift-downs
-/// with poor locality. Pop order is exactly min (time, seq) — the order of
-/// the binary-heap oracle that event_queue_test and the integration fuzz
-/// hold it to.
+/// The engine's event queue: a calendar queue (Brown 1988), a ring of time
+/// buckets of width `width_` seconds, scanned in time order. push is O(1);
+/// pop scans the current "day" bucket and, with the resize policy holding
+/// mean occupancy near one event per bucket, is O(1) amortized — versus
+/// O(log n) heap sift-downs with poor locality. push assigns the
+/// monotonically increasing `seq` tiebreak, and pop order is exactly min
+/// (time, seq) — the order of the binary-heap oracle that event_queue_test
+/// and the integration fuzz hold it to.
 ///
 /// The width is re-estimated at every resize from the sim-time gap between
 /// recently popped events (the rate the event horizon actually advances at),
@@ -42,11 +43,18 @@ inline bool sim_event_before(const SimEvent& x, const SimEvent& y) {
 /// saturated device queue) sit untouched in their buckets until the scan
 /// reaches them; if a whole ring revolution finds nothing due, the queue
 /// jumps straight to the global minimum instead of spinning over empty days.
-class CalendarEventQueue {
+class EventQueue {
  public:
-  CalendarEventQueue() { init(kMinBuckets, 1.0); }
+  EventQueue() { init(kMinBuckets, 1.0); }
 
-  void push(const SimEvent& ev);
+  void push(double time, std::uint32_t kind, std::int32_t a, std::uint64_t b) {
+    push_raw(SimEvent{time, seq_++, kind, a, b});
+  }
+  /// Re-inserts an already-sequenced event unchanged. The engine bounds each
+  /// epoch by popping the queue minimum and pushing it back when it lies
+  /// at/past the barrier — keeping the original seq preserves the
+  /// (time, seq) total order that the determinism bar rests on.
+  void push_raw(const SimEvent& ev);
   SimEvent pop_min();
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
@@ -70,9 +78,9 @@ class CalendarEventQueue {
 
   std::vector<std::vector<SimEvent>> buckets_;
   /// Stale-low bound on the earliest day among each bucket's events (kNoDay
-  /// when known empty): push() tightens it downward exactly, take() leaves
-  /// it stale, and a pop probe that finds nothing due repairs it from the
-  /// scan it just did. The pop scan probes this flat array — one integer
+  /// when known empty): push_raw() tightens it downward exactly, take()
+  /// leaves it stale, and a pop probe that finds nothing due repairs it from
+  /// the scan it just did. The pop scan probes this flat array — one integer
   /// compare per day — instead of walking every bucket's contents;
   /// far-future events alias all over the ring, so without the cache each
   /// probed day costs a content scan. That dominated pop cost whenever
@@ -86,31 +94,11 @@ class CalendarEventQueue {
   double inv_width_ = 1.0;
   std::uint64_t cur_day_ = 0;   // absolute day the scan pointer is on
   std::size_t size_ = 0;
+  std::uint64_t seq_ = 0;       // next push's seq
   // Pop-rate stats since the last rebucket, feeding the width estimate.
   std::uint64_t pops_since_resize_ = 0;
   double first_pop_time_ = 0.0;
   double last_pop_time_ = 0.0;
-};
-
-/// Facade the engine schedules through: assigns the monotonically
-/// increasing `seq` tiebreak and forwards to the calendar queue.
-class EventQueue {
- public:
-  void push(double time, std::uint32_t kind, std::int32_t a, std::uint64_t b) {
-    calendar_.push(SimEvent{time, seq_++, kind, a, b});
-  }
-  /// Re-inserts an already-sequenced event unchanged. The engine bounds each
-  /// epoch by popping the queue minimum and pushing it back when it lies
-  /// at/past the barrier — keeping the original seq preserves the
-  /// (time, seq) total order that the determinism bar rests on.
-  void push_raw(const SimEvent& ev) { calendar_.push(ev); }
-  SimEvent pop_min() { return calendar_.pop_min(); }
-  bool empty() const { return calendar_.empty(); }
-  std::size_t size() const { return calendar_.size(); }
-
- private:
-  CalendarEventQueue calendar_;
-  std::uint64_t seq_ = 0;
 };
 
 }  // namespace scalpel
