@@ -4,10 +4,12 @@
 
 namespace scalpel {
 
-/// M/M/1-based service analysis used to make the static optimizer
-/// queueing-aware: the paper's resource allocation must keep each server
-/// stable under its admitted arrival rates, and expected sojourn (not bare
-/// service time) is what a latency SLO sees.
+/// Single-queue sojourn formulas and capacity splits used to make the static
+/// optimizer queueing-aware: the paper's resource allocation must keep each
+/// server stable under its admitted arrival rates, and expected sojourn (not
+/// bare service time) is what a latency SLO sees. The objective
+/// (core/objective.hpp) is M/G/1 at the device, M/D/1 on the upload and
+/// M/G/1 at the server; M/M/1 is only sched/offloading's assignment score.
 namespace queueing {
 
 /// Mean sojourn time (wait + service) of an M/M/1 queue; +inf if unstable
