@@ -122,39 +122,55 @@ GateResult check_regression(const Json& baseline, const Json& candidate,
   validate_simcore_report(candidate);
 
   GateResult r;
-  // The DP's label count is exact and does not depend on the build, so it
-  // gates every candidate, with no tolerance.
-  const Json& base_solver_json = baseline.at("results").at("solver");
-  const Json& cand_solver_json = candidate.at("results").at("solver");
-  bool labels_ok = true;
-  std::string labels_note;
+  // Exact work counts do not depend on the build, so they gate every
+  // candidate, with no tolerance: any rise fails.
+  bool work_ok = true;
+  std::string work_note;
+  auto gate_work = [&](const Json& base, const Json& cand, const char* key,
+                       const char* what) {
+    const double b = base.at(key).as_number();
+    const double c = cand.at(key).as_number();
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "; %s %.0f vs %.0f%s", what, c, b,
+                  c <= b ? "" : " (ROSE)");
+    work_note += buf;
+    work_ok = work_ok && c <= b;
+  };
+  const Json& base_results = baseline.at("results");
+  const Json& cand_results = candidate.at("results");
+  const Json& base_solver_json = base_results.at("solver");
+  const Json& cand_solver_json = cand_results.at("solver");
   if (base_solver_json.contains("dp_labels") &&
       cand_solver_json.contains("dp_labels")) {
     r.baseline_dp_labels = base_solver_json.at("dp_labels").as_number();
     r.candidate_dp_labels = cand_solver_json.at("dp_labels").as_number();
-    labels_ok = r.candidate_dp_labels <= r.baseline_dp_labels;
-    char lbuf[96];
-    std::snprintf(lbuf, sizeof(lbuf), "; solver dp_labels %.0f vs %.0f%s",
-                  r.candidate_dp_labels, r.baseline_dp_labels,
-                  labels_ok ? "" : " (ROSE)");
-    labels_note = lbuf;
+    gate_work(base_solver_json, cand_solver_json, "dp_labels",
+              "solver dp_labels");
+  }
+  gate_work(base_results.at("des"), cand_results.at("des"), "events",
+            "des events");
+  const bool both_sharded =
+      base_results.contains("sharded") && cand_results.contains("sharded");
+  if (both_sharded) {
+    gate_work(base_results.at("sharded"), cand_results.at("sharded"),
+              "events", "sharded events");
   }
 
   if (candidate.at("build").at("unoptimized").as_bool()) {
-    r.passed = labels_ok;
+    r.passed = work_ok;
     r.skipped = true;
     r.message =
-        std::string(labels_ok ? "SKIPPED" : "FAIL") +
+        std::string(work_ok ? "SKIPPED" : "FAIL") +
         ": candidate comes from an unoptimized/sanitizer build; "
         "its timings are meaningless for regression gating" +
-        labels_note;
+        work_note;
     return r;
   }
 
   r.baseline_ns_per_event =
-      baseline.at("results").at("des").at("ns_per_event").as_number();
+      base_results.at("des").at("ns_per_event").as_number();
   r.candidate_ns_per_event =
-      candidate.at("results").at("des").at("ns_per_event").as_number();
+      cand_results.at("des").at("ns_per_event").as_number();
   r.ratio = r.candidate_ns_per_event / r.baseline_ns_per_event;
   r.passed = r.ratio <= 1.0 + tolerance;
 
@@ -164,7 +180,7 @@ GateResult check_regression(const Json& baseline, const Json& candidate,
   const double base_solver = base_solver_json.at("us_per_solve").as_number();
   const double cand_solver = cand_solver_json.at("us_per_solve").as_number();
   r.ratio_solver = cand_solver / base_solver;
-  r.passed = r.passed && r.ratio_solver <= 1.0 + tolerance && labels_ok;
+  r.passed = r.passed && r.ratio_solver <= 1.0 + tolerance && work_ok;
   char solver_buf[96];
   std::snprintf(solver_buf, sizeof(solver_buf),
                 "; solver us/solve %.0f vs %.0f (%.2fx)", cand_solver,
@@ -185,17 +201,15 @@ GateResult check_regression(const Json& baseline, const Json& candidate,
                   base_ladder, r.ratio_ladder);
     solver_note += ladder_buf;
   }
-  solver_note += labels_note;
 
   // The sharded loop gates with the same tolerance whenever both sides
   // measured it; a report without the section simply isn't compared.
   std::string sharded_note;
-  if (baseline.at("results").contains("sharded") &&
-      candidate.at("results").contains("sharded")) {
+  if (both_sharded) {
     const double base_ns =
-        baseline.at("results").at("sharded").at("ns_per_event").as_number();
+        base_results.at("sharded").at("ns_per_event").as_number();
     const double cand_ns =
-        candidate.at("results").at("sharded").at("ns_per_event").as_number();
+        cand_results.at("sharded").at("ns_per_event").as_number();
     r.ratio_sharded = cand_ns / base_ns;
     r.passed = r.passed && r.ratio_sharded <= 1.0 + tolerance;
     char sbuf[96];
@@ -220,7 +234,7 @@ GateResult check_regression(const Json& baseline, const Json& candidate,
                 "%s: ns/event %.1f vs baseline %.1f (%.2fx, tolerance %.2fx)",
                 r.passed ? "PASS" : "FAIL", r.candidate_ns_per_event,
                 r.baseline_ns_per_event, r.ratio, 1.0 + tolerance);
-  r.message = std::string(buf) + solver_note + sharded_note + warn;
+  r.message = std::string(buf) + solver_note + sharded_note + work_note + warn;
   return r;
 }
 

@@ -42,10 +42,11 @@ void validate_simcore_report(const Json& report);
 /// The `ci.sh perf` regression gate: fails when the candidate's DES
 /// ns/event, sharded ns/event, solver us/solve, or ladder us/build (when
 /// both reports carry it) exceeds the baseline's
-/// by more than `tolerance` (0.15 = +15%), or when its solver dp_labels
-/// exceeds the baseline's at all. A candidate marked "unoptimized": true
-/// skips the timing comparisons (passed unless dp_labels rose, with a loud
-/// message) — Debug/sanitizer timings must never update or fail the
+/// by more than `tolerance` (0.15 = +15%), or when one of its exact work
+/// counts exceeds the baseline's at all: solver dp_labels, DES events and
+/// sharded events (each when both reports carry it). A candidate marked
+/// "unoptimized": true skips the timing comparisons (passed unless a work
+/// count rose, with a loud message) — Debug/sanitizer timings must never update or fail the
 /// scoreboard. A CPU-fingerprint mismatch is surfaced in the message but
 /// does not fail the gate by itself.
 GateResult check_regression(const Json& baseline, const Json& candidate,

@@ -262,6 +262,56 @@ TEST(RegressionGate, GatesSolverTiming) {
   EXPECT_NEAR(good.ratio_solver, 1.05, 1e-12);
 }
 
+// Sets the event count of one engine section ("des" or "sharded").
+Json with_events(Json report, const char* section, double events) {
+  Json results = report.at("results");
+  Json engine = results.at(section);
+  engine.set("events", Json::number(events));
+  results.set(section, std::move(engine));
+  report.set("results", std::move(results));
+  return report;
+}
+
+TEST(RegressionGate, FailsOnAnyRiseInEngineEvents) {
+  // The events a pinned run dispatches are exact work, like dp_labels: one
+  // more in the DES or the sharded section fails the gate, however fast the
+  // timings, and an unoptimized build does not excuse it.
+  const Json base = fake_report(100.0, false, "cpu-a", 80.0);
+  const auto same =
+      perf::check_regression(base, fake_report(100.0, false, "cpu-a", 80.0),
+                             0.15);
+  EXPECT_TRUE(same.passed);
+  EXPECT_NE(same.message.find("des events 10000 vs 10000"),
+            std::string::npos);
+  const auto fewer = perf::check_regression(
+      base, with_events(fake_report(100.0, false, "cpu-a", 80.0), "des", 9999),
+      0.15);
+  EXPECT_TRUE(fewer.passed);
+  const auto des_more = perf::check_regression(
+      base, with_events(fake_report(50.0, false, "cpu-a", 40.0), "des", 10001),
+      0.15);
+  EXPECT_FALSE(des_more.passed);
+  EXPECT_NE(des_more.message.find("des events 10001 vs 10000 (ROSE)"),
+            std::string::npos);
+  const auto sharded_more = perf::check_regression(
+      base,
+      with_events(fake_report(50.0, false, "cpu-a", 40.0), "sharded", 10001),
+      0.15);
+  EXPECT_FALSE(sharded_more.passed);
+  EXPECT_NE(sharded_more.message.find("sharded events 10001 vs 10000 (ROSE)"),
+            std::string::npos);
+  const auto debug_more = perf::check_regression(
+      base,
+      with_events(fake_report(5000.0, true, "cpu-a", 4000.0), "des", 10001),
+      0.15);
+  EXPECT_FALSE(debug_more.passed);
+  EXPECT_TRUE(debug_more.skipped);
+  // A side without the sharded section is compared on the DES count only.
+  EXPECT_TRUE(perf::check_regression(base, fake_report(100.0, false, "cpu-a"),
+                                     0.15)
+                  .passed);
+}
+
 // Sets the solver section's dp_labels on a fake report.
 Json with_dp_labels(Json report, double labels) {
   Json results = report.at("results");
