@@ -27,6 +27,13 @@ constexpr double kFreshFor = 5.0;
 /// throws and validates the plan on the cell's sub-instance).
 constexpr double kSolveBudgetSeconds = std::numeric_limits<double>::infinity();
 
+/// A plan that runs all `n` members on their devices.
+std::vector<DeviceDecision> all_device_only(std::size_t n) {
+  std::vector<DeviceDecision> plan(n);
+  for (auto& dd : plan) dd.plan.device_only = true;
+  return plan;
+}
+
 }  // namespace
 
 CellController::CellController(const ProblemInstance& global, CellId cell,
@@ -61,13 +68,9 @@ void CellController::receive(const CtrlMessage& msg, double now) {
   if (autonomous_) {
     autonomous_ = false;
     ++rejoins_;
-    if (audit_ != nullptr) {
-      AuditRecord r;
-      r.cause = AuditCause::kRejoin;
-      r.detail = tag() + "coordinator back (" + ctrl_msg_name(msg.type) +
-                 ", epoch " + std::to_string(msg.epoch) + ")";
-      audit_->append(std::move(r));
-    }
+    note(AuditCause::kRejoin, std::string("coordinator back (") +
+                                  ctrl_msg_name(msg.type) + ", epoch " +
+                                  std::to_string(msg.epoch) + ")");
   }
   if (msg.type != CtrlMsgType::kSliceGrant) {
     // A heartbeat carrying the adopted epoch confirms the slice matrix has
@@ -94,13 +97,9 @@ void CellController::receive(const CtrlMessage& msg, double now) {
     if (tracer_ != nullptr) {
       tracer_->record(ctrl_span_of(msg, now, CtrlSpanEvent::kRejectedStale));
     }
-    if (audit_ != nullptr) {
-      AuditRecord r;
-      r.cause = AuditCause::kEpochRejected;
-      r.detail = tag() + "grant epoch " + std::to_string(msg.epoch) +
-                 " <= adopted " + std::to_string(adopted_epoch_);
-      audit_->append(std::move(r));
-    }
+    note(AuditCause::kEpochRejected,
+         "grant epoch " + std::to_string(msg.epoch) + " <= adopted " +
+             std::to_string(adopted_epoch_));
     return;
   }
   SCALPEL_REQUIRE(msg.payload.size() == num_servers_,
@@ -150,6 +149,14 @@ void CellController::hold(AuditCause cause, std::string detail) {
   r.cause = cause;
   r.detail = tag() + std::move(detail);
   held_.push_back(std::move(r));
+}
+
+void CellController::note(AuditCause cause, std::string detail) {
+  if (audit_ == nullptr) return;
+  AuditRecord r;
+  r.cause = cause;
+  r.detail = tag() + std::move(detail);
+  audit_->append(std::move(r));
 }
 
 bool CellController::tick(double now, double cell_bandwidth,
@@ -303,9 +310,7 @@ bool CellController::adopt(std::vector<DeviceDecision> fresh, AuditCause why,
 bool CellController::adopt_solve(PendingSolve solve) {
   if (!solve.any_server) {
     // No live server with a usable slice: the whole cell runs device-only.
-    std::vector<DeviceDecision> down(members_.size());
-    for (auto& dd : down) dd.plan.device_only = true;
-    return adopt(std::move(down), solve.cause,
+    return adopt(all_device_only(members_.size()), solve.cause,
                  solve.detail + "; no usable server");
   }
 
@@ -349,12 +354,7 @@ bool CellController::adopt_solve(PendingSolve solve) {
   // server), else degrade the cell to device-only. Either way the cell's
   // devices stay routable.
   ++fallbacks_;
-  if (audit_ != nullptr) {
-    AuditRecord r;
-    r.cause = solve.outcome.fail_cause;
-    r.detail = tag() + solve.outcome.fail_detail;
-    audit_->append(std::move(r));
-  }
+  note(solve.outcome.fail_cause, std::move(solve.outcome.fail_detail));
   if (has_plan_) {
     std::vector<DeviceDecision> kept = local_;
     const bool repaired = repair(
@@ -364,9 +364,7 @@ bool CellController::adopt_solve(PendingSolve solve) {
                  repaired ? "kept last-good plan, dead targets device-only"
                           : "kept last-good plan");
   }
-  std::vector<DeviceDecision> down(members_.size());
-  for (auto& dd : down) dd.plan.device_only = true;
-  adopt(std::move(down), AuditCause::kFallbackApplied,
+  adopt(all_device_only(members_.size()), AuditCause::kFallbackApplied,
         "degraded cell to device-only");
   return true;
 }
@@ -414,14 +412,10 @@ void CellController::restart(double now) {
   last_coord_seen_ = now;
   next_report_ = now;
   pending_solve_ = !has_plan_;
-  if (audit_ != nullptr) {
-    AuditRecord r;
-    r.cause = AuditCause::kFailover;
-    r.detail = tag() + "controller restart, replayed epoch " +
-               std::to_string(adopted_epoch_) + " from " +
-               std::to_string(log_.size()) + " log entries";
-    audit_->append(std::move(r));
-  }
+  note(AuditCause::kFailover, "controller restart, replayed epoch " +
+                                  std::to_string(adopted_epoch_) + " from " +
+                                  std::to_string(log_.size()) +
+                                  " log entries");
 }
 
 }  // namespace scalpel

@@ -148,6 +148,8 @@ class CellController {
              std::string why_detail);
   /// Holds a phase-1 audit record (prefixed with tag()) for finish_tick.
   void hold(AuditCause cause, std::string detail);
+  /// Appends an audit record (prefixed with tag()) at once.
+  void note(AuditCause cause, std::string detail);
   /// Members of `plan` pointing at dead or zero-slice servers drop to
   /// device-only (the kept-last-good repair step of the fallback chain).
   /// Returns true when any did.
