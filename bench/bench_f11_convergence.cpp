@@ -37,9 +37,9 @@ int main() {
   Rng rng(41);
   for (const auto& [n, m] : std::vector<std::pair<std::size_t, std::size_t>>{
            {4, 2}, {6, 2}, {8, 3}, {16, 4}, {32, 6}, {64, 8}}) {
-    RunningStat rounds;
-    RunningStat vs_greedy;
-    RunningStat vs_opt;
+    Samples rounds;
+    Samples vs_greedy;
+    Samples vs_opt;
     std::size_t max_rounds = 0;
     for (int trial = 0; trial < 10; ++trial) {
       const auto p = random_problem(n, m, rng);
@@ -56,10 +56,10 @@ int main() {
     }
     t.add_row({Table::num(static_cast<std::int64_t>(n)),
                Table::num(static_cast<std::int64_t>(m)),
-               Table::num(rounds.mean(), 1),
+               rounds.empty() ? "-" : Table::num(rounds.mean(), 1),
                Table::num(static_cast<std::int64_t>(max_rounds)),
-               Table::num(vs_greedy.mean(), 3),
-               vs_opt.count() ? Table::num(vs_opt.mean(), 3) : "-"});
+               vs_greedy.empty() ? "-" : Table::num(vs_greedy.mean(), 3),
+               vs_opt.empty() ? "-" : Table::num(vs_opt.mean(), 3)});
   }
   std::printf("%s\n", t.to_string().c_str());
   std::printf("Expected shape: convergence in a handful of rounds,\n"

@@ -119,31 +119,6 @@ Graph alexnet(std::int64_t num_classes, std::int64_t resolution) {
   return g;
 }
 
-Graph vgg16(std::int64_t num_classes, std::int64_t resolution) {
-  Graph g("vgg16");
-  Chain c(g);
-  c.input(Shape{3, resolution, resolution});
-  const std::vector<std::vector<std::int64_t>> blocks = {
-      {64, 64}, {128, 128}, {256, 256, 256}, {512, 512, 512}, {512, 512, 512}};
-  int layer = 0;
-  for (std::size_t b = 0; b < blocks.size(); ++b) {
-    for (std::int64_t ch : blocks[b]) {
-      ++layer;
-      c.conv(ch, 3, 1, 1, "conv" + std::to_string(layer));
-      c.relu("relu" + std::to_string(layer));
-    }
-    c.maxpool(2, 2, "pool" + std::to_string(b + 1));
-  }
-  c.flatten("flatten");
-  c.fc(4096, "fc1");
-  c.relu("relu_fc1");
-  c.fc(4096, "fc2");
-  c.relu("relu_fc2");
-  c.fc(num_classes, "fc3");
-  c.softmax("softmax");
-  return g;
-}
-
 namespace {
 
 /// Shared ResNet builder. `blocks_per_stage` selects the depth variant;
@@ -249,6 +224,16 @@ Graph resnet34(std::int64_t num_classes, std::int64_t resolution) {
 Graph resnet50(std::int64_t num_classes, std::int64_t resolution) {
   return resnet_like("resnet50", {3, 4, 6, 3}, /*bottleneck=*/true,
                      num_classes, resolution);
+}
+
+Graph vgg16(std::int64_t num_classes, std::int64_t resolution) {
+  return vgg_like("vgg16",
+                  {{64, 64},
+                   {128, 128},
+                   {256, 256, 256},
+                   {512, 512, 512},
+                   {512, 512, 512}},
+                  num_classes, resolution);
 }
 
 Graph vgg19(std::int64_t num_classes, std::int64_t resolution) {

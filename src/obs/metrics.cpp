@@ -5,7 +5,6 @@
 
 #include "util/assert.hpp"
 #include "util/json.hpp"
-#include "util/table.hpp"
 
 namespace scalpel {
 
@@ -92,25 +91,6 @@ Json MetricsRegistry::to_json() const {
   doc.set("gauges", std::move(gauges));
   doc.set("histograms", std::move(hists));
   return doc;
-}
-
-Table MetricsRegistry::to_table() const {
-  Table t({"metric", "kind", "value"});
-  for (const auto& [name, c] : counters_) {
-    t.add_row({name, "counter",
-               Table::num(static_cast<std::int64_t>(c.value()))});
-  }
-  for (const auto& [name, g] : gauges_) {
-    t.add_row({name, "gauge", Table::num(g.value(), 6)});
-  }
-  for (const auto& [name, h] : histograms_) {
-    t.add_row({name + ".count", "histogram",
-               Table::num(static_cast<std::int64_t>(h.total()))});
-    t.add_row({name + ".p50", "histogram", Table::num(h.p50(), 6)});
-    t.add_row({name + ".p95", "histogram", Table::num(h.p95(), 6)});
-    t.add_row({name + ".p99", "histogram", Table::num(h.p99(), 6)});
-  }
-  return t;
 }
 
 }  // namespace scalpel

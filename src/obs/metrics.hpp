@@ -8,7 +8,6 @@
 
 namespace scalpel {
 class Json;
-class Table;
 
 /// Monotonic event counter. Obtain once from the registry, then inc() on the
 /// hot path — no name lookup per event.
@@ -77,9 +76,6 @@ class MetricsRegistry {
   /// {"counters": {...}, "gauges": {...}, "histograms": {name: {count,
   /// p50, p95, p99, bins: [[lo, hi, count], ...]}}} with sorted keys.
   Json to_json() const;
-  /// Flat (metric, kind, value) rows for CSV/console export; histograms
-  /// expand to .p50/.p95/.p99/.count rows.
-  Table to_table() const;
 
  private:
   std::map<std::string, Counter> counters_;

@@ -7,51 +7,6 @@
 
 namespace scalpel {
 
-void RunningStat::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-void RunningStat::merge(const RunningStat& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double n = na + nb;
-  mean_ += delta * nb / n;
-  m2_ += other.m2_ + delta * delta * na * nb / n;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double RunningStat::variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStat::stddev() const { return std::sqrt(variance()); }
-
-double RunningStat::cov() const {
-  return mean_ != 0.0 ? stddev() / std::abs(mean_) : 0.0;
-}
-
-double RunningStat::ci95_halfwidth() const {
-  if (n_ < 2) return 0.0;
-  return 1.959963984540054 * stddev() / std::sqrt(static_cast<double>(n_));
-}
-
 double t_critical_975(std::size_t df) {
   SCALPEL_REQUIRE(df >= 1, "t critical value needs df >= 1");
   // Two-sided 95% (upper-tail 0.975) quantiles of Student's t.

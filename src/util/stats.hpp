@@ -5,33 +5,6 @@
 
 namespace scalpel {
 
-/// Streaming mean/variance via Welford's algorithm; O(1) memory.
-class RunningStat {
- public:
-  void add(double x);
-  void merge(const RunningStat& other);
-
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  /// Sample variance (n-1 denominator); 0 for fewer than two samples.
-  double variance() const;
-  double stddev() const;
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-  double sum() const { return n_ ? mean_ * static_cast<double>(n_) : 0.0; }
-  /// Coefficient of variation (stddev / mean); 0 if mean is 0.
-  double cov() const;
-  /// Half-width of the 95% normal-approximation confidence interval.
-  double ci95_halfwidth() const;
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 /// Sample reservoir with exact quantiles. Suited to the sample counts in this
 /// repo (up to a few million latency samples per run).
 class Samples {

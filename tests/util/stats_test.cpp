@@ -5,86 +5,9 @@
 #include <cmath>
 
 #include "util/assert.hpp"
-#include "util/rng.hpp"
 
 namespace scalpel {
 namespace {
-
-TEST(RunningStat, EmptyIsZero) {
-  RunningStat s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStat, SingleValue) {
-  RunningStat s;
-  s.add(4.5);
-  EXPECT_EQ(s.count(), 1u);
-  EXPECT_DOUBLE_EQ(s.mean(), 4.5);
-  EXPECT_DOUBLE_EQ(s.min(), 4.5);
-  EXPECT_DOUBLE_EQ(s.max(), 4.5);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStat, MatchesDirectComputation) {
-  Rng rng(5);
-  std::vector<double> xs;
-  RunningStat s;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal(10.0, 2.0);
-    xs.push_back(x);
-    s.add(x);
-  }
-  double mean = 0.0;
-  for (double x : xs) mean += x;
-  mean /= static_cast<double>(xs.size());
-  double var = 0.0;
-  for (double x : xs) var += (x - mean) * (x - mean);
-  var /= static_cast<double>(xs.size() - 1);
-  EXPECT_NEAR(s.mean(), mean, 1e-9);
-  EXPECT_NEAR(s.variance(), var, 1e-9);
-}
-
-TEST(RunningStat, MergeEqualsSequential) {
-  Rng rng(6);
-  RunningStat whole;
-  RunningStat a;
-  RunningStat b;
-  for (int i = 0; i < 500; ++i) {
-    const double x = rng.uniform(0.0, 9.0);
-    whole.add(x);
-    (i % 2 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), whole.count());
-  EXPECT_NEAR(a.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), whole.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), whole.min());
-  EXPECT_DOUBLE_EQ(a.max(), whole.max());
-}
-
-TEST(RunningStat, MergeWithEmpty) {
-  RunningStat a;
-  a.add(1.0);
-  a.add(2.0);
-  RunningStat empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  RunningStat target;
-  target.merge(a);
-  EXPECT_EQ(target.count(), 2u);
-  EXPECT_DOUBLE_EQ(target.mean(), 1.5);
-}
-
-TEST(RunningStat, CovAndCi) {
-  RunningStat s;
-  for (int i = 0; i < 100; ++i) s.add(i % 2 ? 9.0 : 11.0);
-  EXPECT_NEAR(s.mean(), 10.0, 1e-12);
-  EXPECT_GT(s.cov(), 0.0);
-  EXPECT_GT(s.ci95_halfwidth(), 0.0);
-  EXPECT_LT(s.ci95_halfwidth(), 1.0);
-}
 
 TEST(Samples, QuantilesExactSmallSet) {
   Samples s;
