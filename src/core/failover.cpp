@@ -56,23 +56,15 @@ void lift(Decision& d, const std::vector<double>& scale) {
 }
 
 void fit_to_capacity(const ClusterTopology& topology, Decision& d) {
-  std::vector<double> share(topology.servers().size(), 0.0);
-  std::vector<double> grant(topology.cells().size(), 0.0);
-  for (std::size_t i = 0; i < d.per_device.size(); ++i) {
-    const auto& dd = d.per_device[i];
-    if (dd.plan.device_only) continue;
-    share[static_cast<std::size_t>(dd.server)] += dd.compute_share;
-    grant[static_cast<std::size_t>(
-        topology.device(static_cast<DeviceId>(i)).cell)] += dd.bandwidth;
-  }
+  const ResourceUse use = resource_use(topology, d);
   for (std::size_t i = 0; i < d.per_device.size(); ++i) {
     auto& dd = d.per_device[i];
     if (dd.plan.device_only) continue;
-    const double s = share[static_cast<std::size_t>(dd.server)];
+    const double s = use.server_share[static_cast<std::size_t>(dd.server)];
     if (s > 1.0) dd.compute_share /= s;
     const CellId cell = topology.device(static_cast<DeviceId>(i)).cell;
     const double cap = topology.cell(cell).bandwidth;
-    const double g = grant[static_cast<std::size_t>(cell)];
+    const double g = use.cell_grant[static_cast<std::size_t>(cell)];
     if (g > cap) dd.bandwidth *= cap / g;
   }
 }

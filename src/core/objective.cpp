@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "core/validate.hpp"
 #include "profile/latency_model.hpp"
 #include "sched/queueing.hpp"
 #include "surgery/partition.hpp"
@@ -303,24 +304,14 @@ void evaluate_decision(const ProblemInstance& instance, Decision& decision) {
                   "decision must cover every device");
 
   // Resource-grant feasibility.
-  std::vector<double> cell_bw(topo.cells().size(), 0.0);
-  std::vector<double> server_share(topo.servers().size(), 0.0);
-  for (std::size_t i = 0; i < decision.per_device.size(); ++i) {
-    const auto& dd = decision.per_device[i];
-    if (dd.plan.device_only) continue;
-    const auto& dev = topo.device(static_cast<DeviceId>(i));
-    cell_bw[static_cast<std::size_t>(dev.cell)] += dd.bandwidth;
-    SCALPEL_REQUIRE(dd.server >= 0 && static_cast<std::size_t>(dd.server) <
-                                          topo.servers().size(),
-                    "decision references missing server");
-    server_share[static_cast<std::size_t>(dd.server)] += dd.compute_share;
+  const ResourceUse use = resource_use(topo, decision);
+  for (std::size_t c = 0; c < use.cell_grant.size(); ++c) {
+    SCALPEL_REQUIRE(use.cell_grant[c] <=
+                        topo.cell(static_cast<CellId>(c)).bandwidth *
+                            (1.0 + 1e-6),
+                    "cell bandwidth oversubscribed");
   }
-  for (std::size_t c = 0; c < cell_bw.size(); ++c) {
-    SCALPEL_REQUIRE(
-        cell_bw[c] <= topo.cell(static_cast<CellId>(c)).bandwidth * (1.0 + 1e-6),
-        "cell bandwidth oversubscribed");
-  }
-  for (double s : server_share) {
+  for (double s : use.server_share) {
     SCALPEL_REQUIRE(s <= 1.0 + 1e-6, "server compute oversubscribed");
   }
 

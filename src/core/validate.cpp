@@ -3,6 +3,8 @@
 #include <cstdarg>
 #include <cstdio>
 
+#include "util/assert.hpp"
+
 namespace scalpel {
 
 namespace {
@@ -26,6 +28,24 @@ PlanValidation reject(const char* fmt, ...) {
 
 }  // namespace
 
+ResourceUse resource_use(const ClusterTopology& topology,
+                         const Decision& decision) {
+  ResourceUse use;
+  use.server_share.assign(topology.servers().size(), 0.0);
+  use.cell_grant.assign(topology.cells().size(), 0.0);
+  for (std::size_t i = 0; i < decision.per_device.size(); ++i) {
+    const DeviceDecision& dd = decision.per_device[i];
+    if (dd.plan.device_only) continue;
+    SCALPEL_REQUIRE(dd.server >= 0 && static_cast<std::size_t>(dd.server) <
+                                          use.server_share.size(),
+                    "decision references missing server");
+    use.server_share[static_cast<std::size_t>(dd.server)] += dd.compute_share;
+    use.cell_grant[static_cast<std::size_t>(
+        topology.device(static_cast<DeviceId>(i)).cell)] += dd.bandwidth;
+  }
+  return use;
+}
+
 PlanValidation validate_plan(const ProblemInstance& instance,
                              const Decision& decision,
                              const std::vector<bool>& server_alive) {
@@ -36,8 +56,6 @@ PlanValidation validate_plan(const ProblemInstance& instance,
     return reject("plan covers %zu devices, topology has %zu",
                   decision.per_device.size(), num_devices);
   }
-  std::vector<double> server_share(num_servers, 0.0);
-  std::vector<double> cell_grant(topo.cells().size(), 0.0);
   for (std::size_t i = 0; i < num_devices; ++i) {
     const DeviceDecision& dd = decision.per_device[i];
     if (dd.plan.device_only) continue;
@@ -58,22 +76,19 @@ PlanValidation validate_plan(const ProblemInstance& instance,
       return reject("device %zu bandwidth grant %.0f must be positive", i,
                     dd.bandwidth);
     }
-    server_share[s] += dd.compute_share;
-    const auto cell =
-        static_cast<std::size_t>(topo.device(static_cast<DeviceId>(i)).cell);
-    cell_grant[cell] += dd.bandwidth;
   }
+  const ResourceUse use = resource_use(topo, decision);
   for (std::size_t s = 0; s < num_servers; ++s) {
-    if (server_share[s] > 1.0 + kCapacitySlack) {
+    if (use.server_share[s] > 1.0 + kCapacitySlack) {
       return reject("server %zu compute shares sum to %.3f > 1", s,
-                    server_share[s]);
+                    use.server_share[s]);
     }
   }
-  for (std::size_t c = 0; c < cell_grant.size(); ++c) {
+  for (std::size_t c = 0; c < use.cell_grant.size(); ++c) {
     const double cap = topo.cell(static_cast<CellId>(c)).bandwidth;
-    if (cell_grant[c] > cap * (1.0 + kCapacitySlack)) {
+    if (use.cell_grant[c] > cap * (1.0 + kCapacitySlack)) {
       return reject("cell %zu grants %.0f B/s exceed capacity %.0f B/s", c,
-                    cell_grant[c], cap);
+                    use.cell_grant[c], cap);
     }
   }
   return PlanValidation{};

@@ -8,6 +8,19 @@
 
 namespace scalpel {
 
+/// What a decision's offloading devices take: the compute shares summed per
+/// server and the bandwidth grants summed per cell, each added in device
+/// order. Device-only devices take nothing.
+struct ResourceUse {
+  std::vector<double> server_share;  // indexed by server id
+  std::vector<double> cell_grant;    // indexed by cell id
+};
+
+/// Sums `decision`'s grants over `topology`. Requires every offloading
+/// device to name a server of the topology.
+ResourceUse resource_use(const ClusterTopology& topology,
+                         const Decision& decision);
+
 /// Outcome of validate_plan: ok, or the first defect found (one line, used
 /// verbatim as the plan_rejected audit detail).
 struct PlanValidation {
