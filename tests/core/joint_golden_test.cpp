@@ -26,19 +26,11 @@
 #include "core/online.hpp"
 #include "core/serialize.hpp"
 #include "edge/builders.hpp"
+#include "oracles/oracles.hpp"
 #include "util/thread_pool.hpp"
 
 namespace scalpel {
 namespace {
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
 
 ClusterTopology campus_topology() {
   clusters::CampusOptions o;

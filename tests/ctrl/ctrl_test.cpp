@@ -21,6 +21,7 @@
 #include "edge/builders.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "oracles/oracles.hpp"
 #include "util/json.hpp"
 
 namespace scalpel {
@@ -880,16 +881,6 @@ TEST(CtrlPlane, ParallelCellSolvesMatchSerial) {
   parallel.publish_metrics(a_reg);
   serial.publish_metrics(b_reg);
   EXPECT_EQ(a_reg.to_json().dump(), b_reg.to_json().dump());
-}
-
-/// 64-bit FNV-1a over the exact bytes of `s`.
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
 }
 
 TEST(CtrlGolden, DefaultSolverCampusOnLossyFabric) {

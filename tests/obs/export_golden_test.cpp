@@ -41,6 +41,7 @@
 #include "obs/span.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
+#include "oracles/oracles.hpp"
 #include "sim/metrics_export.hpp"
 #include "sim/simulator.hpp"
 #include "util/assert.hpp"
@@ -49,16 +50,6 @@
 
 namespace scalpel {
 namespace {
-
-/// 64-bit FNV-1a over the exact bytes of `s`.
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char ch : s) {
-    h ^= static_cast<unsigned char>(ch);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
 
 std::string hex(std::uint64_t v) {
   std::ostringstream os;

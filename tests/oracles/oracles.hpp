@@ -9,11 +9,12 @@
 // the recorder test holds the SLO monitor's cursor search to a binary
 // search, and the sqrt-rule, Kleinrock and M/D/1 property tests compare
 // against the allocators, objectives and closed forms at the end of this
-// file.
+// file. The goldens pin exported bytes through fnv1a.
 
 #include <cstddef>
 #include <cstdint>
 #include <queue>
+#include <string>
 #include <vector>
 
 #include "obs/timeseries.hpp"
@@ -22,6 +23,16 @@
 #include "surgery/exit_setting.hpp"
 
 namespace scalpel {
+
+/// 64-bit FNV-1a over the exact bytes of `s`: the hash every golden pins.
+inline std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
 
 /// Reference event queue: std::priority_queue over (time, seq).
 class BinaryHeapEventQueue {

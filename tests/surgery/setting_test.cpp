@@ -404,16 +404,6 @@ TEST(ExitSettingFork, NonFinitePriceThrows) {
                ContractViolation);
 }
 
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 // Frozen dp_exit_setting results on every zoo model, at the joint
 // optimizer's DP settings, under three difficulty shapes and two floors:
 // an FNV-1a hash of each result's policy (theta bits included), feasible
