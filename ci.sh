@@ -126,7 +126,9 @@ cli_smoke() {
 # that the merged Chrome trace parses, the ctrl.* metrics reconcile with the
 # span stream (sent == dropped + delivered + dead-lettered + in-flight),
 # and the time series is monotone on its cumulative columns; python3 loads
-# all four exported JSON files. Then F17's burst run, the one bench whose
+# all four exported JSON files. `distributed` writes the same four files
+# through the same export path and gets the same checks. Then F17's burst
+# run, the one bench whose
 # table is built from the recorder (1-s samples after each 1-s controller
 # tick, aggregated into 10-s windows over a 140-s horizon): it must print
 # all 14 windows.
@@ -143,6 +145,18 @@ obs_smoke() {
     --metrics "$dir/obs_metrics.json"
   json_load_check "$dir/obs_trace.json" "$dir/obs_series.json" \
     "$dir/obs_metrics.json" "$dir/obs_audit.json"
+  "$cli" topology --preset campus --devices 8 --servers 3 --seed 7 \
+    --out "$dir/topo.json"
+  "$cli" distributed --topology "$dir/topo.json" --drop 0.2 \
+    --coord-mtbf 10 --horizon 40 \
+    --audit-out "$dir/dist_audit.json" \
+    --trace-out "$dir/dist_trace.json" \
+    --metrics-out "$dir/dist_metrics.json" \
+    --timeseries-out "$dir/dist_series.json"
+  "$cli" validate-trace --trace "$dir/dist_trace.json" \
+    --metrics "$dir/dist_metrics.json"
+  json_load_check "$dir/dist_trace.json" "$dir/dist_series.json" \
+    "$dir/dist_metrics.json" "$dir/dist_audit.json"
   rm -rf "$dir"
   local windows
   windows="$("$BUILD_DIR/bench/bench_f17_overload" |

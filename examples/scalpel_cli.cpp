@@ -24,10 +24,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -127,43 +128,38 @@ std::string flag_or(const Flags& flags,
   return it == flags.end() ? fallback : it->second;
 }
 
-// Numeric flags go through the strict whole-token parser (util/flags.hpp):
+// Numeric flags go through the strict whole-token parsers (util/flags.hpp):
 // "--reps -3", "--threads 8x", and "--tolerance banana" all die with a
 // one-line reason and exit 2 instead of wrapping through unsigned conversion
 // or silently becoming 0.
-constexpr std::uint64_t kNoSizeLimit =
-    std::numeric_limits<std::uint64_t>::max();
-constexpr double kNoDoubleLimit = std::numeric_limits<double>::infinity();
-
-std::uint64_t size_flag(const Flags& flags,
-                        const std::string& key, std::uint64_t fallback,
-                        std::uint64_t min_value,
-                        std::uint64_t max_value = kNoSizeLimit) {
+template <typename T>
+T number_flag(const Flags& flags, const std::string& key, T fallback,
+              T min_value, T max_value,
+              bool (*parse)(const std::string&, T, T, T*, std::string*)) {
   const auto it = flags.find(key);
   if (it == flags.end()) return fallback;
-  std::uint64_t value = 0;
+  T value{};
   std::string err;
-  if (!scalpel::flags::parse_size(it->second, min_value, max_value, &value,
-                                  &err)) {
+  if (!parse(it->second, min_value, max_value, &value, &err)) {
     std::fprintf(stderr, "error: --%s: %s\n", key.c_str(), err.c_str());
     std::exit(2);
   }
   return value;
 }
 
-double double_flag(const Flags& flags,
-                   const std::string& key, double fallback, double min_value,
-                   double max_value = kNoDoubleLimit) {
-  const auto it = flags.find(key);
-  if (it == flags.end()) return fallback;
-  double value = 0.0;
-  std::string err;
-  if (!scalpel::flags::parse_double(it->second, min_value, max_value, &value,
-                                    &err)) {
-    std::fprintf(stderr, "error: --%s: %s\n", key.c_str(), err.c_str());
-    std::exit(2);
-  }
-  return value;
+std::uint64_t size_flag(const Flags& flags, const std::string& key,
+                        std::uint64_t fallback, std::uint64_t min_value,
+                        std::uint64_t max_value =
+                            std::numeric_limits<std::uint64_t>::max()) {
+  return number_flag(flags, key, fallback, min_value, max_value,
+                     scalpel::flags::parse_size);
+}
+
+double double_flag(const Flags& flags, const std::string& key,
+                   double fallback, double min_value,
+                   double max_value = std::numeric_limits<double>::infinity()) {
+  return number_flag(flags, key, fallback, min_value, max_value,
+                     scalpel::flags::parse_double);
 }
 
 std::string read_file(const std::string& path) {
@@ -177,13 +173,92 @@ std::string read_file(const std::string& path) {
   return out.str();
 }
 
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-    std::exit(1);
+ClusterTopology load_topology(const std::string& path) {
+  return serialize::topology_from_json(Json::parse(read_file(path)));
+}
+
+Decision load_decision(const std::string& path) {
+  return serialize::decision_from_json(Json::parse(read_file(path)));
+}
+
+// `topo` with every device's arrival rate multiplied by `overload`.
+ClusterTopology overloaded(ClusterTopology topo, double overload) {
+  if (overload == 1.0) return topo;
+  const auto devices = topo.devices();  // copy: the loop mutates topo
+  for (const auto& d : devices) {
+    topo.set_device_arrival_rate(d.id, d.arrival_rate * overload);
   }
-  out << content;
+  return topo;
+}
+
+// The one failure rule for every file a command writes: a failed write names
+// the file and ends the command with exit 1.
+bool written(bool ok, const std::string& path) {
+  if (!ok) std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+  return ok;
+}
+
+bool write_json(const std::string& path, const Json& doc) {
+  return written(
+      write_json_file(path, [&](JsonWriter& w) { w.value(doc); }), path);
+}
+
+// What a run can export; a file whose source stays null is not written.
+struct RunOutputs {
+  const SimMetrics* metrics = nullptr;
+  const DecisionAuditLog* audit = nullptr;
+  const TaskTracer* tasks = nullptr;
+  const DistributedControlPlane* plane = nullptr;  // spans + ctrl.* section
+  const TimeSeriesRecorder* recorder = nullptr;
+  const SloMonitor* slo = nullptr;
+};
+
+// The one export path of simulate's single run, trace, distributed and
+// obs-report: writes each --audit-out, --trace-out, --metrics-out and
+// --timeseries-out file the command was given. A metrics JSON also carries
+// the plane's ctrl.* registry and the SLO state when the run has them; the
+// CSV form is the flat simulation scalars only.
+int export_run(const Flags& flags, const RunOutputs& run) {
+  const std::string audit_out = flag_or(flags, "audit-out", "");
+  if (!audit_out.empty() && run.audit != nullptr) {
+    if (!written(run.audit->write(audit_out), audit_out)) return 1;
+    std::printf("wrote %zu audit records to %s\n", run.audit->size(),
+                audit_out.c_str());
+  }
+  const std::string trace_out = flag_or(flags, "trace-out", "");
+  if (!trace_out.empty() && run.plane != nullptr) {
+    const CtrlTracer& spans = run.plane->ctrl_trace();
+    if (!written(write_merged_trace(trace_out, *run.tasks, spans), trace_out)) {
+      return 1;
+    }
+    std::printf("wrote %zu task events + %zu control-plane spans to %s\n",
+                run.tasks->size(), spans.size(), trace_out.c_str());
+  }
+  const std::string metrics_out = flag_or(flags, "metrics-out", "");
+  if (!metrics_out.empty()) {
+    if (metrics_out.ends_with(".csv")) {
+      if (!written(write_sim_metrics(*run.metrics, metrics_out), metrics_out)) {
+        return 1;
+      }
+    } else {
+      Json doc = sim_metrics_to_json(*run.metrics);
+      if (run.plane != nullptr) {
+        MetricsRegistry ctrl;
+        run.plane->publish_metrics(ctrl);
+        doc.set("ctrl", ctrl.to_json());
+      }
+      if (run.slo != nullptr) doc.set("slo", run.slo->to_json());
+      if (!write_json(metrics_out, doc)) return 1;
+    }
+    std::printf("wrote metrics to %s\n", metrics_out.c_str());
+  }
+  const std::string series_out = flag_or(flags, "timeseries-out", "");
+  if (!series_out.empty() && run.recorder != nullptr) {
+    if (!written(run.recorder->write(series_out), series_out)) return 1;
+    std::printf("wrote %zu time-series samples to %s\n", run.recorder->size(),
+                series_out.c_str());
+  }
+  return 0;
 }
 
 int cmd_topology(const Flags& flags) {
@@ -205,7 +280,7 @@ int cmd_topology(const Flags& flags) {
   }
   const std::string out = flag_or(flags, "out", "");
   if (out.empty()) usage();
-  write_file(out, serialize::to_json(topo).dump_pretty() + "\n");
+  if (!write_json(out, serialize::to_json(topo))) return 1;
   std::printf("wrote %s (%zu devices, %zu servers, %zu cells)\n", out.c_str(),
               topo.devices().size(), topo.servers().size(),
               topo.cells().size());
@@ -216,9 +291,7 @@ int cmd_optimize(const Flags& flags) {
   const std::string topo_path = flag_or(flags, "topology", "");
   const std::string out = flag_or(flags, "out", "");
   if (topo_path.empty() || out.empty()) usage();
-  const auto topo =
-      serialize::topology_from_json(Json::parse(read_file(topo_path)));
-  const ProblemInstance instance(topo);
+  const ProblemInstance instance(load_topology(topo_path));
 
   const std::string scheme = flag_or(flags, "scheme", "joint");
   Decision decision;
@@ -230,7 +303,7 @@ int cmd_optimize(const Flags& flags) {
   } else {
     decision = baselines::by_name(instance, scheme);
   }
-  write_file(out, serialize::to_json(decision).dump_pretty() + "\n");
+  if (!write_json(out, serialize::to_json(decision))) return 1;
   std::printf("scheme=%s mean_latency=%s deadline_sat=%.3f -> %s\n",
               decision.scheme.c_str(),
               std::isfinite(decision.mean_latency)
@@ -260,11 +333,8 @@ int cmd_simulate(const Flags& flags) {
   const auto threads =
       static_cast<std::size_t>(size_flag(flags, "threads", 0, 1, 4096));
 
-  const auto topo =
-      serialize::topology_from_json(Json::parse(read_file(topo_path)));
-  const ProblemInstance instance(topo);
-  Decision decision =
-      serialize::decision_from_json(Json::parse(read_file(decision_path)));
+  const ProblemInstance instance(load_topology(topo_path));
+  Decision decision = load_decision(decision_path);
   evaluate_decision(instance, decision);
 
   const std::string metrics_out = flag_or(flags, "metrics-out", "");
@@ -279,11 +349,7 @@ int cmd_simulate(const Flags& flags) {
                 to_ms(m.latency.p99()), m.deadline_satisfaction,
                 m.measured_accuracy, m.offload_fraction,
                 m.mean_task_energy * 1e3);
-    if (!metrics_out.empty()) {
-      if (!write_sim_metrics(m, metrics_out)) return 1;
-      std::printf("wrote metrics to %s\n", metrics_out.c_str());
-    }
-    return 0;
+    return export_run(flags, {.metrics = &m});
   }
 
   // Replicated run: deterministic per-replication substreams, aggregated
@@ -308,30 +374,8 @@ int cmd_simulate(const Flags& flags) {
               to_ms(p99.ci95), sat.mean, sat.ci95, acc.mean, acc.ci95,
               off.mean, off.ci95, energy.mean * 1e3, energy.ci95 * 1e3);
   if (!metrics_out.empty()) {
-    if (metrics_out.ends_with(".csv")) {
-      // One row of headline scalars per replication; the full nested detail
-      // needs the JSON form.
-      Table t({"rep", "arrived", "completed", "failed", "shed", "expired",
-               "mean_latency_s", "p95_s", "p99_s", "deadline_sat",
-               "accuracy"});
-      for (std::size_t r = 0; r < agg.replications.size(); ++r) {
-        const auto& m = agg.replications[r];
-        t.add_row({Table::num(static_cast<std::int64_t>(r)),
-                   Table::num(static_cast<std::int64_t>(m.arrived)),
-                   Table::num(static_cast<std::int64_t>(m.completed)),
-                   Table::num(static_cast<std::int64_t>(m.failed)),
-                   Table::num(static_cast<std::int64_t>(m.shed)),
-                   Table::num(static_cast<std::int64_t>(m.expired)),
-                   Table::num(m.latency.empty() ? 0.0 : m.latency.mean(), 6),
-                   Table::num(m.latency.empty() ? 0.0 : m.latency.p95(), 6),
-                   Table::num(m.latency.empty() ? 0.0 : m.latency.p99(), 6),
-                   Table::num(m.deadline_satisfaction, 4),
-                   Table::num(m.measured_accuracy, 4)});
-      }
-      write_file(metrics_out, t.to_csv());
-    } else {
-      write_file(metrics_out,
-                 replicated_metrics_to_json(agg).dump_pretty() + "\n");
+    if (!written(write_replicated_metrics(agg, metrics_out), metrics_out)) {
+      return 1;
     }
     std::printf("wrote metrics to %s\n", metrics_out.c_str());
   }
@@ -345,15 +389,13 @@ int cmd_simulate(const Flags& flags) {
 int cmd_admission(const Flags& flags) {
   const std::string topo_path = flag_or(flags, "topology", "");
   if (topo_path.empty()) usage();
-  const auto topo =
-      serialize::topology_from_json(Json::parse(read_file(topo_path)));
+  const auto topo = load_topology(topo_path);
   const ProblemInstance instance(topo);
 
   Decision decision;
   const std::string decision_path = flag_or(flags, "decision", "");
   if (!decision_path.empty()) {
-    decision =
-        serialize::decision_from_json(Json::parse(read_file(decision_path)));
+    decision = load_decision(decision_path);
     evaluate_decision(instance, decision);
   } else {
     const std::string scheme = flag_or(flags, "scheme", "joint");
@@ -418,18 +460,10 @@ int cmd_trace(const Flags& flags) {
   const std::string topo_path = flag_or(flags, "topology", "");
   const std::string out = flag_or(flags, "out", "");
   if (topo_path.empty() || out.empty()) usage();
-  const auto deployed_topo =
-      serialize::topology_from_json(Json::parse(read_file(topo_path)));
+  const auto deployed_topo = load_topology(topo_path);
 
   const double overload = double_flag(flags, "overload", 1.0, 1e-6, 1e3);
-  ClusterTopology offered_topo = deployed_topo;
-  if (overload != 1.0) {
-    for (const auto& d : deployed_topo.devices()) {
-      offered_topo.set_device_arrival_rate(d.id,
-                                           d.arrival_rate * overload);
-    }
-  }
-  const ProblemInstance instance(offered_topo);
+  const ProblemInstance instance(overloaded(deployed_topo, overload));
 
   Simulator::Options opts;
   opts.horizon = double_flag(flags, "horizon", 60.0, 1e-6);
@@ -451,8 +485,7 @@ int cmd_trace(const Flags& flags) {
     opts.control_interval = 1.0;
     decision = ctl.decision();
   } else if (!decision_path.empty()) {
-    decision =
-        serialize::decision_from_json(Json::parse(read_file(decision_path)));
+    decision = load_decision(decision_path);
   } else {
     decision = JointOptimizer(JointOptions{}).optimize(instance);
   }
@@ -464,7 +497,7 @@ int cmd_trace(const Flags& flags) {
   }
   const auto m = sim.run();
 
-  if (!write_trace(sim.trace(), out)) return 1;
+  if (!written(write_trace(sim.trace(), out), out)) return 1;
   std::printf("wrote %llu events to %s (%llu overwritten in the ring)\n",
               static_cast<unsigned long long>(sim.trace().size()),
               out.c_str(),
@@ -478,21 +511,10 @@ int cmd_trace(const Flags& flags) {
                 "%zu degradations, %zu recoveries, final rung %zu\n",
                 ctl.audit_log().size(), ctl.reoptimizations(),
                 ctl.degradations(), ctl.recoveries(), ctl.current_rung());
-    const std::string audit_out = flag_or(flags, "audit-out", "");
-    if (!audit_out.empty()) {
-      if (!ctl.audit_log().write(audit_out)) {
-        std::fprintf(stderr, "error: cannot write %s\n", audit_out.c_str());
-        return 1;
-      }
-      std::printf("wrote audit log to %s\n", audit_out.c_str());
-    }
   }
-  const std::string metrics_out = flag_or(flags, "metrics-out", "");
-  if (!metrics_out.empty()) {
-    if (!write_sim_metrics(m, metrics_out)) return 1;
-    std::printf("wrote metrics to %s\n", metrics_out.c_str());
-  }
-  return 0;
+  return export_run(
+      flags, {.metrics = &m,
+              .audit = with_controller ? &ctl.audit_log() : nullptr});
 }
 
 // Round-trips an exported trace + metrics pair through the JSON parser and
@@ -584,6 +606,7 @@ int cmd_validate_trace(const Flags& flags) {
   // law (#sent == #dropped + #delivered + #dead_letter + in_flight).
   if (span_events > 0 && metrics.contains("ctrl")) {
     const Json& ctrl = metrics.at("ctrl").at("counters");
+    const Json& gauges = metrics.at("ctrl").at("gauges");
     auto span_count = [&](const char* name) {
       const auto it = span_counts.find(name);
       return it == span_counts.end() ? std::int64_t{0} : it->second;
@@ -592,11 +615,8 @@ int cmd_validate_trace(const Flags& flags) {
       return ctrl.contains(name) ? ctrl.at(name).as_int() : std::int64_t{0};
     };
     const std::int64_t fabric_in_flight =
-        metrics.at("ctrl").at("gauges").contains("ctrl.in_flight")
-            ? static_cast<std::int64_t>(metrics.at("ctrl")
-                                            .at("gauges")
-                                            .at("ctrl.in_flight")
-                                            .as_number())
+        gauges.contains("ctrl.in_flight")
+            ? static_cast<std::int64_t>(gauges.at("ctrl.in_flight").as_number())
             : 0;
     check("ctrl sent spans", span_count("sent"), ctr("ctrl.msg.sent"));
     check("ctrl delivered spans", span_count("delivered"),
@@ -618,7 +638,6 @@ int cmd_validate_trace(const Flags& flags) {
     check("ctrl fabric conservation", span_count("sent"),
           span_count("dropped") + span_count("delivered") +
               ctr("ctrl.msg.dropped_dead") + fabric_in_flight);
-    if (!ok) return 1;
   }
   if (!ok) return 1;
   std::printf("PASS: %zu trace events reconcile with the conservation "
@@ -637,11 +656,114 @@ int cmd_validate_trace(const Flags& flags) {
   return 0;
 }
 
+// Widens a counter for printf's %llu.
+unsigned long long ull(std::uint64_t v) { return v; }
+
+// The flags distributed and obs-report share, parsed over each command's
+// defaults. `observe` is no flag: obs-report always records the task trace
+// and the time series, distributed only for the file that needs them.
+struct FailoverFlags {
+  double delay = 0.0, jitter = 0.0, drop = 0.0;
+  double coord_mtbf = 0.0, coord_mttr = 0.0, horizon = 0.0;
+  bool observe = false;
+  std::uint64_t seed = 19;
+  std::size_t span_capacity = 0;
+  std::size_t capacity = 0;  // task-trace ring; 0 records no task trace
+  double obs_interval = 0.0;
+};
+
+FailoverFlags failover_flags(const Flags& flags, FailoverFlags f) {
+  f.delay = double_flag(flags, "delay", f.delay, 0.0, 1e3);
+  f.jitter = double_flag(flags, "jitter", f.jitter, 0.0, 1e3);
+  f.drop = double_flag(flags, "drop", f.drop, 0.0, 0.999);
+  f.coord_mtbf = double_flag(flags, "coord-mtbf", f.coord_mtbf, 0.0, 1e9);
+  f.coord_mttr = double_flag(flags, "coord-mttr", f.coord_mttr, 1e-6, 1e9);
+  f.horizon = double_flag(flags, "horizon", f.horizon, 1e-6);
+  f.seed = size_flag(flags, "seed", f.seed, 0);
+  f.span_capacity = static_cast<std::size_t>(
+      size_flag(flags, "span-capacity", 1u << 16, 1, 1u << 26));
+  f.obs_interval = double_flag(flags, "obs-interval", 0.5, 1e-6, 1.0);
+  if (f.observe || !flag_or(flags, "trace-out", "").empty()) {
+    f.capacity = static_cast<std::size_t>(
+        size_flag(flags, "capacity", 1048576, 1, 1u << 28));
+  }
+  return f;
+}
+
+// The plane over the fabric the flags describe, without controller faults.
+// The cells solve at the centralized reference's optimizer budget, so the
+// reported gap is a fair protocol cost.
+DistributedPlaneOptions plane_options(const FailoverFlags& f) {
+  DistributedPlaneOptions po;
+  po.fabric.delay = f.delay;
+  po.fabric.jitter = f.jitter;
+  po.fabric.drop_prob = f.drop;
+  po.cell.joint.max_iterations = 2;
+  po.cell.joint.dp_coverage_bins = 40;
+  po.cell.joint.theta_grid = {0.0, 0.3, 0.6};
+  po.seed = f.seed;
+  po.span_capacity = f.span_capacity;
+  return po;
+}
+
+Simulator::Options failover_sim_options(const FailoverFlags& f) {
+  Simulator::Options so;
+  so.horizon = f.horizon;
+  so.warmup = f.horizon * 0.1;
+  so.seed = f.seed + 1;
+  so.control_interval = 1.0;
+  return so;
+}
+
+// The failover run distributed and obs-report share: the centralized joint
+// solve, then a DES steered by the distributed plane over a lossy fabric
+// while its coordinator crashes on an MTBF/MTTR process. A `slo_spec` burns
+// into the plane's audit log. `report` prints the command's summary.
+int run_failover(const Flags& flags, const ClusterTopology& topo,
+                 const FailoverFlags& f, const SloSpec* slo_spec,
+                 const std::function<void(const ProblemInstance&,
+                                          const Decision& central,
+                                          const RunOutputs&)>& report) {
+  const ProblemInstance instance(topo);
+  DistributedPlaneOptions po = plane_options(f);
+  Decision central = JointOptimizer(po.cell.joint).optimize(instance);
+  evaluate_decision(instance, central);
+  if (f.coord_mtbf > 0.0) {
+    po.controller_faults = FaultSchedule::exponential_servers(
+        1, f.coord_mtbf, f.coord_mttr, f.horizon, Rng(f.seed + 2));
+  }
+  DistributedControlPlane plane(topo, std::move(po));
+
+  Simulator::Options so = failover_sim_options(f);
+  so.trace_capacity = f.capacity;
+  TimeSeriesRecorder recorder(1u << 16);
+  if (f.observe || !flag_or(flags, "timeseries-out", "").empty()) {
+    plane.register_sources(recorder);
+    so.obs_interval = f.obs_interval;
+    so.recorder = &recorder;
+  }
+  std::optional<SloMonitor> slo;
+  if (slo_spec != nullptr) {
+    slo.emplace(&recorder, &plane.audit_log());
+    slo->add(*slo_spec);
+    so.slo = &*slo;
+  }
+  Simulator sim(instance, central, so);
+  sim.set_controller(plane.callback());
+  const SimMetrics m = sim.run();
+
+  const RunOutputs run{.metrics = &m, .audit = &plane.audit_log(),
+                       .tasks = &sim.trace(), .plane = &plane,
+                       .recorder = &recorder, .slo = slo ? &*slo : nullptr};
+  report(instance, central, run);
+  return export_run(flags, run);
+}
+
 // Distributed control-plane report: convergence of the per-cell controllers
-// over a lossy fabric (part 1), then a failover DES where the coordinator
-// endpoint itself crashes on an MTBF/MTTR process and the cells fall back to
-// validated local autonomy (part 2). Exercises src/ctrl end to end from the
-// command line; the chaos CI slice smoke-tests it.
+// over a lossy fabric (part 1), then the failover run, where the coordinator
+// endpoint itself crashes and the cells fall back to validated local
+// autonomy (part 2). Exercises src/ctrl end to end from the command line;
+// ci.sh's obs and chaos tiers smoke-test it.
 int cmd_distributed(const Flags& flags) {
   const std::string topo_path = flag_or(flags, "topology", "");
   if (topo_path.empty()) usage();
@@ -649,311 +771,113 @@ int cmd_distributed(const Flags& flags) {
   // cmd_simulate: a typo'd command fails on the typo).
   const auto ticks =
       static_cast<int>(size_flag(flags, "ticks", 40, 1, 1u << 20));
-  const double delay = double_flag(flags, "delay", 0.2, 0.0, 1e3);
-  const double jitter = double_flag(flags, "jitter", 0.5, 0.0, 1e3);
-  const double drop = double_flag(flags, "drop", 0.05, 0.0, 0.999);
-  const double coord_mtbf = double_flag(flags, "coord-mtbf", 10.0, 0.0, 1e9);
-  const double coord_mttr = double_flag(flags, "coord-mttr", 4.0, 1e-6, 1e9);
-  const double horizon = double_flag(flags, "horizon", 60.0, 1e-6);
-  const std::uint64_t seed = size_flag(flags, "seed", 19, 0);
-  const auto span_capacity = static_cast<std::size_t>(
-      size_flag(flags, "span-capacity", 1u << 16, 1, 1u << 26));
-  const double obs_interval =
-      double_flag(flags, "obs-interval", 0.5, 1e-6, 1.0);
-  const std::string audit_out = flag_or(flags, "audit-out", "");
-  const std::string trace_out = flag_or(flags, "trace-out", "");
-  const std::string metrics_out = flag_or(flags, "metrics-out", "");
-  const std::string timeseries_out = flag_or(flags, "timeseries-out", "");
+  const FailoverFlags f = failover_flags(
+      flags, {.delay = 0.2, .jitter = 0.5, .drop = 0.05, .coord_mtbf = 10.0,
+              .coord_mttr = 4.0, .horizon = 60.0});
+  const auto topo = load_topology(topo_path);
 
-  const auto topo =
-      serialize::topology_from_json(Json::parse(read_file(topo_path)));
-  const ProblemInstance instance(topo);
-
-  // Same optimizer budget for the centralized reference and the cells'
-  // local solves, so the reported gap is a fair protocol cost.
-  JointOptions joint;
-  joint.max_iterations = 2;
-  joint.dp_coverage_bins = 40;
-  joint.theta_grid = {0.0, 0.3, 0.6};
-  Decision central = JointOptimizer(joint).optimize(instance);
-  evaluate_decision(instance, central);
-
-  ControlFabricOptions fabric;
-  fabric.delay = delay;
-  fabric.jitter = jitter;
-  fabric.drop_prob = drop;
-  auto make_opts = [&](FaultSchedule faults) {
-    DistributedPlaneOptions po;
-    po.fabric = fabric;
-    po.cell.joint = joint;
-    po.controller_faults = std::move(faults);
-    po.seed = seed;
-    po.span_capacity = span_capacity;
-    return po;
-  };
-  auto observe = [&](double t) {
+  auto report = [&](const ProblemInstance& instance, const Decision& central,
+                    const RunOutputs& run) {
+    // Part 1: static workload; how fast does tatonnement settle and how
+    // close is the merged plan to the centralized solve?
+    DistributedControlPlane plane(topo, plane_options(f));
     Observation o;
-    o.time = t;
     for (const auto& cell : topo.cells()) {
       o.cell_bandwidth.push_back(cell.bandwidth);
     }
     o.server_alive.assign(topo.servers().size(), true);
-    return o;
+    int converged_at = -1;
+    for (int t = 0; t < ticks; ++t) {
+      o.time = static_cast<double>(t);
+      (void)plane.tick(o);
+      if (converged_at < 0 && plane.converged()) converged_at = t;
+    }
+    Decision merged = plane.merged();
+    evaluate_decision(instance, merged);
+    const double gap = merged.mean_latency / central.mean_latency - 1.0;
+    std::printf(
+        "convergence: fabric delay=%.2fs jitter=%.2fs drop=%.2f over %d "
+        "ticks\n  converged=%s epoch=%llu rounds=%llu msgs "
+        "sent=%llu dropped=%llu\n  merged-plan gap vs centralized: %.2f%%\n",
+        f.delay, f.jitter, f.drop, ticks, converged_at < 0 ? "NO" : "yes",
+        ull(plane.coordinator().epoch()),
+        ull(plane.coordinator().realloc_rounds()), ull(plane.fabric().sent()),
+        ull(plane.fabric().dropped()), 100.0 * gap);
+    if (converged_at >= 0) {
+      std::printf("  first fully-adopted epoch at tick %d\n", converged_at);
+    }
+
+    // Part 2: the cells kept steering on local autonomy through the
+    // coordinator's crashes and must beat the frozen plan's deadline sat.
+    const SimMetrics frozen =
+        Simulator(instance, central, failover_sim_options(f)).run();
+    const DistributedControlPlane& chaos = *run.plane;
+    std::printf(
+        "failover: coordinator MTBF=%s MTTR=%.1fs over %.0fs horizon\n"
+        "  deadline sat %.3f (frozen centralized plan: %.3f)\n"
+        "  coordinator crashes=%llu losses=%llu rejoins=%llu local "
+        "solves=%llu\n  stale-price events=%llu epochs rejected=%llu dead "
+        "letters=%llu\n",
+        f.coord_mtbf > 0.0 ? (Table::num(f.coord_mtbf, 1) + "s").c_str()
+                           : "off",
+        f.coord_mttr, f.horizon, run.metrics->deadline_satisfaction,
+        frozen.deadline_satisfaction, ull(chaos.coordinator_crashes()),
+        ull(chaos.coordinator_losses()), ull(chaos.rejoins()),
+        ull(chaos.local_solves()), ull(chaos.stale_events()),
+        ull(chaos.epochs_rejected()), ull(chaos.dead_letters()));
   };
-
-  // Part 1: static workload; how fast does tatonnement settle and how close
-  // is the merged plan to the centralized solve?
-  DistributedControlPlane plane(topo, make_opts({}));
-  int converged_at = -1;
-  for (int t = 0; t < ticks; ++t) {
-    (void)plane.tick(observe(static_cast<double>(t)));
-    if (converged_at < 0 && plane.converged()) converged_at = t;
-  }
-  Decision merged = plane.merged();
-  evaluate_decision(instance, merged);
-  const double gap = merged.mean_latency / central.mean_latency - 1.0;
-  std::printf(
-      "convergence: fabric delay=%.2fs jitter=%.2fs drop=%.2f over %d "
-      "ticks\n  converged=%s epoch=%llu rounds=%llu msgs "
-      "sent=%llu dropped=%llu\n  merged-plan gap vs centralized: %.2f%%\n",
-      delay, jitter, drop, ticks, converged_at < 0 ? "NO" : "yes",
-      static_cast<unsigned long long>(plane.coordinator().epoch()),
-      static_cast<unsigned long long>(plane.coordinator().realloc_rounds()),
-      static_cast<unsigned long long>(plane.fabric().sent()),
-      static_cast<unsigned long long>(plane.fabric().dropped()),
-      100.0 * gap);
-  if (converged_at >= 0) {
-    std::printf("  first fully-adopted epoch at tick %d\n", converged_at);
-  }
-
-  // Part 2: DES failover — the coordinator endpoint crashes; the cells keep
-  // steering on local autonomy and must beat the frozen plan's deadline sat.
-  Simulator::Options so;
-  so.horizon = horizon;
-  so.warmup = horizon * 0.1;
-  so.seed = seed + 1;
-  so.control_interval = 1.0;
-  Simulator frozen_sim(instance, central, so);
-  const SimMetrics frozen = frozen_sim.run();
-
-  FaultSchedule coord_faults;
-  if (coord_mtbf > 0.0) {
-    coord_faults = FaultSchedule::exponential_servers(
-        1, coord_mtbf, coord_mttr, horizon, Rng(seed + 2));
-  }
-  if (!trace_out.empty()) {
-    so.trace_capacity = static_cast<std::size_t>(
-        size_flag(flags, "capacity", 1048576, 1, 1u << 28));
-  }
-  DistributedControlPlane chaos(topo, make_opts(std::move(coord_faults)));
-  TimeSeriesRecorder recorder(1u << 16);
-  if (!timeseries_out.empty()) {
-    chaos.register_sources(recorder);
-    so.obs_interval = obs_interval;
-    so.recorder = &recorder;
-  }
-  Simulator sim(instance, central, so);
-  sim.set_controller(chaos.callback());
-  const SimMetrics m = sim.run();
-  std::printf(
-      "failover: coordinator MTBF=%s MTTR=%.1fs over %.0fs horizon\n"
-      "  deadline sat %.3f (frozen centralized plan: %.3f)\n"
-      "  coordinator crashes=%llu losses=%llu rejoins=%llu local "
-      "solves=%llu\n  stale-price events=%llu epochs rejected=%llu dead "
-      "letters=%llu\n",
-      coord_mtbf > 0.0 ? (Table::num(coord_mtbf, 1) + "s").c_str()
-                       : "off",
-      coord_mttr, horizon, m.deadline_satisfaction,
-      frozen.deadline_satisfaction,
-      static_cast<unsigned long long>(chaos.coordinator_crashes()),
-      static_cast<unsigned long long>(chaos.coordinator_losses()),
-      static_cast<unsigned long long>(chaos.rejoins()),
-      static_cast<unsigned long long>(chaos.local_solves()),
-      static_cast<unsigned long long>(chaos.stale_events()),
-      static_cast<unsigned long long>(chaos.epochs_rejected()),
-      static_cast<unsigned long long>(chaos.dead_letters()));
-
-  if (!audit_out.empty()) {
-    if (!chaos.audit_log().write(audit_out)) {
-      std::fprintf(stderr, "error: cannot write %s\n", audit_out.c_str());
-      return 1;
-    }
-    std::printf("wrote %zu audit records to %s\n", chaos.audit_log().size(),
-                audit_out.c_str());
-  }
-  if (!trace_out.empty()) {
-    if (!write_merged_trace(trace_out, sim.trace(), chaos.ctrl_trace())) {
-      std::fprintf(stderr, "error: cannot write %s\n", trace_out.c_str());
-      return 1;
-    }
-    std::printf("wrote %zu task events + %zu control-plane spans to %s\n",
-                sim.trace().size(), chaos.ctrl_trace().size(),
-                trace_out.c_str());
-  }
-  if (!metrics_out.empty()) {
-    if (metrics_out.ends_with(".csv")) {
-      if (!write_sim_metrics(m, metrics_out)) return 1;
-    } else {
-      Json doc = sim_metrics_to_json(m);
-      MetricsRegistry ctrl_registry;
-      chaos.publish_metrics(ctrl_registry);
-      doc.set("ctrl", ctrl_registry.to_json());
-      write_file(metrics_out, doc.dump_pretty() + "\n");
-    }
-    std::printf("wrote metrics to %s\n", metrics_out.c_str());
-  }
-  if (!timeseries_out.empty()) {
-    if (!recorder.write(timeseries_out)) return 1;
-    std::printf("wrote %zu time-series samples to %s\n", recorder.size(),
-                timeseries_out.c_str());
-  }
-  return 0;
+  return run_failover(flags, topo, f, nullptr, report);
 }
 
-// One-stop observability report: a lossy-fabric distributed failover run
-// with causal span tracing, windowed time-series telemetry, and SLO
-// burn-rate monitoring all enabled. Emits a single Chrome trace with task
-// events and control-plane spans on the shared clock (grant minted -> lost
-// -> re-granted via anti-entropy -> adopted, reconstructable per correlation
-// id), the sampled time series, and a metrics file whose ctrl.* section
-// reconciles with the span stream — the triple validate-trace checks.
+// One-stop observability report: the failover run with causal span
+// tracing, windowed time-series telemetry, and SLO burn-rate monitoring all
+// enabled. Emits a single Chrome trace with task events and control-plane
+// spans on the shared clock (grant minted -> lost -> re-granted via
+// anti-entropy -> adopted, reconstructable per correlation id), the sampled
+// time series, and a metrics file whose ctrl.* section reconciles with the
+// span stream — the triple validate-trace checks. `--overload F` multiplies
+// every device's arrival rate before the solve.
 int cmd_obs_report(const Flags& flags) {
-  const double horizon = double_flag(flags, "horizon", 24.0, 1e-6);
-  const std::uint64_t seed = size_flag(flags, "seed", 19, 0);
   const double overload = double_flag(flags, "overload", 1.0, 1e-6, 1e3);
-  const double drop = double_flag(flags, "drop", 0.15, 0.0, 0.999);
-  const double delay = double_flag(flags, "delay", 0.05, 0.0, 1e3);
-  const double jitter = double_flag(flags, "jitter", 0.1, 0.0, 1e3);
-  const double coord_mtbf = double_flag(flags, "coord-mtbf", 6.0, 0.0, 1e9);
-  const double coord_mttr = double_flag(flags, "coord-mttr", 2.0, 1e-6, 1e9);
-  const double obs_interval =
-      double_flag(flags, "obs-interval", 0.5, 1e-6, 1.0);
-  const auto span_capacity = static_cast<std::size_t>(
-      size_flag(flags, "span-capacity", 1u << 16, 1, 1u << 26));
-  const auto capacity = static_cast<std::size_t>(
-      size_flag(flags, "capacity", 1048576, 1, 1u << 28));
-  const std::string trace_out = flag_or(flags, "trace-out", "");
-  const std::string timeseries_out = flag_or(flags, "timeseries-out", "");
-  const std::string metrics_out = flag_or(flags, "metrics-out", "");
-  const std::string audit_out = flag_or(flags, "audit-out", "");
-
+  const FailoverFlags f = failover_flags(
+      flags, {.delay = 0.05, .jitter = 0.1, .drop = 0.15, .coord_mtbf = 6.0,
+              .coord_mttr = 2.0, .horizon = 24.0, .observe = true});
   const std::string topo_path = flag_or(flags, "topology", "");
-  ClusterTopology topo = topo_path.empty()
-                             ? clusters::small_lab()
-                             : serialize::topology_from_json(
-                                   Json::parse(read_file(topo_path)));
-  if (overload != 1.0) {
-    const auto devices = topo.devices();  // copy: the loop mutates topo
-    for (const auto& d : devices) {
-      topo.set_device_arrival_rate(d.id, d.arrival_rate * overload);
-    }
-  }
-  const ProblemInstance instance(topo);
+  const ClusterTopology topo = overloaded(
+      topo_path.empty() ? clusters::small_lab() : load_topology(topo_path),
+      overload);
+  const SloSpec spec{.name = "deadline",
+                     .good = "sim.deadline_met",
+                     .total = "sim.deadline_total",
+                     .objective = 0.9,
+                     .windows = {{10.0, 1.0}, {60.0, 0.5}}};
 
-  JointOptions joint;
-  joint.max_iterations = 2;
-  joint.dp_coverage_bins = 40;
-  joint.theta_grid = {0.0, 0.3, 0.6};
-  Decision central = JointOptimizer(joint).optimize(instance);
-  evaluate_decision(instance, central);
-
-  DistributedPlaneOptions po;
-  po.fabric.delay = delay;
-  po.fabric.jitter = jitter;
-  po.fabric.drop_prob = drop;
-  po.cell.joint = joint;
-  po.seed = seed;
-  po.span_capacity = span_capacity;
-  if (coord_mtbf > 0.0) {
-    po.controller_faults = FaultSchedule::exponential_servers(
-        1, coord_mtbf, coord_mttr, horizon, Rng(seed + 2));
-  }
-  DistributedControlPlane plane(topo, std::move(po));
-
-  TimeSeriesRecorder recorder(1u << 16);
-  plane.register_sources(recorder);
-  SloMonitor slo(&recorder, &plane.audit_log());
-  SloSpec spec;
-  spec.name = "deadline";
-  spec.good = "sim.deadline_met";
-  spec.total = "sim.deadline_total";
-  spec.objective = 0.9;
-  spec.windows = {{10.0, 1.0}, {60.0, 0.5}};
-  slo.add(spec);
-
-  Simulator::Options so;
-  so.horizon = horizon;
-  so.warmup = horizon * 0.1;
-  so.seed = seed + 1;
-  so.control_interval = 1.0;
-  so.trace_capacity = capacity;
-  so.obs_interval = obs_interval;
-  so.recorder = &recorder;
-  so.slo = &slo;
-  Simulator sim(instance, central, so);
-  sim.set_controller(plane.callback());
-  const SimMetrics m = sim.run();
-
-  const auto spans = plane.ctrl_trace().snapshot();
-  const auto span_tally = ctrl_span_counts(spans);
-  auto tally = [&](CtrlSpanEvent e) {
-    return static_cast<unsigned long long>(
-        span_tally[static_cast<std::size_t>(e)]);
+  auto report = [&](const ProblemInstance&, const Decision&,
+                    const RunOutputs& run) {
+    const auto spans = run.plane->ctrl_trace().snapshot();
+    const auto span_tally = ctrl_span_counts(spans);
+    auto tally = [&](CtrlSpanEvent e) {
+      return ull(span_tally[static_cast<std::size_t>(e)]);
+    };
+    const SloMonitor& slo = *run.slo;
+    std::printf(
+        "obs-report: horizon=%.0fs drop=%.2f coordinator MTBF=%.1fs\n"
+        "  deadline sat %.3f, %zu time-series samples (%zu columns), "
+        "%zu spans\n"
+        "  spans: sent=%llu delivered=%llu dropped=%llu dead_letter=%llu "
+        "regrant=%llu adopted=%llu rejected_stale=%llu\n"
+        "  slo[deadline]: alerts started=%llu stopped=%llu burn=%.2fx/%.2fx "
+        "(10s/60s windows, objective 0.9)\n",
+        f.horizon, f.drop, f.coord_mtbf, run.metrics->deadline_satisfaction,
+        run.recorder->size(), run.recorder->columns().size(), spans.size(),
+        tally(CtrlSpanEvent::kSent), tally(CtrlSpanEvent::kDelivered),
+        tally(CtrlSpanEvent::kDropped), tally(CtrlSpanEvent::kDeadLetter),
+        tally(CtrlSpanEvent::kRegrant), tally(CtrlSpanEvent::kAdopted),
+        tally(CtrlSpanEvent::kRejectedStale), ull(slo.alerts_started()),
+        ull(slo.alerts_stopped()), slo.specs() > 0 ? slo.burn_rate(0, 0) : 0.0,
+        slo.specs() > 0 ? slo.burn_rate(0, 1) : 0.0);
   };
-  std::printf(
-      "obs-report: horizon=%.0fs drop=%.2f coordinator MTBF=%.1fs\n"
-      "  deadline sat %.3f, %zu time-series samples (%zu columns), "
-      "%zu spans\n"
-      "  spans: sent=%llu delivered=%llu dropped=%llu dead_letter=%llu "
-      "regrant=%llu adopted=%llu rejected_stale=%llu\n"
-      "  slo[deadline]: alerts started=%llu stopped=%llu burn=%.2fx/%.2fx "
-      "(10s/60s windows, objective 0.9)\n",
-      horizon, drop, coord_mtbf, m.deadline_satisfaction, recorder.size(),
-      recorder.columns().size(), spans.size(),
-      tally(CtrlSpanEvent::kSent), tally(CtrlSpanEvent::kDelivered),
-      tally(CtrlSpanEvent::kDropped), tally(CtrlSpanEvent::kDeadLetter),
-      tally(CtrlSpanEvent::kRegrant), tally(CtrlSpanEvent::kAdopted),
-      tally(CtrlSpanEvent::kRejectedStale),
-      static_cast<unsigned long long>(slo.alerts_started()),
-      static_cast<unsigned long long>(slo.alerts_stopped()),
-      slo.specs() > 0 ? slo.burn_rate(0, 0) : 0.0,
-      slo.specs() > 0 ? slo.burn_rate(0, 1) : 0.0);
-
-  if (!trace_out.empty()) {
-    if (!write_merged_trace(trace_out, sim.trace(), plane.ctrl_trace())) {
-      std::fprintf(stderr, "error: cannot write %s\n", trace_out.c_str());
-      return 1;
-    }
-    std::printf("wrote %zu task events + %zu spans to %s\n",
-                sim.trace().size(), spans.size(), trace_out.c_str());
-  }
-  if (!timeseries_out.empty()) {
-    if (!recorder.write(timeseries_out)) return 1;
-    std::printf("wrote %zu samples to %s\n", recorder.size(),
-                timeseries_out.c_str());
-  }
-  if (!metrics_out.empty()) {
-    if (metrics_out.ends_with(".csv")) {
-      if (!write_sim_metrics(m, metrics_out)) return 1;
-    } else {
-      Json doc = sim_metrics_to_json(m);
-      MetricsRegistry ctrl_registry;
-      plane.publish_metrics(ctrl_registry);
-      doc.set("ctrl", ctrl_registry.to_json());
-      doc.set("slo", slo.to_json());
-      write_file(metrics_out, doc.dump_pretty() + "\n");
-    }
-    std::printf("wrote metrics to %s\n", metrics_out.c_str());
-  }
-  if (!audit_out.empty()) {
-    if (!plane.audit_log().write(audit_out)) {
-      std::fprintf(stderr, "error: cannot write %s\n", audit_out.c_str());
-      return 1;
-    }
-    std::printf("wrote %zu audit records to %s\n", plane.audit_log().size(),
-                audit_out.c_str());
-  }
-  return 0;
+  return run_failover(flags, topo, f, &spec, report);
 }
 
 int cmd_models(const Flags&) {

@@ -166,4 +166,29 @@ bool write_sim_metrics(const SimMetrics& m, const std::string& path) {
       path, [&](JsonWriter& w) { w.value(sim_metrics_to_json(m)); });
 }
 
+bool write_replicated_metrics(const ReplicatedMetrics& agg,
+                              const std::string& path) {
+  if (!path.ends_with(".csv")) {
+    return write_json_file(
+        path, [&](JsonWriter& w) { w.value(replicated_metrics_to_json(agg)); });
+  }
+  Table t({"rep", "arrived", "completed", "failed", "shed", "expired",
+           "mean_latency_s", "p95_s", "p99_s", "deadline_sat", "accuracy"});
+  auto count = [](std::size_t v) {
+    return Table::num(static_cast<std::int64_t>(v));
+  };
+  for (std::size_t r = 0; r < agg.replications.size(); ++r) {
+    const SimMetrics& m = agg.replications[r];
+    const bool none = m.latency.empty();
+    t.add_row({count(r), count(m.arrived), count(m.completed),
+               count(m.failed), count(m.shed), count(m.expired),
+               Table::num(none ? 0.0 : m.latency.mean(), 6),
+               Table::num(none ? 0.0 : m.latency.p95(), 6),
+               Table::num(none ? 0.0 : m.latency.p99(), 6),
+               Table::num(m.deadline_satisfaction, 4),
+               Table::num(m.measured_accuracy, 4)});
+  }
+  return write_csv(t, path);
+}
+
 }  // namespace scalpel

@@ -28,4 +28,10 @@ Json replicated_metrics_to_json(const ReplicatedMetrics& agg);
 /// anything else gets pretty JSON. Returns false (and logs) on I/O failure.
 bool write_sim_metrics(const SimMetrics& m, const std::string& path);
 
+/// Writes a replicated aggregate to `path` by the same suffix rule. The CSV
+/// form is one row of headline scalars per replication; the full nested
+/// detail needs the JSON form.
+bool write_replicated_metrics(const ReplicatedMetrics& agg,
+                              const std::string& path);
+
 }  // namespace scalpel
